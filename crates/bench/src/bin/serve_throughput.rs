@@ -59,12 +59,12 @@
 //! recorded speedup is the noise floor the "throughput unchanged"
 //! claim is judged against.
 //!
-//! The **lane_sweep** scenario validates the layout thresholds behind
-//! that plan: for each family it forces member-major and slot-major
-//! lanes across widths 1–1024 (straddling `SLOT_MAJOR_MIN_WIDTH`
-//! with width−1/width/width+1 cells) against a scalar reference fleet,
+//! The **lane_sweep** scenario validates the layout threshold behind
+//! that plan: for each expensive family it forces slot-major lanes
+//! across widths 1–1024 (straddling `SLOT_MAJOR_MIN_WIDTH` with
+//! width−1/width/width+1 cells) against a scalar reference fleet,
 //! records per-width speedups plus the layout the plan would choose,
-//! and exits non-zero if any layout moves a single bit.
+//! and exits non-zero if a lane moves a single bit.
 //!
 //! Knobs: `FORECO_SERVE_SESSIONS` (default 1024),
 //! `FORECO_SERVE_CYCLES` (replay length, default 1),
@@ -417,9 +417,11 @@ fn calibration_run(iterations: u64) -> CalibrationRow {
 /// deliver/miss cadence; the miss ticks are timed per path (scalar
 /// `tick_into(None)` vs lane gather → one `run_layout` sweep →
 /// `tick_miss_prepared`) and every forecast is compared bit for bit.
-/// With `LaneLayout::Scalar` the second fleet re-times the scalar path
-/// with no gather at all — exactly what the serve planner does with
-/// cheap families, so the recorded "speedup" is the noise floor.
+/// Cheap families are never gathered: their second fleet re-times the
+/// scalar path with no gather at all — exactly what the serve planner
+/// does with them, so the recorded "speedup" is the noise floor.
+/// Expensive families are gathered, and a `LaneLayout::Scalar` lane
+/// then runs per-member `forecast_into` over the gathered windows.
 fn lane_measure(
     forecaster: &SharedForecaster,
     fx: &Fixture,
@@ -429,7 +431,7 @@ fn lane_measure(
     layout: foreco_forecast::LaneLayout,
 ) -> (u64, f64, f64, bool) {
     use foreco_core::RecoveryEngine;
-    use foreco_forecast::{BatchLane, ForecastScratch, Forecaster, LaneLayout};
+    use foreco_forecast::{BatchLane, ForecastScratch, Forecaster};
 
     let dof = fx.model.dof();
     let build_fleet = || -> Vec<RecoveryEngine> {
@@ -476,11 +478,11 @@ fn lane_measure(
         }
         scalar_wall += t0.elapsed();
 
-        // Timed miss tick, lane path. Scalar layout = no gather: the
+        // Timed miss tick, lane path. Cheap family = no gather: the
         // fleet keeps its per-engine dispatch, as in the serve planner.
         let t0 = Instant::now();
-        match layout {
-            LaneLayout::Scalar => {
+        match forecaster.cost_class() {
+            CostClass::Cheap => {
                 for (i, e) in batched.iter_mut().enumerate() {
                     e.tick_into(None, &mut out_b);
                     bit_identical &= mismatch_scratch[i * dof..(i + 1) * dof]
@@ -489,7 +491,7 @@ fn lane_measure(
                         .all(|(&bits, v)| bits == v.to_bits());
                 }
             }
-            _ => {
+            CostClass::Expensive => {
                 lane.clear();
                 for e in &batched {
                     lane.push_window(&e.history_view());
@@ -544,8 +546,8 @@ fn batched_run(
     }
 }
 
-/// One lane_sweep cell: a forced layout at a fixed width, plus the
-/// layout the plan would have chosen there.
+/// One lane_sweep cell: a forced slot-major lane at a fixed width,
+/// plus the layout the plan would have chosen there.
 fn lane_sweep_run(
     name: &str,
     forecaster: &SharedForecaster,
@@ -553,9 +555,9 @@ fn lane_sweep_run(
     replay: &[Vec<f64>],
     width: usize,
     rounds: usize,
-    layout: foreco_forecast::LaneLayout,
 ) -> LaneSweepRow {
     use foreco_forecast::{plan_layout, Forecaster};
+    let layout = LaneLayout::SlotMajor;
     let chosen = plan_layout(forecaster.cost_class(), width);
     let (ticks, scalar_ns, layout_ns, bit_identical) =
         lane_measure(forecaster, fx, replay, width, rounds, layout);
@@ -1436,7 +1438,7 @@ fn main() {
         .collect();
     let sweep_ticks = env_knob("FORECO_SERVE_SWEEP_TICKS", 16_384);
     println!(
-        "\nlane_sweep: forced member-major and slot-major vs scalar across widths \
+        "\nlane_sweep: forced slot-major vs scalar across widths \
          {sweep_widths:?} (~{sweep_ticks} miss ticks per cell)"
     );
     println!(
@@ -1460,28 +1462,26 @@ fn main() {
     {
         for &width in &sweep_widths {
             let rounds = (sweep_ticks / width).clamp(8, 128);
-            for layout in [LaneLayout::MemberMajor, LaneLayout::SlotMajor] {
-                let row = lane_sweep_run(name, shared, &fx, &hot_replay, width, rounds, layout);
-                println!(
-                    "{:>10} {:>7} {:>12} {:>12} {:>14.1} {:>14.1} {:>8.2}x {:>14}",
-                    row.forecaster,
-                    row.width,
-                    row.layout,
-                    row.chosen,
-                    row.scalar_ns_per_tick,
-                    row.layout_ns_per_tick,
-                    row.speedup_vs_scalar,
-                    row.bit_identical
+            let row = lane_sweep_run(name, shared, &fx, &hot_replay, width, rounds);
+            println!(
+                "{:>10} {:>7} {:>12} {:>12} {:>14.1} {:>14.1} {:>8.2}x {:>14}",
+                row.forecaster,
+                row.width,
+                row.layout,
+                row.chosen,
+                row.scalar_ns_per_tick,
+                row.layout_ns_per_tick,
+                row.speedup_vs_scalar,
+                row.bit_identical
+            );
+            if !row.bit_identical {
+                eprintln!(
+                    "FAIL: lane_sweep {} width {} layout {} diverged from the scalar path",
+                    row.forecaster, row.width, row.layout
                 );
-                if !row.bit_identical {
-                    eprintln!(
-                        "FAIL: lane_sweep {} width {} layout {} diverged from the scalar path",
-                        row.forecaster, row.width, row.layout
-                    );
-                    std::process::exit(1);
-                }
-                lane_sweep.push(row);
+                std::process::exit(1);
             }
+            lane_sweep.push(row);
         }
     }
 

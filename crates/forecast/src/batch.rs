@@ -4,49 +4,45 @@
 //! A fleet's real shape is thousands of recovery loops running the same
 //! trained forecaster at the same dimensionality. [`BatchLane`] gathers
 //! those sessions' history windows into one contiguous member-major
-//! `f64` block and runs a single [`Forecaster::forecast_batch`] sweep
-//! over it: one virtual dispatch per lane per pass instead of one per
-//! session, with every window walk a linear scan the compiler can keep
-//! in cache.
+//! `f64` block, and [`BatchLane::run_layout`] forecasts every member
+//! in one of two ways:
+//!
+//! - [`LaneLayout::SlotMajor`] transposes the lane so the *members* are
+//!   contiguous per history slot and runs one
+//!   [`Forecaster::forecast_batch_slots`] sweep: an expensive kernel
+//!   (Kalman-CV's filter recursion, VAR's regression inner products)
+//!   then runs its arithmetic as a tight cross-member loop the compiler
+//!   auto-vectorizes.
+//! - [`LaneLayout::Scalar`] runs per-member
+//!   [`Forecaster::forecast_into`] over a contiguous [`HistoryView`] of
+//!   each gathered window. It is also where a slot-major request lands
+//!   when the forecaster has no slot-major kernel.
+//!
+//! Which path pays is a function of kernel cost and lane width —
+//! [`plan_layout`] encodes the committed decision rule, validated by
+//! the bench's `lane_sweep` scenario across widths 1–1024.
 //!
 //! **Determinism contract.** Each member's prediction is computed by
 //! the exact floating-point operations of the scalar
 //! [`Forecaster::forecast_into`] path on that member's rows, in the
-//! same order — members never mix. When the forecaster reports no
-//! native batched kernel (`forecast_batch` → `false`), [`BatchLane::run`]
-//! falls back to per-member `forecast_into` over a contiguous
-//! [`HistoryView`] of the gathered window, which is bit-identical to
+//! same order — members never mix. The scalar path is bit-identical to
 //! the caller's own scalar call by the split-≡-contiguous view
 //! equivalence pinned in [`crate::history`]'s tests.
-//!
-//! **Layouts.** The member-major gather amortises dispatch but leaves
-//! each kernel walking one member's window at a time — the same scalar
-//! recursion, minus a virtual call. [`LaneLayout::SlotMajor`] instead
-//! transposes the lane so the *members* are contiguous per history
-//! slot: an expensive kernel (Kalman-CV's filter recursion, VAR's
-//! regression inner products) then runs its arithmetic as a tight
-//! cross-member loop the compiler auto-vectorizes. Which layout pays
-//! is a function of kernel cost and lane width — [`plan_layout`]
-//! encodes the committed decision rule, validated by the bench's
-//! `lane_sweep` scenario across widths 1–1024.
 
 use crate::{ForecastScratch, Forecaster, HistoryView};
 use std::sync::Arc;
 
 /// How [`BatchLane::run_layout`] presents the gathered windows to the
-/// forecaster. Every layout is bit-identical to every other — the
-/// choice moves wall-clock time, never output bits.
+/// forecaster. Both layouts are bit-identical — the choice moves
+/// wall-clock time, never output bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneLayout {
     /// Per-member scalar [`Forecaster::forecast_into`] over each
     /// gathered window — no batched kernel at all. At the serve planner
-    /// this decision is realised *before* the gather: a session whose
-    /// lane would be scalar keeps its own scalar path and never pays
+    /// a cheap family's scalar decision is realised *before* the
+    /// gather: its sessions keep their own scalar path and never pay
     /// the window memcpy.
     Scalar,
-    /// Member-major SoA [`Forecaster::forecast_batch`]: one dispatch
-    /// per lane, each member's window contiguous.
-    MemberMajor,
     /// Slot-major (transposed) [`Forecaster::forecast_batch_slots`]:
     /// one dispatch per lane, the lane's members contiguous per history
     /// slot so cross-member inner loops auto-vectorize.
@@ -65,7 +61,7 @@ pub enum CostClass {
 }
 
 /// Lane width at which an expensive family's lane switches from
-/// member-major to slot-major. Below it the transpose overhead eats the
+/// scalar to slot-major. Below it the transpose overhead eats the
 /// vectorization win; at/above it the cross-member inner loops win.
 /// Committed from the bench's `lane_sweep` sweep (widths 1–1024); the
 /// `batch_identity` suite pins bit-identity at `threshold − 1`,
@@ -75,21 +71,20 @@ pub const SLOT_MAJOR_MIN_WIDTH: usize = 32;
 /// The committed per-lane layout decision: cost class and lane width in,
 /// [`LaneLayout`] out.
 ///
-/// - [`CostClass::Cheap`] families stay **scalar** at every width — the
-///   member-major experiment measured 0.83–0.91× for them (gather costs
-///   more than the dispatch it saves), so their sessions are never
-///   gathered at all.
-/// - [`CostClass::Expensive`] families batch **member-major** on narrow
-///   lanes and **slot-major** from [`SLOT_MAJOR_MIN_WIDTH`] up, where
-///   the measured speedup clears 1.0×.
+/// - [`CostClass::Cheap`] families stay **scalar** at every width —
+///   gathering measured 0.83–0.91× for them (the gather costs more than
+///   the dispatch it saves), so their sessions are never gathered at
+///   all.
+/// - [`CostClass::Expensive`] families run **scalar** on narrow lanes
+///   and **slot-major** from [`SLOT_MAJOR_MIN_WIDTH`] up, where the
+///   measured speedup clears 1.0×.
 ///
 /// Any ambiguity elsewhere in the stack (no native kernel, unknown
-/// wrapper) degrades member-major → scalar, both bit-identical.
+/// wrapper) degrades slot-major → scalar, both bit-identical.
 pub fn plan_layout(cost: CostClass, width: usize) -> LaneLayout {
     match cost {
-        CostClass::Cheap => LaneLayout::Scalar,
         CostClass::Expensive if width >= SLOT_MAJOR_MIN_WIDTH => LaneLayout::SlotMajor,
-        CostClass::Expensive => LaneLayout::MemberMajor,
+        _ => LaneLayout::Scalar,
     }
 }
 
@@ -184,21 +179,11 @@ impl BatchLane {
         member
     }
 
-    /// Runs the batched forecast over every gathered member, natively
-    /// when the forecaster supports it, else by bit-identical per-member
-    /// scalar fallback. Results are read back via [`BatchLane::result`].
-    ///
-    /// Equivalent to [`BatchLane::run_layout`] with
-    /// [`LaneLayout::MemberMajor`].
-    pub fn run(&mut self, scratch: &mut ForecastScratch) {
-        self.run_layout(LaneLayout::MemberMajor, scratch);
-    }
-
-    /// Runs the batched forecast in the requested [`LaneLayout`],
-    /// degrading gracefully — slot-major falls back to member-major
-    /// falls back to the per-member scalar path — so every layout is
-    /// safe to request for every forecaster, and every one produces
-    /// bit-identical results.
+    /// Forecasts every gathered member in the requested [`LaneLayout`];
+    /// results are read back via [`BatchLane::result`]. A slot-major
+    /// request degrades to the per-member scalar path when the
+    /// forecaster has no slot-major kernel, so both layouts are safe to
+    /// request for every forecaster and produce bit-identical results.
     pub fn run_layout(&mut self, layout: LaneLayout, scratch: &mut ForecastScratch) {
         self.out.resize(self.members * self.dims, 0.0);
         if self.members == 0 {
@@ -215,14 +200,7 @@ impl BatchLane {
                 return;
             }
         }
-        if layout != LaneLayout::Scalar
-            && self
-                .forecaster
-                .forecast_batch(self.members, &self.windows, scratch, &mut self.out)
-        {
-            return;
-        }
-        // Scalar fallback: the member's gathered window is a contiguous
+        // Scalar path: the member's gathered window is a contiguous
         // HistoryView, which presents the exact rows the forecaster
         // would see on the caller's ring (split ≡ contiguous).
         let stride = self.window_rows * self.dims;
@@ -239,8 +217,9 @@ impl BatchLane {
     /// Transposes the member-major gather into the lane-owned slot-major
     /// buffer: `slots[slot * members + m] = windows[m * stride + slot]`.
     /// Pure data movement — each member's values are copied, never
-    /// combined, so the transpose cannot move a bit. Runs at `run` time
-    /// because the member count is unknown while gathering.
+    /// combined, so the transpose cannot move a bit. Runs at
+    /// `run_layout` time because the member count is unknown while
+    /// gathering.
     fn transpose_slots(&mut self) {
         let stride = self.window_rows * self.dims;
         // `resize` only allocates past the high-water mark, like every
@@ -254,7 +233,7 @@ impl BatchLane {
     }
 
     /// The prediction computed for member `i` by the last
-    /// [`BatchLane::run`].
+    /// [`BatchLane::run_layout`].
     pub fn result(&self, i: usize) -> &[f64] {
         &self.out[i * self.dims..(i + 1) * self.dims]
     }
@@ -289,19 +268,23 @@ mod tests {
             Arc::new(KalmanCv::default_teleop(5, 6)),
             Arc::new(Var::fit_differenced(&train, 5, 1e-6).unwrap()),
         ];
-        for f in forecasters {
+        // One narrow and one threshold-wide lane per family, each run at
+        // the planned layout.
+        for (f, width) in forecasters
+            .iter()
+            .flat_map(|f| [(f, 7), (f, SLOT_MAJOR_MIN_WIDTH)])
+        {
             let rows = f.history_len();
             let dims = f.dims();
-            let mut lane = BatchLane::new(Arc::clone(&f));
-            let windows: Vec<Vec<Vec<f64>>> = (0..7)
-                .map(|m| ramp_rows(rows, dims, 0.3 * m as f64))
+            let mut lane = BatchLane::new(Arc::clone(f));
+            let flats: Vec<Vec<f64>> = (0..width)
+                .map(|m| flat(&ramp_rows(rows, dims, 0.3 * m as f64)))
                 .collect();
-            let flats: Vec<Vec<f64>> = windows.iter().map(|w| flat(w)).collect();
             for w in &flats {
                 lane.push_window(&HistoryView::contiguous(w, dims));
             }
             let mut scratch = ForecastScratch::new();
-            lane.run(&mut scratch);
+            lane.run_layout(plan_layout(f.cost_class(), width), &mut scratch);
             for (m, w) in flats.iter().enumerate() {
                 let mut scalar = vec![0.0; dims];
                 let mut s = ForecastScratch::new();
@@ -331,12 +314,19 @@ mod tests {
             }
         }
         let inner = MovingAverage::new(3, 2);
-        assert!(!Shim(inner.clone()).forecast_batch(0, &[], &mut ForecastScratch::new(), &mut []));
+        assert!(!Shim(inner.clone()).forecast_batch_slots(
+            0,
+            &[],
+            &mut ForecastScratch::new(),
+            &mut []
+        ));
         let mut lane = BatchLane::new(Arc::new(Shim(inner.clone())));
         let w = flat(&ramp_rows(3, 2, 0.0));
         lane.push_window(&HistoryView::contiguous(&w, 2));
         let mut scratch = ForecastScratch::new();
-        lane.run(&mut scratch);
+        // A slot-major request on a forecaster without a slot-major
+        // kernel lands on the per-member scalar path.
+        lane.run_layout(LaneLayout::SlotMajor, &mut scratch);
         let mut scalar = vec![0.0; 2];
         inner.forecast_into(
             &HistoryView::contiguous(&w, 2),
@@ -353,15 +343,16 @@ mod tests {
         for _ in 0..16 {
             lane.push_window(&HistoryView::contiguous(&w, 3));
         }
+        let layout = plan_layout(lane.forecaster().cost_class(), lane.members());
         let mut scratch = ForecastScratch::new();
-        lane.run(&mut scratch);
+        lane.run_layout(layout, &mut scratch);
         let cap = (lane.windows.capacity(), lane.out.capacity());
         lane.clear();
         assert!(lane.is_empty());
         for _ in 0..16 {
             lane.push_window(&HistoryView::contiguous(&w, 3));
         }
-        lane.run(&mut scratch);
+        lane.run_layout(layout, &mut scratch);
         assert_eq!((lane.windows.capacity(), lane.out.capacity()), cap);
     }
 
@@ -383,11 +374,7 @@ mod tests {
                 .collect();
             let mut scratch = ForecastScratch::new();
             let mut per_layout: Vec<Vec<u64>> = Vec::new();
-            for layout in [
-                LaneLayout::Scalar,
-                LaneLayout::MemberMajor,
-                LaneLayout::SlotMajor,
-            ] {
+            for layout in [LaneLayout::Scalar, LaneLayout::SlotMajor] {
                 let mut lane = BatchLane::new(Arc::clone(&f));
                 for w in &flats {
                     lane.push_window(&HistoryView::contiguous(w, dims));
@@ -399,8 +386,7 @@ mod tests {
                         .collect(),
                 );
             }
-            assert_eq!(per_layout[0], per_layout[1], "{}: member-major", f.name());
-            assert_eq!(per_layout[0], per_layout[2], "{}: slot-major", f.name());
+            assert_eq!(per_layout[0], per_layout[1], "{}: slot-major", f.name());
         }
     }
 
@@ -408,13 +394,10 @@ mod tests {
     fn layout_plan_follows_cost_class_and_width() {
         assert_eq!(plan_layout(CostClass::Cheap, 1), LaneLayout::Scalar);
         assert_eq!(plan_layout(CostClass::Cheap, 4096), LaneLayout::Scalar);
-        assert_eq!(
-            plan_layout(CostClass::Expensive, 1),
-            LaneLayout::MemberMajor
-        );
+        assert_eq!(plan_layout(CostClass::Expensive, 1), LaneLayout::Scalar);
         assert_eq!(
             plan_layout(CostClass::Expensive, SLOT_MAJOR_MIN_WIDTH - 1),
-            LaneLayout::MemberMajor
+            LaneLayout::Scalar
         );
         assert_eq!(
             plan_layout(CostClass::Expensive, SLOT_MAJOR_MIN_WIDTH),

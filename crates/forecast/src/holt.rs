@@ -103,37 +103,6 @@ impl Forecaster for Holt {
         }
     }
 
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        _scratch: &mut crate::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let stride = self.r * self.dims;
-        assert_eq!(windows.len(), members * stride, "Holt: batch window shape");
-        assert_eq!(out.len(), members * self.dims, "Holt: batch output shape");
-        for (w, o) in windows
-            .chunks_exact(stride)
-            .zip(out.chunks_exact_mut(self.dims))
-        {
-            // Identical recursion to the scalar kernel; `row(i)` becomes
-            // a flat-slice index into this member's gathered window.
-            let row = |i: usize| &w[i * self.dims..(i + 1) * self.dims];
-            for (k, slot) in o.iter_mut().enumerate() {
-                let mut level = row(0)[k];
-                let mut trend = row(1)[k] - row(0)[k];
-                for i in 1..self.r {
-                    let prev_level = level;
-                    level = self.alpha * row(i)[k] + (1.0 - self.alpha) * (level + trend);
-                    trend = self.beta * (level - prev_level) + (1.0 - self.beta) * trend;
-                }
-                *slot = level + trend;
-            }
-        }
-        true
-    }
-
     fn history_len(&self) -> usize {
         self.r
     }

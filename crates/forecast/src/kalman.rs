@@ -155,33 +155,6 @@ impl Forecaster for KalmanCv {
         }
     }
 
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        _scratch: &mut crate::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let stride = self.r * self.dims;
-        assert_eq!(
-            windows.len(),
-            members * stride,
-            "Kalman: batch window shape"
-        );
-        assert_eq!(out.len(), members * self.dims, "Kalman: batch output shape");
-        for (w, o) in windows
-            .chunks_exact(stride)
-            .zip(out.chunks_exact_mut(self.dims))
-        {
-            // `chunks_exact(dims)` walks this member's rows oldest-first,
-            // exactly like `window.iter()` in the scalar kernel.
-            for (k, slot) in o.iter_mut().enumerate() {
-                *slot = self.filter_joint_from(w.chunks_exact(self.dims).map(|c| c[k]));
-            }
-        }
-        true
-    }
-
     fn forecast_batch_slots(
         &self,
         members: usize,

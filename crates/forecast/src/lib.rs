@@ -96,51 +96,19 @@ pub trait Forecaster: Send + Sync {
         out.copy_from_slice(&pred);
     }
 
-    /// Batched forecast over a structure-of-arrays lane: `members`
-    /// gathered history windows, member-major (`windows[m]` occupies
-    /// `windows[m * history_len() * dims() ..][.. history_len() * dims()]`,
-    /// rows oldest-first), each producing one `dims()`-wide prediction in
-    /// the matching slice of `out`.
-    ///
-    /// Returns `true` when the forecaster ran the batch natively, `false`
-    /// when it has no batched kernel — the caller must then fall back to
-    /// per-member [`Forecaster::forecast_into`] over the same windows
-    /// (see [`BatchLane::run`]), which is bit-identical by construction.
-    ///
-    /// **Contract: bit-identical to the scalar path.** A native
-    /// implementation must perform, for each member independently, the
-    /// exact floating-point operations of `forecast_into` on that
-    /// member's window, in the same order. Members never mix — batching
-    /// wins by amortising dispatch and walking contiguous memory, not by
-    /// reassociating arithmetic. The `batch_identity` proptest suite
-    /// pins this for every batchable family.
-    ///
-    /// # Panics
-    /// Native implementations panic when `windows.len() != members *
-    /// history_len() * dims()` or `out.len() != members * dims()`.
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        scratch: &mut ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let _ = (members, windows, scratch, out);
-        false
-    }
-
     /// Batched forecast over a **slot-major** (transposed) lane:
     /// `slots[(row * dims() + dim) * members + m]` holds member `m`'s
     /// value for coordinate `dim` of history row `row` (rows
     /// oldest-first), so the `members` values of any one slot are
     /// contiguous and a kernel's cross-member inner loop is a unit-
-    /// stride walk the compiler auto-vectorizes. Predictions still land
-    /// member-major in `out`, exactly like [`Forecaster::forecast_batch`].
+    /// stride walk the compiler auto-vectorizes. Predictions land
+    /// member-major in `out`: member `m`'s `dims()` values at
+    /// `out[m * dims()..]`.
     ///
     /// Returns `true` when the forecaster ran the slot-major batch
     /// natively, `false` when it has no such kernel — the caller then
-    /// degrades to the member-major kernel and from there to the
-    /// per-member scalar fallback (see [`BatchLane::run_layout`]).
+    /// degrades to per-member [`Forecaster::forecast_into`] over the
+    /// gathered windows (see [`BatchLane::run_layout`]).
     ///
     /// **Contract: bit-identical to the scalar path.** Cross-member
     /// lanes are independent sequences: for each member the kernel must
@@ -149,7 +117,7 @@ pub trait Forecaster: Send + Sync {
     /// only changes *which member* each innermost iteration touches,
     /// never the order of any one member's arithmetic — which is why
     /// bit-identity is preserved by construction and pinned by the
-    /// `batch_identity` suite across all three [`LaneLayout`]s.
+    /// `batch_identity` suite across both [`LaneLayout`]s.
     ///
     /// # Panics
     /// Native implementations panic when `slots.len() != members *
@@ -169,11 +137,12 @@ pub trait Forecaster: Send + Sync {
     /// width) to the batched layout decision [`plan_layout`]. Default
     /// [`CostClass::Cheap`]: the kernel is so light that gathering
     /// windows into a lane costs more than the dispatch it saves, so
-    /// cheap families stay on the scalar path. Only families whose
-    /// per-member arithmetic dominates the gather + transpose cost
-    /// *and* that ship native batched kernels (Kalman-CV, VAR) report
-    /// [`CostClass::Expensive`]. Wrappers must delegate, or the models
-    /// they wrap silently drop out of slot-major batching.
+    /// cheap families stay on the scalar path and are never gathered.
+    /// Only families whose per-member arithmetic dominates the gather +
+    /// transpose cost *and* that ship a native
+    /// [`Forecaster::forecast_batch_slots`] kernel (Kalman-CV, VAR)
+    /// report [`CostClass::Expensive`]. Wrappers must delegate, or the
+    /// models they wrap silently drop out of slot-major batching.
     fn cost_class(&self) -> CostClass {
         CostClass::Cheap
     }

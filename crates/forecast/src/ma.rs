@@ -71,35 +71,6 @@ impl Forecaster for MovingAverage {
         }
     }
 
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        _scratch: &mut crate::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let stride = self.r * self.dims;
-        assert_eq!(windows.len(), members * stride, "MA: batch window shape");
-        assert_eq!(out.len(), members * self.dims, "MA: batch output shape");
-        // Per member, the exact scalar kernel over the gathered window:
-        // zero, accumulate row by row, divide — same f64 order.
-        for (w, o) in windows
-            .chunks_exact(stride)
-            .zip(out.chunks_exact_mut(self.dims))
-        {
-            o.fill(0.0);
-            for cmd in w.chunks_exact(self.dims) {
-                for (m, c) in o.iter_mut().zip(cmd) {
-                    *m += c;
-                }
-            }
-            for m in o {
-                *m /= self.r as f64;
-            }
-        }
-        true
-    }
-
     fn history_len(&self) -> usize {
         self.r
     }

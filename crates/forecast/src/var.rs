@@ -357,62 +357,6 @@ impl Forecaster for Var {
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // k walks out[] against beta columns
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        scratch: &mut crate::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let d = self.dims;
-        let stride = self.history_len() * d;
-        assert_eq!(windows.len(), members * stride, "VAR: batch window shape");
-        assert_eq!(out.len(), members * d, "VAR: batch output shape");
-        match self.mode {
-            VarMode::Levels => {
-                for (w, o) in windows.chunks_exact(stride).zip(out.chunks_exact_mut(d)) {
-                    self.regress_rows(w.chunks_exact(d), o);
-                }
-            }
-            VarMode::Differences => {
-                let clamp = self.diff_clamp.unwrap_or(f64::INFINITY);
-                let diff = scratch.buf(d);
-                for (w, o) in windows.chunks_exact(stride).zip(out.chunks_exact_mut(d)) {
-                    // The scalar Differences kernel over this member's
-                    // gathered window; `row(i)` is a flat-slice index.
-                    let row = |i: usize| &w[i * d..(i + 1) * d];
-                    for k in 0..d {
-                        o[k] = self.beta[(0, k)];
-                    }
-                    for lag in 0..self.r {
-                        let (prev, next) = (row(lag), row(lag + 1));
-                        for l in 0..d {
-                            diff[l] = (next[l] - prev[l]).clamp(-clamp, clamp);
-                        }
-                        for (l, &v) in diff.iter().enumerate() {
-                            if v == 0.0 {
-                                continue;
-                            }
-                            let beta_row = 1 + lag * d + l;
-                            for k in 0..d {
-                                o[k] += v * self.beta[(beta_row, k)];
-                            }
-                        }
-                    }
-                    let last = row(self.r);
-                    // Keeps the legacy `c + dv` operand order (NaN
-                    // payload selection), as in `forecast_into`.
-                    #[allow(clippy::assign_op_pattern)]
-                    for (v, c) in o.iter_mut().zip(last) {
-                        *v = c + *v;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     #[allow(clippy::needless_range_loop)] // lag/l/k walk beta rows against slot lanes
     fn forecast_batch_slots(
         &self,

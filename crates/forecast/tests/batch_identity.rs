@@ -1,8 +1,8 @@
 //! The batched lane must be **bit-identical** to the scalar path in
 //! *every layout* — `BatchLane::run_layout` per member ≡
-//! `forecast_into` on that member's own history, for member-major,
-//! slot-major (transposed), and the per-member scalar fallback, for
-//! every batchable family. This is the contract that lets the serve
+//! `forecast_into` on that member's own history, for slot-major
+//! (transposed) and the per-member scalar path, for every batchable
+//! family. This is the contract that lets the serve
 //! runtime pick layouts per pass for throughput without moving a
 //! single output bit (the same pattern that guarded
 //! `forecast_into ≡ forecast` when the zero-allocation path landed).
@@ -29,14 +29,10 @@ use foreco_teleop::{Dataset, Skill};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Every lane layout: the member-major SoA sweep, the slot-major
-/// (transposed) sweep, and the per-member scalar fallback. All three
-/// must move zero bits relative to the scalar path.
-const LAYOUTS: [LaneLayout; 3] = [
-    LaneLayout::MemberMajor,
-    LaneLayout::SlotMajor,
-    LaneLayout::Scalar,
-];
+/// Every lane layout: the slot-major (transposed) sweep and the
+/// per-member scalar path. Both must move zero bits relative to the
+/// scalar path.
+const LAYOUTS: [LaneLayout; 2] = [LaneLayout::Scalar, LaneLayout::SlotMajor];
 
 /// One random coordinate: mostly tame magnitudes, with NaN, signed
 /// zeros, and subnormal extremes mixed in at a fixed rate.
@@ -103,7 +99,7 @@ fn assert_lane_results_match_scalar(
     }
 }
 
-/// All three layouts of one window set against the scalar path.
+/// Both layouts of one window set against the scalar path.
 fn assert_lane_matches_scalar(forecaster: &Arc<dyn Forecaster>, windows: &[Vec<f64>]) {
     for layout in LAYOUTS {
         assert_lane_layout_matches_scalar(forecaster, windows, layout);
@@ -264,10 +260,10 @@ fn mixed_layout_passes_reuse_one_lane() {
     let mut scratch = ForecastScratch::new();
     let passes = [
         (SLOT_MAJOR_MIN_WIDTH + 3, LaneLayout::SlotMajor),
-        (5usize, LaneLayout::MemberMajor),
+        (5usize, LaneLayout::Scalar),
         (SLOT_MAJOR_MIN_WIDTH, LaneLayout::SlotMajor),
         (3, LaneLayout::Scalar),
-        (SLOT_MAJOR_MIN_WIDTH - 1, LaneLayout::MemberMajor),
+        (SLOT_MAJOR_MIN_WIDTH - 1, LaneLayout::Scalar),
         (2 * SLOT_MAJOR_MIN_WIDTH, LaneLayout::SlotMajor),
     ];
     for &(members, layout) in &passes {

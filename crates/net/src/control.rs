@@ -429,9 +429,15 @@ pub fn read_hello<R: Read>(r: &mut R) -> Result<u8, NetError> {
 }
 
 /// Writes one length-prefixed message.
+///
+/// Prefix and payload go out in a single write: split into two, Nagle's
+/// algorithm holds the payload until the peer ACKs the prefix, which a
+/// delayed-ACK peer postpones by ~40 ms per round trip.
 pub fn write_msg<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

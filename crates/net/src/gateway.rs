@@ -611,6 +611,11 @@ fn accept_loop(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // Replies are small request/response frames: never let
+                // Nagle hold one back waiting for the peer's ACK. A
+                // socket that refuses the option still works, only
+                // slower.
+                let _ = stream.set_nodelay(true);
                 let core = core.clone();
                 let stop = Arc::clone(&stop);
                 let handle = std::thread::Builder::new()

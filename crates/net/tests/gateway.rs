@@ -411,6 +411,34 @@ fn stream_mode_pushes_events_over_tcp() {
     assert_eq!(completed.ticks, report.ticks);
 }
 
+/// A control round trip over localhost TCP is a sub-millisecond
+/// exchange, not a delayed-ACK stall: with Nagle holding back half a
+/// frame, every request/response pair costs the peer's ~40 ms ACK
+/// delay. The median of 20 `stats` round trips must stay well under
+/// that floor.
+#[test]
+fn tcp_control_round_trips_are_not_held_by_delayed_acks() {
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(1), GatewayConfig::default())
+        .expect("spawn gateway");
+    let mut client = ForecoClient::connect(5, gateway.udp_addr(), gateway.tcp_addr())
+        .expect("connect over sockets");
+    client.open(vec![0.0; 6], 64).expect("open");
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            client.stats().expect("stats");
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    gateway.shutdown();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median control round trip {median:?} (all: {rtts:?})"
+    );
+}
+
 #[test]
 fn rejections_carry_typed_codes() {
     let gateway = Gateway::spawn(ServiceConfig::with_shards(1), GatewayConfig::default())

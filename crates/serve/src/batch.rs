@@ -6,10 +6,8 @@
 //! every session whose next tick is provably a forecast-covered miss
 //! ([`crate::Session::batch_window`]) contributes its history window to
 //! the [`BatchLane`] keyed by its shared forecaster. One
-//! [`BatchLane::run`] per lane then computes every member's raw
-//! forecast row — a single virtual dispatch and one contiguous memory
-//! walk where the scalar path would pay ~one dispatch per session —
-//! and the sweep hands each session its row through
+//! [`BatchLane::run_layout`] per lane then computes every member's raw
+//! forecast row, and the sweep hands each session its row through
 //! [`crate::Session::advance_batched`].
 //!
 //! **Lane membership is re-derived from scratch every pass.** There is
@@ -21,17 +19,15 @@
 //! bit-identical scalar path for the pass.
 //!
 //! **Layout selection** follows [`plan_layout`]: per pass, each lane's
-//! forecaster cost class and gathered width pick Scalar, member-major,
-//! or slot-major. The Scalar verdict is enforced *at gather time* —
-//! cheap families are never gathered, so their sessions keep the plain
-//! scalar path and pay no window memcpy (the member-major experiment
-//! measured batching as a net loss for them). A `ServiceConfig`
-//! override can force one layout fleet-wide; the determinism suites
-//! use it to pin that all three layouts move zero bits.
+//! forecaster cost class and gathered width pick Scalar or slot-major.
+//! Cheap families are never gathered, so their sessions keep the plain
+//! scalar path and pay no window memcpy (gathering measured as a net
+//! loss for them). An expensive family's narrow lane runs the
+//! per-member scalar path over its gathered windows.
 
 use crate::spec::{SessionId, SharedForecaster};
 use foreco_forecast::{
-    plan_layout, BatchLane, CostClass, ForecastScratch, Forecaster, HistoryView, LaneLayout,
+    plan_layout, BatchLane, CostClass, ForecastScratch, Forecaster, HistoryView,
 };
 use foreco_store::ObjectId;
 use std::collections::HashMap;
@@ -72,21 +68,16 @@ pub(crate) struct BatchPlanner {
     plan: Vec<(SessionId, usize, usize)>,
     cursor: usize,
     scratch: ForecastScratch,
-    /// `None`: adaptive per-lane [`plan_layout`] (the default).
-    /// `Some(layout)`: every lane runs that layout, and cheap families
-    /// are gathered too — the determinism suites' bit-identity pin.
-    force_layout: Option<LaneLayout>,
 }
 
 impl BatchPlanner {
-    pub(crate) fn new(force_layout: Option<LaneLayout>) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             lanes: Vec::new(),
             by_key: HashMap::new(),
             plan: Vec::new(),
             cursor: 0,
             scratch: ForecastScratch::new(),
-            force_layout,
         }
     }
 
@@ -109,7 +100,7 @@ impl BatchPlanner {
         model: &SharedForecaster,
         history: &HistoryView<'_>,
     ) {
-        if self.force_layout.is_none() && model.cost_class() == CostClass::Cheap {
+        if model.cost_class() == CostClass::Cheap {
             return;
         }
         let key = lane_key(model);
@@ -126,13 +117,10 @@ impl BatchPlanner {
     }
 
     /// Runs every non-empty lane's batched forecast in the layout
-    /// [`plan_layout`] picks for its cost class and gathered width (or
-    /// the forced override).
+    /// [`plan_layout`] picks for its cost class and gathered width.
     pub(crate) fn run(&mut self) {
-        let force = self.force_layout;
         for lane in &mut self.lanes {
-            let layout = force
-                .unwrap_or_else(|| plan_layout(lane.forecaster().cost_class(), lane.members()));
+            let layout = plan_layout(lane.forecaster().cost_class(), lane.members());
             lane.run_layout(layout, &mut self.scratch);
         }
     }
@@ -160,42 +148,53 @@ impl BatchPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foreco_forecast::MovingAverage;
+    use foreco_forecast::{KalmanCv, MovingAverage};
     use foreco_store::Storage;
+
+    /// The scalar forecast the planner's row must reproduce bit for bit.
+    fn scalar(model: &SharedForecaster, window: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; model.dims()];
+        model.forecast_into(
+            &HistoryView::contiguous(window, model.dims()),
+            &mut ForecastScratch::new(),
+            &mut out,
+        );
+        out
+    }
 
     #[test]
     fn plan_is_cursor_consumable_across_lanes() {
-        let ma2 = SharedForecaster::new(MovingAverage::new(2, 1));
-        let ma3 = SharedForecaster::new(MovingAverage::new(3, 1));
-        // MA is a cheap family; force member-major so the planner
-        // gathers it (the cursor plumbing under test is layout-blind).
-        let mut planner = BatchPlanner::new(Some(LaneLayout::MemberMajor));
+        // Kalman-CV is an expensive family, so the planner gathers it.
+        let kf2 = SharedForecaster::new(KalmanCv::default_teleop(2, 1));
+        let kf3 = SharedForecaster::new(KalmanCv::default_teleop(3, 1));
+        let mut planner = BatchPlanner::new();
         planner.begin_pass();
         let w2 = [1.0, 3.0];
         let w3 = [0.0, 3.0, 6.0];
-        planner.gather(1, &ma2, &HistoryView::contiguous(&w2, 1));
-        planner.gather(4, &ma3, &HistoryView::contiguous(&w3, 1));
-        planner.gather(9, &ma2, &HistoryView::contiguous(&w2, 1));
+        let (want2, want3) = (scalar(&kf2, &w2), scalar(&kf3, &w3));
+        planner.gather(1, &kf2, &HistoryView::contiguous(&w2, 1));
+        planner.gather(4, &kf3, &HistoryView::contiguous(&w3, 1));
+        planner.gather(9, &kf2, &HistoryView::contiguous(&w2, 1));
         planner.run();
         assert_eq!(planner.take(0), None);
-        assert_eq!(planner.take(1), Some(&[2.0][..]));
+        assert_eq!(planner.take(1), Some(&want2[..]));
         assert_eq!(planner.take(2), None);
-        assert_eq!(planner.take(4), Some(&[3.0][..]));
-        assert_eq!(planner.take(9), Some(&[2.0][..]));
+        assert_eq!(planner.take(4), Some(&want3[..]));
+        assert_eq!(planner.take(9), Some(&want2[..]));
         assert_eq!(planner.take(10), None);
 
         // Next pass reuses lanes with fresh membership.
         planner.begin_pass();
-        planner.gather(7, &ma2, &HistoryView::contiguous(&w2, 1));
+        planner.gather(7, &kf2, &HistoryView::contiguous(&w2, 1));
         planner.run();
-        assert_eq!(planner.take(7), Some(&[2.0][..]));
+        assert_eq!(planner.take(7), Some(&want2[..]));
     }
 
     #[test]
     fn same_parameters_different_registrations_stay_separate() {
-        let a = SharedForecaster::new(MovingAverage::new(2, 1));
-        let b = SharedForecaster::new(MovingAverage::new(2, 1));
-        let mut planner = BatchPlanner::new(Some(LaneLayout::MemberMajor));
+        let a = SharedForecaster::new(KalmanCv::default_teleop(2, 1));
+        let b = SharedForecaster::new(KalmanCv::default_teleop(2, 1));
+        let mut planner = BatchPlanner::new();
         planner.begin_pass();
         let w = [1.0, 3.0];
         planner.gather(1, &a, &HistoryView::contiguous(&w, 1));
@@ -206,7 +205,7 @@ mod tests {
     #[test]
     fn cheap_families_are_never_gathered_under_the_adaptive_plan() {
         let ma = SharedForecaster::new(MovingAverage::new(2, 1));
-        let mut planner = BatchPlanner::new(None);
+        let mut planner = BatchPlanner::new();
         planner.begin_pass();
         let w = [1.0, 3.0];
         planner.gather(1, &ma, &HistoryView::contiguous(&w, 1));
@@ -221,22 +220,23 @@ mod tests {
         // Two independent registrations of bit-identical weights: the
         // store dedups them to one content address, so their sessions
         // share one lane even though the wrappers were built apart.
-        let a = SharedForecaster::register(MovingAverage::new(2, 1), &store).unwrap();
-        let b = SharedForecaster::register(MovingAverage::new(2, 1), &store).unwrap();
+        let a = SharedForecaster::register(KalmanCv::default_teleop(2, 1), &store).unwrap();
+        let b = SharedForecaster::register(KalmanCv::default_teleop(2, 1), &store).unwrap();
         assert_eq!(a.store_id(), b.store_id(), "content-addressed dedup");
-        let mut planner = BatchPlanner::new(Some(LaneLayout::MemberMajor));
+        let mut planner = BatchPlanner::new();
         planner.begin_pass();
         let w = [1.0, 3.0];
+        let want = scalar(&a, &w);
         planner.gather(1, &a, &HistoryView::contiguous(&w, 1));
         planner.gather(2, &b, &HistoryView::contiguous(&w, 1));
         assert_eq!(planner.lanes.len(), 1, "same content, same lane");
         planner.run();
-        assert_eq!(planner.take(1), Some(&[2.0][..]));
-        assert_eq!(planner.take(2), Some(&[2.0][..]));
+        assert_eq!(planner.take(1), Some(&want[..]));
+        assert_eq!(planner.take(2), Some(&want[..]));
 
         // An unregistered wrapper around different-parameter weights
         // still gets its own pointer-keyed lane next to the store lane.
-        let c = SharedForecaster::new(MovingAverage::new(3, 1));
+        let c = SharedForecaster::new(KalmanCv::default_teleop(3, 1));
         planner.begin_pass();
         let w3 = [0.0, 3.0, 6.0];
         planner.gather(3, &a, &HistoryView::contiguous(&w, 1));

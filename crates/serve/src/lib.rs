@@ -131,7 +131,3 @@ pub use spec::{ChannelSpec, RecoverySpec, SessionId, SessionSpec, SharedForecast
 pub use telemetry::{
     render_prometheus, FleetTelemetry, IngressTotals, ShardTelemetrySummary, Telemetry,
 };
-
-/// Re-exported so `ServiceConfig::lane_layout` is nameable without a
-/// direct `foreco_forecast` dependency.
-pub use foreco_forecast::LaneLayout;

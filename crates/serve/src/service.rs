@@ -101,18 +101,12 @@ pub struct ServiceConfig {
     /// put them).
     pub balancer: Option<BalancerConfig>,
     /// Batched SoA forecasting across co-shard sessions sharing a
-    /// forecaster. On by default; per-session results are bit-identical
-    /// either way (the batched kernels preserve the scalar f64 op
-    /// order), so this is purely a throughput knob.
+    /// forecaster. On by default; each shard's planner then picks a
+    /// layout per lane via [`foreco_forecast::plan_layout`]. Per-session
+    /// results are bit-identical either way (the batched kernels
+    /// preserve the scalar f64 op order), so this is purely a
+    /// throughput knob.
     pub batching: bool,
-    /// Batched lane layout override. `None` (the default) lets each
-    /// shard's planner pick per lane via
-    /// [`foreco_forecast::plan_layout`] — cheap families stay scalar,
-    /// expensive families go member-major or slot-major by width.
-    /// `Some(layout)` forces every lane onto that layout (and gathers
-    /// cheap families too); the determinism suites use it to pin that
-    /// all layouts move zero bits.
-    pub lane_layout: Option<foreco_forecast::LaneLayout>,
 }
 
 impl Default for ServiceConfig {
@@ -127,7 +121,6 @@ impl Default for ServiceConfig {
             scheduler: Scheduler::default(),
             balancer: None,
             batching: true,
-            lane_layout: None,
         }
     }
 }
@@ -552,7 +545,6 @@ impl Service {
                 telemetry: Arc::clone(&telemetry),
                 models: models.clone(),
                 batching: config.batching,
-                lane_layout: config.lane_layout,
             };
             workers.push(
                 std::thread::Builder::new()

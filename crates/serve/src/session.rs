@@ -881,6 +881,13 @@ impl Session {
         if !snap.period.is_finite() || snap.period <= 0.0 {
             return Err(RestoreError::Invalid("period must be positive".into()));
         }
+        // `RobotDriver::new` asserts on the driver period: reject it here
+        // before either driver is built.
+        if !snap.driver.period.is_finite() || snap.driver.period <= 0.0 {
+            return Err(RestoreError::Invalid(
+                "driver period must be positive".into(),
+            ));
+        }
         validate_driver_state(&snap.reference, model, "reference")?;
         validate_driver_state(&snap.executed, model, "executed")?;
         if let Some(bad) = snap

@@ -136,9 +136,6 @@ pub(crate) struct ShardWorker {
     pub(crate) models: Storage,
     /// Batched SoA forecasting sweep on/off (`ServiceConfig::batching`).
     pub(crate) batching: bool,
-    /// Batched lane layout override (`ServiceConfig::lane_layout`):
-    /// `None` = adaptive per-lane `plan_layout`.
-    pub(crate) lane_layout: Option<foreco_forecast::LaneLayout>,
 }
 
 /// The shard's mutable scheduling state, factored out of the run loop so
@@ -731,7 +728,6 @@ impl ShardWorker {
             telemetry,
             models,
             batching,
-            lane_layout,
         } = self;
         let mut rt = Runtime {
             index,
@@ -752,7 +748,7 @@ impl ShardWorker {
             pending_transfers: Vec::new(),
             models,
             batching,
-            planner: BatchPlanner::new(lane_layout),
+            planner: BatchPlanner::new(),
             snapshot_scratch: Vec::new(),
         };
         let mut pacer = Pacer::new(pacing, period);

@@ -140,20 +140,6 @@ impl Forecaster for SharedForecaster {
         self.inner.forecast_into(history, scratch, out)
     }
 
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        scratch: &mut foreco_forecast::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        // Delegation matters: the trait default reports "no native
-        // kernel", which would push every lane sharing this wrapper
-        // through the per-member fallback even when the inner
-        // forecaster batches natively.
-        self.inner.forecast_batch(members, windows, scratch, out)
-    }
-
     fn forecast_batch_slots(
         &self,
         members: usize,
@@ -161,8 +147,10 @@ impl Forecaster for SharedForecaster {
         scratch: &mut foreco_forecast::ForecastScratch,
         out: &mut [f64],
     ) -> bool {
-        // Same delegation rule as `forecast_batch`, for the slot-major
-        // layout.
+        // Delegation matters: the trait default reports "no native
+        // kernel", which would push every lane sharing this wrapper
+        // through the per-member scalar path even when the inner
+        // forecaster batches natively.
         self.inner
             .forecast_batch_slots(members, slots, scratch, out)
     }

@@ -96,26 +96,23 @@
 //! # Batched forecasting — a throughput knob that moves zero bits
 //!
 //! With [`serve::ServiceConfig::batching`] on (the default), each shard
-//! pass groups co-shard sessions that share one resident forecaster and
-//! are provably about to forecast into structure-of-arrays lanes, and
-//! replaces their per-session virtual dispatch with one batched sweep
-//! per lane. The sweep's *layout* is chosen per lane by
+//! pass gathers co-shard sessions that share one resident forecaster
+//! and are provably about to forecast into structure-of-arrays lanes.
+//! Each lane then runs one of two paths, chosen by
 //! [`forecast::plan_layout`] from the family's cost class and the
-//! lane's width: expensive kernels (Kalman-CV, VAR) run the slot-major
-//! transposed kernels ([`forecast::Forecaster::forecast_batch_slots`],
-//! cross-member auto-vectorized) once the lane is
-//! [`forecast::SLOT_MAJOR_MIN_WIDTH`] wide and member-major
-//! ([`forecast::Forecaster::forecast_batch`]) below that, while cheap
-//! kernels (MA, Holt) are never gathered at all — batching was a
+//! lane's width. An expensive family's lane (Kalman-CV, VAR) at least
+//! [`forecast::SLOT_MAJOR_MIN_WIDTH`] wide runs the slot-major
+//! transposed kernel ([`forecast::Forecaster::forecast_batch_slots`],
+//! cross-member auto-vectorized); a narrower one runs per-member
+//! [`forecast::Forecaster::forecast_into`] over the gathered windows.
+//! Cheap kernels (MA, Holt) are never gathered at all — batching was a
 //! measured loss for them, so their sessions keep the plain scalar
-//! path. [`serve::ServiceConfig::lane_layout`] forces one layout
-//! fleet-wide (the determinism suites pin all three this way).
-//! Membership is re-derived from scratch every pass, so park/wake,
-//! migration, and adoption need no bookkeeping; any session the
-//! planner cannot prove will miss simply takes the scalar path.
-//! Batched kernels preserve the scalar per-member f64 operation order
-//! exactly in every layout, so the knobs change throughput only —
-//! every report is bit-identical any way you set them:
+//! path. Membership is re-derived from scratch every pass, so
+//! park/wake, migration, and adoption need no bookkeeping; any session
+//! the planner cannot prove will miss simply takes the scalar path.
+//! The slot-major kernels preserve the scalar per-member f64 operation
+//! order exactly, so the knob changes throughput only — every report
+//! is bit-identical either way:
 //!
 //! ```
 //! use foreco::prelude::*;
@@ -137,17 +134,15 @@
 //!         ))
 //!         .collect()
 //! };
-//! let run = |batching: bool, lane_layout: Option<LaneLayout>| {
-//!     Service::spawn(ServiceConfig { batching, lane_layout, ..ServiceConfig::with_shards(2) })
+//! let run = |batching: bool| {
+//!     Service::spawn(ServiceConfig { batching, ..ServiceConfig::with_shards(2) })
 //!         .run_to_completion(specs())
 //! };
-//! let scalar = run(false, None);                              // no batching at all
-//! let adaptive = run(true, None);                             // per-lane plan_layout (default)
-//! let slot_major = run(true, Some(LaneLayout::SlotMajor));    // forced transposed lanes
+//! let scalar = run(false); // no batching at all
+//! let batched = run(true); // per-lane plan_layout (default)
 //! for id in 0..8 {
 //!     let want = scalar.get(id).unwrap().rmse_mm.to_bits();
-//!     assert_eq!(adaptive.get(id).unwrap().rmse_mm.to_bits(), want); // same bits
-//!     assert_eq!(slot_major.get(id).unwrap().rmse_mm.to_bits(), want); // still same bits
+//!     assert_eq!(batched.get(id).unwrap().rmse_mm.to_bits(), want); // same bits
 //! }
 //! ```
 //!

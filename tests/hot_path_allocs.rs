@@ -257,13 +257,14 @@ fn starved_streamed_session_is_allocation_free() {
 
 /// The batched SoA sweep obeys the same discipline: once the lane's
 /// buffers have hit their high-water mark, a full batched miss round —
-/// gather every engine's window, one `forecast_batch`, hand each engine
-/// its row through `tick_miss_prepared` — performs zero allocations,
+/// gather every engine's window, one `run_layout(Scalar)` (the path a
+/// narrow expensive lane takes), hand each engine its row through
+/// `tick_miss_prepared` — performs zero allocations,
 /// and so do the interleaved deliveries. Pins the "batching enabled"
 /// half of the zero-alloc contract at the machinery level.
 #[test]
 fn batched_lane_sweep_is_allocation_free() {
-    use foreco::forecast::{BatchLane, ForecastScratch};
+    use foreco::forecast::{BatchLane, ForecastScratch, LaneLayout};
     use std::sync::Arc;
 
     let model = niryo_one();
@@ -294,7 +295,7 @@ fn batched_lane_sweep_is_allocation_free() {
         for e in &engines {
             lane.push_window(&e.history_view());
         }
-        lane.run(&mut scratch);
+        lane.run_layout(LaneLayout::Scalar, &mut scratch);
         for (i, e) in engines.iter_mut().enumerate() {
             e.tick_miss_prepared(lane.result(i), &mut out);
         }
@@ -309,7 +310,7 @@ fn batched_lane_sweep_is_allocation_free() {
                 for e in &engines {
                     lane.push_window(&e.history_view());
                 }
-                lane.run(&mut scratch);
+                lane.run_layout(LaneLayout::Scalar, &mut scratch);
                 for (i, e) in engines.iter_mut().enumerate() {
                     e.tick_miss_prepared(lane.result(i), &mut out);
                 }

@@ -200,45 +200,82 @@ fn batched_and_scalar_paths_agree() {
     }
 }
 
-/// The lane layout is a pure throughput concern: the adaptive plan
-/// (the default), forced scalar-fallback lanes, forced member-major,
-/// and forced slot-major must all carry RMSE bits identical to the
-/// batching-off scalar ground truth, at 1, 2, and 8 shards. This is
+/// The lane layout is a pure throughput concern: under the adaptive
+/// plan every report must carry RMSE bits identical to the
+/// batching-off scalar ground truth, at 1, 2, and 8 shards. Two fleets
+/// ride on it: the mixed 64-session workload, and a lockstep fleet of
+/// FoReCo sessions sharing one registered VAR, one replayed trace and
+/// one loss spec, so their misses coincide and every miss pass gathers
+/// the whole shard's fleet into one lane. At 1 shard that lane is at
+/// least [`SLOT_MAJOR_MIN_WIDTH`] wide and runs slot-major; at 2 and 8
+/// shards it is narrower and runs the per-member scalar path. This is
 /// the service-level half of the `batch_identity` contract — layout
 /// selection may change per pass with lane width and must never be
 /// observable in any session's results.
 #[test]
 fn every_lane_layout_agrees_at_every_shard_count() {
-    use foreco::forecast::LaneLayout;
+    use foreco::forecast::SLOT_MAJOR_MIN_WIDTH;
+    use foreco::serve::shard_of;
+    use foreco::store::Storage;
 
+    const LOCKSTEP: u64 = 40;
     let model = niryo_one();
     let var = forecaster();
-    let shared = SharedForecaster::new(var);
-    let specs = || -> Vec<SessionSpec> {
+    let shared = SharedForecaster::new(var.clone());
+    let mixed = || -> Vec<SessionSpec> {
         (0..SESSIONS)
             .map(|id| spec_for(id, &shared, &model))
             .collect()
     };
+    let store = Storage::new();
+    let registered = SharedForecaster::register(var, &store).expect("register VAR");
+    let trace = SourceSpec::replay(&Dataset::record(Skill::Inexperienced, 1, 0.02, 500));
+    let lockstep = || -> Vec<SessionSpec> {
+        (0..LOCKSTEP)
+            .map(|id| {
+                SessionSpec::new(
+                    id,
+                    trace.clone(),
+                    ChannelSpec::ControlledLoss {
+                        burst_len: 6,
+                        burst_prob: 0.01,
+                        seed: 10_007,
+                    },
+                    RecoverySpec::FoReCo {
+                        forecaster: registered.clone(),
+                        config: RecoveryConfig::for_model(&model),
+                    },
+                )
+            })
+            .collect()
+    };
     for shards in [1usize, 2, 8] {
-        let ground = Service::spawn(ServiceConfig {
-            batching: false,
-            ..ServiceConfig::with_shards(shards)
-        })
-        .run_to_completion(specs());
-        let rows: [(&str, Option<LaneLayout>); 4] = [
-            ("adaptive", None),
-            ("forced-scalar", Some(LaneLayout::Scalar)),
-            ("forced-member-major", Some(LaneLayout::MemberMajor)),
-            ("forced-slot-major", Some(LaneLayout::SlotMajor)),
-        ];
-        for (label, lane_layout) in rows {
-            let run = Service::spawn(ServiceConfig {
-                batching: true,
-                lane_layout,
+        // The lockstep lane's width on each shard is its session count
+        // there: wide enough for slot-major only on the 1-shard pool.
+        let widest = (0..shards)
+            .map(|s| {
+                (0..LOCKSTEP)
+                    .filter(|&id| shard_of(id, shards) == s)
+                    .count()
+            })
+            .max()
+            .unwrap_or(0);
+        assert_eq!(widest >= SLOT_MAJOR_MIN_WIDTH, shards == 1);
+        let fleets: [(&str, &dyn Fn() -> Vec<SessionSpec>); 2] =
+            [("mixed", &mixed), ("lockstep", &lockstep)];
+        for (label, specs) in fleets {
+            let ground = Service::spawn(ServiceConfig {
+                batching: false,
                 ..ServiceConfig::with_shards(shards)
             })
             .run_to_completion(specs());
-            for id in 0..SESSIONS {
+            let run = Service::spawn(ServiceConfig {
+                batching: true,
+                ..ServiceConfig::with_shards(shards)
+            })
+            .run_to_completion(specs());
+            assert_eq!(run.len(), ground.len(), "{label} @ {shards} shards");
+            for id in 0..ground.len() as u64 {
                 let want = ground.get(id).expect("scalar report");
                 let got = run.get(id).expect("report");
                 assert_eq!(

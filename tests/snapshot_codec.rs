@@ -330,6 +330,27 @@ fn unassigned_tag_is_rejected() {
     }
 }
 
+/// Byte 32 is the driver config's period word (after magic, version,
+/// id, tick and the session period), frozen by the v3 layout.
+const DRIVER_PERIOD_OFFSET: usize = 32;
+
+#[test]
+fn non_positive_driver_period_is_rejected_at_restore() {
+    let model = niryo_one();
+    for period in [0.0f64, -0.02, f64::NAN] {
+        let mut bytes = donor_bytes().to_vec();
+        bytes[DRIVER_PERIOD_OFFSET..DRIVER_PERIOD_OFFSET + 8]
+            .copy_from_slice(&period.to_bits().to_le_bytes());
+        let snap = SessionSnapshot::from_bytes(&bytes).expect("patched frame still decodes");
+        assert_eq!(snap.driver.period.to_bits(), period.to_bits());
+        match Session::restore(&snap, &model) {
+            Err(RestoreError::Invalid(_)) => {}
+            Err(other) => panic!("driver period {period} gave {other:?}"),
+            Ok(_) => panic!("driver period {period} restored"),
+        }
+    }
+}
+
 #[test]
 fn json_claiming_v3_is_rejected() {
     // v3 is binary-only; a JSON document claiming it is malformed, not

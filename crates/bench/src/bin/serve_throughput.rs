@@ -752,7 +752,7 @@ fn idle_heavy_run(
     }
     service.join();
 
-    let delta = |f: fn(&foreco_serve::ShardLoadSummary) -> u64| -> u64 {
+    let delta = |f: fn(&foreco_serve::ShardSummary) -> u64| -> u64 {
         sample.iter().zip(&baseline).map(|(s, b)| f(s) - f(b)).sum()
     };
     let passes = delta(|l| l.passes);

@@ -536,11 +536,10 @@ impl ControlCore {
     /// allocation happens here, in the control plane — the shards only
     /// ever touched relaxed atomics (the observability discipline).
     fn metrics(&self) -> ControlResponse {
-        let mut fleet = self.handle.telemetry();
-        fleet.ingress = self.ingress.lock().expect("ingress").totals();
+        let ingress = self.ingress.lock().expect("ingress").totals();
         let rmse = self.hub.rmse_summary();
         ControlResponse::Metrics {
-            body: render_prometheus(&fleet, rmse.as_ref()),
+            body: render_prometheus(&self.handle.shard_loads(), &ingress, rmse.as_ref()),
         }
     }
 

@@ -70,8 +70,8 @@ impl Default for GatewayConfig {
 const SUBSCRIBER_QUEUE_CAP: usize = 4096;
 
 /// Bound on the completed-session RMSE window the metrics endpoint's
-/// quantiles are computed over (a rolling sample, like the registry's
-/// report retention).
+/// quantiles are computed over (a rolling sample, so a long-running
+/// gateway's memory stays bounded).
 const RMSE_WINDOW: usize = 4096;
 
 /// One durable subscriber's queue of unread fleet events.

@@ -33,7 +33,7 @@
 //! behind a mutex: both run literally this code on every frame.
 
 use crate::wire::{self, FrameKind, HEADER_LEN};
-use foreco_serve::{IngressSummary, IngressTotals, ServiceError, ServiceHandle, SessionId};
+use foreco_serve::{IngressSummary, ServiceError, ServiceHandle, SessionId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Data-plane knobs.
@@ -63,20 +63,6 @@ impl Default for IngressConfig {
     }
 }
 
-/// Live per-session ingress counters (the mutable twin of
-/// [`IngressSummary`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct Counters {
-    received: u64,
-    delivered: u64,
-    lost: u64,
-    late: u64,
-    reordered: u64,
-    duplicates: u64,
-    malformed: u64,
-    bounced: u64,
-}
-
 /// One attached session's reassembly state.
 #[derive(Debug)]
 struct SessionIngress {
@@ -94,18 +80,22 @@ struct SessionIngress {
     /// `inject_miss` bounced on shard backpressure; they must land
     /// before any newer slot delivers.
     pending_misses: u64,
-    counters: Counters,
+    /// The session's live ingress counters.
+    counters: IngressSummary,
 }
 
 impl SessionIngress {
-    fn new(start_slot: u64) -> Self {
+    fn new(id: SessionId, start_slot: u64) -> Self {
         Self {
             next_slot: start_slot,
             buffer: BTreeMap::new(),
             missed: BTreeSet::new(),
             highest: None,
             pending_misses: 0,
-            counters: Counters::default(),
+            counters: IngressSummary {
+                session: id,
+                ..IngressSummary::default()
+            },
         }
     }
 }
@@ -121,7 +111,7 @@ pub(crate) struct IngressState {
     /// Counters folded in from detached sessions, so fleet-level totals
     /// stay cumulative (and Prometheus counters monotonic) across
     /// session churn.
-    retired: IngressTotals,
+    retired: IngressSummary,
     /// Datagrams that failed to decode at all (no session attributable).
     pub(crate) undecodable: u64,
     /// Well-formed frames addressed to unattached sessions.
@@ -135,7 +125,7 @@ impl IngressState {
             cfg,
             dof,
             sessions: HashMap::new(),
-            retired: IngressTotals::default(),
+            retired: IngressSummary::default(),
             undecodable: 0,
             unknown: 0,
         }
@@ -145,54 +135,32 @@ impl IngressState {
     /// expected sequence number (0 for a fresh session, the snapshot's
     /// settled-slot count for an adopted one).
     pub(crate) fn attach(&mut self, id: SessionId, start_slot: u64) {
-        self.sessions.insert(id, SessionIngress::new(start_slot));
+        self.sessions
+            .insert(id, SessionIngress::new(id, start_slot));
     }
 
     /// Removes a session from the data plane, returning its final
     /// counter summary (also folded into the cumulative totals).
     pub(crate) fn detach(&mut self, id: SessionId) -> Option<IngressSummary> {
-        let summary = self.summary(id);
-        if let Some(summary) = &summary {
-            self.retired.absorb(summary);
-        }
-        self.sessions.remove(&id);
-        summary
+        let summary = self.sessions.remove(&id)?.counters;
+        self.retired.absorb(&summary);
+        Some(summary)
     }
 
     /// Fleet-cumulative ingress totals: every retired session plus
     /// every live one. Monotonic across churn — the metrics endpoint's
-    /// view of the wire.
-    pub(crate) fn totals(&self) -> IngressTotals {
+    /// view of the wire. (`session` is 0: the totals belong to no one.)
+    pub(crate) fn totals(&self) -> IngressSummary {
         let mut totals = self.retired;
         for session in self.sessions.values() {
-            totals.absorb(&IngressSummary {
-                session: 0,
-                received: session.counters.received,
-                delivered: session.counters.delivered,
-                lost: session.counters.lost,
-                late: session.counters.late,
-                reordered: session.counters.reordered,
-                duplicates: session.counters.duplicates,
-                malformed: session.counters.malformed,
-                bounced: session.counters.bounced,
-            });
+            totals.absorb(&session.counters);
         }
         totals
     }
 
     /// The per-session counter snapshot.
     pub(crate) fn summary(&self, id: SessionId) -> Option<IngressSummary> {
-        self.sessions.get(&id).map(|s| IngressSummary {
-            session: id,
-            received: s.counters.received,
-            delivered: s.counters.delivered,
-            lost: s.counters.lost,
-            late: s.counters.late,
-            reordered: s.counters.reordered,
-            duplicates: s.counters.duplicates,
-            malformed: s.counters.malformed,
-            bounced: s.counters.bounced,
-        })
+        self.sessions.get(&id).map(|s| s.counters)
     }
 
     /// Every attached session's counters, id-ordered.

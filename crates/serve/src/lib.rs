@@ -27,9 +27,13 @@
 //!   sessions, bit-identically to the eager sweep ([`Scheduler::Eager`],
 //!   kept as the property-tested ground truth);
 //! - with a [`BalancerConfig`], a balancer thread watches per-shard
-//!   load ([`ServiceHandle::shard_loads`], [`ShardLoadSummary`]) and
+//!   load ([`ServiceHandle::shard_loads`], [`ShardSummary`]) and
 //!   evens out runnable sessions across shards through the
 //!   bit-invisible migration mechanism;
+//! - a lock-free telemetry plane ([`Telemetry`]) declares every
+//!   per-shard metric once, in one table that generates its atomics
+//!   ([`ShardCounters`]), its snapshot ([`ShardSummary`]), the per-pass
+//!   flush and its Prometheus family ([`render_prometheus`]);
 //! - [`MetricsRegistry`] aggregates per-session
 //!   [`foreco_core::RecoveryStats`] and task-space error into
 //!   percentile summaries ([`ServiceSummary`]);
@@ -113,9 +117,7 @@ pub use archive::{
 };
 pub use clock::{Pacing, VirtualClock, TICK_HZ, TICK_PERIOD};
 pub use inbox::{BoundedInbox, GatedInbox, GatedInboxState, GatedSlot, InboxState, Offer};
-pub use metrics::{
-    IngressSummary, MetricsRegistry, PercentileSummary, ServiceSummary, ShardLoadSummary,
-};
+pub use metrics::{IngressSummary, MetricsRegistry, PercentileSummary, ServiceSummary};
 pub use protocol::{FleetPart, ServiceError, SessionCommand, SessionEvent};
 pub use sched::{Scheduler, TimerWheel};
 pub use service::{
@@ -128,6 +130,4 @@ pub use snapshot::{
     SNAPSHOT_VERSION,
 };
 pub use spec::{ChannelSpec, RecoverySpec, SessionId, SessionSpec, SharedForecaster, SourceSpec};
-pub use telemetry::{
-    render_prometheus, FleetTelemetry, IngressTotals, ShardTelemetrySummary, Telemetry,
-};
+pub use telemetry::{render_prometheus, ShardCounters, ShardSummary, Telemetry};

@@ -6,14 +6,15 @@
 //! reduces them to [`ServiceSummary`]: summed recovery counters plus
 //! nearest-rank percentiles of the task-space error.
 //!
-//! Scheduler observability rides alongside: [`ShardLoadSummary`] is the
-//! point-in-time copy of one shard's load counters (runnable vs parked
-//! sessions, passes, wakeups) — the balancer's decision inputs, also
-//! recordable into a registry so a run's load picture survives next to
-//! its reports.
+//! Fleet observability rides alongside: a registry can also hold the
+//! final per-shard [`ShardSummary`] picture of a run (the telemetry
+//! plane's counters and load gauges, see [`crate::telemetry`]) and the
+//! gateway's per-session [`IngressSummary`] counters, so a run's load and
+//! wire picture survives next to its reports.
 
 use crate::session::SessionReport;
 use crate::spec::SessionId;
+use crate::telemetry::ShardSummary;
 use foreco_core::RecoveryStats;
 use serde::{Deserialize, Serialize};
 
@@ -60,57 +61,6 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Point-in-time copy of one shard's scheduler load counters (see
-/// `sched::ShardLoad` for the live atomics). Gauges (`sessions`,
-/// `runnable`, `parked`) reflect the last completed pass; the rest are
-/// cumulative over the shard's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ShardLoadSummary {
-    /// Shard index.
-    pub shard: usize,
-    /// Live sessions owned by the shard.
-    pub sessions: u64,
-    /// Sessions in the run queue after the last pass.
-    pub runnable: u64,
-    /// Sessions parked (timer or awaiting input) after the last pass.
-    pub parked: u64,
-    /// Scheduling passes executed.
-    pub passes: u64,
-    /// Session advances performed across all passes.
-    pub wakeups: u64,
-    /// Parked sessions woken by the timer wheel.
-    pub timer_wakeups: u64,
-    /// Parked sessions woken by operator traffic (`Inject`/`Close`).
-    pub traffic_wakeups: u64,
-    /// Sessions migrated away from this shard.
-    pub migrated_out: u64,
-    /// Sessions adopted by this shard.
-    pub migrated_in: u64,
-}
-
-impl ShardLoadSummary {
-    /// Mean session advances per scheduling pass — the "wakeups per
-    /// tick" an event-driven shard should keep proportional to its
-    /// *active* sessions, not its total.
-    pub fn wakeups_per_pass(&self) -> f64 {
-        if self.passes == 0 {
-            0.0
-        } else {
-            self.wakeups as f64 / self.passes as f64
-        }
-    }
-
-    /// Fraction of owned sessions that were runnable after the last
-    /// pass (0 when the shard owns none).
-    pub fn runnable_ratio(&self) -> f64 {
-        if self.sessions == 0 {
-            0.0
-        } else {
-            self.runnable as f64 / self.sessions as f64
-        }
-    }
-}
-
 /// Point-in-time copy of one session's socket-ingress counters, as kept
 /// by the `foreco-net` gateway: what the wire delivered, what it lost,
 /// and what the gateway did about it. Recordable into a
@@ -151,6 +101,21 @@ pub struct IngressSummary {
     pub bounced: u64,
 }
 
+impl IngressSummary {
+    /// Adds another summary's counters into this one (fleet totals);
+    /// `session` is left as it is.
+    pub fn absorb(&mut self, other: &IngressSummary) {
+        self.received += other.received;
+        self.delivered += other.delivered;
+        self.lost += other.lost;
+        self.late += other.late;
+        self.reordered += other.reordered;
+        self.duplicates += other.duplicates;
+        self.malformed += other.malformed;
+        self.bounced += other.bounced;
+    }
+}
+
 /// Aggregate view over every completed session.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceSummary {
@@ -171,76 +136,29 @@ pub struct ServiceSummary {
 }
 
 /// Collects per-session reports as sessions complete, plus (optionally)
-/// the final per-shard load picture of the run.
-///
-/// By default every report is retained — right for batch runs that
-/// summarise at the end. A long-running service records forever, so
-/// [`MetricsRegistry::with_retention`] bounds the registry to a rolling
-/// window of the most recent reports: older ones are evicted as new
-/// ones land ([`MetricsRegistry::recorded_total`] keeps the lifetime
-/// count, and [`MetricsRegistry::summary`] reduces over the window).
+/// the final per-shard load picture of the run. Every report is
+/// retained.
 #[derive(Debug, Default, Clone, Serialize)]
 pub struct MetricsRegistry {
-    reports: std::collections::VecDeque<SessionReport>,
-    /// Rolling-window bound; `None` retains everything.
-    retention: Option<usize>,
-    /// Reports ever recorded, evicted ones included.
-    recorded: u64,
-    shard_loads: Vec<ShardLoadSummary>,
+    reports: Vec<SessionReport>,
+    shard_loads: Vec<ShardSummary>,
     ingress: Vec<IngressSummary>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry retaining every report.
+    /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty registry retaining only the `retention` most recent
-    /// reports (a rolling window; `0` is clamped to `1`).
-    pub fn with_retention(retention: usize) -> Self {
-        Self {
-            retention: Some(retention.max(1)),
-            ..Self::default()
-        }
-    }
-
-    /// Changes the retention bound in place. Shrinking evicts the
-    /// oldest reports immediately; `None` removes the bound.
-    pub fn set_retention(&mut self, retention: Option<usize>) {
-        self.retention = retention.map(|r| r.max(1));
-        self.evict();
-    }
-
-    /// The current retention bound (`None` = unbounded).
-    pub fn retention(&self) -> Option<usize> {
-        self.retention
-    }
-
-    /// Records one completed session, evicting the oldest retained
-    /// report when a retention bound is set and full.
+    /// Records one completed session.
     pub fn record(&mut self, report: SessionReport) {
-        self.reports.push_back(report);
-        self.recorded += 1;
-        self.evict();
+        self.reports.push(report);
     }
 
-    fn evict(&mut self) {
-        if let Some(cap) = self.retention {
-            while self.reports.len() > cap {
-                self.reports.pop_front();
-            }
-        }
-    }
-
-    /// Reports currently retained.
+    /// Reports recorded.
     pub fn len(&self) -> usize {
         self.reports.len()
-    }
-
-    /// Reports ever recorded, including any the rolling window evicted.
-    pub fn recorded_total(&self) -> u64 {
-        self.recorded
     }
 
     /// True when nothing completed yet.
@@ -248,7 +166,7 @@ impl MetricsRegistry {
         self.reports.is_empty()
     }
 
-    /// The retained reports, oldest first.
+    /// The recorded reports, oldest first.
     pub fn reports(&self) -> impl ExactSizeIterator<Item = &SessionReport> {
         self.reports.iter()
     }
@@ -261,13 +179,13 @@ impl MetricsRegistry {
     /// Records the per-shard load picture (typically
     /// `ServiceHandle::shard_loads` taken at the end of a run), so the
     /// balancer's inputs are observable next to the session reports.
-    pub fn record_shard_loads(&mut self, loads: Vec<ShardLoadSummary>) {
+    pub fn record_shard_loads(&mut self, loads: Vec<ShardSummary>) {
         self.shard_loads = loads;
     }
 
     /// The recorded per-shard load summaries (empty unless
     /// [`MetricsRegistry::record_shard_loads`] was called).
-    pub fn shard_loads(&self) -> &[ShardLoadSummary] {
+    pub fn shard_loads(&self) -> &[ShardSummary] {
         &self.shard_loads
     }
 
@@ -390,28 +308,6 @@ mod tests {
             b.record(report(i, i as f64));
         }
         assert_eq!(a.summary(), b.summary());
-    }
-
-    #[test]
-    fn retention_keeps_a_rolling_window() {
-        let mut reg = MetricsRegistry::with_retention(4);
-        for i in 0..10 {
-            reg.record(report(i, i as f64));
-        }
-        assert_eq!(reg.len(), 4);
-        assert_eq!(reg.recorded_total(), 10);
-        let ids: Vec<u64> = reg.reports().map(|r| r.id).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9], "oldest reports must be evicted");
-        assert!(reg.get(0).is_none());
-        assert!(reg.get(9).is_some());
-        // Shrinking the bound evicts immediately; lifting it stops
-        // eviction without resurrecting anything.
-        reg.set_retention(Some(2));
-        assert_eq!(reg.len(), 2);
-        reg.set_retention(None);
-        reg.record(report(10, 1.0));
-        assert_eq!(reg.len(), 3);
-        assert_eq!(reg.recorded_total(), 11);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The event-driven shard scheduler's data structures: a hierarchical
 //! timer wheel keyed on the shard's scheduling pass (one pass = one
 //! [`VirtualClock`](crate::VirtualClock) tick slot for every runnable
-//! session) and the per-shard load accounting the rebalancing policy
-//! reads.
+//! session).
 //!
 //! # Timer wheel
 //!
@@ -21,14 +20,13 @@
 //!
 //! # Load accounting
 //!
-//! Each shard publishes [`ShardLoad`] counters (lock-free atomics) that
-//! a [`ServiceHandle`](crate::ServiceHandle) snapshots into
-//! [`ShardLoadSummary`](crate::metrics::ShardLoadSummary) values — the
-//! inputs of the balancer policy and of the idle-heavy benchmark's
+//! A shard's load (run-queue and parked depth, passes, wakeups by
+//! source, migrations) lives in the telemetry plane's metric table next
+//! to its other counters: see [`crate::telemetry`]. A
+//! [`ServiceHandle`](crate::ServiceHandle) snapshots it into
+//! [`ShardSummary`](crate::telemetry::ShardSummary) values — the inputs
+//! of the balancer policy and of the idle-heavy benchmark's
 //! `wakeups_per_tick` evidence.
-
-use crate::metrics::ShardLoadSummary;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a shard decides which sessions to advance on each pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -209,54 +207,6 @@ impl TimerWheel {
     }
 }
 
-/// Lock-free per-shard load counters, published by the shard worker and
-/// read by handles and the balancer. Cumulative counters only ever grow;
-/// gauge-like fields (`sessions`, `runnable`, `parked`) are overwritten
-/// each pass.
-#[derive(Debug, Default)]
-pub struct ShardLoad {
-    /// Live sessions owned by the shard (gauge).
-    pub sessions: AtomicU64,
-    /// Sessions in the run queue after the last pass (gauge).
-    pub runnable: AtomicU64,
-    /// Sessions parked (timer or awaiting input) after the last pass
-    /// (gauge).
-    pub parked: AtomicU64,
-    /// Scheduling passes executed (counter).
-    pub passes: AtomicU64,
-    /// Session advances performed (counter) — the numerator of
-    /// `wakeups_per_tick`.
-    pub wakeups: AtomicU64,
-    /// Parked sessions woken by the timer wheel (counter).
-    pub timer_wakeups: AtomicU64,
-    /// Parked sessions woken by operator traffic (`Inject`/`Close`);
-    /// administrative syncs (snapshot, migration, shutdown) are not
-    /// counted (counter).
-    pub traffic_wakeups: AtomicU64,
-    /// Sessions migrated away by this shard (counter).
-    pub migrated_out: AtomicU64,
-    /// Sessions adopted by this shard (counter).
-    pub migrated_in: AtomicU64,
-}
-
-impl ShardLoad {
-    /// A point-in-time copy for shard `index`.
-    pub fn summary(&self, index: usize) -> ShardLoadSummary {
-        ShardLoadSummary {
-            shard: index,
-            sessions: self.sessions.load(Ordering::Relaxed),
-            runnable: self.runnable.load(Ordering::Relaxed),
-            parked: self.parked.load(Ordering::Relaxed),
-            passes: self.passes.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            timer_wakeups: self.timer_wakeups.load(Ordering::Relaxed),
-            traffic_wakeups: self.traffic_wakeups.load(Ordering::Relaxed),
-            migrated_out: self.migrated_out.load(Ordering::Relaxed),
-            migrated_in: self.migrated_in.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,21 +326,5 @@ mod tests {
         let mut fired = Vec::new();
         wheel.advance(6000, &mut fired);
         assert_eq!(fired, vec![2]);
-    }
-
-    #[test]
-    fn load_summary_snapshots_counters() {
-        let load = ShardLoad::default();
-        load.sessions.store(12, Ordering::Relaxed);
-        load.runnable.store(3, Ordering::Relaxed);
-        load.parked.store(9, Ordering::Relaxed);
-        load.passes.store(100, Ordering::Relaxed);
-        load.wakeups.store(320, Ordering::Relaxed);
-        let s = load.summary(2);
-        assert_eq!(s.shard, 2);
-        assert_eq!(s.sessions, 12);
-        assert_eq!(s.parked, 9);
-        assert!((s.wakeups_per_pass() - 3.2).abs() < 1e-12);
-        assert!((s.runnable_ratio() - 0.25).abs() < 1e-12);
     }
 }

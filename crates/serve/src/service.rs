@@ -20,13 +20,13 @@
 
 use crate::archive::FleetArchive;
 use crate::clock::{Pacing, TICK_PERIOD};
-use crate::metrics::{MetricsRegistry, ShardLoadSummary};
+use crate::metrics::MetricsRegistry;
 use crate::protocol::{FleetPart, ServiceError, SessionCommand, SessionEvent};
-use crate::sched::{Scheduler, ShardLoad};
+use crate::sched::Scheduler;
 use crate::shard::{RoutingTable, ShardWorker};
 use crate::snapshot::{SessionSnapshot, SourceState};
 use crate::spec::{SessionId, SessionSpec};
-use crate::telemetry::{FleetTelemetry, Telemetry};
+use crate::telemetry::{ShardSummary, Telemetry};
 use foreco_robot::{niryo_one, ArmModel};
 use foreco_store::{trace_object_id, ObjectId, Storage, TraceHandle};
 use std::collections::HashMap;
@@ -151,7 +151,6 @@ impl ServiceConfig {
 pub struct ServiceHandle {
     controls: Vec<SyncSender<SessionCommand>>,
     routes: Arc<RoutingTable>,
-    loads: Arc<Vec<ShardLoad>>,
     telemetry: Arc<Telemetry>,
 }
 
@@ -165,31 +164,14 @@ impl ServiceHandle {
         self.controls.len()
     }
 
-    /// Point-in-time load picture of every shard — runnable vs parked
-    /// sessions, passes, wakeups, migrations. These are the balancer's
-    /// decision inputs, exposed so operators (and benchmarks) can see
-    /// what it sees. Lock-free reads; gauges reflect each shard's last
-    /// completed pass.
-    pub fn shard_loads(&self) -> Vec<ShardLoadSummary> {
-        self.loads
-            .iter()
-            .enumerate()
-            .map(|(index, load)| load.summary(index))
-            .collect()
-    }
-
-    /// Point-in-time snapshot of the fleet telemetry plane: per-shard
-    /// counters (ticks, recovered misses, parks/wakes, inbox drops)
-    /// plus the scheduler load picture. Lock-free relaxed reads;
-    /// counters reflect each shard's last completed pass. The ingress
-    /// totals are zero here — a gateway merges its wire-side counters
-    /// in before rendering metrics.
-    pub fn telemetry(&self) -> FleetTelemetry {
-        FleetTelemetry {
-            shards: self.telemetry.summaries(),
-            loads: self.shard_loads(),
-            ingress: Default::default(),
-        }
+    /// Point-in-time telemetry of every shard: the load picture
+    /// (runnable vs parked sessions, passes, wakeups, migrations) that
+    /// the balancer decides on, next to the fleet counters (ticks,
+    /// opens, completions, parks, checkpoints) a metrics scrape renders.
+    /// Lock-free relaxed reads; values reflect each shard's last
+    /// published pass.
+    pub fn shard_loads(&self) -> Vec<ShardSummary> {
+        self.telemetry.summaries()
     }
 
     /// Registers a lifecycle observer: while at least one is attached,
@@ -514,8 +496,6 @@ impl Service {
         assert!(config.shards >= 1, "service: need at least one shard");
         let (event_tx, event_rx) = sync_channel(config.event_capacity);
         let routes = Arc::new(RoutingTable::default());
-        let loads: Arc<Vec<ShardLoad>> =
-            Arc::new((0..config.shards).map(|_| ShardLoad::default()).collect());
         let telemetry = Arc::new(Telemetry::new(config.shards));
         // All control channels exist before any worker starts: each
         // worker holds every peer's sender for migration hand-offs.
@@ -541,7 +521,6 @@ impl Service {
                 pacing: config.pacing,
                 period: config.period,
                 scheduler: config.scheduler,
-                loads: Arc::clone(&loads),
                 telemetry: Arc::clone(&telemetry),
                 models: models.clone(),
                 batching: config.batching,
@@ -556,7 +535,6 @@ impl Service {
         let handle = ServiceHandle {
             controls,
             routes,
-            loads,
             telemetry,
         };
         let balancer = config.balancer.map(|cfg| {
@@ -683,9 +661,11 @@ impl Service {
             }
         }
         // The final load picture (passes, wakeups, migrations) rides
-        // along with the reports for observability.
-        registry.record_shard_loads(self.handle.shard_loads());
+        // along with the reports for observability. Read after the join:
+        // every shard publishes its last counters before it exits.
+        let handle = self.handle();
         self.join();
+        registry.record_shard_loads(handle.shard_loads());
         registry
     }
 

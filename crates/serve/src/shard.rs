@@ -54,15 +54,15 @@
 //!
 //! Control flow per loop iteration: retry parked migration hand-offs,
 //! drain the control inbox (blocking when quiescent), fire due timers,
-//! advance the run queue, publish load gauges, pace.
+//! advance the run queue, publish telemetry, pace.
 
 use crate::batch::BatchPlanner;
 use crate::clock::{Pacer, Pacing};
 use crate::inbox::Offer;
 use crate::protocol::{SessionCommand, SessionEvent};
-use crate::sched::{Scheduler, ShardLoad, TimerWheel};
+use crate::sched::{Scheduler, TimerWheel};
 use crate::session::{Advance, Session, Wake};
-use crate::telemetry::{Telemetry, TelemetryScratch};
+use crate::telemetry::{ShardScratch, Telemetry};
 use foreco_robot::ArmModel;
 use foreco_store::Storage;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -128,7 +128,6 @@ pub(crate) struct ShardWorker {
     pub(crate) pacing: Pacing,
     pub(crate) period: f64,
     pub(crate) scheduler: Scheduler,
-    pub(crate) loads: Arc<Vec<ShardLoad>>,
     /// Shared telemetry plane (fleet counters + observer flag).
     pub(crate) telemetry: Arc<Telemetry>,
     /// Service-wide shared storage: adopted sessions resolve engine
@@ -147,11 +146,10 @@ struct Runtime {
     routes: Arc<RoutingTable>,
     model: ArmModel,
     scheduler: Scheduler,
-    loads: Arc<Vec<ShardLoad>>,
-    /// Shared telemetry plane; this shard writes only its own slice.
+    /// Shared telemetry plane; this shard writes only its own counters.
     telemetry: Arc<Telemetry>,
-    /// Per-pass telemetry deltas (plain `u64`s, flushed once per pass).
-    scratch: TelemetryScratch,
+    /// Per-pass telemetry (plain `u64`s, published once per pass).
+    scratch: ShardScratch,
     sessions: BTreeMap<u64, Session>,
     /// Runnable session ids, advanced in ascending order each pass.
     runnable: BTreeSet<u64>,
@@ -186,11 +184,6 @@ struct Runtime {
 }
 
 impl Runtime {
-    /// This shard's slice of the shared load counters.
-    fn load(&self) -> &ShardLoad {
-        &self.loads[self.index]
-    }
-
     /// Syncs a parked session through the current pass: replays its idle
     /// backlog, cancels its timers, and provisionally requeues it. A
     /// no-op for runnable (or unknown) sessions. Callers that may leave
@@ -209,7 +202,7 @@ impl Runtime {
             self.scratch.ticks += replayed;
             self.scratch.wakes += 1;
             if traffic {
-                self.load().traffic_wakeups.fetch_add(1, Ordering::Relaxed);
+                self.scratch.traffic_wakeups += 1;
             }
             self.runnable.insert(id);
         }
@@ -311,7 +304,7 @@ impl Runtime {
                 self.sessions.remove(&id);
                 self.runnable.remove(&id);
                 self.routes.set(id, to);
-                self.load().migrated_out.fetch_add(1, Ordering::Relaxed);
+                self.scratch.migrated_out += 1;
                 let _ = self.events.send(SessionEvent::Migrated {
                     id,
                     from: self.index,
@@ -529,7 +522,7 @@ impl Runtime {
                             } else {
                                 self.routes.clear(id);
                             }
-                            self.load().migrated_in.fetch_add(1, Ordering::Relaxed);
+                            self.scratch.migrated_in += 1;
                             self.scratch.adoptions += 1;
                             self.enqueue_new(id);
                             let _ = self.events.send(SessionEvent::Restored {
@@ -582,7 +575,7 @@ impl Runtime {
                 self.ticks_advanced += replayed;
                 self.scratch.ticks += replayed;
                 self.scratch.wakes += 1;
-                self.load().timer_wakeups.fetch_add(1, Ordering::Relaxed);
+                self.scratch.timer_wakeups += 1;
                 self.runnable.insert(id);
             }
         }
@@ -675,27 +668,18 @@ impl Runtime {
         }
         self.ticks_advanced += advanced;
         self.pass = target;
-        self.load().wakeups.fetch_add(advanced, Ordering::Relaxed);
-        self.load().passes.fetch_add(1, Ordering::Relaxed);
+        self.scratch.wakeups += advanced;
+        self.scratch.passes += 1;
         self.scratch.ticks += advanced;
-        self.flush_telemetry();
     }
 
-    /// Flushes accumulated telemetry deltas to this shard's slice of
-    /// the shared plane (a no-op when nothing changed).
-    fn flush_telemetry(&mut self) {
+    /// Publishes this pass's telemetry to the shard's counters in the
+    /// shared plane: the gauges, plus every non-zero counter delta.
+    fn publish(&mut self) {
+        self.scratch.sessions = self.sessions.len() as u64;
+        self.scratch.runnable = self.runnable.len() as u64;
+        self.scratch.parked = self.parked.len() as u64;
         self.scratch.flush(self.telemetry.shard(self.index));
-    }
-
-    /// Publishes the point-in-time gauges.
-    fn publish_gauges(&self) {
-        let load = self.load();
-        load.sessions
-            .store(self.sessions.len() as u64, Ordering::Relaxed);
-        load.runnable
-            .store(self.runnable.len() as u64, Ordering::Relaxed);
-        load.parked
-            .store(self.parked.len() as u64, Ordering::Relaxed);
     }
 
     /// Retries parked migration hand-offs; destinations free their
@@ -724,7 +708,6 @@ impl ShardWorker {
             pacing,
             period,
             scheduler,
-            loads,
             telemetry,
             models,
             batching,
@@ -736,9 +719,8 @@ impl ShardWorker {
             routes,
             model,
             scheduler,
-            loads,
             telemetry,
-            scratch: TelemetryScratch::default(),
+            scratch: ShardScratch::default(),
             sessions: BTreeMap::new(),
             runnable: BTreeSet::new(),
             parked: HashMap::new(),
@@ -816,7 +798,7 @@ impl ShardWorker {
                 // The timed receive consumed this wall slot; run the
                 // pass (firing any due timers) without pacing again.
                 rt.run_pass();
-                rt.publish_gauges();
+                rt.publish();
                 continue;
             }
             if shutdown {
@@ -851,8 +833,7 @@ impl ShardWorker {
                     // Command-only iterations (e.g. a miss marker that
                     // left everything parked) still surface their
                     // counters before the shard blocks again.
-                    rt.flush_telemetry();
-                    rt.publish_gauges();
+                    rt.publish();
                     continue;
                 }
             }
@@ -865,9 +846,12 @@ impl ShardWorker {
             // Live work resumes: the pacer owns slot timing from here.
             slot_deadline = None;
             rt.run_pass();
-            rt.publish_gauges();
+            rt.publish();
             pacer.tick_complete();
         }
+        // Commands drained on the way out (the last migrations, the
+        // shutdown's syncs) still reach the counters.
+        rt.publish();
         let _ = rt.events.send(SessionEvent::ShardTerminated {
             shard: index,
             ticks_advanced: rt.ticks_advanced,

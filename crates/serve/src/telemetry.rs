@@ -1,29 +1,38 @@
-//! The live telemetry plane: lock-free fleet counters and their
-//! Prometheus rendering.
+//! The live telemetry plane: one table of per-shard fleet metrics, the
+//! lock-free counters it generates, and their Prometheus rendering.
+//!
+//! # One table
+//!
+//! The `shard_metrics!` invocation below lists every per-shard metric
+//! exactly once — field, kind (counter or gauge), exposition name, help
+//! text — and generates everything else from that row: the relaxed
+//! atomic in [`ShardCounters`], the plain copy in [`ShardSummary`], the
+//! per-pass scratch slot and its flush, and the Prometheus family. A new
+//! metric is one table row. The fleet-wide wire counters are the fields
+//! of [`IngressSummary`], rendered from the `INGRESS_FAMILIES` rows.
 //!
 //! # Observability discipline
 //!
-//! The counters follow the same rules as the scheduler's
-//! [`ShardLoad`](crate::sched::ShardLoad) accounting, and those rules
-//! are the invariant that keeps observability free:
+//! These rules are the invariant that keeps observability free:
 //!
 //! - **Relaxed atomics, single writer.** Each shard owns one
-//!   [`ShardTelemetry`] slice of the shared [`Telemetry`] plane and is
-//!   its only writer; readers snapshot with `Ordering::Relaxed` loads.
-//!   No locks, no contention, no ordering games.
+//!   [`ShardCounters`] set of the shared [`Telemetry`] plane and is its
+//!   only writer; readers (handles, the balancer, scrapes) snapshot with
+//!   `Ordering::Relaxed` loads. No locks, no contention, no ordering
+//!   games.
 //! - **Never on the tick path.** Nothing here is touched inside
-//!   `Session::advance`. Shards accumulate plain `u64` deltas while
-//!   handling commands and sweeping the run queue, then flush them with
-//!   a handful of `fetch_add`s once per scheduling pass — so the
-//!   steady-tick path stays allocation-free and branch-identical
-//!   whether anyone is watching or not.
-//! - **Rendering allocates only in the control plane.** Turning a
-//!   [`FleetTelemetry`] snapshot into Prometheus text builds a `String`;
+//!   `Session::advance`. Shards accumulate plain `u64`s while handling
+//!   commands and sweeping the run queue, then publish them once per
+//!   scheduling pass — a `fetch_add` per non-zero counter delta, a
+//!   `store` per gauge — so the steady-tick path stays allocation-free
+//!   and branch-identical whether anyone is watching or not.
+//! - **Rendering allocates only in the control plane.** Turning
+//!   [`ShardSummary`] snapshots into Prometheus text builds a `String`;
 //!   that happens in whatever thread asked (a TCP control connection, a
 //!   test), never in a shard.
 //!
-//! Counters reflect each shard's last completed pass, exactly like the
-//! load gauges — a scrape between passes reads the previous flush.
+//! Counters and gauges reflect each shard's last published pass — a
+//! scrape between passes reads the previous publish.
 //!
 //! # Lifecycle observers
 //!
@@ -34,16 +43,232 @@
 //! cost is one relaxed load per park. Event emission never changes
 //! session math, so results stay bit-identical either way.
 
-use crate::metrics::{IngressSummary, PercentileSummary, ShardLoadSummary};
+use crate::metrics::{IngressSummary, PercentileSummary};
 use serde::Serialize;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The shared telemetry plane: one [`ShardTelemetry`] slice per shard
-/// plus the lifecycle-observer count. Created by `Service::spawn`,
-/// shared (via `Arc`) between every shard and every `ServiceHandle`.
+/// Whether a metric accumulates or samples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Deltas add; the atomic only grows.
+    Counter,
+    /// The latest value overwrites.
+    Gauge,
+}
+
+impl Kind {
+    /// The exposition `# TYPE` keyword.
+    fn type_name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+
+    /// Publishes one scratch slot: a counter `fetch_add`s its non-zero
+    /// delta and resets it, a gauge `store`s its value and keeps it.
+    fn publish(self, atomic: &AtomicU64, slot: &mut u64) {
+        match self {
+            Kind::Counter => {
+                if *slot != 0 {
+                    atomic.fetch_add(*slot, Ordering::Relaxed);
+                    *slot = 0;
+                }
+            }
+            Kind::Gauge => atomic.store(*slot, Ordering::Relaxed),
+        }
+    }
+}
+
+/// One metric family of the exposition, reading its value from a `T`.
+struct Family<T> {
+    name: &'static str,
+    kind: Kind,
+    help: &'static str,
+    value: fn(&T) -> u64,
+}
+
+impl<T> Family<T> {
+    /// The `# HELP` / `# TYPE` header.
+    fn header(&self, out: &mut String) {
+        let _ = writeln!(out, "# HELP {} {}", self.name, self.help);
+        let _ = writeln!(out, "# TYPE {} {}", self.name, self.kind.type_name());
+    }
+}
+
+/// Generates the per-shard telemetry types from the metric table (see
+/// the module docs). Each row: `field: Kind, "exposition_name", "help";`.
+macro_rules! shard_metrics {
+    ($($field:ident: $kind:ident, $name:literal, $help:literal;)+) => {
+        /// One shard's live metrics: relaxed atomics written only by the
+        /// owning shard, once per scheduling pass.
+        #[derive(Debug, Default)]
+        pub struct ShardCounters {
+            $(#[doc = $help] pub $field: AtomicU64,)+
+        }
+
+        /// Plain-`u64` copy of one shard's [`ShardCounters`]. Gauges
+        /// reflect the shard's last published pass; counters are
+        /// cumulative over its lifetime.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+        pub struct ShardSummary {
+            /// Shard index.
+            pub shard: usize,
+            $(#[doc = $help] pub $field: u64,)+
+        }
+
+        /// The per-pass scratch a shard accumulates in: counter deltas and
+        /// gauge values as plain `u64`s, published by [`ShardScratch::flush`].
+        #[derive(Debug, Default)]
+        pub(crate) struct ShardScratch {
+            $(pub(crate) $field: u64,)+
+        }
+
+        impl ShardCounters {
+            /// A point-in-time copy for shard `shard`.
+            pub fn summary(&self, shard: usize) -> ShardSummary {
+                ShardSummary {
+                    shard,
+                    $($field: self.$field.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+
+        impl ShardScratch {
+            /// Publishes every slot into `counters`: non-zero counter
+            /// deltas add and reset, gauges overwrite and persist.
+            pub(crate) fn flush(&mut self, counters: &ShardCounters) {
+                $(Kind::$kind.publish(&counters.$field, &mut self.$field);)+
+            }
+        }
+
+        /// Every per-shard family, in exposition order.
+        const SHARD_FAMILIES: &[Family<ShardSummary>] = &[
+            $(Family { name: $name, kind: Kind::$kind, help: $help, value: |s| s.$field },)+
+        ];
+    };
+}
+
+shard_metrics! {
+    ticks: Counter, "foreco_ticks_total",
+        "Session-ticks advanced (catch-up replays included).";
+    opened: Counter, "foreco_sessions_opened_total",
+        "Sessions opened.";
+    completed: Counter, "foreco_sessions_completed_total",
+        "Sessions run to completion.";
+    recovered_misses: Counter, "foreco_recovered_misses_total",
+        "Deadline misses covered by forecast (completed engine sessions).";
+    miss_marks: Counter, "foreco_miss_marks_total",
+        "Miss markers accepted by gated sessions (live wire losses).";
+    late_replacements: Counter, "foreco_late_replacements_total",
+        "Late command replacements accepted (section VII-C path).";
+    parks: Counter, "foreco_parks_total",
+        "Sessions parked at an idle fixed point.";
+    wakes: Counter, "foreco_wakes_total",
+        "Sessions unparked (traffic, timer, or administrative sync).";
+    inbox_drops: Counter, "foreco_inbox_drops_total",
+        "Commands dropped on full session inboxes.";
+    snapshots: Counter, "foreco_snapshots_total",
+        "Sessions checkpointed (single snapshots and fleet-archive parts).";
+    adoptions: Counter, "foreco_adoptions_total",
+        "Snapshots rehydrated into live sessions (migrations included).";
+    archive_parts: Counter, "foreco_archive_parts_total",
+        "Fleet-archive parts encoded (SnapshotInto replies).";
+    archive_bytes: Counter, "foreco_archive_bytes_total",
+        "Bytes of binary snapshot frames encoded for fleet archives.";
+    sessions: Gauge, "foreco_shard_sessions",
+        "Live sessions owned by the shard.";
+    runnable: Gauge, "foreco_shard_runnable",
+        "Sessions in the run queue after the last pass.";
+    parked: Gauge, "foreco_shard_parked",
+        "Sessions parked after the last pass.";
+    passes: Counter, "foreco_passes_total",
+        "Scheduling passes executed.";
+    wakeups: Counter, "foreco_wakeups_total",
+        "Session advances performed.";
+    timer_wakeups: Counter, "foreco_timer_wakeups_total",
+        "Parked sessions woken by the timer wheel.";
+    traffic_wakeups: Counter, "foreco_traffic_wakeups_total",
+        "Parked sessions woken by operator traffic (inject or close).";
+    migrated_out: Counter, "foreco_migrations_out_total",
+        "Sessions migrated away from the shard.";
+    migrated_in: Counter, "foreco_migrations_in_total",
+        "Sessions adopted by the shard.";
+}
+
+impl ShardSummary {
+    /// Mean session advances per scheduling pass — the "wakeups per
+    /// tick" an event-driven shard should keep proportional to its
+    /// *active* sessions, not its total.
+    pub fn wakeups_per_pass(&self) -> f64 {
+        if self.passes == 0 {
+            0.0
+        } else {
+            self.wakeups as f64 / self.passes as f64
+        }
+    }
+}
+
+/// The fleet-wide wire-ingress families (unlabelled counters), in
+/// exposition order.
+const INGRESS_FAMILIES: &[Family<IngressSummary>] = &[
+    Family {
+        name: "foreco_ingress_received_total",
+        kind: Kind::Counter,
+        help: "Well-formed data frames received by the gateway.",
+        value: |i| i.received,
+    },
+    Family {
+        name: "foreco_ingress_delivered_total",
+        kind: Kind::Counter,
+        help: "Command slots delivered in order.",
+        value: |i| i.delivered,
+    },
+    Family {
+        name: "foreco_ingress_lost_total",
+        kind: Kind::Counter,
+        help: "Slots flushed as losses.",
+        value: |i| i.lost,
+    },
+    Family {
+        name: "foreco_ingress_late_total",
+        kind: Kind::Counter,
+        help: "Stale frames fed through the late-command path.",
+        value: |i| i.late,
+    },
+    Family {
+        name: "foreco_ingress_reordered_total",
+        kind: Kind::Counter,
+        help: "Out-of-order arrivals healed by the reorder buffer.",
+        value: |i| i.reordered,
+    },
+    Family {
+        name: "foreco_ingress_duplicates_total",
+        kind: Kind::Counter,
+        help: "Duplicate frames discarded.",
+        value: |i| i.duplicates,
+    },
+    Family {
+        name: "foreco_ingress_malformed_total",
+        kind: Kind::Counter,
+        help: "Frames rejected for invalid payloads.",
+        value: |i| i.malformed,
+    },
+    Family {
+        name: "foreco_ingress_bounced_total",
+        kind: Kind::Counter,
+        help: "Backpressure bounces converted to losses.",
+        value: |i| i.bounced,
+    },
+];
+
+/// The shared telemetry plane: one [`ShardCounters`] set per shard plus
+/// the lifecycle-observer count. Created by `Service::spawn`, shared
+/// (via `Arc`) between every shard and every `ServiceHandle`.
 #[derive(Debug)]
 pub struct Telemetry {
-    shards: Vec<ShardTelemetry>,
+    shards: Vec<ShardCounters>,
     /// Live lifecycle observers (event subscribers that want
     /// park-level session events). Shards emit `SessionEvent::Parked`
     /// only while this is non-zero.
@@ -54,13 +279,13 @@ impl Telemetry {
     /// A zeroed plane for `shards` workers.
     pub fn new(shards: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| ShardTelemetry::default()).collect(),
+            shards: (0..shards).map(|_| ShardCounters::default()).collect(),
             observers: AtomicU64::new(0),
         }
     }
 
-    /// One shard's counter slice.
-    pub fn shard(&self, index: usize) -> &ShardTelemetry {
+    /// One shard's counters.
+    pub fn shard(&self, index: usize) -> &ShardCounters {
         &self.shards[index]
     }
 
@@ -70,9 +295,13 @@ impl Telemetry {
         self.observers.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Unregisters a lifecycle observer.
+    /// Unregisters a lifecycle observer. An unpaired detach is a no-op:
+    /// the count saturates at zero instead of wrapping to "observed
+    /// forever".
     pub fn detach_observer(&self) {
-        self.observers.fetch_sub(1, Ordering::Relaxed);
+        let _ = self
+            .observers
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
     }
 
     /// True while any lifecycle observer is attached.
@@ -81,7 +310,7 @@ impl Telemetry {
     }
 
     /// Point-in-time copy of every shard's counters.
-    pub fn summaries(&self) -> Vec<ShardTelemetrySummary> {
+    pub fn summaries(&self) -> Vec<ShardSummary> {
         self.shards
             .iter()
             .enumerate()
@@ -90,430 +319,29 @@ impl Telemetry {
     }
 }
 
-/// One shard's live telemetry counters. Cumulative; single-writer
-/// (the owning shard), flushed once per scheduling pass.
-#[derive(Debug, Default)]
-pub struct ShardTelemetry {
-    /// Session-ticks advanced (eager ticks + replayed park backlog).
-    pub ticks: AtomicU64,
-    /// Sessions opened on this shard.
-    pub opened: AtomicU64,
-    /// Sessions that ran to completion on this shard.
-    pub completed: AtomicU64,
-    /// Deadline misses covered by a recovery engine's forecast,
-    /// accumulated from completed sessions' reports.
-    pub recovered_misses: AtomicU64,
-    /// Miss markers accepted by gated sessions (`InjectMiss`) — the live
-    /// wire-loss count, visible while sessions still run.
-    pub miss_marks: AtomicU64,
-    /// §VII-C late replacements accepted (`InjectLate` offers that the
-    /// session's gated inbox took).
-    pub late_replacements: AtomicU64,
-    /// Sessions parked (idle fixed point or scheduled wake).
-    pub parks: AtomicU64,
-    /// Sessions unparked (traffic, timer, or administrative sync).
-    pub wakes: AtomicU64,
-    /// Commands dropped on a full session inbox.
-    pub inbox_drops: AtomicU64,
-    /// Sessions checkpointed (`Snapshot` events plus fleet-archive
-    /// parts exported).
-    pub snapshots: AtomicU64,
-    /// Snapshots rehydrated into live sessions (`Adopt`, migrations
-    /// included).
-    pub adoptions: AtomicU64,
-    /// Fleet-archive parts encoded by this shard (`SnapshotInto`).
-    pub archive_parts: AtomicU64,
-    /// Bytes of binary snapshot frames encoded for fleet archives.
-    pub archive_bytes: AtomicU64,
-}
-
-impl ShardTelemetry {
-    /// A point-in-time copy for shard `index`.
-    pub fn summary(&self, index: usize) -> ShardTelemetrySummary {
-        ShardTelemetrySummary {
-            shard: index,
-            ticks: self.ticks.load(Ordering::Relaxed),
-            opened: self.opened.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            recovered_misses: self.recovered_misses.load(Ordering::Relaxed),
-            miss_marks: self.miss_marks.load(Ordering::Relaxed),
-            late_replacements: self.late_replacements.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            wakes: self.wakes.load(Ordering::Relaxed),
-            inbox_drops: self.inbox_drops.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            adoptions: self.adoptions.load(Ordering::Relaxed),
-            archive_parts: self.archive_parts.load(Ordering::Relaxed),
-            archive_bytes: self.archive_bytes.load(Ordering::Relaxed),
+/// Renders per-shard summaries, the fleet's wire-ingress totals and,
+/// when available, the distribution of completed sessions' task-space
+/// RMSE in the Prometheus text exposition format: `# HELP`/`# TYPE`
+/// headers, one series per shard via a `shard` label, `_total`-suffixed
+/// counters printed as exact integers. Allocates freely — this is
+/// control-plane code by the observability discipline (module docs).
+pub fn render_prometheus(
+    shards: &[ShardSummary],
+    ingress: &IngressSummary,
+    rmse_mm: Option<&PercentileSummary>,
+) -> String {
+    let mut out = String::with_capacity(4096);
+    for family in SHARD_FAMILIES {
+        family.header(&mut out);
+        for shard in shards {
+            let value = (family.value)(shard);
+            let _ = writeln!(out, "{}{{shard=\"{}\"}} {value}", family.name, shard.shard);
         }
     }
-}
-
-/// Plain-`u64` copy of one shard's [`ShardTelemetry`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ShardTelemetrySummary {
-    /// Shard index.
-    pub shard: usize,
-    /// Session-ticks advanced.
-    pub ticks: u64,
-    /// Sessions opened.
-    pub opened: u64,
-    /// Sessions completed.
-    pub completed: u64,
-    /// Forecast-recovered misses (from completed engine sessions).
-    pub recovered_misses: u64,
-    /// Live miss markers accepted by gated sessions.
-    pub miss_marks: u64,
-    /// Late replacements accepted.
-    pub late_replacements: u64,
-    /// Park transitions.
-    pub parks: u64,
-    /// Unpark transitions.
-    pub wakes: u64,
-    /// Commands dropped on full inboxes.
-    pub inbox_drops: u64,
-    /// Sessions checkpointed.
-    pub snapshots: u64,
-    /// Snapshots rehydrated.
-    pub adoptions: u64,
-    /// Fleet-archive parts encoded.
-    pub archive_parts: u64,
-    /// Bytes of archive frames encoded.
-    pub archive_bytes: u64,
-}
-
-/// Wire-side ingress totals, summed across sessions (live and retired).
-/// Zero unless a gateway merges its counters in — the serve crate has
-/// no socket knowledge.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct IngressTotals {
-    /// Well-formed data frames received.
-    pub received: u64,
-    /// Command slots delivered in order.
-    pub delivered: u64,
-    /// Slots flushed as losses.
-    pub lost: u64,
-    /// Stale frames fed through the late-command path.
-    pub late: u64,
-    /// Out-of-order arrivals healed by the reorder buffer.
-    pub reordered: u64,
-    /// Duplicate frames discarded.
-    pub duplicates: u64,
-    /// Frames rejected for invalid payloads.
-    pub malformed: u64,
-    /// Backpressure bounces converted to losses.
-    pub bounced: u64,
-}
-
-impl IngressTotals {
-    /// Folds one session's ingress counters into the totals.
-    pub fn absorb(&mut self, summary: &IngressSummary) {
-        self.received += summary.received;
-        self.delivered += summary.delivered;
-        self.lost += summary.lost;
-        self.late += summary.late;
-        self.reordered += summary.reordered;
-        self.duplicates += summary.duplicates;
-        self.malformed += summary.malformed;
-        self.bounced += summary.bounced;
+    for family in INGRESS_FAMILIES {
+        family.header(&mut out);
+        let _ = writeln!(out, "{} {}", family.name, (family.value)(ingress));
     }
-}
-
-/// A point-in-time view of the whole fleet: per-shard telemetry
-/// counters, per-shard scheduler load, and (when a gateway fills them
-/// in) wire-side ingress totals. Snapshot via `ServiceHandle::telemetry`.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct FleetTelemetry {
-    /// Per-shard telemetry counters.
-    pub shards: Vec<ShardTelemetrySummary>,
-    /// Per-shard scheduler load (runnable/parked depth, passes,
-    /// wakeups, migrations).
-    pub loads: Vec<ShardLoadSummary>,
-    /// Wire-side ingress totals (zero without a gateway).
-    pub ingress: IngressTotals,
-}
-
-impl FleetTelemetry {
-    /// Total session-ticks advanced across shards.
-    pub fn total_ticks(&self) -> u64 {
-        self.shards.iter().map(|s| s.ticks).sum()
-    }
-
-    /// Total sessions completed across shards.
-    pub fn total_completed(&self) -> u64 {
-        self.shards.iter().map(|s| s.completed).sum()
-    }
-
-    /// Live sessions across shards (sum of the per-shard gauges).
-    pub fn live_sessions(&self) -> u64 {
-        self.loads.iter().map(|l| l.sessions).sum()
-    }
-}
-
-/// Appends one metric family: `# HELP` / `# TYPE` header plus one
-/// `name{shard="i"} value` sample per shard.
-fn family_per_shard<F: Fn(&ShardTelemetrySummary) -> u64>(
-    out: &mut String,
-    name: &str,
-    kind: &str,
-    help: &str,
-    shards: &[ShardTelemetrySummary],
-    get: F,
-) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    for shard in shards {
-        let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", shard.shard, get(shard));
-    }
-}
-
-/// Same, over the scheduler-load summaries.
-fn load_family_per_shard<F: Fn(&ShardLoadSummary) -> u64>(
-    out: &mut String,
-    name: &str,
-    kind: &str,
-    help: &str,
-    loads: &[ShardLoadSummary],
-    get: F,
-) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    for load in loads {
-        let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", load.shard, get(load));
-    }
-}
-
-/// A single unlabelled sample with its header.
-fn scalar(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Renders a [`FleetTelemetry`] snapshot (plus, when available, the
-/// distribution of completed sessions' task-space RMSE) in the
-/// Prometheus text exposition format: `# HELP`/`# TYPE` headers, one
-/// series per shard via a `shard` label, `_total`-suffixed counters.
-/// Allocates freely — this is control-plane code by the observability
-/// discipline (module docs).
-pub fn render_prometheus(fleet: &FleetTelemetry, rmse_mm: Option<&PercentileSummary>) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(4096);
-    let shards = &fleet.shards;
-    family_per_shard(
-        &mut out,
-        "foreco_ticks_total",
-        "counter",
-        "Session-ticks advanced (catch-up replays included).",
-        shards,
-        |s| s.ticks,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_sessions_opened_total",
-        "counter",
-        "Sessions opened.",
-        shards,
-        |s| s.opened,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_sessions_completed_total",
-        "counter",
-        "Sessions run to completion.",
-        shards,
-        |s| s.completed,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_recovered_misses_total",
-        "counter",
-        "Deadline misses covered by forecast (completed engine sessions).",
-        shards,
-        |s| s.recovered_misses,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_miss_marks_total",
-        "counter",
-        "Miss markers accepted by gated sessions (live wire losses).",
-        shards,
-        |s| s.miss_marks,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_late_replacements_total",
-        "counter",
-        "Late command replacements accepted (section VII-C path).",
-        shards,
-        |s| s.late_replacements,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_parks_total",
-        "counter",
-        "Sessions parked at an idle fixed point.",
-        shards,
-        |s| s.parks,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_wakes_total",
-        "counter",
-        "Sessions unparked (traffic, timer, or administrative sync).",
-        shards,
-        |s| s.wakes,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_inbox_drops_total",
-        "counter",
-        "Commands dropped on full session inboxes.",
-        shards,
-        |s| s.inbox_drops,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_snapshots_total",
-        "counter",
-        "Sessions checkpointed (single snapshots and fleet-archive parts).",
-        shards,
-        |s| s.snapshots,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_adoptions_total",
-        "counter",
-        "Snapshots rehydrated into live sessions (migrations included).",
-        shards,
-        |s| s.adoptions,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_archive_parts_total",
-        "counter",
-        "Fleet-archive parts encoded (SnapshotInto replies).",
-        shards,
-        |s| s.archive_parts,
-    );
-    family_per_shard(
-        &mut out,
-        "foreco_archive_bytes_total",
-        "counter",
-        "Bytes of binary snapshot frames encoded for fleet archives.",
-        shards,
-        |s| s.archive_bytes,
-    );
-    let loads = &fleet.loads;
-    load_family_per_shard(
-        &mut out,
-        "foreco_shard_sessions",
-        "gauge",
-        "Live sessions owned by the shard.",
-        loads,
-        |l| l.sessions,
-    );
-    load_family_per_shard(
-        &mut out,
-        "foreco_shard_runnable",
-        "gauge",
-        "Sessions in the run queue after the last pass.",
-        loads,
-        |l| l.runnable,
-    );
-    load_family_per_shard(
-        &mut out,
-        "foreco_shard_parked",
-        "gauge",
-        "Sessions parked after the last pass.",
-        loads,
-        |l| l.parked,
-    );
-    load_family_per_shard(
-        &mut out,
-        "foreco_passes_total",
-        "counter",
-        "Scheduling passes executed.",
-        loads,
-        |l| l.passes,
-    );
-    load_family_per_shard(
-        &mut out,
-        "foreco_wakeups_total",
-        "counter",
-        "Session advances performed.",
-        loads,
-        |l| l.wakeups,
-    );
-    load_family_per_shard(
-        &mut out,
-        "foreco_migrations_out_total",
-        "counter",
-        "Sessions migrated away from the shard.",
-        loads,
-        |l| l.migrated_out,
-    );
-    load_family_per_shard(
-        &mut out,
-        "foreco_migrations_in_total",
-        "counter",
-        "Sessions adopted by the shard.",
-        loads,
-        |l| l.migrated_in,
-    );
-    let ingress = &fleet.ingress;
-    scalar(
-        &mut out,
-        "foreco_ingress_received_total",
-        "counter",
-        "Well-formed data frames received by the gateway.",
-        ingress.received as f64,
-    );
-    scalar(
-        &mut out,
-        "foreco_ingress_delivered_total",
-        "counter",
-        "Command slots delivered in order.",
-        ingress.delivered as f64,
-    );
-    scalar(
-        &mut out,
-        "foreco_ingress_lost_total",
-        "counter",
-        "Slots flushed as losses.",
-        ingress.lost as f64,
-    );
-    scalar(
-        &mut out,
-        "foreco_ingress_late_total",
-        "counter",
-        "Stale frames fed through the late-command path.",
-        ingress.late as f64,
-    );
-    scalar(
-        &mut out,
-        "foreco_ingress_duplicates_total",
-        "counter",
-        "Duplicate frames discarded.",
-        ingress.duplicates as f64,
-    );
-    scalar(
-        &mut out,
-        "foreco_ingress_malformed_total",
-        "counter",
-        "Frames rejected for invalid payloads.",
-        ingress.malformed as f64,
-    );
-    scalar(
-        &mut out,
-        "foreco_ingress_bounced_total",
-        "counter",
-        "Backpressure bounces converted to losses.",
-        ingress.bounced as f64,
-    );
     if let Some(rmse) = rmse_mm {
         let name = "foreco_session_rmse_mm";
         let _ = writeln!(
@@ -525,81 +353,61 @@ pub fn render_prometheus(fleet: &FleetTelemetry, rmse_mm: Option<&PercentileSumm
         let _ = writeln!(out, "{name}{{quantile=\"0.9\"}} {}", rmse.p90);
         let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {}", rmse.p99);
         let _ = writeln!(out, "{name}{{quantile=\"1\"}} {}", rmse.max);
-        scalar(
-            &mut out,
-            "foreco_session_rmse_mm_mean",
-            "gauge",
-            "Mean task-space RMSE of completed sessions (mm).",
-            rmse.mean,
+        let _ = writeln!(
+            out,
+            "# HELP {name}_mean Mean task-space RMSE of completed sessions (mm)."
         );
+        let _ = writeln!(out, "# TYPE {name}_mean gauge");
+        let _ = writeln!(out, "{name}_mean {}", rmse.mean);
     }
     out
-}
-
-/// The per-pass scratch a shard accumulates telemetry deltas in: plain
-/// `u64`s touched while handling commands and sweeping the run queue,
-/// flushed to the shared atomics once per pass (only non-zero deltas
-/// pay a `fetch_add`).
-#[derive(Debug, Default)]
-pub(crate) struct TelemetryScratch {
-    pub(crate) ticks: u64,
-    pub(crate) opened: u64,
-    pub(crate) completed: u64,
-    pub(crate) recovered_misses: u64,
-    pub(crate) miss_marks: u64,
-    pub(crate) late_replacements: u64,
-    pub(crate) parks: u64,
-    pub(crate) wakes: u64,
-    pub(crate) inbox_drops: u64,
-    pub(crate) snapshots: u64,
-    pub(crate) adoptions: u64,
-    pub(crate) archive_parts: u64,
-    pub(crate) archive_bytes: u64,
-}
-
-impl TelemetryScratch {
-    /// Flushes every non-zero delta into `shard` and resets the scratch.
-    pub(crate) fn flush(&mut self, shard: &ShardTelemetry) {
-        fn add(counter: &AtomicU64, delta: &mut u64) {
-            if *delta != 0 {
-                counter.fetch_add(*delta, Ordering::Relaxed);
-                *delta = 0;
-            }
-        }
-        add(&shard.ticks, &mut self.ticks);
-        add(&shard.opened, &mut self.opened);
-        add(&shard.completed, &mut self.completed);
-        add(&shard.recovered_misses, &mut self.recovered_misses);
-        add(&shard.miss_marks, &mut self.miss_marks);
-        add(&shard.late_replacements, &mut self.late_replacements);
-        add(&shard.parks, &mut self.parks);
-        add(&shard.wakes, &mut self.wakes);
-        add(&shard.inbox_drops, &mut self.inbox_drops);
-        add(&shard.snapshots, &mut self.snapshots);
-        add(&shard.adoptions, &mut self.adoptions);
-        add(&shard.archive_parts, &mut self.archive_parts);
-        add(&shard.archive_bytes, &mut self.archive_bytes);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn scratch_flushes_and_resets() {
         let telemetry = Telemetry::new(2);
-        let mut scratch = TelemetryScratch {
+        let mut scratch = ShardScratch {
             ticks: 5,
             parks: 2,
+            sessions: 7,
             ..Default::default()
         };
         scratch.flush(telemetry.shard(1));
-        assert_eq!(scratch.ticks, 0);
+        // Counter deltas reset; gauge values persist in the scratch.
+        assert_eq!((scratch.ticks, scratch.parks, scratch.sessions), (0, 0, 7));
         let s = telemetry.shard(1).summary(1);
-        assert_eq!(s.ticks, 5);
-        assert_eq!(s.parks, 2);
-        assert_eq!(telemetry.shard(0).summary(0).ticks, 0);
+        assert_eq!((s.ticks, s.parks, s.sessions), (5, 2, 7));
+        // A second pass: counters add, gauges overwrite.
+        scratch.ticks = 3;
+        scratch.sessions = 4;
+        scratch.flush(telemetry.shard(1));
+        let s = telemetry.shard(1).summary(1);
+        assert_eq!((s.ticks, s.parks, s.sessions), (8, 2, 4));
+        // An idle pass republishes the gauge and adds nothing.
+        scratch.flush(telemetry.shard(1));
+        assert_eq!(telemetry.shard(1).summary(1), s);
+        assert_eq!(telemetry.shard(0).summary(0), ShardSummary::default());
+    }
+
+    #[test]
+    fn load_summary_snapshots_counters() {
+        let counters = ShardCounters::default();
+        counters.sessions.store(12, Ordering::Relaxed);
+        counters.runnable.store(3, Ordering::Relaxed);
+        counters.parked.store(9, Ordering::Relaxed);
+        counters.passes.store(100, Ordering::Relaxed);
+        counters.wakeups.store(320, Ordering::Relaxed);
+        let s = counters.summary(2);
+        assert_eq!(s.shard, 2);
+        assert_eq!(s.sessions, 12);
+        assert_eq!(s.parked, 9);
+        assert!((s.wakeups_per_pass() - 3.2).abs() < 1e-12);
+        assert_eq!(ShardSummary::default().wakeups_per_pass(), 0.0);
     }
 
     #[test]
@@ -616,8 +424,19 @@ mod tests {
     }
 
     #[test]
+    fn unpaired_detach_saturates_at_zero() {
+        let telemetry = Telemetry::new(1);
+        telemetry.detach_observer();
+        assert!(!telemetry.observed(), "a stray detach must not wrap");
+        telemetry.attach_observer();
+        assert!(telemetry.observed());
+        telemetry.detach_observer();
+        assert!(!telemetry.observed());
+    }
+
+    #[test]
     fn ingress_totals_absorb_sums() {
-        let mut totals = IngressTotals::default();
+        let mut totals = IngressSummary::default();
         totals.absorb(&IngressSummary {
             session: 1,
             received: 10,
@@ -633,34 +452,98 @@ mod tests {
             session: 2,
             received: 5,
             delivered: 5,
+            malformed: 4,
             ..Default::default()
         });
-        assert_eq!(totals.received, 15);
-        assert_eq!(totals.delivered, 13);
-        assert_eq!(totals.lost, 2);
+        assert_eq!(
+            totals,
+            IngressSummary {
+                session: 0,
+                received: 15,
+                delivered: 13,
+                lost: 2,
+                late: 1,
+                reordered: 3,
+                duplicates: 1,
+                malformed: 4,
+                bounced: 1,
+            }
+        );
     }
 
     #[test]
     fn prometheus_rendering_is_parseable() {
-        let fleet = FleetTelemetry {
-            shards: vec![ShardTelemetrySummary {
-                shard: 0,
-                ticks: 100,
-                ..Default::default()
-            }],
-            loads: vec![],
-            ingress: IngressTotals::default(),
-        };
+        let shards = [ShardSummary {
+            shard: 0,
+            ticks: 100,
+            ..Default::default()
+        }];
         let rmse = PercentileSummary::of(&[1.0, 2.0, 3.0]);
-        let body = render_prometheus(&fleet, rmse.as_ref());
+        let body = render_prometheus(&shards, &IngressSummary::default(), rmse.as_ref());
         assert!(body.contains("# TYPE foreco_ticks_total counter"));
         assert!(body.contains("foreco_ticks_total{shard=\"0\"} 100"));
         assert!(body.contains("foreco_session_rmse_mm{quantile=\"0.99\"}"));
+        assert!(body.contains("# TYPE foreco_session_rmse_mm_mean gauge"));
         for line in body.lines() {
             assert!(
                 line.starts_with('#') || line.contains(' '),
                 "unparseable line: {line}"
             );
         }
+    }
+
+    #[test]
+    fn every_table_row_renders_exactly_once() {
+        let shards: Vec<ShardSummary> = (0..3)
+            .map(|shard| ShardSummary {
+                shard,
+                ..Default::default()
+            })
+            .collect();
+        let body = render_prometheus(&shards, &IngressSummary::default(), None);
+        let lines: Vec<&str> = body.lines().collect();
+        let shard_labels: Vec<String> = (0..shards.len())
+            .map(|k| format!("{{shard=\"{k}\"}}"))
+            .collect();
+        let unlabelled = vec![String::new()];
+        let rows = SHARD_FAMILIES
+            .iter()
+            .map(|f| (f.name, f.kind, f.help, &shard_labels))
+            .chain(
+                INGRESS_FAMILIES
+                    .iter()
+                    .map(|f| (f.name, f.kind, f.help, &unlabelled)),
+            );
+        let mut seen = HashSet::new();
+        let mut at = 0;
+        for (name, kind, help, labels) in rows {
+            assert!(seen.insert(name), "{name} declared twice");
+            assert_eq!(
+                name.ends_with("_total"),
+                kind == Kind::Counter,
+                "{name}: counters, and only counters, end in _total"
+            );
+            assert_eq!(lines[at], format!("# HELP {name} {help}"));
+            assert_eq!(lines[at + 1], format!("# TYPE {name} {}", kind.type_name()));
+            for (k, label) in labels.iter().enumerate() {
+                assert_eq!(lines[at + 2 + k], format!("{name}{label} 0"));
+            }
+            at += 2 + labels.len();
+        }
+        assert_eq!(at, lines.len(), "every rendered line belongs to a row");
+    }
+
+    #[test]
+    fn ingress_counters_render_as_exact_integers() {
+        let ingress = IngressSummary {
+            received: (1u64 << 53) + 1,
+            ..Default::default()
+        };
+        let body = render_prometheus(&[], &ingress, None);
+        assert!(
+            body.lines()
+                .any(|l| l == "foreco_ingress_received_total 9007199254740993"),
+            "{body}"
+        );
     }
 }

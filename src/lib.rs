@@ -399,7 +399,7 @@ pub mod prelude {
         BalancerConfig, ChannelSpec, EventWait, FleetArchive, FleetSnapshotReport, MetricsRegistry,
         Pacing, RecoverySpec, RestoreError, Scheduler, Service, ServiceConfig, ServiceError,
         ServiceHandle, ServiceSummary, SessionCommand, SessionEvent, SessionReport,
-        SessionSnapshot, SessionSpec, ShardLoadSummary, SharedForecaster, SourceSpec, Wake,
+        SessionSnapshot, SessionSpec, ShardSummary, SharedForecaster, SourceSpec, Wake,
     };
     pub use foreco_store::{ModelHandle, ObjectId, Storage, StoreStats, TraceHandle};
     pub use foreco_teleop::{Dataset, Operator, Skill};

@@ -443,7 +443,12 @@ impl RecoveryEngine {
     ///
     /// # Errors
     /// [`EngineStateError::Invalid`] when the snapshot violates engine
-    /// invariants (empty history, mismatched lengths or dimensions).
+    /// invariants (empty history, mismatched lengths or dimensions,
+    /// non-finite history, unordered joint limits, a negative or NaN
+    /// `max_step`, damping or burst quality outside `[0, 1]`). The
+    /// forecaster state itself is the caller's to check with
+    /// [`ForecasterState::validate`](foreco_forecast::ForecasterState::validate)
+    /// before building from it.
     pub fn from_snapshot(snap: EngineSnapshot) -> Result<Self, EngineStateError> {
         let forecaster = snap.forecaster.build();
         Self::from_snapshot_with(snap, forecaster)
@@ -491,6 +496,42 @@ impl RecoveryEngine {
                 "history entry of dimension {} in a {dims}-dimensional engine",
                 bad.len()
             )));
+        }
+        // Everything below is what the miss path's clamps assume: a NaN
+        // bound (or a NaN history row as the step clamp's `prev`) would
+        // panic `f64::clamp`, and damping outside [0, 1] can overflow a
+        // forecast into NaN.
+        if snap.history.iter().flatten().any(|v| !v.is_finite()) {
+            return Err(invalid("non-finite history entry".into()));
+        }
+        if let Some(limits) = &snap.config.limits {
+            if limits.len() != dims {
+                return Err(invalid(format!(
+                    "{} joint limits for a {dims}-dimensional engine",
+                    limits.len()
+                )));
+            }
+            if let Some((lo, hi)) = limits
+                .iter()
+                .find(|(lo, hi)| lo.is_nan() || hi.is_nan() || lo > hi)
+            {
+                return Err(invalid(format!(
+                    "joint limits ({lo}, {hi}) are not ordered"
+                )));
+            }
+        }
+        if snap
+            .config
+            .max_step
+            .is_some_and(|step| step.is_nan() || step < 0.0)
+        {
+            return Err(invalid("max_step must be ≥ 0".into()));
+        }
+        let unit = |v: f64| (0.0..=1.0).contains(&v);
+        if !snap.config.trend_damping.is_none_or(unit) || !unit(snap.burst_quality) {
+            return Err(invalid(
+                "trend damping and burst quality must lie in [0, 1]".into(),
+            ));
         }
         let mut ring = CommandRing::new(forecaster.history_len().max(1) + 1, dims);
         for (row, &flag) in snap.history.iter().zip(&snap.forecast_slots) {

@@ -12,7 +12,8 @@
 //!   [`Forecaster::forecast_batch_slots`] sweep: an expensive kernel
 //!   (Kalman-CV's filter recursion, VAR's regression inner products)
 //!   then runs its arithmetic as a tight cross-member loop the compiler
-//!   auto-vectorizes.
+//!   auto-vectorizes. It is the same kernel body `forecast_into` runs,
+//!   at width = members instead of 1.
 //! - [`LaneLayout::Scalar`] runs per-member
 //!   [`Forecaster::forecast_into`] over a contiguous [`HistoryView`] of
 //!   each gathered window. It is also where a slot-major request lands
@@ -25,9 +26,11 @@
 //! **Determinism contract.** Each member's prediction is computed by
 //! the exact floating-point operations of the scalar
 //! [`Forecaster::forecast_into`] path on that member's rows, in the
-//! same order — members never mix. The scalar path is bit-identical to
-//! the caller's own scalar call by the split-≡-contiguous view
-//! equivalence pinned in [`crate::history`]'s tests.
+//! same order — members never mix, by construction (one body, two
+//! widths), guarded by `batch_identity`. The scalar path is
+//! bit-identical to the caller's own scalar call by the
+//! split-≡-contiguous view equivalence pinned in [`crate::history`]'s
+//! tests.
 
 use crate::{ForecastScratch, Forecaster, HistoryView};
 use std::sync::Arc;

@@ -153,6 +153,59 @@ impl<'a> HistoryView<'a> {
     }
 }
 
+/// The row accessor the expensive families' kernels are written
+/// against: rows oldest first, member `m`'s coordinate `k` of row `i`
+/// at `row(i)[k * width() + m]`. A [`HistoryView`] is width 1 (the
+/// engine's ring) and a [`SlotRows`] lane is width = members, so one
+/// kernel body generic over it is both the scalar and the slot-major
+/// path, with every member's f64 operations in the same order.
+pub(crate) trait LaneRows {
+    /// Members per coordinate.
+    fn width(&self) -> usize;
+    /// Row `i`: `dims × width()` values.
+    fn row(&self, i: usize) -> &[f64];
+}
+
+impl LaneRows for HistoryView<'_> {
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        HistoryView::row(self, i)
+    }
+}
+
+/// A slot-major lane, `slots[(row * dims + dim) * members + m]` (the
+/// layout [`crate::Forecaster::forecast_batch_slots`] receives).
+pub(crate) struct SlotRows<'a> {
+    slots: &'a [f64],
+    row_len: usize,
+    members: usize,
+}
+
+impl<'a> SlotRows<'a> {
+    /// Panics unless `slots` holds `rows × dims × members` values.
+    pub(crate) fn new(slots: &'a [f64], rows: usize, dims: usize, members: usize) -> Self {
+        assert_eq!(slots.len(), rows * dims * members, "slot batch shape");
+        Self {
+            slots,
+            row_len: dims * members,
+            members,
+        }
+    }
+}
+
+impl LaneRows for SlotRows<'_> {
+    fn width(&self) -> usize {
+        self.members
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.slots[i * self.row_len..(i + 1) * self.row_len]
+    }
+}
+
 /// Caller-owned scratch space for [`crate::Forecaster::forecast_into`].
 ///
 /// Holds two independent growable `f64` buffers (VARMA needs its rebuilt
@@ -160,12 +213,11 @@ impl<'a> HistoryView<'a> {
 /// keep their high-water capacity across calls, so after the first
 /// forecast of a given shape no further allocation ever happens.
 /// Contents are unspecified between calls — implementations must fully
-/// overwrite what they use. Slot-major batch kernels size these
-/// buffers to the lane's *width* (per-member state lanes: Kalman-CV
-/// carves six filter-state lanes from [`ForecastScratch::buf`], VAR
-/// takes its accumulator and diff rows from [`ForecastScratch::pair`]),
-/// so the high-water mark tracks the widest lane ever run — still
-/// zero allocations per steady pass.
+/// overwrite what they use. The expensive families' kernels size these
+/// buffers to the call's *width* (Kalman-CV's six filter-state lanes
+/// from [`ForecastScratch::buf`], VAR's accumulator and diff rows from
+/// [`ForecastScratch::pair`]), so the high-water mark tracks the
+/// widest lane ever run — still zero allocations per steady pass.
 #[derive(Debug, Default, Clone)]
 pub struct ForecastScratch {
     a: Vec<f64>,

@@ -13,6 +13,7 @@
 //! Being recursive over the provided history it needs no training; `R`
 //! only bounds how much history the recursion replays per forecast.
 
+use crate::state::require;
 use crate::Forecaster;
 use serde::{Deserialize, Serialize};
 
@@ -34,16 +35,28 @@ impl Holt {
     /// Panics on `r < 2` (a trend needs two points) or factors outside
     /// `(0, 1]`.
     pub fn new(r: usize, dims: usize, alpha: f64, beta: f64) -> Self {
-        assert!(r >= 2, "Holt: R must be ≥ 2");
-        assert!(dims >= 1, "Holt: dims must be ≥ 1");
-        assert!(alpha > 0.0 && alpha <= 1.0, "Holt: alpha out of (0,1]");
-        assert!(beta > 0.0 && beta <= 1.0, "Holt: beta out of (0,1]");
-        Self {
+        let holt = Self {
             r,
             dims,
             alpha,
             beta,
-        }
+        };
+        holt.validate().unwrap_or_else(|reason| panic!("{reason}"));
+        holt
+    }
+
+    /// The constructor's preconditions, for state that bypassed it.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        require(self.r >= 2, "Holt: R must be ≥ 2")?;
+        require(self.dims >= 1, "Holt: dims must be ≥ 1")?;
+        require(
+            self.alpha > 0.0 && self.alpha <= 1.0,
+            "Holt: alpha out of (0,1]",
+        )?;
+        require(
+            self.beta > 0.0 && self.beta <= 1.0,
+            "Holt: beta out of (0,1]",
+        )
     }
 
     /// Sensible teleoperation defaults: responsive level, damped trend.

@@ -15,7 +15,9 @@
 //! phase; the process/measurement noises are the tuning knobs). The
 //! prediction is the one-step-ahead state `F x̂`.
 
-use crate::Forecaster;
+use crate::history::{LaneRows, SlotRows};
+use crate::state::require;
+use crate::{Forecaster, HistoryView};
 use serde::{Deserialize, Serialize};
 
 /// Constant-velocity Kalman filter forecaster.
@@ -36,7 +38,8 @@ impl KalmanCv {
     /// Creates a Kalman forecaster replaying the last `r` commands.
     ///
     /// # Panics
-    /// Panics if `r < 2`, dims is 0, or noise parameters are not positive.
+    /// Panics if `r < 2`, dims is 0, or the period or noise parameters
+    /// are not positive and finite.
     pub fn new(
         r: usize,
         dims: usize,
@@ -44,23 +47,30 @@ impl KalmanCv {
         process_noise: f64,
         measurement_noise: f64,
     ) -> Self {
-        assert!(
-            r >= 2,
-            "Kalman: need at least 2 commands to observe velocity"
-        );
-        assert!(dims >= 1, "Kalman: dims must be ≥ 1");
-        assert!(period > 0.0, "Kalman: period must be positive");
-        assert!(
-            process_noise > 0.0 && measurement_noise > 0.0,
-            "Kalman: noise parameters must be positive"
-        );
-        Self {
+        let kf = Self {
             r,
             dims,
             period,
             process_noise,
             measurement_noise,
-        }
+        };
+        kf.validate().unwrap_or_else(|reason| panic!("{reason}"));
+        kf
+    }
+
+    /// The constructor's preconditions, for state that bypassed it.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        require(
+            self.r >= 2,
+            "Kalman: need at least 2 commands to observe velocity",
+        )?;
+        require(self.dims >= 1, "Kalman: dims must be ≥ 1")?;
+        require(positive(self.period), "Kalman: period must be positive")?;
+        require(
+            positive(self.process_noise) && positive(self.measurement_noise),
+            "Kalman: noise parameters must be positive",
+        )
     }
 
     /// Defaults tuned for the 50 Hz Niryo joystick stream: trusting
@@ -73,42 +83,70 @@ impl KalmanCv {
     /// Runs the filter over one joint's window; returns predicted next
     /// position.
     fn filter_joint(&self, series: &[f64]) -> f64 {
-        self.filter_joint_from(series.iter().copied())
+        let mut pred = [0.0];
+        let view = HistoryView::contiguous(series, 1);
+        self.filter(&view, 1, &mut [0.0; 6], &mut pred);
+        pred[0]
     }
 
-    /// Iterator form of [`KalmanCv::filter_joint`] — the same arithmetic
-    /// in the same order, streamed so the zero-allocation forecast path
-    /// needs no per-joint series buffer.
-    fn filter_joint_from(&self, mut series: impl Iterator<Item = f64>) -> f64 {
+    /// The one filter recursion, for every [`LaneRows`] width: each
+    /// member's coordinate `k < d` runs its own filter over rows `0..R`
+    /// in `state`'s six lanes (`[pos, vel]` and the covariance, `width`
+    /// values each) and lands member-major at `out[m * d + k]`.
+    ///
+    /// Always inlined: one out-of-line copy shared by the width-1
+    /// callers measured ~15% slower on the engine's path.
+    #[inline(always)]
+    fn filter<L: LaneRows>(&self, rows: &L, d: usize, state: &mut [f64], out: &mut [f64]) {
+        let w = rows.width();
         let dt = self.period;
-        // State [pos, vel], covariance P.
-        let mut x = [series.next().expect("Kalman: empty window"), 0.0];
-        let mut p = [[1.0, 0.0], [0.0, 1.0]]; // generous prior
-                                              // Discrete white-noise-acceleration process covariance.
+        // Discrete white-noise-acceleration process covariance.
         let q11 = self.process_noise * dt * dt * dt / 3.0;
         let q12 = self.process_noise * dt * dt / 2.0;
         let q22 = self.process_noise * dt;
         let rm = self.measurement_noise;
-        for z in series {
-            // Predict: x ← F x, P ← F P Fᵀ + Q.
-            let xp = [x[0] + dt * x[1], x[1]];
-            let p00 = p[0][0] + dt * (p[1][0] + p[0][1]) + dt * dt * p[1][1] + q11;
-            let p01 = p[0][1] + dt * p[1][1] + q12;
-            let p10 = p[1][0] + dt * p[1][1] + q12;
-            let p11 = p[1][1] + q22;
-            // Update with measurement z of position.
-            let s = p00 + rm;
-            let k0 = p00 / s;
-            let k1 = p10 / s;
-            let innov = z - xp[0];
-            x = [xp[0] + k0 * innov, xp[1] + k1 * innov];
-            p = [
-                [(1.0 - k0) * p00, (1.0 - k0) * p01],
-                [p10 - k1 * p00, p11 - k1 * p01],
-            ];
+        let (x0, rest) = state.split_at_mut(w);
+        let (x1, rest) = rest.split_at_mut(w);
+        let (p00, rest) = rest.split_at_mut(w);
+        let (p01, rest) = rest.split_at_mut(w);
+        let (p10, rest) = rest.split_at_mut(w);
+        let p11 = &mut rest[..w];
+        for k in 0..d {
+            // State [pos, vel] = [z₀, 0], generous prior P = I.
+            x0.copy_from_slice(&rows.row(0)[k * w..(k + 1) * w]);
+            x1.fill(0.0);
+            p00.fill(1.0);
+            p01.fill(0.0);
+            p10.fill(0.0);
+            p11.fill(1.0);
+            for i in 1..self.r {
+                let z = &rows.row(i)[k * w..(k + 1) * w];
+                for m in 0..w {
+                    // Predict: x ← F x, P ← F P Fᵀ + Q.
+                    let xp0 = x0[m] + dt * x1[m];
+                    let xp1 = x1[m];
+                    let a00 = p00[m] + dt * (p10[m] + p01[m]) + dt * dt * p11[m] + q11;
+                    let a01 = p01[m] + dt * p11[m] + q12;
+                    let a10 = p10[m] + dt * p11[m] + q12;
+                    let a11 = p11[m] + q22;
+                    // Update with measurement z of position.
+                    let s = a00 + rm;
+                    let k0 = a00 / s;
+                    let k1 = a10 / s;
+                    let innov = z[m] - xp0;
+                    x0[m] = xp0 + k0 * innov;
+                    x1[m] = xp1 + k1 * innov;
+                    p00[m] = (1.0 - k0) * a00;
+                    p01[m] = (1.0 - k0) * a01;
+                    p10[m] = a10 - k1 * a00;
+                    p11[m] = a11 - k1 * a01;
+                }
+            }
+            // One-step-ahead prediction.
+            for m in 0..w {
+                out[m * d + k] = x0[m] + dt * x1[m];
+            }
         }
-        // One-step-ahead prediction.
-        x[0] + dt * x[1]
     }
 }
 
@@ -137,7 +175,7 @@ impl Forecaster for KalmanCv {
 
     fn forecast_into(
         &self,
-        history: &crate::HistoryView<'_>,
+        history: &HistoryView<'_>,
         _scratch: &mut crate::ForecastScratch,
         out: &mut [f64],
     ) {
@@ -149,10 +187,7 @@ impl Forecaster for KalmanCv {
         );
         assert_eq!(history.dims(), self.dims, "Kalman: dimension mismatch");
         assert_eq!(out.len(), self.dims, "Kalman: output dimension mismatch");
-        let window = history.suffix(self.r);
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.filter_joint_from(window.iter().map(|c| c[k]));
-        }
+        self.filter(&history.suffix(self.r), self.dims, &mut [0.0; 6], out);
     }
 
     fn forecast_batch_slots(
@@ -162,65 +197,9 @@ impl Forecaster for KalmanCv {
         scratch: &mut crate::ForecastScratch,
         out: &mut [f64],
     ) -> bool {
-        let d = self.dims;
-        assert_eq!(
-            slots.len(),
-            members * self.r * d,
-            "Kalman: slot batch shape"
-        );
-        assert_eq!(out.len(), members * d, "Kalman: batch output shape");
-        let dt = self.period;
-        let q11 = self.process_noise * dt * dt * dt / 3.0;
-        let q12 = self.process_noise * dt * dt / 2.0;
-        let q22 = self.process_noise * dt;
-        let rm = self.measurement_noise;
-        // Six per-member state lanes ([pos, vel] + covariance), carved
-        // from one scratch buffer: each member's filter recursion runs
-        // in its own lane, so the cross-member inner loop below is the
-        // exact scalar arithmetic of `filter_joint_from`, vectorized
-        // across independent sequences.
-        let state = scratch.buf(6 * members);
-        let (x0, rest) = state.split_at_mut(members);
-        let (x1, rest) = rest.split_at_mut(members);
-        let (p00, rest) = rest.split_at_mut(members);
-        let (p01, rest) = rest.split_at_mut(members);
-        let (p10, p11) = rest.split_at_mut(members);
-        for k in 0..d {
-            // Init from the oldest row: x = [z₀, 0], P = I.
-            x0.copy_from_slice(&slots[k * members..(k + 1) * members]);
-            x1.fill(0.0);
-            p00.fill(1.0);
-            p01.fill(0.0);
-            p10.fill(0.0);
-            p11.fill(1.0);
-            for i in 1..self.r {
-                let z = &slots[(i * d + k) * members..(i * d + k + 1) * members];
-                for m in 0..members {
-                    // Predict: x ← F x, P ← F P Fᵀ + Q.
-                    let xp0 = x0[m] + dt * x1[m];
-                    let xp1 = x1[m];
-                    let a00 = p00[m] + dt * (p10[m] + p01[m]) + dt * dt * p11[m] + q11;
-                    let a01 = p01[m] + dt * p11[m] + q12;
-                    let a10 = p10[m] + dt * p11[m] + q12;
-                    let a11 = p11[m] + q22;
-                    // Update with measurement z of position.
-                    let s = a00 + rm;
-                    let k0 = a00 / s;
-                    let k1 = a10 / s;
-                    let innov = z[m] - xp0;
-                    x0[m] = xp0 + k0 * innov;
-                    x1[m] = xp1 + k1 * innov;
-                    p00[m] = (1.0 - k0) * a00;
-                    p01[m] = (1.0 - k0) * a01;
-                    p10[m] = a10 - k1 * a00;
-                    p11[m] = a11 - k1 * a01;
-                }
-            }
-            // One-step-ahead prediction, scattered back member-major.
-            for m in 0..members {
-                out[m * d + k] = x0[m] + dt * x1[m];
-            }
-        }
+        let rows = SlotRows::new(slots, self.r, self.dims, members);
+        assert_eq!(out.len(), members * self.dims, "Kalman: batch output shape");
+        self.filter(&rows, self.dims, scratch.buf(6 * members), out);
         true
     }
 

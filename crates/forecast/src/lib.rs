@@ -80,7 +80,8 @@ pub trait Forecaster: Send + Sync {
     /// order. The in-tree forecasters (MA, Holt, Kalman, VAR, VARMA)
     /// override it with zero-allocation implementations; the default
     /// shims through the allocating method for forecasters that don't
-    /// (e.g. seq2seq).
+    /// (e.g. seq2seq). VAR and Kalman-CV run their one kernel body here
+    /// at width 1, straight into `out`.
     ///
     /// # Panics
     /// Same preconditions as [`Forecaster::forecast`], plus
@@ -113,11 +114,11 @@ pub trait Forecaster: Send + Sync {
     /// **Contract: bit-identical to the scalar path.** Cross-member
     /// lanes are independent sequences: for each member the kernel must
     /// perform the exact floating-point operations of `forecast_into`
-    /// on that member's rows, in the same dataflow order. The layout
-    /// only changes *which member* each innermost iteration touches,
-    /// never the order of any one member's arithmetic — which is why
-    /// bit-identity is preserved by construction and pinned by the
-    /// `batch_identity` suite across both [`LaneLayout`]s.
+    /// on that member's rows, in the same dataflow order. VAR and
+    /// Kalman-CV meet it by construction: this method runs the same
+    /// kernel body as `forecast_into`, at width `members` instead of 1,
+    /// so only *which member* an innermost iteration touches changes.
+    /// The `batch_identity` suite guards it across both [`LaneLayout`]s.
     ///
     /// # Panics
     /// Native implementations panic when `slots.len() != members *

@@ -1,6 +1,7 @@
 //! Moving-average forecaster — the paper's benchmark (eq. 8):
 //! `ĉ_{i+1} = (1/R) Σ_{j=i−R+1..i} ĉ_j`.
 
+use crate::state::require;
 use crate::Forecaster;
 use serde::{Deserialize, Serialize};
 
@@ -18,9 +19,15 @@ impl MovingAverage {
     /// # Panics
     /// Panics if `r == 0` or `dims == 0`.
     pub fn new(r: usize, dims: usize) -> Self {
-        assert!(r >= 1, "MA: window must be ≥ 1");
-        assert!(dims >= 1, "MA: dims must be ≥ 1");
-        Self { r, dims }
+        let ma = Self { r, dims };
+        ma.validate().unwrap_or_else(|reason| panic!("{reason}"));
+        ma
+    }
+
+    /// The constructor's preconditions, for state that bypassed it.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        require(self.r >= 1, "MA: window must be ≥ 1")?;
+        require(self.dims >= 1, "MA: dims must be ≥ 1")
     }
 }
 

@@ -52,6 +52,23 @@ impl ForecasterState {
         }
     }
 
+    /// Checks what each family's constructor (or fit) guarantees, plus
+    /// finite parameters. State decoded from bytes bypasses those
+    /// checks, and a violation would index out of bounds or feed NaN
+    /// forecasts to the engine's clamps on the tick path.
+    ///
+    /// # Errors
+    /// The first violated precondition, as text.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            ForecasterState::Ma(f) => f.validate(),
+            ForecasterState::Holt(f) => f.validate(),
+            ForecasterState::Kalman(f) => f.validate(),
+            ForecasterState::Var(f) => f.validate(),
+            ForecasterState::Varma(f) => f.validate(),
+        }
+    }
+
     /// The canonical bytes of this state — the content a model is
     /// *addressed by* in shared storage and dedup-aware archives.
     ///
@@ -74,6 +91,15 @@ impl ForecasterState {
             ForecasterState::Var(_) => "VAR",
             ForecasterState::Varma(_) => "VARMA",
         }
+    }
+}
+
+/// `Ok` when `ok`, otherwise `what` as the error.
+pub(crate) fn require(ok: bool, what: impl Into<String>) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(what.into())
     }
 }
 

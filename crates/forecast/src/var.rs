@@ -7,7 +7,9 @@
 //! built from [`foreco_teleop::Dataset::windows`] and solved with
 //! `foreco-linalg`'s ridge-stabilised normal equations.
 
-use crate::Forecaster;
+use crate::history::{LaneRows, SlotRows};
+use crate::state::require;
+use crate::{Forecaster, HistoryView};
 use foreco_linalg::{ols_ridge, Matrix, OlsError};
 use foreco_teleop::Dataset;
 use serde::{Deserialize, Serialize};
@@ -151,6 +153,19 @@ impl Var {
         }
     }
 
+    /// The fitted model's invariants, for state that bypassed the
+    /// constructors: `R ≥ 1`, a finite `(1 + d·R) × d` coefficient
+    /// matrix and a finite, non-negative diff clamp.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        require(self.r >= 1, "VAR: R must be ≥ 1")?;
+        require(self.dims >= 1, "VAR: dims must be ≥ 1")?;
+        check_coefficients(&self.beta, self.r.checked_mul(self.dims), self.dims, "VAR")?;
+        require(
+            self.diff_clamp.is_none_or(|c| c >= 0.0 && c.is_finite()),
+            "VAR: diff clamp must be finite and ≥ 0",
+        )
+    }
+
     /// The regression mode.
     pub fn mode(&self) -> VarMode {
         self.mode
@@ -226,37 +241,99 @@ impl Var {
 impl Var {
     /// Applies the linear map to an R-window of the regression series.
     fn regress(&self, window: &[Vec<f64>]) -> Vec<f64> {
+        assert!(
+            window.iter().all(|c| c.len() == self.dims),
+            "VAR: dimension mismatch"
+        );
+        let rows = window.concat();
         let mut out = vec![0.0; self.dims];
-        self.regress_rows(window.iter().map(Vec::as_slice), &mut out);
+        let view = HistoryView::contiguous(&rows, self.dims);
+        self.predict(&view, VarMode::Levels, &mut [], &mut out);
         out
     }
 
-    /// In-place form of the eq.-5 linear map over an iterator of lag
-    /// rows (oldest first): `out = b + Σ w·row`, accumulated in exactly
-    /// the historical operation order (bias init, then lag-major /
-    /// joint-minor terms, zero regressors skipped) so callers stay
-    /// bit-identical to the allocating path. Shared with VARMA's
-    /// stage-1 residual rebuild.
-    #[allow(clippy::needless_range_loop)] // k walks out[] against beta columns
-    pub(crate) fn regress_rows<'a>(&self, rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
-        let d = self.dims;
-        assert_eq!(out.len(), d, "VAR: output dimension mismatch");
+    /// The one VAR kernel, for every [`LaneRows`] width. `acc` (laid
+    /// out like a row) receives each member's `b + Σ w·row` over rows
+    /// `0..R` in Levels mode; in Differences mode the regressors are the
+    /// clamped first differences of rows `0..=R` (built per lag in
+    /// `diff`) and the result is integrated onto row `R` as `c + dv`.
+    ///
+    /// Per member: bias, then lag-major / joint-minor terms, a `±0.0`
+    /// regressor adding nothing — a branch at width 1, a select across
+    /// members so the member loop vectorizes.
+    pub(crate) fn predict<L: LaneRows>(
+        &self,
+        rows: &L,
+        mode: VarMode,
+        diff: &mut [f64],
+        acc: &mut [f64],
+    ) {
+        let (d, w) = (self.dims, rows.width());
+        assert_eq!(rows.row(0).len(), d * w, "VAR: dimension mismatch");
+        assert_eq!(acc.len(), d * w, "VAR: output dimension mismatch");
         for k in 0..d {
-            out[k] = self.beta[(0, k)];
+            acc[k * w..(k + 1) * w].fill(self.beta[(0, k)]);
         }
-        for (lag, cmd) in rows.enumerate() {
-            assert_eq!(cmd.len(), d, "VAR: dimension mismatch");
-            for (l, &v) in cmd.iter().enumerate() {
-                if v == 0.0 {
+        let clamp = self.diff_clamp.unwrap_or(f64::INFINITY);
+        for lag in 0..self.r {
+            let reg: &[f64] = match mode {
+                VarMode::Levels => rows.row(lag),
+                VarMode::Differences => {
+                    let diff = &mut diff[..d * w];
+                    let (prev, next) = (rows.row(lag), rows.row(lag + 1));
+                    for ((dv, n), p) in diff.iter_mut().zip(next).zip(prev) {
+                        *dv = (n - p).clamp(-clamp, clamp);
+                    }
+                    diff
+                }
+            };
+            for l in 0..d {
+                let reg = &reg[l * w..(l + 1) * w];
+                if w == 1 && reg[0] == 0.0 {
                     continue;
                 }
                 let row = 1 + lag * d + l;
                 for k in 0..d {
-                    out[k] += v * self.beta[(row, k)];
+                    let b = self.beta[(row, k)];
+                    for (a, &v) in acc[k * w..(k + 1) * w].iter_mut().zip(reg) {
+                        let fused = *a + v * b;
+                        *a = if v != 0.0 { fused } else { *a };
+                    }
                 }
             }
         }
+        if mode == VarMode::Differences {
+            // Keeps the legacy `c + dv` operand order: `*v += c` would
+            // swap it, which flips NaN payload selection.
+            #[allow(clippy::assign_op_pattern)]
+            for (v, c) in acc.iter_mut().zip(rows.row(self.r)) {
+                *v = c + *v;
+            }
+        }
     }
+}
+
+/// `Ok` when `beta` is a well-formed, finite `(1 + regressors) × dims`
+/// coefficient matrix (`regressors` is `None` when counting them
+/// overflowed).
+pub(crate) fn check_coefficients(
+    beta: &Matrix,
+    regressors: Option<usize>,
+    dims: usize,
+    family: &str,
+) -> Result<(), String> {
+    require(
+        regressors.and_then(|n| n.checked_add(1)) == Some(beta.rows()) && beta.cols() == dims,
+        format!("{family}: bad coefficient shape"),
+    )?;
+    require(
+        beta.rows().checked_mul(beta.cols()) == Some(beta.as_slice().len()),
+        format!("{family}: coefficient data does not match its shape"),
+    )?;
+    require(
+        beta.is_finite(),
+        format!("{family}: non-finite coefficients"),
+    )
 }
 
 impl Forecaster for Var {
@@ -299,10 +376,9 @@ impl Forecaster for Var {
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // k walks out[] against beta columns
     fn forecast_into(
         &self,
-        history: &crate::HistoryView<'_>,
+        history: &HistoryView<'_>,
         scratch: &mut crate::ForecastScratch,
         out: &mut [f64],
     ) {
@@ -313,51 +389,13 @@ impl Forecaster for Var {
             need,
             history.len()
         );
-        match self.mode {
-            VarMode::Levels => {
-                self.regress_rows(history.suffix(self.r).iter(), out);
-            }
-            VarMode::Differences => {
-                // Differences of the last R+1 commands, predict the next
-                // difference, integrate onto the last command — each diff
-                // row built in the caller-owned scratch instead of a
-                // collected Vec<Vec<f64>>, same arithmetic order.
-                let d = self.dims;
-                assert_eq!(out.len(), d, "VAR: output dimension mismatch");
-                let tail = history.suffix(self.r + 1);
-                assert_eq!(tail.dims(), d, "VAR: dimension mismatch");
-                let clamp = self.diff_clamp.unwrap_or(f64::INFINITY);
-                let diff = scratch.buf(d);
-                for k in 0..d {
-                    out[k] = self.beta[(0, k)];
-                }
-                for lag in 0..self.r {
-                    let (prev, next) = (tail.row(lag), tail.row(lag + 1));
-                    for l in 0..d {
-                        diff[l] = (next[l] - prev[l]).clamp(-clamp, clamp);
-                    }
-                    for (l, &v) in diff.iter().enumerate() {
-                        if v == 0.0 {
-                            continue;
-                        }
-                        let row = 1 + lag * d + l;
-                        for k in 0..d {
-                            out[k] += v * self.beta[(row, k)];
-                        }
-                    }
-                }
-                let last = tail.row(self.r);
-                // Keeps the legacy `c + dv` operand order: `*v += c`
-                // would swap it, which flips NaN payload selection.
-                #[allow(clippy::assign_op_pattern)]
-                for (v, c) in out.iter_mut().zip(last) {
-                    *v = c + *v;
-                }
-            }
-        }
+        let diff = match self.mode {
+            VarMode::Levels => &mut [][..],
+            VarMode::Differences => scratch.buf(self.dims),
+        };
+        self.predict(&history.suffix(need), self.mode, diff, out);
     }
 
-    #[allow(clippy::needless_range_loop)] // lag/l/k walk beta rows against slot lanes
     fn forecast_batch_slots(
         &self,
         members: usize,
@@ -366,73 +404,13 @@ impl Forecaster for Var {
         out: &mut [f64],
     ) -> bool {
         let d = self.dims;
-        let rows = self.history_len();
-        assert_eq!(slots.len(), members * rows * d, "VAR: slot batch shape");
+        let rows = SlotRows::new(slots, self.history_len(), d, members);
         assert_eq!(out.len(), members * d, "VAR: batch output shape");
-        // Slot-major accumulator (`acc[k * members + m]`) plus, in
-        // Differences mode, one slot-major diff row per lag — both in
-        // scratch, sized to the lane's width high-water mark.
         let (acc, diff) = scratch.pair(d * members, d * members);
-        for k in 0..d {
-            acc[k * members..(k + 1) * members].fill(self.beta[(0, k)]);
-        }
-        let clamp = self.diff_clamp.unwrap_or(f64::INFINITY);
-        for lag in 0..self.r {
-            for l in 0..d {
-                // The lag's regressor values, one per member: the raw
-                // slot in Levels mode, the clamped first difference of
-                // two adjacent slots in Differences mode. Per member
-                // this is the exact scalar diff arithmetic.
-                let reg: &[f64] = match self.mode {
-                    VarMode::Levels => &slots[(lag * d + l) * members..(lag * d + l + 1) * members],
-                    VarMode::Differences => {
-                        let prev = &slots[(lag * d + l) * members..(lag * d + l + 1) * members];
-                        let next = &slots
-                            [((lag + 1) * d + l) * members..((lag + 1) * d + l + 1) * members];
-                        let dst = &mut diff[l * members..(l + 1) * members];
-                        for m in 0..members {
-                            dst[m] = (next[m] - prev[m]).clamp(-clamp, clamp);
-                        }
-                        dst
-                    }
-                };
-                let row = 1 + lag * d + l;
-                for k in 0..d {
-                    let b = self.beta[(row, k)];
-                    let acc_k = &mut acc[k * members..(k + 1) * members];
-                    for m in 0..members {
-                        let v = reg[m];
-                        // Select form of the scalar kernel's `v == 0.0`
-                        // skip: the accumulator only moves when the
-                        // regressor is non-zero, bit-identically, and
-                        // the branchless shape keeps the cross-member
-                        // loop vectorizable.
-                        let fused = acc_k[m] + v * b;
-                        acc_k[m] = if v != 0.0 { fused } else { acc_k[m] };
-                    }
-                }
-            }
-        }
-        match self.mode {
-            VarMode::Levels => {
-                for k in 0..d {
-                    let acc_k = &acc[k * members..(k + 1) * members];
-                    for m in 0..members {
-                        out[m * d + k] = acc_k[m];
-                    }
-                }
-            }
-            VarMode::Differences => {
-                // Integrate onto the newest slot row, keeping the legacy
-                // `c + dv` operand order (NaN payload selection), as in
-                // `forecast_into`.
-                for k in 0..d {
-                    let last = &slots[(self.r * d + k) * members..(self.r * d + k + 1) * members];
-                    let acc_k = &acc[k * members..(k + 1) * members];
-                    for m in 0..members {
-                        out[m * d + k] = last[m] + acc_k[m];
-                    }
-                }
+        self.predict(&rows, self.mode, diff, acc);
+        for m in 0..members {
+            for k in 0..d {
+                out[m * d + k] = acc[k * members + m];
             }
         }
         true

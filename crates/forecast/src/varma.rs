@@ -13,7 +13,9 @@
 //! At forecast time the residual history is rebuilt from the provided
 //! window with the stage-1 VAR.
 
-use crate::{Forecaster, Var};
+use crate::state::require;
+use crate::var::check_coefficients;
+use crate::{Forecaster, Var, VarMode};
 use foreco_linalg::{ols_ridge, Matrix, OlsError};
 use foreco_teleop::Dataset;
 use serde::{Deserialize, Serialize};
@@ -89,6 +91,27 @@ impl Varma {
             stage1,
             beta,
         })
+    }
+
+    /// The fitted model's invariants, for state that bypassed `fit`:
+    /// orders ≥ 1, a valid levels VAR(R) stage 1 of the same dimension
+    /// and a finite `(1 + d·R + d·Q) × d` stage-2 matrix.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        require(self.r >= 1 && self.q >= 1, "VARMA: orders must be ≥ 1")?;
+        self.stage1.validate()?;
+        require(
+            self.stage1.mode() == VarMode::Levels
+                && self.stage1.history_len() == self.r
+                && self.stage1.dims() == self.dims,
+            "VARMA: stage 1 must be a levels VAR(R) of the same dimension",
+        )?;
+        let regressors = self.r.checked_add(self.q);
+        check_coefficients(
+            &self.beta,
+            regressors.and_then(|n| n.checked_mul(self.dims)),
+            self.dims,
+            "VARMA",
+        )
     }
 
     /// Total trainable weights across both stages.
@@ -168,7 +191,7 @@ impl Forecaster for Varma {
         let (residuals, pred) = scratch.pair(self.q * d, d);
         for j in 0..self.q {
             self.stage1
-                .regress_rows(tail.range(j, j + self.r).iter(), pred);
+                .predict(&tail.range(j, j + self.r), VarMode::Levels, &mut [], pred);
             let target = tail.row(self.r + j);
             for l in 0..d {
                 residuals[j * d + l] = target[l] - pred[l];

@@ -555,6 +555,13 @@ impl ControlCore {
             )
             .into();
         }
+        if initial.iter().any(|q| !q.is_finite()) {
+            return Reject::new(
+                RejectCode::BadRequest,
+                "initial pose has a non-finite joint",
+            )
+            .into();
+        }
         if inbox_capacity == 0 {
             return Reject::new(RejectCode::BadRequest, "inbox capacity must be ≥ 1").into();
         }

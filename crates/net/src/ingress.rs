@@ -196,9 +196,11 @@ impl IngressState {
         let seq = frame.seq;
         let payload = match frame.kind {
             FrameKind::Command => {
-                if frame.dims() != self.dof {
+                if frame.dims() != self.dof || frame.joints().any(|q| !q.is_finite()) {
                     // Structurally valid frame, semantically broken
-                    // payload: attributable, counted, never delivered.
+                    // payload (a wrong joint count, or a NaN/infinite
+                    // joint the engine's clamps cannot bound):
+                    // attributable, counted, never delivered.
                     sess.counters.malformed += 1;
                     return ack_for(id, sess, ack);
                 }

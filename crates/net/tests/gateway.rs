@@ -311,6 +311,80 @@ fn malformed_and_unknown_traffic_is_counted_and_contained() {
 }
 
 #[test]
+fn non_finite_command_is_malformed_and_never_reaches_the_engine() {
+    // Delivered, a NaN joint would become the engine's newest history
+    // row; the next miss would then clamp against a NaN step bound and
+    // panic the shard, taking every co-shard session with it.
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway");
+    let trace = test_trace();
+    let warm = 20; // well past the differenced VAR's 6-row window
+    let mut client = ForecoClient::loopback(&gateway, SESSION);
+    client.open(trace[0].clone(), 64).expect("open");
+    client
+        .replay(&trace[..warm], 0, &ClientConfig::default())
+        .expect("warmup");
+    let (mut raw, _) = gateway.loopback();
+    let mut buf = [0u8; foreco_net::MAX_FRAME];
+    let len = foreco_net::wire::encode_command(&mut buf, SESSION, warm as u64, 0, &[f64::NAN; 6])
+        .expect("encode NaN command");
+    raw.send(&buf[..len]).expect("send NaN command");
+    let len =
+        foreco_net::wire::encode_miss(&mut buf, SESSION, warm as u64 + 1, 0).expect("encode miss");
+    raw.send(&buf[..len]).expect("send miss");
+    let rest = warm + 2;
+    client
+        .replay(&trace[rest..], rest as u64, &ClientConfig::default())
+        .expect("replay after the NaN slot");
+    let (report, ingress) = client.close().expect("close");
+    assert_eq!(
+        ingress.malformed, 1,
+        "the NaN command is counted as malformed"
+    );
+    assert_eq!(
+        ingress.lost, 2,
+        "its slot flushes as a loss, as does the Miss"
+    );
+    assert!(
+        report.misses >= 2,
+        "the NaN slot and the Miss are both misses"
+    );
+    assert!(report.rmse_mm.is_finite(), "rmse {}", report.rmse_mm);
+
+    // The shard is alive: a second session still opens and closes.
+    let mut second = ForecoClient::loopback(&gateway, SESSION + 1);
+    second.open(trace[0].clone(), 64).expect("open second");
+    second
+        .replay(&trace[..40], 0, &ClientConfig::default())
+        .expect("replay second");
+    let (report, _) = second.close().expect("close second");
+    assert_eq!(report.ticks, 40);
+    gateway.shutdown();
+}
+
+#[test]
+fn non_finite_initial_pose_is_a_bad_request() {
+    use std::net::TcpStream;
+
+    // JSON cannot carry NaN, but a number too large for an f64 parses
+    // as infinity: hand-write the request a typed client cannot send.
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway");
+    let mut stream = TcpStream::connect(gateway.tcp_addr()).expect("connect control");
+    foreco_net::control::write_hello(&mut stream).expect("hello");
+    foreco_net::control::read_hello(&mut stream).expect("server hello");
+    let request = br#"{"Open":{"id":5,"initial":[1e999,0,0,0,0,0],"inbox_capacity":8}}"#;
+    foreco_net::control::write_msg(&mut stream, request).expect("send open");
+    let response = foreco_net::control::read_msg(&mut stream).expect("read response");
+    let text = String::from_utf8(response).expect("JSON response");
+    assert!(
+        text.contains("Rejected") && text.contains("BadRequest"),
+        "an infinite initial joint must be rejected as a bad request: {text}"
+    );
+    gateway.shutdown();
+}
+
+#[test]
 fn attached_subscriber_leaves_results_bit_identical() {
     let trace = test_trace();
 

@@ -901,6 +901,10 @@ impl Session {
                 model.dof()
             )));
         }
+        require_finite(
+            "pending late command",
+            snap.pending_late.iter().map(|(_, _, payload)| payload),
+        )?;
         let source = match &snap.source {
             SourceState::Scripted { commands, fates } => validated_scripted(
                 Arc::new(commands.clone()),
@@ -958,6 +962,7 @@ impl Session {
                         model.dof()
                     )));
                 }
+                require_finite("queued command", inbox.queue.iter())?;
                 let mut rebuilt = channel.build();
                 if let Some(state) = channel_rng {
                     rebuilt.restore_rng(*state);
@@ -1004,6 +1009,13 @@ impl Session {
                         model.dof()
                     )));
                 }
+                require_finite(
+                    "queued slot",
+                    inbox.queue.iter().filter_map(|s| match s {
+                        GatedSlot::Command(c) | GatedSlot::Late { command: c, .. } => Some(c),
+                        GatedSlot::Miss { .. } => None,
+                    }),
+                )?;
                 if inbox
                     .queue
                     .iter()
@@ -1038,6 +1050,12 @@ impl Session {
                         "engine dimensionality mismatches the arm".into(),
                     ));
                 }
+                // The forecaster sub-blob skipped its constructor's
+                // checks; `build` and the tick path rely on them.
+                engine_snap
+                    .forecaster
+                    .validate()
+                    .map_err(RestoreError::Invalid)?;
                 match models.and_then(|store| {
                     // Content-address the snapshotted weights: same
                     // model ⇒ same resident copy, claimed not cloned.
@@ -1105,6 +1123,7 @@ fn validated_scripted(
             model.dof()
         )));
     }
+    require_finite("scripted command", commands.iter())?;
     if fates.len() != commands.len() {
         return Err(RestoreError::Invalid(format!(
             "{} fates for {} commands",
@@ -1123,6 +1142,19 @@ fn validated_scripted(
         fates,
         claim,
     })
+}
+
+/// Rejects non-finite commands. Delivered, one would become the
+/// engine's newest history row, and the next miss's step clamp would
+/// panic on its NaN bound.
+fn require_finite<'a>(
+    what: &str,
+    mut commands: impl Iterator<Item = &'a Vec<f64>>,
+) -> Result<(), RestoreError> {
+    if commands.any(|c| c.iter().any(|q| !q.is_finite())) {
+        return Err(RestoreError::Invalid(format!("non-finite {what}")));
+    }
+    Ok(())
 }
 
 /// Pre-checks a driver state against the target arm so restore returns

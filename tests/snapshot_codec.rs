@@ -13,12 +13,16 @@
 //! 2. a property suite over truncation points and single-byte
 //!    corruptions of a valid frame: the decoder returns `Ok` or a
 //!    typed error, never panics, never over-allocates (length words
-//!    are sanity-capped against the remaining frame);
+//!    are sanity-capped against the remaining frame); plus a fixed-
+//!    stride sweep of single-byte mutants through decode → restore →
+//!    run-out, where a mutant that restores must complete;
 //! 3. targeted malformed shapes: version skew → [`RestoreError::Version`],
 //!    foreign magic → `BadMagic`, appended garbage → `TrailingBytes`,
 //!    a corrupt count word → `Oversized`, an unassigned discriminant →
-//!    `BadTag`, and a JSON document claiming v3 → `Decode` (v3 is
-//!    binary-only);
+//!    `BadTag`, a JSON document claiming v3 → `Decode` (v3 is
+//!    binary-only), and state the tick path would panic on (driver
+//!    period, joint limits, `max_step`, damping, non-finite history or
+//!    commands, invalid forecaster state) → `Invalid` at restore;
 //! 4. golden fixtures: committed v1 and v2 JSON snapshots that must
 //!    decode and restore **bit-identically** against a freshly run
 //!    twin in every future build. Regenerate (after an intentional
@@ -27,7 +31,9 @@
 //!
 //! Run with a fixed case count via `PROPTEST_CASES` (CI pins it).
 
+use foreco::forecast::ForecasterState;
 use foreco::prelude::*;
+use foreco::recovery::EngineSnapshot;
 use foreco::serve::session::Advance;
 use foreco::serve::snapshot::SessionSnapshot;
 use foreco::serve::{RestoreError, Session, SessionId, SNAPSHOT_VERSION};
@@ -255,6 +261,63 @@ proptest! {
     }
 }
 
+/// Decode → restore → run to completion over single-byte mutants of
+/// the donor frame, every `STRIDE`-th byte with a rotating mask. A
+/// mutant may fail to decode or restore (a typed error), but one that
+/// restores must run out its script without panicking: restore
+/// validates everything the tick path asserts on.
+#[test]
+fn restored_mutants_run_to_completion() {
+    // Release runs cover a few thousand mutants in a few seconds; debug
+    // builds take a sparser sample of the same sweep. Both strides
+    // land on mutants of the engine's joint limits (release also on the
+    // VAR coefficient shape) that restore-time validation must reject.
+    const STRIDE: usize = if cfg!(debug_assertions) { 81 } else { 9 };
+    const MASKS: [u8; 4] = [0x01, 0x40, 0x80, 0xFF];
+    let model = niryo_one();
+    let donor = donor_bytes();
+    let mut restored = 0usize;
+    let mut panics = Vec::new();
+    for (i, at) in (0..donor.len()).step_by(STRIDE).enumerate() {
+        let mut bytes = donor.to_vec();
+        bytes[at] ^= MASKS[i % MASKS.len()];
+        let run = std::panic::catch_unwind(|| {
+            let Ok(snap) = SessionSnapshot::from_bytes(&bytes) else {
+                return false;
+            };
+            let Ok(mut session) = Session::restore(&snap, &model) else {
+                return false;
+            };
+            run_out(&mut session);
+            true
+        });
+        match run {
+            Ok(ran) => restored += usize::from(ran),
+            Err(payload) => {
+                let reason = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                panics.push(format!(
+                    "byte {at} ^ {:#04x}: {reason}",
+                    bytes[at] ^ donor[at]
+                ));
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} mutants panicked:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
+    assert!(
+        restored > 0,
+        "some payload-only mutants must restore and run"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Layer 3: targeted malformed shapes.
 // ---------------------------------------------------------------------
@@ -348,6 +411,150 @@ fn non_positive_driver_period_is_rejected_at_restore() {
             Err(other) => panic!("driver period {period} gave {other:?}"),
             Ok(_) => panic!("driver period {period} restored"),
         }
+    }
+}
+
+/// Restores `snap` and expects a typed `Invalid`: each case below would
+/// otherwise restore and then panic on the tick path.
+fn assert_rejected_at_restore(snap: &SessionSnapshot, case: &str) {
+    match Session::restore(snap, &niryo_one()) {
+        Err(RestoreError::Invalid(_)) => {}
+        Err(other) => panic!("{case} gave {other:?}"),
+        Ok(_) => panic!("{case} restored"),
+    }
+}
+
+/// The donor with its engine state edited by `edit`.
+fn donor_with_engine(edit: impl FnOnce(&mut EngineSnapshot)) -> SessionSnapshot {
+    let mut snap = SessionSnapshot::from_bytes(donor_bytes()).expect("donor decodes");
+    edit(snap.engine.as_mut().expect("FoReCo donor has an engine"));
+    snap
+}
+
+/// One corruption of the engine's joint limits.
+type LimitsEdit = fn(&mut Vec<(f64, f64)>);
+
+#[test]
+fn corrupt_joint_limits_are_rejected_at_restore() {
+    let cases: [(&str, LimitsEdit); 4] = [
+        ("lo > hi", |l| l[2] = (l[2].1, l[2].0)),
+        ("NaN lower bound", |l| l[0].0 = f64::NAN),
+        ("NaN upper bound", |l| l[5].1 = f64::NAN),
+        ("one limit short", |l| {
+            l.pop();
+        }),
+    ];
+    for (case, corrupt) in cases {
+        let snap = donor_with_engine(|e| corrupt(e.config.limits.as_mut().expect("arm limits")));
+        assert_rejected_at_restore(&snap, case);
+    }
+}
+
+#[test]
+fn negative_or_nan_max_step_is_rejected_at_restore() {
+    for step in [-0.04, f64::NAN] {
+        let snap = donor_with_engine(|e| e.config.max_step = Some(step));
+        assert_rejected_at_restore(&snap, &format!("max_step {step}"));
+    }
+}
+
+#[test]
+fn non_finite_trend_damping_is_rejected_at_restore() {
+    for gamma in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let snap = donor_with_engine(|e| e.config.trend_damping = Some(gamma));
+        assert_rejected_at_restore(&snap, &format!("trend_damping {gamma}"));
+    }
+}
+
+#[test]
+fn non_finite_history_is_rejected_at_restore() {
+    for v in [f64::NAN, f64::INFINITY] {
+        let snap = donor_with_engine(|e| e.history.last_mut().expect("history")[1] = v);
+        assert_rejected_at_restore(&snap, &format!("history entry {v}"));
+    }
+}
+
+#[test]
+fn non_finite_commands_are_rejected_at_restore() {
+    use foreco::serve::snapshot::SourceState;
+    let mut script = SessionSnapshot::from_bytes(donor_bytes()).expect("donor decodes");
+    let tick = script.tick as usize;
+    let SourceState::Scripted { commands, .. } = &mut script.source else {
+        panic!("scripted donor");
+    };
+    commands[tick + 1][0] = f64::NAN;
+    assert_rejected_at_restore(&script, "NaN scripted command");
+
+    let mut late = SessionSnapshot::from_bytes(donor_bytes()).expect("donor decodes");
+    late.pending_late
+        .push((late.period * (tick + 2) as f64, 3, vec![f64::INFINITY; 6]));
+    assert_rejected_at_restore(&late, "infinite pending late command");
+}
+
+/// The donor running `state` instead of its VAR, with the engine
+/// history trimmed to `state`'s window so only the forecaster's own
+/// invariants are wrong.
+fn donor_with_forecaster(state_json: &str) -> SessionSnapshot {
+    let state: ForecasterState = serde_json::from_str(state_json).expect("forecaster JSON");
+    donor_with_engine(|e| {
+        let keep = e.history.len().min(2);
+        e.history.drain(..e.history.len() - keep);
+        e.forecast_slots.drain(..e.forecast_slots.len() - keep);
+        e.forecaster = state;
+    })
+}
+
+/// `state`'s canonical JSON with `from` replaced by `to` (once).
+fn edited_state(state: ForecasterState, from: &str, to: &str) -> String {
+    let json = String::from_utf8(state.canonical_bytes()).expect("UTF-8 JSON");
+    assert!(json.contains(from), "{from} not in {json}");
+    json.replacen(from, to, 1)
+}
+
+#[test]
+fn invalid_forecaster_state_is_rejected_at_restore_for_every_family() {
+    let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
+    let varma = Varma::fit(&train, 3, 2, 1e-6).expect("fit VARMA");
+    let cases = [
+        // MA(0) divides by zero: a NaN forecast.
+        edited_state(
+            ForecasterState::Ma(MovingAverage::new(3, 6)),
+            "\"r\":3",
+            "\"r\":0",
+        ),
+        // Holt with R < 2 indexes past its window.
+        edited_state(
+            ForecasterState::Holt(Holt::default_teleop(4, 6)),
+            "\"r\":4",
+            "\"r\":1",
+        ),
+        // Kalman-CV with an empty window.
+        edited_state(
+            ForecasterState::Kalman(KalmanCv::default_teleop(4, 6)),
+            "\"r\":4",
+            "\"r\":0",
+        ),
+        // VAR coefficients whose data disagrees with their shape.
+        edited_state(
+            ForecasterState::Var(shared_var().clone()),
+            "\"rows\":31",
+            "\"rows\":40",
+        ),
+        // A VARMA whose stage 2 holds a non-finite coefficient (JSON has
+        // no infinity, but a number past f64's range parses as one).
+        {
+            let mut json = String::from_utf8(ForecasterState::Varma(varma).canonical_bytes())
+                .expect("UTF-8 JSON");
+            let at = json.rfind("\"data\":[").expect("stage-2 data") + "\"data\":[".len();
+            let end = at + json[at..].find(',').expect("more than one coefficient");
+            json.replace_range(at..end, "1e999");
+            json
+        },
+    ];
+    for json in &cases {
+        let snap = donor_with_forecaster(json);
+        let name = snap.engine.as_ref().expect("engine").forecaster.name();
+        assert_rejected_at_restore(&snap, name);
     }
 }
 

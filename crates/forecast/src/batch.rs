@@ -21,7 +21,7 @@
 //!
 //! Which path pays is a function of kernel cost and lane width —
 //! [`plan_layout`] encodes the committed decision rule, validated by
-//! the bench's `lane_sweep` scenario across widths 1–1024.
+//! the `lane_layout` bench group (`crates/bench/benches/forecasters.rs`).
 //!
 //! **Determinism contract.** Each member's prediction is computed by
 //! the exact floating-point operations of the scalar
@@ -66,9 +66,11 @@ pub enum CostClass {
 /// Lane width at which an expensive family's lane switches from
 /// scalar to slot-major. Below it the transpose overhead eats the
 /// vectorization win; at/above it the cross-member inner loops win.
-/// Committed from the bench's `lane_sweep` sweep (widths 1–1024); the
-/// `batch_identity` suite pins bit-identity at `threshold − 1`,
-/// `threshold`, and `threshold + 1` so the flip can never move bits.
+/// Backed by the `lane_layout` group of
+/// `crates/bench/benches/forecasters.rs` (per-member scalar vs
+/// slot-major medians at widths 8–256); the `batch_identity` suite pins
+/// bit-identity at `threshold − 1`, `threshold`, and `threshold + 1` so
+/// the flip can never move bits.
 pub const SLOT_MAJOR_MIN_WIDTH: usize = 32;
 
 /// The committed per-lane layout decision: cost class and lane width in,

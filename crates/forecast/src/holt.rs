@@ -13,7 +13,7 @@
 //! Being recursive over the provided history it needs no training; `R`
 //! only bounds how much history the recursion replays per forecast.
 
-use crate::state::require;
+use crate::state::{require, MAX_WINDOW};
 use crate::Forecaster;
 use serde::{Deserialize, Serialize};
 
@@ -48,6 +48,10 @@ impl Holt {
     /// The constructor's preconditions, for state that bypassed it.
     pub(crate) fn validate(&self) -> Result<(), String> {
         require(self.r >= 2, "Holt: R must be ≥ 2")?;
+        require(
+            self.r <= MAX_WINDOW,
+            format!("Holt: R must be ≤ {MAX_WINDOW}"),
+        )?;
         require(self.dims >= 1, "Holt: dims must be ≥ 1")?;
         require(
             self.alpha > 0.0 && self.alpha <= 1.0,

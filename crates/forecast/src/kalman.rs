@@ -16,7 +16,7 @@
 //! prediction is the one-step-ahead state `F x̂`.
 
 use crate::history::{LaneRows, SlotRows};
-use crate::state::require;
+use crate::state::{require, MAX_WINDOW};
 use crate::{Forecaster, HistoryView};
 use serde::{Deserialize, Serialize};
 
@@ -64,6 +64,10 @@ impl KalmanCv {
         require(
             self.r >= 2,
             "Kalman: need at least 2 commands to observe velocity",
+        )?;
+        require(
+            self.r <= MAX_WINDOW,
+            format!("Kalman: window must be ≤ {MAX_WINDOW}"),
         )?;
         require(self.dims >= 1, "Kalman: dims must be ≥ 1")?;
         require(positive(self.period), "Kalman: period must be positive")?;

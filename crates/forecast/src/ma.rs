@@ -1,7 +1,7 @@
 //! Moving-average forecaster — the paper's benchmark (eq. 8):
 //! `ĉ_{i+1} = (1/R) Σ_{j=i−R+1..i} ĉ_j`.
 
-use crate::state::require;
+use crate::state::{require, MAX_WINDOW};
 use crate::Forecaster;
 use serde::{Deserialize, Serialize};
 
@@ -27,6 +27,10 @@ impl MovingAverage {
     /// The constructor's preconditions, for state that bypassed it.
     pub(crate) fn validate(&self) -> Result<(), String> {
         require(self.r >= 1, "MA: window must be ≥ 1")?;
+        require(
+            self.r <= MAX_WINDOW,
+            format!("MA: window must be ≤ {MAX_WINDOW}"),
+        )?;
         require(self.dims >= 1, "MA: dims must be ≥ 1")
     }
 }

@@ -94,6 +94,13 @@ impl ForecasterState {
     }
 }
 
+/// Upper bound on a window-parameterised family's `R` (MA, Holt,
+/// Kalman-CV). The engine sizes its command ring as `(R + 1) × dims` at
+/// build and restore, so an uncapped `R` from snapshot bytes could
+/// overflow that sum or abort the process on allocation. Far above any
+/// window the paper or this repository deploys (at most 20).
+pub(crate) const MAX_WINDOW: usize = 4096;
+
 /// `Ok` when `ok`, otherwise `what` as the error.
 pub(crate) fn require(ok: bool, what: impl Into<String>) -> Result<(), String> {
     if ok {

@@ -18,6 +18,8 @@
 //! subscriber must not change a single output bit, the metrics
 //! endpoint must emit conformant Prometheus text with monotonic
 //! counters, and every rejection must carry a typed [`RejectCode`].
+//! Under session churn with a live scraper and subscriber, every
+//! session still runs its whole trace and no event is shed.
 
 use foreco_core::RecoveryConfig;
 use foreco_net::{
@@ -30,6 +32,7 @@ use foreco_serve::{
 };
 use foreco_teleop::{Dataset, Skill};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const SESSION: u64 = 7;
@@ -683,4 +686,87 @@ fn metrics_exposition_is_conformant_and_counters_are_monotonic() {
         delivered_after >= trace.len() as f64,
         "second scrape saw the whole replay: {delivered_after}"
     );
+}
+
+#[test]
+fn churn_with_live_scraper_and_subscriber_runs_every_session_in_full() {
+    // Workers churn short sessions through open → replay → (every 16th)
+    // snapshot → close while a scraper polls the metrics endpoint and a
+    // poll-mode subscriber drains the fleet feed. 256 sessions emit
+    // about a thousand events, well under one subscriber queue's cap,
+    // so a dropped event means the feed lost one, not that it shed load.
+    const WORKERS: u64 = 4;
+    const SESSIONS: u64 = 64 * WORKERS;
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(2), GatewayConfig::default())
+        .expect("spawn gateway");
+    let trace = Dataset::record(Skill::Inexperienced, 1, 0.02, 404)
+        .head(32)
+        .commands;
+    // Subscribed before the first open, so the feed covers every session.
+    let mut watcher = ForecoClient::loopback(&gateway, u64::MAX - 1);
+    let subscription = watcher.subscribe().expect("subscribe");
+    let stop = AtomicBool::new(false);
+    let (completed, dropped) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|worker| {
+                let (gateway, trace) = (&gateway, &trace);
+                s.spawn(move || {
+                    for id in (worker..SESSIONS).step_by(WORKERS as usize) {
+                        let mut client = ForecoClient::loopback(gateway, id);
+                        client.open(trace[0].clone(), trace.len()).expect("open");
+                        client
+                            .replay(trace, 0, &ClientConfig::default())
+                            .expect("replay");
+                        if id % 16 == 0 {
+                            assert!(!client.snapshot().expect("snapshot").is_empty());
+                        }
+                        let (report, _) = client.close().expect("close");
+                        assert_eq!(report.ticks, trace.len() as u64, "session {id}");
+                    }
+                })
+            })
+            .collect();
+        let scraper = s.spawn(|| {
+            let mut client = ForecoClient::loopback(&gateway, u64::MAX);
+            loop {
+                let done = stop.load(Ordering::Relaxed);
+                let body = client.metrics().expect("scrape");
+                assert!(body.contains("foreco_ticks_total"), "scrape body:\n{body}");
+                if done {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        let subscriber = s.spawn(|| {
+            let (mut completed, mut dropped) = (0u64, 0u64);
+            loop {
+                let done = stop.load(Ordering::Relaxed);
+                let batch = watcher.poll_events(subscription, 4096).expect("poll");
+                dropped += batch.dropped;
+                completed += batch
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, FleetEvent::Completed { .. }))
+                    .count() as u64;
+                if batch.events.is_empty() {
+                    if done {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            watcher.unsubscribe(subscription).expect("unsubscribe");
+            (completed, dropped)
+        });
+        for worker in workers {
+            worker.join().expect("worker");
+        }
+        stop.store(true, Ordering::Relaxed);
+        scraper.join().expect("scraper");
+        subscriber.join().expect("subscriber")
+    });
+    gateway.shutdown();
+    assert_eq!(dropped, 0, "the subscriber lost events");
+    assert_eq!(completed, SESSIONS, "one completion per session");
 }

@@ -8,9 +8,10 @@
 //! per-session snapshots reference it through
 //! [`SourceState::ScriptedRef`](crate::SourceState::ScriptedRef) — so
 //! the archive is O(traces + sessions) and a thousand-session
-//! checkpoint costs about as much as one. The `bytes_per_session`
-//! scenario in `serve_throughput` measures the ratio into
-//! `BENCH_serve.json`.
+//! checkpoint costs about as much as one. `tests/hot_path_allocs.rs`
+//! (`stored_trace_sessions_hold_one_resident_copy`) pins the ratio as a
+//! byte count, and perfbench's `checkpoint_roundtrip` workload reports
+//! `serve.archive_bytes_per_session`.
 //!
 //! # Streaming assembly (v2)
 //!

@@ -1174,6 +1174,120 @@ mod tests {
     }
 
     #[test]
+    fn idle_fleet_wakeups_track_the_hot_set_not_the_fleet() {
+        // The event scheduler's scaling claim as a count: with most of
+        // a parked fleet silent, each pass advances at most the hot
+        // sessions. Wakeups are session advances, and a pass advances
+        // only its run queue. A silent streamed session parks
+        // `AwaitingInput`; only a pending §VII-C late command parks on
+        // a timer, and late commands are off here, so timers add no
+        // wakeups. The one slack: a shard publishes `passes` before
+        // `wakeups` after each pass, so a read during the hot phase can
+        // see one pass's wakeups ahead of its pass count. The eager
+        // sweep advances the whole fleet every pass and breaks the
+        // bound by FLEET / HOT.
+        use crate::session::{Advance, Session, Wake};
+        use crate::spec::SharedForecaster;
+        use foreco_core::RecoveryConfig;
+        use std::time::Duration;
+
+        const FLEET: u64 = 256;
+        const HOT: u64 = 8; // ~3% of the fleet
+        const ROUNDS: u64 = 20;
+        let model = niryo_one();
+        let home = model.home();
+        let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
+        let var = foreco_forecast::Var::fit_differenced(&train, 5, 1e-6).unwrap();
+        // A fresh session's PIDs take thousands of ticks to reach their
+        // exact fixed point, so the fleet is adopted from one parked
+        // donor instead of settling 256 times.
+        let mut donor = Session::open(
+            &SessionSpec::new(
+                0,
+                SourceSpec::Streamed {
+                    initial: home.clone(),
+                    inbox_capacity: 4,
+                },
+                ChannelSpec::Ideal,
+                RecoverySpec::FoReCo {
+                    forecaster: SharedForecaster::new(var),
+                    config: RecoveryConfig::for_model(&model),
+                },
+            ),
+            &model,
+        );
+        while matches!(donor.advance(), Advance::Ticked(Wake::Runnable)) {}
+        assert_eq!(donor.wake_hint(), Wake::AwaitingInput);
+        let parked = donor.snapshot().unwrap();
+        let service = Service::spawn(ServiceConfig::with_shards(1));
+        let handle = service.handle();
+        for id in 0..FLEET {
+            handle
+                .adopt(SessionSnapshot {
+                    id,
+                    ..parked.clone()
+                })
+                .unwrap();
+        }
+        // Each adoption parks on arrival (`AwaitingInput`), so the shard
+        // runs no pass before the hot phase: its pass and wakeup counts
+        // are exact here whether or not it has published them yet.
+        let mut restored = 0;
+        while restored < FLEET {
+            match service.next_event().unwrap() {
+                SessionEvent::Restored { .. } => restored += 1,
+                SessionEvent::RestoreFailed { reason, .. } => panic!("{reason}"),
+                _ => {}
+            }
+        }
+        let before = handle.shard_loads().remove(0);
+        for round in 0..ROUNDS {
+            for id in 0..HOT {
+                let mut cmd = home.clone();
+                cmd[round as usize % home.len()] += 0.01 * ((round % 5) as f64 - 2.0);
+                let _ = handle.inject(id, cmd); // a full inbox is a loss
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Wait for the shard to take up the traffic; the sample is read
+        // mid-activity, while the hot sessions still run.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let after = loop {
+            let load = handle.shard_loads().remove(0);
+            if load.passes > before.passes && load.wakeups > before.wakeups {
+                break load;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the hot set never ran: {load:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let passes = after.passes - before.passes;
+        let wakeups = after.wakeups - before.wakeups;
+        assert_eq!(after.timer_wakeups, before.timer_wakeups, "no timers");
+        assert!(
+            wakeups <= HOT * (passes + 1),
+            "{wakeups} wakeups over {passes} passes: more than the {HOT} hot sessions per pass"
+        );
+        assert_eq!(after.sessions, FLEET);
+        assert!(
+            after.parked >= FLEET - HOT,
+            "a silent session left the park: {after:?}"
+        );
+        for id in 0..FLEET {
+            handle.close(id).unwrap();
+        }
+        let mut completed = 0;
+        while completed < FLEET {
+            if let Some(SessionEvent::Completed { .. }) = service.next_event() {
+                completed += 1;
+            }
+        }
+        service.join();
+    }
+
+    #[test]
     fn rebalance_migrates_runnable_sessions() {
         // All sessions on shard 0 (by id choice), then a manual
         // rebalance order: live sessions must move to shard 1 through

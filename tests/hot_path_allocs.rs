@@ -11,12 +11,16 @@
 //! - `RecoveryEngine::tick_into` — 0 allocations on both the delivery
 //!   and the miss (forecast) path for MA, Holt, Kalman-CV, and VAR;
 //! - `Session::advance` — 0 allocations per steady-state tick for a
-//!   scripted FoReCo session over a lossy channel (the
-//!   `serve_throughput` workload) and for a starved streamed session
+//!   scripted FoReCo session over a lossy channel (the perfbench
+//!   `replay_light_loss` shape) and for a starved streamed session
 //!   (the forecast-horizon → hold → park path);
 //! - the bounded paths (fate-chunk refills on live sources, §VII-C
 //!   late-command bookkeeping, VARMA's one-time scratch growth) stay
 //!   under an explicit budget instead of growing per tick.
+//!
+//! A second per-thread counter tracks net heap bytes (allocated minus
+//! freed), which pins what shared storage saves: sessions on one stored
+//! trace hold one resident copy, not one each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,11 +28,12 @@ use std::cell::Cell;
 use foreco::prelude::*;
 use foreco::serve::{Advance, Session};
 
-/// System allocator with a per-thread allocation counter.
+/// System allocator with per-thread allocation and net-byte counters.
 struct CountingAllocator;
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Allocations performed by the calling thread so far.
@@ -36,24 +41,38 @@ fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// Net heap bytes the calling thread holds (allocated − freed).
+fn thread_bytes() -> i64 {
+    THREAD_BYTES.with(Cell::get)
+}
+
+/// Adds `delta` to the calling thread's net-byte counter.
+fn count_bytes(delta: i64) {
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + delta));
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // try_with: the counter may be unavailable during thread teardown.
         let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_bytes(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_bytes(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_bytes(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -66,6 +85,15 @@ fn allocs_during(mut f: impl FnMut()) -> u64 {
     let before = thread_allocs();
     f();
     thread_allocs() - before
+}
+
+/// Net heap bytes `make`'s result holds, measured before it drops.
+fn bytes_held<T>(make: impl FnOnce() -> T) -> i64 {
+    let before = thread_bytes();
+    let held = make();
+    let bytes = thread_bytes() - before;
+    drop(held);
+    bytes
 }
 
 /// The zero-allocation forecaster families of the acceptance criteria.
@@ -132,8 +160,8 @@ fn engine_ticks_are_allocation_free_for_all_deployed_families() {
 }
 
 /// Session level: the full hosted loop (source → engine → both PID
-/// drivers → metrics) on the scripted `serve_throughput` workload is
-/// allocation-free per tick once warm.
+/// drivers → metrics) on a scripted lossy replay is allocation-free per
+/// tick once warm.
 #[test]
 fn scripted_session_advance_is_allocation_free() {
     let model = niryo_one();
@@ -512,5 +540,87 @@ fn gated_miss_and_late_paths_stay_within_the_allocation_budget() {
     assert!(
         total <= budget,
         "draining {tick_slots} gated slots allocated {total} times (budget {budget})"
+    );
+}
+
+/// Sessions on one stored trace share its rows: N `SourceSpec::stored`
+/// claims hold one resident copy plus a handle each, where N private
+/// `Replayed` sources hold N copies. A fleet archive of those sessions
+/// carries the trace once in its table, so each session costs far less
+/// than one self-contained snapshot, which inlines the whole script.
+#[test]
+fn stored_trace_sessions_hold_one_resident_copy() {
+    use foreco::serve::FleetArchive;
+    use foreco::store::Storage;
+    use std::sync::Arc;
+
+    const N: usize = 64;
+    // The `Vec<SourceSpec>` slot plus the claim's handle, with room for
+    // the store's one-time index growth (about 45 B a claim on x86-64).
+    const PER_CLAIM: i64 = 128;
+    let model = niryo_one();
+    let dataset = Dataset::record(Skill::Inexperienced, 2, 0.02, 8);
+    let one_trace = bytes_held(|| dataset.commands.clone());
+    let private = bytes_held(|| {
+        (0..N)
+            .map(|_| SourceSpec::Replayed(Arc::new(dataset.commands.clone())))
+            .collect::<Vec<_>>()
+    });
+    let store = Storage::new();
+    let stored = bytes_held(|| {
+        (0..N)
+            .map(|_| SourceSpec::stored(&store, &dataset))
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        private >= N as i64 * one_trace,
+        "{private} B for {N} copies"
+    );
+    assert!(
+        stored <= one_trace + N as i64 * PER_CLAIM,
+        "{N} claims hold {stored} B; one trace is {one_trace} B"
+    );
+    assert_eq!(store.stats().traces.objects, 0, "last claim evicts");
+
+    // Checkpoint cost: sessions at spread depths on one claimed trace.
+    let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
+    let var = SharedForecaster::new(Var::fit_differenced(&train, 5, 1e-6).expect("fit VAR"));
+    let claim = store.insert_trace(&dataset.commands);
+    let parts = (0..N as u64)
+        .map(|id| {
+            let spec = SessionSpec::new(
+                id,
+                SourceSpec::Stored(claim.clone()),
+                ChannelSpec::ControlledLoss {
+                    burst_len: 6,
+                    burst_prob: 0.01,
+                    seed: 40_000 + id,
+                },
+                RecoverySpec::FoReCo {
+                    forecaster: var.clone(),
+                    config: RecoveryConfig::for_model(&model),
+                },
+            );
+            let mut session = Session::open(&spec, &model);
+            for _ in 0..(id * 37) % 100 + 20 {
+                session.advance();
+            }
+            session.snapshot_for_fleet().expect("fleet part")
+        })
+        .collect();
+    let archive = FleetArchive::build(parts);
+    assert_eq!(archive.traces().len(), 1, "one shared trace, stored once");
+    // A part still carries its engine, drivers and forecaster state
+    // (about 7 kB with VAR(5)); the inline snapshot adds the ~1.5k-row
+    // script on top (about 90 kB).
+    let per_session = archive.to_bytes().len() / N;
+    let inline = archive.sessions().expect("parts decode")[0]
+        .materialized(&archive.traces()[0].commands)
+        .expect("rehydrate inline")
+        .to_bytes()
+        .len();
+    assert!(
+        per_session * 8 < inline,
+        "{per_session} archive B/session vs {inline} B for one inline snapshot"
     );
 }

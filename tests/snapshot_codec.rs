@@ -551,8 +551,29 @@ fn invalid_forecaster_state_is_rejected_at_restore_for_every_family() {
             json
         },
     ];
-    for json in &cases {
-        let snap = donor_with_forecaster(json);
+    // An uncapped window sizes the engine ring at restore: `usize::MAX`
+    // overflows `R + 1`, and `2^40` would abort on a ~50 TB allocation.
+    let huge_windows = [usize::MAX, 1 << 40].into_iter().flat_map(|r| {
+        [
+            edited_state(
+                ForecasterState::Ma(MovingAverage::new(3, 6)),
+                "\"r\":3",
+                &format!("\"r\":{r}"),
+            ),
+            edited_state(
+                ForecasterState::Holt(Holt::default_teleop(4, 6)),
+                "\"r\":4",
+                &format!("\"r\":{r}"),
+            ),
+            edited_state(
+                ForecasterState::Kalman(KalmanCv::default_teleop(4, 6)),
+                "\"r\":4",
+                &format!("\"r\":{r}"),
+            ),
+        ]
+    });
+    for json in cases.into_iter().chain(huge_windows) {
+        let snap = donor_with_forecaster(&json);
         let name = snap.engine.as_ref().expect("engine").forecaster.name();
         assert_rejected_at_restore(&snap, name);
     }

@@ -570,8 +570,9 @@ impl RecoveryEngine {
     /// changes is the cost model — no history clone, no per-tick `Vec`:
     /// deliveries copy into the ring, misses forecast through
     /// [`Forecaster::forecast_into`] with engine-owned scratch. The
-    /// only allocator traffic left on a miss is whatever a forecaster
-    /// without a native `forecast_into` (seq2seq) does in its shim.
+    /// only allocator traffic left on a miss is whatever the forecaster
+    /// itself allocates (seq2seq materialises its window; the served
+    /// families allocate nothing).
     pub fn tick_into(&mut self, arrived: Option<&[f64]>, out: &mut [f64]) -> bool {
         assert_eq!(
             out.len(),
@@ -999,22 +1000,6 @@ mod tests {
     fn forecasts_clamped_to_limits() {
         // A trend-following forecaster would run past the bound; the
         // configured limits must cap it.
-        #[derive(Clone)]
-        struct Runaway;
-        impl foreco_forecast::Forecaster for Runaway {
-            fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-                vec![history.last().unwrap()[0] + 10.0]
-            }
-            fn history_len(&self) -> usize {
-                1
-            }
-            fn dims(&self) -> usize {
-                1
-            }
-            fn name(&self) -> &'static str {
-                "runaway"
-            }
-        }
         let mut e = RecoveryEngine::new(
             Box::new(Runaway),
             RecoveryConfig {
@@ -1054,22 +1039,6 @@ mod tests {
 
     #[test]
     fn max_step_bounds_forecast_velocity() {
-        #[derive(Clone)]
-        struct Runaway;
-        impl foreco_forecast::Forecaster for Runaway {
-            fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-                vec![history.last().unwrap()[0] + 10.0]
-            }
-            fn history_len(&self) -> usize {
-                1
-            }
-            fn dims(&self) -> usize {
-                1
-            }
-            fn name(&self) -> &'static str {
-                "runaway"
-            }
-        }
         let mut e = RecoveryEngine::new(
             Box::new(Runaway),
             RecoveryConfig {
@@ -1086,11 +1055,17 @@ mod tests {
         );
     }
 
+    /// Forecasts the last command plus one.
     #[derive(Clone)]
     struct UnitStep;
     impl foreco_forecast::Forecaster for UnitStep {
-        fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-            vec![history.last().unwrap()[0] + 1.0]
+        fn forecast_into(
+            &self,
+            history: &HistoryView<'_>,
+            _: &mut ForecastScratch,
+            out: &mut [f64],
+        ) {
+            out[0] = history.back()[0] + 1.0;
         }
         fn history_len(&self) -> usize {
             1
@@ -1100,6 +1075,30 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "unit-step"
+        }
+    }
+
+    /// A trend follower that runs far past any bound: the last command
+    /// plus ten.
+    #[derive(Clone)]
+    struct Runaway;
+    impl foreco_forecast::Forecaster for Runaway {
+        fn forecast_into(
+            &self,
+            history: &HistoryView<'_>,
+            _: &mut ForecastScratch,
+            out: &mut [f64],
+        ) {
+            out[0] = history.back()[0] + 10.0;
+        }
+        fn history_len(&self) -> usize {
+            1
+        }
+        fn dims(&self) -> usize {
+            1
+        }
+        fn name(&self) -> &'static str {
+            "runaway"
         }
     }
 
@@ -1239,8 +1238,13 @@ mod tests {
         #[derive(Clone)]
         struct Opaque;
         impl foreco_forecast::Forecaster for Opaque {
-            fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-                history.last().unwrap().clone()
+            fn forecast_into(
+                &self,
+                history: &HistoryView<'_>,
+                _: &mut ForecastScratch,
+                out: &mut [f64],
+            ) {
+                out.copy_from_slice(history.back());
             }
             fn history_len(&self) -> usize {
                 1

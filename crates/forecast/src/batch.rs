@@ -305,8 +305,13 @@ mod tests {
     fn fallback_engages_for_unbatched_forecasters() {
         struct Shim(MovingAverage);
         impl Forecaster for Shim {
-            fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-                self.0.forecast(history)
+            fn forecast_into(
+                &self,
+                history: &HistoryView<'_>,
+                scratch: &mut ForecastScratch,
+                out: &mut [f64],
+            ) {
+                self.0.forecast_into(history, scratch, out)
             }
             fn history_len(&self) -> usize {
                 self.0.history_len()

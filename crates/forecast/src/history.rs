@@ -146,8 +146,8 @@ impl<'a> HistoryView<'a> {
         self.range(self.len() - n, self.len())
     }
 
-    /// Materialises the rows (the compatibility shim for forecasters
-    /// without a native [`crate::Forecaster::forecast_into`]).
+    /// Materialises the rows as owned vectors, for consumers that need
+    /// them (seq2seq's network input, engine snapshots). Allocates.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.iter().map(<[f64]>::to_vec).collect()
     }

@@ -70,29 +70,6 @@ impl Holt {
 }
 
 impl Forecaster for Holt {
-    fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        assert!(
-            history.len() >= self.r,
-            "Holt: need {} commands, got {}",
-            self.r,
-            history.len()
-        );
-        let window = &history[history.len() - self.r..];
-        let mut out = vec![0.0; self.dims];
-        for k in 0..self.dims {
-            let mut level = window[0][k];
-            let mut trend = window[1][k] - window[0][k];
-            for cmd in &window[1..] {
-                assert_eq!(cmd.len(), self.dims, "Holt: dimension mismatch");
-                let prev_level = level;
-                level = self.alpha * cmd[k] + (1.0 - self.alpha) * (level + trend);
-                trend = self.beta * (level - prev_level) + (1.0 - self.beta) * trend;
-            }
-            out[k] = level + trend;
-        }
-        out
-    }
-
     fn forecast_into(
         &self,
         history: &crate::HistoryView<'_>,

@@ -84,15 +84,6 @@ impl KalmanCv {
         Self::new(r, dims, 0.020, 2.0, 1e-4)
     }
 
-    /// Runs the filter over one joint's window; returns predicted next
-    /// position.
-    fn filter_joint(&self, series: &[f64]) -> f64 {
-        let mut pred = [0.0];
-        let view = HistoryView::contiguous(series, 1);
-        self.filter(&view, 1, &mut [0.0; 6], &mut pred);
-        pred[0]
-    }
-
     /// The one filter recursion, for every [`LaneRows`] width: each
     /// member's coordinate `k < d` runs its own filter over rows `0..R`
     /// in `state`'s six lanes (`[pos, vel]` and the covariance, `width`
@@ -155,28 +146,6 @@ impl KalmanCv {
 }
 
 impl Forecaster for KalmanCv {
-    fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        assert!(
-            history.len() >= self.r,
-            "Kalman: need {} commands, got {}",
-            self.r,
-            history.len()
-        );
-        let window = &history[history.len() - self.r..];
-        (0..self.dims)
-            .map(|k| {
-                let series: Vec<f64> = window
-                    .iter()
-                    .map(|c| {
-                        assert_eq!(c.len(), self.dims, "Kalman: dimension mismatch");
-                        c[k]
-                    })
-                    .collect();
-                self.filter_joint(&series)
-            })
-            .collect()
-    }
-
     fn forecast_into(
         &self,
         history: &HistoryView<'_>,

@@ -36,27 +36,6 @@ impl MovingAverage {
 }
 
 impl Forecaster for MovingAverage {
-    fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        assert!(
-            history.len() >= self.r,
-            "MA: need {} commands, got {}",
-            self.r,
-            history.len()
-        );
-        let window = &history[history.len() - self.r..];
-        let mut mean = vec![0.0; self.dims];
-        for cmd in window {
-            assert_eq!(cmd.len(), self.dims, "MA: dimension mismatch");
-            for (m, c) in mean.iter_mut().zip(cmd) {
-                *m += c;
-            }
-        }
-        for m in &mut mean {
-            *m /= self.r as f64;
-        }
-        mean
-    }
-
     fn forecast_into(
         &self,
         history: &crate::HistoryView<'_>,

@@ -88,14 +88,22 @@ impl Seq2SeqForecaster {
 }
 
 impl Forecaster for Seq2SeqForecaster {
-    fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
+    /// The network consumes owned rows, so this family materialises its
+    /// window; it is never served, so no hot path pays for that.
+    fn forecast_into(
+        &self,
+        history: &crate::HistoryView<'_>,
+        _scratch: &mut crate::ForecastScratch,
+        out: &mut [f64],
+    ) {
         assert!(
             history.len() >= self.r,
             "seq2seq: need {} commands, got {}",
             self.r,
             history.len()
         );
-        self.model.predict(&history[history.len() - self.r..])
+        assert_eq!(history.dims(), self.dims, "seq2seq: dimension mismatch");
+        out.copy_from_slice(&self.model.predict(&history.suffix(self.r).to_rows()));
     }
 
     fn history_len(&self) -> usize {

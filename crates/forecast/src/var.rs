@@ -239,19 +239,6 @@ impl Var {
 }
 
 impl Var {
-    /// Applies the linear map to an R-window of the regression series.
-    fn regress(&self, window: &[Vec<f64>]) -> Vec<f64> {
-        assert!(
-            window.iter().all(|c| c.len() == self.dims),
-            "VAR: dimension mismatch"
-        );
-        let rows = window.concat();
-        let mut out = vec![0.0; self.dims];
-        let view = HistoryView::contiguous(&rows, self.dims);
-        self.predict(&view, VarMode::Levels, &mut [], &mut out);
-        out
-    }
-
     /// The one VAR kernel, for every [`LaneRows`] width. `acc` (laid
     /// out like a row) receives each member's `b + Σ w·row` over rows
     /// `0..R` in Levels mode; in Differences mode the regressors are the
@@ -303,8 +290,9 @@ impl Var {
             }
         }
         if mode == VarMode::Differences {
-            // Keeps the legacy `c + dv` operand order: `*v += c` would
-            // swap it, which flips NaN payload selection.
+            // Keeps the `c + dv` operand order (as the oracle and the
+            // goldens have it): `*v += c` would swap it, which flips NaN
+            // payload selection.
             #[allow(clippy::assign_op_pattern)]
             for (v, c) in acc.iter_mut().zip(rows.row(self.r)) {
                 *v = c + *v;
@@ -337,45 +325,6 @@ pub(crate) fn check_coefficients(
 }
 
 impl Forecaster for Var {
-    #[allow(clippy::needless_range_loop)]
-    fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        let need = self.history_len();
-        assert!(
-            history.len() >= need,
-            "VAR: need {} commands, got {}",
-            need,
-            history.len()
-        );
-        match self.mode {
-            VarMode::Levels => {
-                let window = &history[history.len() - self.r..];
-                self.regress(window)
-            }
-            VarMode::Differences => {
-                // Differences of the last R+1 commands, predict the next
-                // difference, integrate onto the last command.
-                let tail = &history[history.len() - (self.r + 1)..];
-                let clamp = self.diff_clamp.unwrap_or(f64::INFINITY);
-                let diffs: Vec<Vec<f64>> = tail
-                    .windows(2)
-                    .map(|w| {
-                        w[1].iter()
-                            .zip(&w[0])
-                            .map(|(a, b)| (a - b).clamp(-clamp, clamp))
-                            .collect()
-                    })
-                    .collect();
-                let delta = self.regress(&diffs);
-                tail.last()
-                    .expect("nonempty window")
-                    .iter()
-                    .zip(&delta)
-                    .map(|(c, dv)| c + dv)
-                    .collect()
-            }
-        }
-    }
-
     fn forecast_into(
         &self,
         history: &HistoryView<'_>,

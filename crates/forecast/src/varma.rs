@@ -122,52 +122,6 @@ impl Varma {
 
 impl Forecaster for Varma {
     #[allow(clippy::needless_range_loop)] // k walks out[] against beta columns
-    fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        let need = self.history_len();
-        assert!(
-            history.len() >= need,
-            "VARMA: need {} commands, got {}",
-            need,
-            history.len()
-        );
-        let d = self.dims;
-        // Rebuild residuals over the window with the stage-1 VAR.
-        let tail = &history[history.len() - need..];
-        let mut residuals: Vec<Vec<f64>> = Vec::with_capacity(self.q);
-        for i in self.r..tail.len() {
-            let pred = self.stage1.forecast(&tail[..i]);
-            residuals.push(tail[i].iter().zip(&pred).map(|(t, p)| t - p).collect());
-        }
-        while residuals.len() < self.q {
-            residuals.insert(0, vec![0.0; d]);
-        }
-        let res_tail = &residuals[residuals.len() - self.q..];
-
-        let cmd_tail = &tail[tail.len() - self.r..];
-        let mut out = vec![0.0; d];
-        for k in 0..d {
-            out[k] = self.beta[(0, k)];
-        }
-        for (lag, cmd) in cmd_tail.iter().enumerate() {
-            for (l, &v) in cmd.iter().enumerate() {
-                let row = 1 + lag * d + l;
-                for k in 0..d {
-                    out[k] += v * self.beta[(row, k)];
-                }
-            }
-        }
-        for (lag, res) in res_tail.iter().enumerate() {
-            for (l, &v) in res.iter().enumerate() {
-                let row = 1 + d * self.r + lag * d + l;
-                for k in 0..d {
-                    out[k] += v * self.beta[(row, k)];
-                }
-            }
-        }
-        out
-    }
-
-    #[allow(clippy::needless_range_loop)] // k walks out[] against beta columns
     fn forecast_into(
         &self,
         history: &crate::HistoryView<'_>,

@@ -1,7 +1,9 @@
-//! `Forecaster::forecast_into` must be **bit-identical** to the legacy
-//! allocating `forecast` for every forecaster family — the contract the
-//! recovery engine's zero-allocation hot path rests on (and what lets
-//! the service determinism suites pass unchanged).
+//! `Forecaster::forecast_into` must be **bit-identical** to the
+//! test-tree oracle (`oracle/mod.rs`, a naive `Vec<Vec<f64>>` reference
+//! per family, independent of the library's kernels) for every
+//! forecaster family — the contract the recovery engine's
+//! zero-allocation hot path rests on (and what lets the service
+//! determinism suites pass unchanged).
 //!
 //! Random histories include NaN and `-0.0` payloads: NaN propagation
 //! exercises operation *order* (any reordering shows up as different
@@ -20,6 +22,8 @@ use foreco_forecast::{
 use foreco_teleop::{Dataset, Skill};
 use proptest::prelude::*;
 
+mod oracle;
+
 /// One random coordinate: mostly tame magnitudes, with NaN, signed
 /// zeros, and subnormal extremes mixed in at a fixed rate.
 fn coord() -> impl Strategy<Value = f64> {
@@ -37,11 +41,11 @@ fn history(len: usize, dims: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(coord(), dims), len)
 }
 
-/// Asserts `forecast_into == forecast` bit for bit, at every possible
-/// head/tail split of the flattened history.
+/// Asserts `forecast_into == oracle::forecast` bit for bit, at every
+/// possible head/tail split of the flattened history.
 fn assert_bit_identical(f: &dyn Forecaster, hist: &[Vec<f64>]) {
     let dims = f.dims();
-    let legacy = f.forecast(hist);
+    let legacy = oracle::forecast(f, hist);
     assert_eq!(legacy.len(), dims);
     let flat: Vec<f64> = hist.iter().flatten().copied().collect();
     let mut scratch = ForecastScratch::new();
@@ -100,10 +104,11 @@ proptest! {
     }
 }
 
-/// The default shim (used by forecasters without a native
-/// `forecast_into`, i.e. seq2seq) materialises the view and defers to
-/// the legacy method — trivially identical, pinned once on a tiny
-/// trained net rather than under proptest (training dominates).
+/// Seq2seq has no exportable state, so the oracle falls back to its own
+/// `forecast`: this pins that its `forecast_into` (which materialises
+/// the window for the network) agrees with that provided wrapper at
+/// every split, once on a tiny trained net rather than under proptest
+/// (training dominates).
 #[test]
 fn seq2seq_shim_is_bit_identical() {
     use foreco_nn::{Activation, AdamConfig, Seq2SeqConfig};

@@ -1173,6 +1173,84 @@ mod tests {
         service.join();
     }
 
+    /// A silent streamed FoReCo VAR session run to its parked fixed
+    /// point, as a snapshot. A fresh session's PIDs take thousands of
+    /// ticks to get there, so fleet tests adopt copies of this one donor
+    /// instead of settling every session.
+    fn parked_donor() -> SessionSnapshot {
+        use crate::session::{Advance, Session, Wake};
+        use crate::spec::SharedForecaster;
+        use foreco_core::RecoveryConfig;
+
+        let model = niryo_one();
+        let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
+        let var = foreco_forecast::Var::fit_differenced(&train, 5, 1e-6).unwrap();
+        let mut donor = Session::open(
+            &SessionSpec::new(
+                0,
+                SourceSpec::Streamed {
+                    initial: model.home(),
+                    inbox_capacity: 4,
+                },
+                ChannelSpec::Ideal,
+                RecoverySpec::FoReCo {
+                    forecaster: SharedForecaster::new(var),
+                    config: RecoveryConfig::for_model(&model),
+                },
+            ),
+            &model,
+        );
+        while matches!(donor.advance(), Advance::Ticked(Wake::Runnable)) {}
+        assert_eq!(donor.wake_hint(), Wake::AwaitingInput);
+        donor.snapshot().unwrap()
+    }
+
+    #[test]
+    fn parked_shard_publishes_control_only_work_before_blocking() {
+        // Adoptions that park on arrival run no scheduling pass: the
+        // shard handles each one and goes straight back to blocking on
+        // its control channel. The telemetry plane must still show the
+        // fleet without any traffic to force a pass.
+        use std::time::{Duration, Instant};
+
+        const FLEET: u64 = 16;
+        let parked = parked_donor();
+        let service = Service::spawn(ServiceConfig::with_shards(1));
+        let handle = service.handle();
+        for id in 0..FLEET {
+            handle
+                .adopt(SessionSnapshot {
+                    id,
+                    ..parked.clone()
+                })
+                .unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let load = loop {
+            let load = handle.shard_loads().remove(0);
+            if load.sessions == FLEET && load.parked == FLEET {
+                break load;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "adopted fleet never published: {load:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(load.adoptions, FLEET);
+        assert_eq!(load.passes, 0, "parks on arrival need no pass");
+        for id in 0..FLEET {
+            handle.close(id).unwrap();
+        }
+        let mut completed = 0;
+        while completed < FLEET {
+            if let Some(SessionEvent::Completed { .. }) = service.next_event() {
+                completed += 1;
+            }
+        }
+        service.join();
+    }
+
     #[test]
     fn idle_fleet_wakeups_track_the_hot_set_not_the_fleet() {
         // The event scheduler's scaling claim as a count: with most of
@@ -1186,39 +1264,13 @@ mod tests {
         // see one pass's wakeups ahead of its pass count. The eager
         // sweep advances the whole fleet every pass and breaks the
         // bound by FLEET / HOT.
-        use crate::session::{Advance, Session, Wake};
-        use crate::spec::SharedForecaster;
-        use foreco_core::RecoveryConfig;
         use std::time::Duration;
 
         const FLEET: u64 = 256;
         const HOT: u64 = 8; // ~3% of the fleet
         const ROUNDS: u64 = 20;
-        let model = niryo_one();
-        let home = model.home();
-        let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
-        let var = foreco_forecast::Var::fit_differenced(&train, 5, 1e-6).unwrap();
-        // A fresh session's PIDs take thousands of ticks to reach their
-        // exact fixed point, so the fleet is adopted from one parked
-        // donor instead of settling 256 times.
-        let mut donor = Session::open(
-            &SessionSpec::new(
-                0,
-                SourceSpec::Streamed {
-                    initial: home.clone(),
-                    inbox_capacity: 4,
-                },
-                ChannelSpec::Ideal,
-                RecoverySpec::FoReCo {
-                    forecaster: SharedForecaster::new(var),
-                    config: RecoveryConfig::for_model(&model),
-                },
-            ),
-            &model,
-        );
-        while matches!(donor.advance(), Advance::Ticked(Wake::Runnable)) {}
-        assert_eq!(donor.wake_hint(), Wake::AwaitingInput);
-        let parked = donor.snapshot().unwrap();
+        let home = niryo_one().home();
+        let parked = parked_donor();
         let service = Service::spawn(ServiceConfig::with_shards(1));
         let handle = service.handle();
         for id in 0..FLEET {

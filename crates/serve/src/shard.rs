@@ -754,6 +754,12 @@ impl ShardWorker {
                     && (rt.wheel.is_empty() || pacing == Pacing::RealTime);
                 let command = if quiescent {
                     idle = true;
+                    // Control-only work (adoptions, parks on arrival)
+                    // runs no pass: surface it before blocking. Every
+                    // gauge move comes with a counter delta.
+                    if rt.scratch.has_deltas() {
+                        rt.publish();
+                    }
                     if pacing == Pacing::RealTime && scheduler.event_driven() {
                         // Keep 50 Hz slots flowing while fully parked so
                         // idle spans track wall time; traffic interrupts

@@ -123,20 +123,12 @@ impl std::fmt::Debug for SharedForecaster {
 }
 
 impl Forecaster for SharedForecaster {
-    fn forecast(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        self.inner.forecast(history)
-    }
-
     fn forecast_into(
         &self,
         history: &foreco_forecast::HistoryView<'_>,
         scratch: &mut foreco_forecast::ForecastScratch,
         out: &mut [f64],
     ) {
-        // Delegation matters here too: falling through to the trait
-        // default would re-materialise the history on every forecast,
-        // silently undoing the zero-allocation hot path for every
-        // session sharing this forecaster.
         self.inner.forecast_into(history, scratch, out)
     }
 

@@ -141,6 +141,11 @@ macro_rules! shard_metrics {
             pub(crate) fn flush(&mut self, counters: &ShardCounters) {
                 $(Kind::$kind.publish(&counters.$field, &mut self.$field);)+
             }
+
+            /// Whether any counter holds a delta not yet flushed.
+            pub(crate) fn has_deltas(&self) -> bool {
+                false $(|| (Kind::$kind == Kind::Counter && self.$field != 0))+
+            }
         }
 
         /// Every per-shard family, in exposition order.
@@ -392,6 +397,20 @@ mod tests {
         scratch.flush(telemetry.shard(1));
         assert_eq!(telemetry.shard(1).summary(1), s);
         assert_eq!(telemetry.shard(0).summary(0), ShardSummary::default());
+    }
+
+    #[test]
+    fn scratch_deltas_are_counters_only() {
+        let telemetry = Telemetry::new(1);
+        let mut scratch = ShardScratch {
+            parked: 3,
+            ..Default::default()
+        };
+        assert!(!scratch.has_deltas(), "a gauge is a value, not a delta");
+        scratch.adoptions = 1;
+        assert!(scratch.has_deltas());
+        scratch.flush(telemetry.shard(0));
+        assert!(!scratch.has_deltas());
     }
 
     #[test]

@@ -225,11 +225,13 @@
 //! forecasts through [`forecast::Forecaster::forecast_into`], which
 //! writes into a caller-owned buffer against a borrowed
 //! [`forecast::HistoryView`] window (scratch space comes from a
-//! reusable [`forecast::ForecastScratch`]). The allocating
-//! `Forecaster::forecast` / `RecoveryEngine::tick` APIs remain as thin
-//! wrappers, bit-identical by contract (pinned by the
-//! `crates/forecast/tests/forecast_into.rs` property suite; the zero
-//! figure itself is pinned by `tests/hot_path_allocs.rs`):
+//! reusable [`forecast::ForecastScratch`]). `forecast_into` is each
+//! family's only forecast body; the allocating `Forecaster::forecast`
+//! is a provided wrapper over it and `RecoveryEngine::tick` wraps
+//! `tick_into`, so both return the hot path's bits by construction.
+//! Every family is pinned bit for bit against a naive test-tree oracle
+//! by the `crates/forecast/tests/forecast_into.rs` property suite; the
+//! zero figure itself is pinned by `tests/hot_path_allocs.rs`:
 //!
 //! ```
 //! use foreco::prelude::*;
@@ -242,7 +244,7 @@
 //! let view = HistoryView::contiguous(&hist, 6);
 //! let (mut scratch, mut pred) = (ForecastScratch::new(), vec![0.0; 6]);
 //! var.forecast_into(&view, &mut scratch, &mut pred); // no allocation
-//! assert_eq!(pred, var.forecast(&view.to_rows()));   // same bits
+//! assert_eq!(pred, var.forecast(&view.to_rows()));   // the same body
 //! ```
 //!
 //! # Checkpointing sessions

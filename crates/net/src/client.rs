@@ -1,8 +1,12 @@
-//! The operator side: [`NetClient`] replays teleoperation traces over
-//! the wire protocol — one frame per 50 Hz slot, a cumulative-ack send
-//! window, optional retransmission, and **seeded artificial
-//! impairments** (loss and lateness) applied above the transport so the
-//! same seed produces the same wire behaviour on every run.
+//! The operator side: [`ForecoClient`], the one client type. It opens,
+//! checkpoints, adopts and closes a session, observes the fleet (wire
+//! stats, Prometheus metrics, poll-mode event subscriptions), and
+//! [`ForecoClient::replay`]s teleoperation traces over the wire
+//! protocol — one frame per 50 Hz slot, a cumulative-ack send window,
+//! optional retransmission, and **seeded artificial impairments** (loss
+//! and lateness) applied above the transport so the same seed produces
+//! the same wire behaviour on every run. Gateway rejections carry a
+//! typed [`RejectCode`](crate::RejectCode).
 //!
 //! Transports are traits: [`UdpWire`]/[`TcpControl`] speak real
 //! sockets, [`LoopbackWire`]/[`LoopbackControl`] drive the gateway's
@@ -25,8 +29,10 @@
 //! is held back [`ClientConfig::late_depth`] slots so it arrives behind
 //! the reorder horizon and rides the §VII-C late path.
 
-use crate::control::{self, ControlCore, ControlRequest, ControlResponse};
+use crate::control::{self, ControlCore, ControlRequest, ControlResponse, CONTROL_VERSION};
+use crate::gateway::Gateway;
 use crate::ingress::IngressState;
+use crate::sdk::EventBatch;
 use crate::wire::{self, FrameKind, MAX_FRAME};
 use crate::NetError;
 use foreco_serve::{IngressSummary, SessionId, SessionReport};
@@ -92,21 +98,27 @@ impl DataWire for UdpWire {
 
 /// Real TCP control plane (with the protocol handshake performed).
 pub struct TcpControl {
-    stream: TcpStream,
+    pub(crate) stream: TcpStream,
 }
 
 impl TcpControl {
     /// Connects to the gateway's control address and performs the
-    /// version handshake.
+    /// version handshake at [`CONTROL_VERSION`].
     ///
     /// # Errors
-    /// Socket failures ([`NetError::Io`]) or a handshake from a
-    /// different protocol version ([`NetError::Protocol`]).
+    /// Socket failures ([`NetError::Io`]), or a server hello that is
+    /// malformed or echoes a version other than the one sent
+    /// ([`NetError::Protocol`]).
     pub fn connect(gateway: SocketAddr) -> Result<Self, NetError> {
         let mut stream = TcpStream::connect(gateway).map_err(NetError::Io)?;
         stream.set_nodelay(true).map_err(NetError::Io)?;
         control::write_hello(&mut stream).map_err(NetError::Io)?;
-        control::read_hello(&mut stream)?;
+        let echoed = control::read_hello(&mut stream)?;
+        if echoed != CONTROL_VERSION {
+            return Err(NetError::Protocol(format!(
+                "control handshake: sent version {CONTROL_VERSION}, server echoed {echoed}"
+            )));
+        }
         Ok(Self { stream })
     }
 }
@@ -174,8 +186,9 @@ impl LoopbackControl {
 
 impl ControlWire for LoopbackControl {
     fn request(&mut self, request: &ControlRequest) -> Result<ControlResponse, NetError> {
-        // Round-trip through the JSON payload codec so the loopback path
-        // exercises byte-identical (de)serialisation to the socket path.
+        // Round-trip through the control payload codec (JSON verbs,
+        // binary checkpoint verbs) so the loopback path exercises
+        // byte-identical (de)serialisation to the socket path.
         let request: ControlRequest = control::decode_request(&control::encode_request(request))?;
         let response = self.core.execute(request);
         control::decode_response(&control::encode_response(&response))
@@ -185,7 +198,8 @@ impl ControlWire for LoopbackControl {
 /// Replay behaviour knobs.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Max unsettled frames in flight before sending blocks on acks.
+    /// Max unsettled frames in flight before sending blocks on acks
+    /// (at least 1: [`ForecoClient::replay`] refuses a zero window).
     pub window: u64,
     /// Probability a frame is never sent (a silent wire loss; its slot
     /// flushes as lost at the gateway).
@@ -238,15 +252,39 @@ pub struct ReplayStats {
     pub acked: u64,
 }
 
-/// A remote operator: one session driven over a data wire and a control
-/// wire (real sockets or loopback — same protocol either way).
-pub struct NetClient<D: DataWire, C: ControlWire> {
+/// A remote operator: one fleet session plus fleet-wide observation,
+/// driven over a data wire and a control wire (real sockets or
+/// loopback — same protocol either way).
+pub struct ForecoClient<D: DataWire, C: ControlWire> {
     data: D,
     control: C,
     session: SessionId,
 }
 
-impl<D: DataWire, C: ControlWire> NetClient<D, C> {
+impl ForecoClient<UdpWire, TcpControl> {
+    /// Connects a remote operator: UDP data plane + TCP control plane
+    /// (version handshake included).
+    ///
+    /// # Errors
+    /// Socket failures ([`NetError::Io`]) or a handshake the gateway
+    /// refused ([`NetError::Protocol`]).
+    pub fn connect(session: SessionId, udp: SocketAddr, tcp: SocketAddr) -> Result<Self, NetError> {
+        let data = UdpWire::connect(udp).map_err(NetError::Io)?;
+        let control = TcpControl::connect(tcp)?;
+        Ok(Self::new(session, data, control))
+    }
+}
+
+impl ForecoClient<LoopbackWire, LoopbackControl> {
+    /// An in-process operator running the gateway's identical codec,
+    /// ingress, and control code without sockets.
+    pub fn loopback(gateway: &Gateway, session: SessionId) -> Self {
+        let (data, control) = gateway.loopback();
+        Self::new(session, data, control)
+    }
+}
+
+impl<D: DataWire, C: ControlWire> ForecoClient<D, C> {
     /// A client for `session` over the given transports.
     pub fn new(session: SessionId, data: D, control: C) -> Self {
         Self {
@@ -261,17 +299,11 @@ impl<D: DataWire, C: ControlWire> NetClient<D, C> {
         self.session
     }
 
-    /// Direct access to the control wire (for the typed SDK layered on
-    /// top of this client).
-    pub(crate) fn control_mut(&mut self) -> &mut C {
-        &mut self.control
-    }
-
     /// Attaches: opens the gated session on the gateway.
     ///
     /// # Errors
-    /// [`NetError::Rejected`] with the gateway's reason, or transport
-    /// failures.
+    /// [`NetError::Rejected`] (typed code + gateway reason) or
+    /// transport failures.
     pub fn open(&mut self, initial: Vec<f64>, inbox_capacity: usize) -> Result<(), NetError> {
         match self.control.request(&ControlRequest::Open {
             id: self.session,
@@ -301,7 +333,7 @@ impl<D: DataWire, C: ControlWire> NetClient<D, C> {
     }
 
     /// Checkpoints the live session, returning the snapshot's portable
-    /// byte form (the binary v3 frame, fetched through the v3
+    /// byte form (the binary v3 frame, fetched through the
     /// `SnapshotBin` verb — the bytes cross the wire verbatim, with no
     /// JSON inflation).
     ///
@@ -319,8 +351,8 @@ impl<D: DataWire, C: ControlWire> NetClient<D, C> {
 
     /// Revives a checkpoint on the gateway, returning the next sequence
     /// number to stream from. Accepts any `SessionSnapshot` byte form —
-    /// binary v3 frames and legacy JSON checkpoints both adopt (the
-    /// server sniffs the payload).
+    /// binary v3 frames and persisted legacy JSON checkpoints both
+    /// adopt (the server sniffs the payload).
     ///
     /// # Errors
     /// [`NetError::Rejected`] / transport failures.
@@ -347,20 +379,89 @@ impl<D: DataWire, C: ControlWire> NetClient<D, C> {
         }
     }
 
-    /// Replays `trace` starting at sequence number `start_slot`
-    /// (0 for a fresh session; an adopted session resumes where
-    /// [`NetClient::adopt`] said). See the module docs for the window,
-    /// retransmission, and impairment semantics.
+    /// Scrapes the fleet-wide metrics snapshot in Prometheus text
+    /// exposition format.
     ///
     /// # Errors
-    /// Transport failures, or [`NetError::Timeout`] when acks stall
-    /// beyond [`ClientConfig::stall_timeout`].
+    /// [`NetError::Rejected`] / transport failures.
+    pub fn metrics(&mut self) -> Result<String, NetError> {
+        match self.control.request(&ControlRequest::Metrics)? {
+            ControlResponse::Metrics { body } => Ok(body),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Opens a poll-mode fleet event subscription; drain it with
+    /// [`ForecoClient::poll_events`] and release it with
+    /// [`ForecoClient::unsubscribe`].
+    ///
+    /// # Errors
+    /// [`NetError::Rejected`] / transport failures.
+    pub fn subscribe(&mut self) -> Result<u64, NetError> {
+        match self
+            .control
+            .request(&ControlRequest::Subscribe { stream: false })?
+        {
+            ControlResponse::Subscribed { subscription } => Ok(subscription),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Drains up to `max` queued events from a subscription.
+    ///
+    /// # Errors
+    /// [`NetError::Rejected`] with
+    /// [`RejectCode::UnknownSession`](crate::RejectCode) when the
+    /// subscription does not exist; transport failures.
+    pub fn poll_events(&mut self, subscription: u64, max: usize) -> Result<EventBatch, NetError> {
+        match self
+            .control
+            .request(&ControlRequest::PollEvents { subscription, max })?
+        {
+            ControlResponse::Events { events, dropped } => Ok(EventBatch { events, dropped }),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Releases a poll-mode subscription (detaching its observer).
+    ///
+    /// # Errors
+    /// [`NetError::Rejected`] when the subscription does not exist;
+    /// transport failures.
+    pub fn unsubscribe(&mut self, subscription: u64) -> Result<(), NetError> {
+        match self
+            .control
+            .request(&ControlRequest::Unsubscribe { subscription })?
+        {
+            ControlResponse::Unsubscribed { .. } => Ok(()),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Replays `trace` starting at sequence number `start_slot`
+    /// (0 for a fresh session; an adopted session resumes where
+    /// [`ForecoClient::adopt`] said). See the module docs for the
+    /// window, retransmission, and impairment semantics.
+    ///
+    /// # Errors
+    /// [`NetError::Io`] with [`ErrorKind::InvalidInput`] for a zero
+    /// [`ClientConfig::window`] (no frame is sent), transport failures,
+    /// or [`NetError::Timeout`] when acks stall beyond
+    /// [`ClientConfig::stall_timeout`].
     pub fn replay(
         &mut self,
         trace: &[Vec<f64>],
         start_slot: u64,
         cfg: &ClientConfig,
     ) -> Result<ReplayStats, NetError> {
+        // A zero window could never admit a frame: every slot would
+        // wait on acks for frames it was not allowed to send.
+        if cfg.window == 0 {
+            return Err(NetError::Io(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "ClientConfig::window must be at least 1",
+            )));
+        }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // Impairment fates are pre-drawn per slot so they depend only on
         // the seed — never on transport timing.
@@ -441,7 +542,7 @@ impl<D: DataWire, C: ControlWire> NetClient<D, C> {
 
 /// The borrow-heavy innards of one replay call.
 struct ReplayRun<'a, D: DataWire, C: ControlWire> {
-    client: &'a mut NetClient<D, C>,
+    client: &'a mut ForecoClient<D, C>,
     trace: &'a [Vec<f64>],
     start_slot: u64,
     cfg: &'a ClientConfig,
@@ -455,14 +556,19 @@ struct ReplayRun<'a, D: DataWire, C: ControlWire> {
 }
 
 impl<D: DataWire, C: ControlWire> ReplayRun<'_, D, C> {
-    fn send_slot(&mut self, seq: u64, stats: &mut ReplayStats) -> Result<(), NetError> {
+    /// Encodes slot `seq`'s command and puts it on the data wire.
+    fn transmit(&mut self, seq: u64) -> Result<(), NetError> {
         let joints = &self.trace[(seq - self.start_slot) as usize];
         let len = wire::encode_command(&mut self.buf, self.client.session, seq, seq, joints)
             .map_err(NetError::Wire)?;
         self.client
             .data
             .send(&self.buf[..len])
-            .map_err(NetError::Io)?;
+            .map_err(NetError::Io)
+    }
+
+    fn send_slot(&mut self, seq: u64, stats: &mut ReplayStats) -> Result<(), NetError> {
+        self.transmit(seq)?;
         // A slot the ack watermark already passed (a deliberately-late
         // frame whose slot was flushed as lost) is fire-and-forget: it
         // can never re-settle, so tracking it would make the window wait
@@ -539,19 +645,7 @@ impl<D: DataWire, C: ControlWire> ReplayRun<'_, D, C> {
             && self.last_retransmit.elapsed() > self.cfg.retransmit_after
         {
             if let Some(&oldest) = self.unsettled.iter().next() {
-                let joints = &self.trace[(oldest - self.start_slot) as usize];
-                let len = wire::encode_command(
-                    &mut self.buf,
-                    self.client.session,
-                    oldest,
-                    oldest,
-                    joints,
-                )
-                .map_err(NetError::Wire)?;
-                self.client
-                    .data
-                    .send(&self.buf[..len])
-                    .map_err(NetError::Io)?;
+                self.transmit(oldest)?;
                 stats.retransmits += 1;
                 self.last_retransmit = Instant::now();
             }

@@ -23,14 +23,19 @@
 //! [`ControlRequest::PollEvents`] / [`ControlRequest::Unsubscribe`] /
 //! [`ControlRequest::Metrics`], their responses, and the typed
 //! [`RejectCode`] on [`ControlResponse::Rejected`]. **v3** added the
-//! opaque-binary checkpoint verbs. Per the versioning invariant, legacy
-//! decode is kept explicitly: the server accepts a v1/v2 hello and
-//! echoes the *client's* version back (old operators keep speaking
-//! their dialect — every v1 message is a valid v3 message, a `Rejected`
-//! without a `code` field decodes as [`RejectCode::Unknown`] on modern
-//! clients, and the legacy JSON `Snapshot`/`Adopt` verbs still work;
-//! `Adopt`/`AdoptBin` both sniff the snapshot bytes, so v2-era JSON
-//! checkpoints revive on a v3 server).
+//! opaque-binary checkpoint verbs. **v4** retired the JSON `Snapshot`
+//! verb: [`ControlRequest::SnapshotBin`] is the only way to checkpoint
+//! over the control plane. Per the versioning invariant, legacy decode
+//! is kept explicitly: the server accepts a v1–v3 hello and echoes the
+//! *client's* version back (old operators keep speaking their dialect —
+//! a `Rejected` without a `code` field decodes as
+//! [`RejectCode::Unknown`] on modern clients, and the legacy JSON
+//! [`ControlRequest::Adopt`] verb still works; `Adopt`/`AdoptBin` both
+//! sniff the snapshot bytes, so persisted JSON checkpoints revive on a
+//! v4 server). A v1–v3 operator can still adopt but must upgrade to
+//! checkpoint: its JSON `Snapshot` request no longer decodes, so it
+//! gets the `Rejected { code: BadRequest }` any undecodable payload
+//! gets, and the connection stays usable.
 //!
 //! The server side ([`ControlCore`]) is transport-agnostic: the TCP
 //! connection handler and the in-process loopback control both call
@@ -58,9 +63,10 @@ pub const MAX_CONTROL_MSG: usize = 64 << 20;
 /// metrics endpoint, and typed reject codes; v3 added the opaque-binary
 /// checkpoint verbs ([`ControlRequest::SnapshotBin`] /
 /// [`ControlRequest::AdoptBin`]) so snapshot payloads travel as raw
-/// bytes instead of JSON-inflated text (see the module docs for the
-/// compatibility rules).
-pub const CONTROL_VERSION: u8 = 3;
+/// bytes instead of JSON-inflated text; v4 retired the JSON `Snapshot`
+/// verb, so v1–v3 operators can still adopt but must upgrade to
+/// checkpoint (see the module docs for the compatibility rules).
+pub const CONTROL_VERSION: u8 = 4;
 
 /// Leading magic of a binary control payload (the v3 checkpoint verbs).
 /// JSON payloads open with `{`, so one byte disambiguates.
@@ -86,22 +92,18 @@ pub enum ControlRequest {
         /// Session id.
         id: SessionId,
     },
-    /// Checkpoint the live session; the response carries the snapshot's
-    /// portable JSON form.
-    Snapshot {
-        /// Session id.
-        id: SessionId,
-    },
     /// Revive a checkpointed session (e.g. across a gateway restart)
     /// and re-attach its data plane at the snapshot's slot watermark.
+    /// The legacy JSON form of [`ControlRequest::AdoptBin`], kept so
+    /// v1–v3 operators can still adopt.
     Adopt {
-        /// Snapshot JSON as produced by [`ControlResponse::Snapshot`].
+        /// A persisted snapshot as text (legacy JSON v1/v2).
         snapshot: String,
     },
     /// Checkpoint the live session with the response as an opaque
-    /// binary snapshot frame (v3) — no JSON inflation; the payload is
-    /// `SessionSnapshot::to_bytes` verbatim. Travels as a binary
-    /// control payload, never JSON.
+    /// binary snapshot frame (v3; the only checkpoint verb since v4) —
+    /// no JSON inflation; the payload is `SessionSnapshot::to_bytes`
+    /// verbatim. Travels as a binary control payload, never JSON.
     SnapshotBin {
         /// Session id.
         id: SessionId,
@@ -111,7 +113,8 @@ pub enum ControlRequest {
     /// through this verb too.
     AdoptBin {
         /// Snapshot bytes as produced by [`ControlResponse::SnapshotBin`]
-        /// (or any `SessionSnapshot::to_bytes` / `to_json_bytes` form).
+        /// (or any byte form `SessionSnapshot::from_bytes` decodes,
+        /// persisted legacy JSON included).
         snapshot: Vec<u8>,
     },
     /// The session's current ingress counters.
@@ -165,13 +168,6 @@ pub enum ControlResponse {
         report: SessionReport,
         /// Final wire-side accounting.
         ingress: IngressSummary,
-    },
-    /// The checkpoint, as portable JSON.
-    Snapshot {
-        /// Session id.
-        id: SessionId,
-        /// `SessionSnapshot::to_bytes` content (UTF-8 JSON).
-        snapshot: String,
     },
     /// The checkpoint as an opaque binary frame (v3; travels as a
     /// binary control payload, never JSON).
@@ -416,6 +412,13 @@ pub fn write_hello_version<W: Write>(w: &mut W, version: u8) -> std::io::Result<
 pub fn read_hello<R: Read>(r: &mut R) -> Result<u8, NetError> {
     let mut hello = [0u8; 5];
     r.read_exact(&mut hello).map_err(NetError::Io)?;
+    check_hello(hello)
+}
+
+/// Validates a 5-byte handshake (magic + a version in
+/// 1 ..= [`CONTROL_VERSION`]) and returns its version — the one check
+/// both the client's and the gateway's side of the handshake run.
+pub(crate) fn check_hello(hello: [u8; 5]) -> Result<u8, NetError> {
     if hello[..4] != WIRE_MAGIC {
         return Err(NetError::Protocol("control handshake: bad magic".into()));
     }
@@ -477,8 +480,7 @@ impl ControlCore {
                 inbox_capacity,
             } => self.open(id, initial, inbox_capacity),
             ControlRequest::Close { id } => self.close(id),
-            ControlRequest::Snapshot { id } => self.snapshot(id, false),
-            ControlRequest::SnapshotBin { id } => self.snapshot(id, true),
+            ControlRequest::SnapshotBin { id } => self.snapshot(id),
             ControlRequest::Adopt { snapshot } => self.adopt(snapshot.as_bytes()),
             ControlRequest::AdoptBin { snapshot } => self.adopt(&snapshot),
             ControlRequest::Stats { id } => match self.ingress.lock().expect("ingress").summary(id)
@@ -639,7 +641,7 @@ impl ControlCore {
         }
     }
 
-    fn snapshot(&self, id: SessionId, binary: bool) -> ControlResponse {
+    fn snapshot(&self, id: SessionId) -> ControlResponse {
         // Land any loss verdicts parked on shard backpressure first:
         // the checkpoint's queue must reflect every verdict the ingress
         // watermark has issued, or the adopt-side slot arithmetic would
@@ -652,16 +654,9 @@ impl ControlCore {
             return Reject::service("snapshot", e).into();
         }
         match self.hub.wait_snapshot(id, self.cfg.control_timeout) {
-            // The v3 verb ships the binary frame verbatim; the legacy
-            // verb keeps its JSON contract for pre-v3 operators.
-            Ok(snapshot) if binary => ControlResponse::SnapshotBin {
+            Ok(snapshot) => ControlResponse::SnapshotBin {
                 id,
                 snapshot: snapshot.to_bytes(),
-            },
-            Ok(snapshot) => ControlResponse::Snapshot {
-                id,
-                snapshot: String::from_utf8(snapshot.to_json_bytes())
-                    .expect("snapshot JSON is UTF-8"),
             },
             Err(reject) => reject.into(),
         }
@@ -872,7 +867,7 @@ mod tests {
 
     #[test]
     fn hello_negotiates_both_versions() {
-        for version in [1u8, CONTROL_VERSION] {
+        for version in 1..=CONTROL_VERSION {
             let mut wire = Vec::new();
             write_hello_version(&mut wire, version).unwrap();
             let got = read_hello(&mut wire.as_slice()).expect("accept version");

@@ -663,12 +663,12 @@ fn connection_loop(
         return;
     };
     // Accept every control version this build knows (1 = the original
-    // request/response set, 2 = subscriptions/metrics/typed rejects)
-    // and echo the *client's* version: a v1 operator keeps speaking v1.
-    let version = hello[4];
-    if hello[..4] != crate::wire::WIRE_MAGIC || version == 0 || version > control::CONTROL_VERSION {
+    // request/response set, 2 = subscriptions/metrics/typed rejects,
+    // 3 = binary checkpoint verbs, 4 = JSON Snapshot retired) and echo
+    // the *client's* version: a v1 operator keeps speaking v1.
+    let Ok(version) = control::check_hello(hello.try_into().expect("5 bytes")) else {
         return; // wrong protocol or future version: hang up, send nothing
-    }
+    };
     if control::write_hello_version(stream, version).is_err() {
         return;
     }
@@ -687,10 +687,9 @@ fn connection_loop(
         let wants_stream = matches!(request, Ok(ControlRequest::Subscribe { stream: true }));
         let response = match request {
             Ok(request) => core.execute(request),
-            Err(e) => crate::control::ControlResponse::Rejected {
-                code: crate::control::RejectCode::BadRequest,
-                reason: e.to_string(),
-            },
+            // Undecodable, retired verbs included (v1–v3's JSON
+            // `Snapshot`): a typed rejection; the connection keeps serving.
+            Err(e) => Reject::new(RejectCode::BadRequest, e.to_string()).into(),
         };
         match &response {
             crate::control::ControlResponse::Subscribed { subscription } => {

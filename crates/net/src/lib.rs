@@ -15,9 +15,10 @@
 //!   §VII-C-late) and the **TCP control plane** (length-prefixed
 //!   open/close/snapshot/adopt/stats, so operators attach, detach, and
 //!   survive gateway restarts);
-//! - [`NetClient`] — the operator: replays `foreco-teleop` traces frame
-//!   by frame with a cumulative-ack send window, optional 50 Hz pacing,
-//!   and seeded artificial loss/lateness;
+//! - [`ForecoClient`] — the operator: opens, checkpoints, adopts and
+//!   closes sessions, observes the fleet, and replays `foreco-teleop`
+//!   traces frame by frame with a cumulative-ack send window, optional
+//!   50 Hz pacing, and seeded artificial loss/lateness;
 //! - [`Gateway::loopback`] — an in-process transport running the
 //!   *identical* codec, ingress, and control code without sockets, so
 //!   determinism tests stay hermetic.
@@ -35,7 +36,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use foreco_net::{ClientConfig, Gateway, GatewayConfig, NetClient, TcpControl, UdpWire};
+//! use foreco_net::{ClientConfig, ForecoClient, Gateway, GatewayConfig, TcpControl, UdpWire};
 //! use foreco_serve::ServiceConfig;
 //! use foreco_teleop::{Dataset, Skill};
 //!
@@ -44,7 +45,7 @@
 //! // A remote operator: attach over TCP, stream datagrams over UDP.
 //! let data = UdpWire::connect(gateway.udp_addr()).unwrap();
 //! let control = TcpControl::connect(gateway.tcp_addr()).unwrap();
-//! let mut operator = NetClient::new(7, data, control);
+//! let mut operator = ForecoClient::new(7, data, control);
 //!
 //! let trace = Dataset::record(Skill::Inexperienced, 1, 0.02, 5).head(120);
 //! operator.open(trace.commands[0].clone(), 256).unwrap();
@@ -68,7 +69,7 @@ pub mod sdk;
 pub mod wire;
 
 pub use client::{
-    ClientConfig, ControlWire, DataWire, LoopbackControl, LoopbackWire, NetClient, ReplayStats,
+    ClientConfig, ControlWire, DataWire, ForecoClient, LoopbackControl, LoopbackWire, ReplayStats,
     TcpControl, UdpWire,
 };
 pub use control::{
@@ -76,7 +77,7 @@ pub use control::{
 };
 pub use gateway::{Gateway, GatewayConfig};
 pub use ingress::IngressConfig;
-pub use sdk::{EventBatch, EventStream, ForecoClient};
+pub use sdk::{EventBatch, EventStream};
 pub use wire::{
     Frame, FrameKind, WireError, HEADER_LEN, MAX_FRAME, MAX_JOINTS, WIRE_MAGIC, WIRE_VERSION,
 };

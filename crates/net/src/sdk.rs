@@ -1,28 +1,11 @@
-//! The typed operator SDK: [`ForecoClient`] wraps the raw
-//! request/response plumbing of [`NetClient`] into one object with a
-//! method per fleet operation, and [`EventStream`] turns a control
-//! connection into a push-mode feed of [`FleetEvent`]s.
-//!
-//! [`NetClient`] stays the low-level replay engine (send windows,
-//! retransmission, impairments); this module is the surface operators
-//! program against:
-//!
-//! - lifecycle — [`ForecoClient::open`], [`ForecoClient::close`],
-//!   [`ForecoClient::snapshot`], [`ForecoClient::adopt`],
-//!   [`ForecoClient::replay`];
-//! - observation — [`ForecoClient::stats`] (one session's wire
-//!   counters), [`ForecoClient::metrics`] (the whole fleet in
-//!   Prometheus text exposition format), and poll-mode subscriptions
-//!   ([`ForecoClient::subscribe`] → [`ForecoClient::poll_events`] →
-//!   [`ForecoClient::unsubscribe`]);
-//! - streaming — [`EventStream::connect`] opens a dedicated TCP
-//!   control connection in stream mode, where the gateway *pushes*
-//!   every fleet event as it happens.
-//!
-//! Every failure is a typed [`NetError`]; gateway-side rejections
-//! carry a machine-readable [`RejectCode`](crate::RejectCode) so
-//! callers can branch on *why* (`Backpressure` vs `UnknownSession` vs
-//! `BadRequest`) instead of parsing reason strings.
+//! Fleet event delivery for operators: [`EventBatch`] is one drain of
+//! a poll-mode subscription
+//! ([`ForecoClient::poll_events`](crate::ForecoClient::poll_events)),
+//! and [`EventStream::connect`] opens a dedicated TCP control
+//! connection in stream mode, where the gateway *pushes* every
+//! [`FleetEvent`] as it happens. Session lifecycle, replay, and the
+//! other observation verbs live on [`ForecoClient`](crate::ForecoClient)
+//! itself.
 //!
 //! # Example: drive a session while watching the fleet
 //!
@@ -50,14 +33,9 @@
 //! gateway.shutdown();
 //! ```
 
-use crate::client::{
-    unexpected, ClientConfig, ControlWire, DataWire, LoopbackControl, LoopbackWire, NetClient,
-    ReplayStats, TcpControl, UdpWire,
-};
+use crate::client::{unexpected, ControlWire, TcpControl};
 use crate::control::{self, ControlRequest, ControlResponse, FleetEvent};
-use crate::gateway::Gateway;
 use crate::NetError;
-use foreco_serve::{IngressSummary, SessionId, SessionReport};
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -70,174 +48,6 @@ pub struct EventBatch {
     /// Events the bounded queue had to shed (oldest-first) since the
     /// previous drain because the subscriber fell behind.
     pub dropped: u64,
-}
-
-/// The typed operator SDK: one fleet session plus fleet-wide
-/// observation, over any data/control transport pair.
-pub struct ForecoClient<D: DataWire, C: ControlWire> {
-    inner: NetClient<D, C>,
-}
-
-impl ForecoClient<UdpWire, TcpControl> {
-    /// Connects a remote operator: UDP data plane + TCP control plane
-    /// (version handshake included).
-    ///
-    /// # Errors
-    /// Socket failures ([`NetError::Io`]) or a handshake the gateway
-    /// refused ([`NetError::Protocol`]).
-    pub fn connect(session: SessionId, udp: SocketAddr, tcp: SocketAddr) -> Result<Self, NetError> {
-        let data = UdpWire::connect(udp).map_err(NetError::Io)?;
-        let control = TcpControl::connect(tcp)?;
-        Ok(Self::new(session, data, control))
-    }
-}
-
-impl ForecoClient<LoopbackWire, LoopbackControl> {
-    /// An in-process operator running the gateway's identical codec,
-    /// ingress, and control code without sockets.
-    pub fn loopback(gateway: &Gateway, session: SessionId) -> Self {
-        let (data, control) = gateway.loopback();
-        Self::new(session, data, control)
-    }
-}
-
-impl<D: DataWire, C: ControlWire> ForecoClient<D, C> {
-    /// An SDK client for `session` over the given transports.
-    pub fn new(session: SessionId, data: D, control: C) -> Self {
-        Self {
-            inner: NetClient::new(session, data, control),
-        }
-    }
-
-    /// The session this client drives.
-    pub fn session(&self) -> SessionId {
-        self.inner.session()
-    }
-
-    /// The underlying replay client, for wire-level knobs the SDK does
-    /// not re-export.
-    pub fn into_inner(self) -> NetClient<D, C> {
-        self.inner
-    }
-
-    /// Attaches: opens the gated session on the gateway.
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] (typed code + gateway reason) or
-    /// transport failures.
-    pub fn open(&mut self, initial: Vec<f64>, inbox_capacity: usize) -> Result<(), NetError> {
-        self.inner.open(initial, inbox_capacity)
-    }
-
-    /// Detaches: drains the session and returns its final report plus
-    /// the wire-side counters.
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] / transport failures.
-    pub fn close(&mut self) -> Result<(SessionReport, IngressSummary), NetError> {
-        self.inner.close()
-    }
-
-    /// Checkpoints the live session into portable snapshot bytes.
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] / transport failures.
-    pub fn snapshot(&mut self) -> Result<Vec<u8>, NetError> {
-        self.inner.snapshot()
-    }
-
-    /// Revives a checkpoint on the gateway; returns the next sequence
-    /// number to stream from.
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] / transport failures.
-    pub fn adopt(&mut self, snapshot: &[u8]) -> Result<u64, NetError> {
-        self.inner.adopt(snapshot)
-    }
-
-    /// The session's current wire-side counters.
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] / transport failures.
-    pub fn stats(&mut self) -> Result<IngressSummary, NetError> {
-        self.inner.stats()
-    }
-
-    /// Replays `trace` from `start_slot` with the configured window,
-    /// pacing, and impairments (see [`NetClient::replay`]).
-    ///
-    /// # Errors
-    /// Transport failures or [`NetError::Timeout`] on ack stalls.
-    pub fn replay(
-        &mut self,
-        trace: &[Vec<f64>],
-        start_slot: u64,
-        cfg: &ClientConfig,
-    ) -> Result<ReplayStats, NetError> {
-        self.inner.replay(trace, start_slot, cfg)
-    }
-
-    /// Scrapes the fleet-wide metrics snapshot in Prometheus text
-    /// exposition format.
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] / transport failures.
-    pub fn metrics(&mut self) -> Result<String, NetError> {
-        match self.inner.control_mut().request(&ControlRequest::Metrics)? {
-            ControlResponse::Metrics { body } => Ok(body),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Opens a poll-mode fleet event subscription; drain it with
-    /// [`ForecoClient::poll_events`] and release it with
-    /// [`ForecoClient::unsubscribe`].
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] / transport failures.
-    pub fn subscribe(&mut self) -> Result<u64, NetError> {
-        match self
-            .inner
-            .control_mut()
-            .request(&ControlRequest::Subscribe { stream: false })?
-        {
-            ControlResponse::Subscribed { subscription } => Ok(subscription),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Drains up to `max` queued events from a subscription.
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] with
-    /// [`RejectCode::UnknownSession`](crate::RejectCode) when the
-    /// subscription does not exist; transport failures.
-    pub fn poll_events(&mut self, subscription: u64, max: usize) -> Result<EventBatch, NetError> {
-        match self
-            .inner
-            .control_mut()
-            .request(&ControlRequest::PollEvents { subscription, max })?
-        {
-            ControlResponse::Events { events, dropped } => Ok(EventBatch { events, dropped }),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Releases a poll-mode subscription (detaching its observer).
-    ///
-    /// # Errors
-    /// [`NetError::Rejected`] when the subscription does not exist;
-    /// transport failures.
-    pub fn unsubscribe(&mut self, subscription: u64) -> Result<(), NetError> {
-        match self
-            .inner
-            .control_mut()
-            .request(&ControlRequest::Unsubscribe { subscription })?
-        {
-            ControlResponse::Unsubscribed { .. } => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
 }
 
 /// A push-mode fleet event feed over a dedicated TCP control
@@ -256,33 +66,26 @@ pub struct EventStream {
 }
 
 impl EventStream {
-    /// Connects, subscribes in stream mode, and returns the stream plus
-    /// its subscription id.
+    /// Connects (the [`TcpControl::connect`] handshake), subscribes in
+    /// stream mode, and returns the stream plus its subscription id.
     ///
     /// # Errors
-    /// Socket failures, a refused handshake, or a gateway rejection.
+    /// Socket failures, a refused or mismatched handshake, or a gateway
+    /// rejection.
     pub fn connect(tcp: SocketAddr) -> Result<(Self, u64), NetError> {
-        let mut stream = TcpStream::connect(tcp).map_err(NetError::Io)?;
-        stream.set_nodelay(true).map_err(NetError::Io)?;
-        control::write_hello(&mut stream).map_err(NetError::Io)?;
-        control::read_hello(&mut stream)?;
-        control::write_msg(
-            &mut stream,
-            &control::to_payload(&ControlRequest::Subscribe { stream: true }),
-        )
-        .map_err(NetError::Io)?;
-        let response: ControlResponse = control::from_payload(&control::read_msg(&mut stream)?)?;
-        let subscription = match response {
-            ControlResponse::Subscribed { subscription } => subscription,
-            other => return Err(unexpected(other)),
-        };
-        Ok((
-            Self {
-                stream,
-                buf: Vec::new(),
-            },
-            subscription,
-        ))
+        // The same connect + handshake as every TCP operator; the
+        // connection only turns one-way after the Subscribed reply.
+        let mut control = TcpControl::connect(tcp)?;
+        match control.request(&ControlRequest::Subscribe { stream: true })? {
+            ControlResponse::Subscribed { subscription } => Ok((
+                Self {
+                    stream: control.stream,
+                    buf: Vec::new(),
+                },
+                subscription,
+            )),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Waits up to `timeout` for the next pushed event; `Ok(None)` when

@@ -770,3 +770,156 @@ fn churn_with_live_scraper_and_subscriber_runs_every_session_in_full() {
     assert_eq!(dropped, 0, "the subscriber lost events");
     assert_eq!(completed, SESSIONS, "one completion per session");
 }
+
+/// Regression: a zero send window could never admit a frame, so every
+/// replay spun on acks until `stall_timeout` and failed with `Timeout`.
+/// It is now an invalid argument, refused before any frame is sent.
+#[test]
+fn zero_window_replay_is_refused_before_any_frame_is_sent() {
+    let trace = test_trace();
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway");
+    let mut client = ForecoClient::loopback(&gateway, SESSION);
+    client.open(trace[0].clone(), 64).expect("open");
+    let cfg = ClientConfig {
+        window: 0,
+        stall_timeout: Duration::from_secs(1),
+        ..ClientConfig::default()
+    };
+    match client.replay(&trace[..40], 0, &cfg) {
+        Err(NetError::Timeout(reason)) => panic!("a zero window must not stall: {reason}"),
+        Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        other => panic!("expected an invalid-input error, got {other:?}"),
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.delivered, 0, "no frame may reach the gateway");
+    gateway.shutdown();
+}
+
+/// The client side of the handshake checks the echo: a server that
+/// answers a current-version hello with another version is refused,
+/// not silently spoken to in the wrong dialect.
+#[test]
+fn tcp_control_rejects_a_mismatched_version_echo() {
+    use foreco_net::{TcpControl, CONTROL_VERSION};
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub server");
+    let addr = listener.local_addr().expect("stub address");
+    let stub = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut hello = [0u8; 5];
+        stream.read_exact(&mut hello).expect("client hello");
+        foreco_net::control::write_hello_version(&mut stream, 1).expect("echo v1");
+        // Hold the connection until the client hangs up.
+        let _ = stream.read(&mut [0u8; 1]);
+        hello[4]
+    });
+    match TcpControl::connect(addr) {
+        Err(NetError::Protocol(_)) => {}
+        Err(e) => panic!("expected a protocol error, got {e}"),
+        Ok(_) => panic!("a v1 echo to a v{CONTROL_VERSION} hello must fail the handshake"),
+    }
+    assert_eq!(stub.join().expect("stub server"), CONTROL_VERSION);
+}
+
+use foreco_net::{ControlRequest, ControlResponse};
+use foreco_serve::SessionSnapshot;
+
+#[path = "../../../tests/legacy_json/mod.rs"]
+mod legacy_json;
+
+/// A raw control connection speaking an explicit protocol version.
+fn legacy_control(gateway: &Gateway, version: u8) -> std::net::TcpStream {
+    let mut stream = std::net::TcpStream::connect(gateway.tcp_addr()).expect("connect control");
+    foreco_net::control::write_hello_version(&mut stream, version).expect("hello");
+    let echoed = foreco_net::control::read_hello(&mut stream).expect("server hello");
+    assert_eq!(echoed, version, "the server echoes the client's version");
+    stream
+}
+
+/// One raw request/response round trip with a JSON payload.
+fn legacy_request(stream: &mut std::net::TcpStream, payload: &[u8]) -> ControlResponse {
+    foreco_net::control::write_msg(stream, payload).expect("send request");
+    let response = foreco_net::control::read_msg(stream).expect("read response");
+    serde_json::from_str(std::str::from_utf8(&response).expect("JSON response"))
+        .expect("decode response")
+}
+
+/// A v2 operator still adopts over the legacy JSON `Adopt` verb: a
+/// checkpoint re-rendered as v2 JSON revives at the same data-plane
+/// slot as the binary `AdoptBin` path.
+#[test]
+fn v2_json_adopt_resumes_where_adopt_bin_does() {
+    let trace = test_trace();
+    let cut = trace.len() / 2;
+
+    let gw_a = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway A");
+    let mut operator = ForecoClient::loopback(&gw_a, SESSION);
+    operator.open(trace[0].clone(), trace.len()).expect("open");
+    operator
+        .replay(&trace[..cut], 0, &ClientConfig::default())
+        .expect("first half");
+    let binary = operator.snapshot().expect("checkpoint over the wire");
+    gw_a.shutdown();
+    let snapshot = SessionSnapshot::from_bytes(&binary).expect("decode checkpoint");
+    let v2_json = String::from_utf8(legacy_json::render(&snapshot)).expect("JSON is UTF-8");
+    assert!(v2_json.contains("\"version\":2"), "re-rendered as v2");
+
+    let gw_b = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway B");
+    let bin_slot = ForecoClient::loopback(&gw_b, SESSION)
+        .adopt(&binary)
+        .expect("AdoptBin");
+    gw_b.shutdown();
+    assert_eq!(bin_slot as usize, cut);
+
+    let gw_c = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway C");
+    let mut stream = legacy_control(&gw_c, 2);
+    let request =
+        serde_json::to_string(&ControlRequest::Adopt { snapshot: v2_json }).expect("encode Adopt");
+    match legacy_request(&mut stream, request.as_bytes()) {
+        ControlResponse::Adopted { id, next_slot, .. } => {
+            assert_eq!(id, SESSION);
+            assert_eq!(
+                next_slot, bin_slot,
+                "JSON Adopt resumes where AdoptBin does"
+            );
+        }
+        other => panic!("expected Adopted, got {other:?}"),
+    }
+    gw_c.shutdown();
+}
+
+/// v4 retired the JSON `Snapshot` verb: a v3 operator sending it gets
+/// the typed `BadRequest` any undecodable payload gets, and its
+/// connection keeps serving requests.
+#[test]
+fn retired_json_snapshot_verb_is_a_bad_request_on_a_live_connection() {
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway");
+    let trace = test_trace();
+    let mut operator = ForecoClient::loopback(&gateway, SESSION);
+    operator.open(trace[0].clone(), 64).expect("open");
+    operator
+        .replay(&trace[..20], 0, &ClientConfig::default())
+        .expect("replay");
+
+    let mut stream = legacy_control(&gateway, 3);
+    let request = format!(r#"{{"Snapshot":{{"id":{SESSION}}}}}"#);
+    match legacy_request(&mut stream, request.as_bytes()) {
+        ControlResponse::Rejected { code, reason } => {
+            assert_eq!(code, RejectCode::BadRequest, "reason: {reason}");
+        }
+        other => panic!("expected a typed rejection, got {other:?}"),
+    }
+    let metrics = serde_json::to_string(&ControlRequest::Metrics).expect("encode Metrics");
+    match legacy_request(&mut stream, metrics.as_bytes()) {
+        ControlResponse::Metrics { body } => assert!(body.contains("foreco_ticks_total")),
+        other => panic!("expected Metrics, got {other:?}"),
+    }
+    gateway.shutdown();
+}

@@ -43,9 +43,10 @@
 //! arms: [`SessionSnapshot::from_bytes`] sniffs the leading byte — a
 //! `{` is a legacy JSON document parsed behind an explicit version
 //! `match` (`1 | 2`), anything else must open with the binary magic.
-//! [`SessionSnapshot::to_json_bytes`] still *writes* the legacy JSON
-//! form (stamped v2, or v1 when the snapshot already carries version 1)
-//! for pre-v3 control-plane peers and the committed golden fixtures.
+//! Nothing in the library writes a JSON snapshot anymore: persisted
+//! v1/v2 documents decode forever, and the committed golden fixtures
+//! (`tests/fixtures/snapshot_v{1,2}.json`) are rendered by the test
+//! tree's `legacy_json` helper.
 //!
 //! The encoder is allocation-disciplined for fleet use:
 //! [`SessionSnapshot::encode_into`] appends to a caller-owned scratch
@@ -874,25 +875,12 @@ impl SessionSnapshot {
         buf
     }
 
-    /// Serialises the snapshot in the **legacy JSON form** (v2, or v1
-    /// when `self.version` already says 1) — the wire form pre-v3
-    /// control-plane peers decode, and the format of the committed
-    /// golden fixtures. Self-contained snapshots are layout-identical
-    /// across v1/v2, so the stamp is the only difference.
-    pub fn to_json_bytes(&self) -> Vec<u8> {
-        let mut legacy = self.clone();
-        legacy.version = legacy.version.min(2);
-        serde_json::to_string(&legacy)
-            .expect("snapshot serialisation is infallible")
-            .into_bytes()
-    }
-
     /// Parses a snapshot previously produced by
-    /// [`SessionSnapshot::to_bytes`] (binary v3) or
-    /// [`SessionSnapshot::to_json_bytes`] (legacy JSON v1/v2). The
-    /// first byte dispatches: `{` selects the legacy JSON parser, the
-    /// binary magic selects the v3 frame decoder. Per the versioning
-    /// invariant, every legal version is an explicit `match` arm.
+    /// [`SessionSnapshot::to_bytes`] (binary v3) or a persisted legacy
+    /// JSON document (v1/v2). The first byte dispatches: `{` selects the
+    /// legacy JSON parser, the binary magic selects the v3 frame
+    /// decoder. Per the versioning invariant, every legal version is an
+    /// explicit `match` arm.
     ///
     /// # Errors
     /// A typed [`RestoreError`] for every malformed shape — truncation,

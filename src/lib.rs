@@ -13,7 +13,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`net`] | `foreco-net` | socket ingress gateway, binary wire codec, typed operator SDK, fleet events + Prometheus metrics |
+//! | [`net`] | `foreco-net` | socket ingress gateway, binary wire codec, the one operator client type, fleet events + Prometheus metrics |
 //! | [`serve`] | `foreco-serve` | sharded multi-session service runtime, metrics registry |
 //! | [`store`] | `foreco-store` | refcounted content-addressed storage for traces, models, blobs |
 //! | [`recovery`] | `foreco-core` | recovery engine, channels, closed loop, Fig-8 grid |
@@ -151,7 +151,8 @@
 //! The [`net`] gateway puts an actual wire in front of the service —
 //! the deployment shape of the paper's Fig. 1: operator commands arrive
 //! as UDP datagrams in a versioned binary format (seq = virtual tick
-//! slot), session control (attach/detach/snapshot/adopt) runs over TCP,
+//! slot), session control (attach/detach/snapshot/adopt) runs over TCP
+//! — one client type, [`net::ForecoClient`], drives both planes —
 //! and lost or reordered datagrams become exactly the loss and §VII-C
 //! late-command events the recovery engine exists to absorb. Sessions
 //! fed from a socket are *gated*: their virtual clock advances with the
@@ -181,9 +182,9 @@
 //! watching a fleet costs zero hot-path allocations and moves zero
 //! bits — every session result stays bit-identical with subscribers
 //! attached (pinned by `tests/serve_invariance.rs` and the gateway
-//! suite). Three surfaces, all through the typed
-//! [`net::ForecoClient`] SDK (rejections carry a machine-readable
-//! [`net::RejectCode`]):
+//! suite). Three surfaces, all through the same
+//! [`net::ForecoClient`] that drives sessions (rejections carry a
+//! machine-readable [`net::RejectCode`]):
 //!
 //! - [`net::ForecoClient::metrics`] scrapes the fleet in Prometheus
 //!   text exposition format — per-shard tick/open/complete/park
@@ -289,8 +290,8 @@
 //! `FSNP`, f64s as raw [`f64::to_bits`] words — bit-lossless by
 //! construction), with versions 1 and 2 kept decodable forever as
 //! explicit JSON match arms: `SessionSnapshot::from_bytes` accepts all
-//! three, and every malformed shape maps to a typed
-//! [`serve::RestoreError`], never a panic (fuzzed by
+//! three (the library writes only v3), and every malformed shape maps
+//! to a typed [`serve::RestoreError`], never a panic (fuzzed by
 //! `tests/snapshot_codec.rs`). At fleet scale, shards encode each part
 //! straight into a reusable scratch buffer and
 //! `ServiceHandle::snapshot_fleet` splices the frames into a streaming
@@ -394,7 +395,7 @@ pub mod prelude {
     };
     pub use foreco_net::{
         ClientConfig, EventStream, FleetEvent, ForecoClient, Gateway, GatewayConfig, IngressConfig,
-        NetClient, NetError, RejectCode, TcpControl, UdpWire,
+        NetError, RejectCode, TcpControl, UdpWire,
     };
     pub use foreco_robot::{niryo_one, ArmModel, DriverConfig, RobotDriver};
     pub use foreco_serve::{

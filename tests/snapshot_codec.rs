@@ -40,6 +40,8 @@ use foreco::serve::{RestoreError, Session, SessionId, SNAPSHOT_VERSION};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+mod legacy_json;
+
 /// One trained VAR shared by every case (training dominates runtime).
 fn shared_var() -> &'static Var {
     static VAR: OnceLock<Var> = OnceLock::new();
@@ -584,7 +586,7 @@ fn json_claiming_v3_is_rejected() {
     // v3 is binary-only; a JSON document claiming it is malformed, not
     // merely future-versioned.
     let (snap, _, _) = scripted_donor(false, 60);
-    let text = String::from_utf8(snap.to_json_bytes()).expect("JSON is UTF-8");
+    let text = String::from_utf8(legacy_json::render(&snap)).expect("JSON is UTF-8");
     assert!(text.contains("\"version\":2"), "donor JSON must stamp v2");
     let forged = text.replace("\"version\":2", "\"version\":3");
     match SessionSnapshot::from_bytes(forged.as_bytes()) {
@@ -665,8 +667,8 @@ fn regenerate() {
     let (donor, _, _) = fixture_donor();
     let mut v1 = donor.clone();
     v1.version = 1;
-    std::fs::write(V1_FIXTURE, v1.to_json_bytes()).expect("write v1 fixture");
+    std::fs::write(V1_FIXTURE, legacy_json::render(&v1)).expect("write v1 fixture");
     let mut v2 = donor;
     v2.version = 2;
-    std::fs::write(V2_FIXTURE, v2.to_json_bytes()).expect("write v2 fixture");
+    std::fs::write(V2_FIXTURE, legacy_json::render(&v2)).expect("write v2 fixture");
 }

@@ -28,6 +28,8 @@ use foreco::serve::{shard_of, Session, SessionId};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+mod legacy_json;
+
 /// Deterministic operator wiggle around the home pose for streamed
 /// sessions (seeded per case, constant across twins).
 fn wiggle(home: &[f64], seed: u64, k: u64) -> Vec<f64> {
@@ -317,7 +319,7 @@ fn migration_mid_run_is_bit_identical() {
 
 /// The v1 decode arm stays live: a self-contained snapshot re-rendered
 /// in the v1 JSON wire form (the form every pre-store release produced
-/// — v1 layouts are a subset of v2, and `to_json_bytes` preserves a v1
+/// — v1 layouts are a subset of v2, and `legacy_json::render` preserves a v1
 /// stamp) must decode through the explicit v1 match arm, restore, and
 /// continue bit-identically to the uninterrupted donor twin.
 #[test]
@@ -337,7 +339,7 @@ fn v1_snapshot_cross_decodes_and_restores_bit_identically() {
     // so stamping 1 and rendering JSON *is* a v1 document.
     let mut v1 = donor.snapshot().unwrap();
     v1.version = 1;
-    let v1_bytes = v1.to_json_bytes();
+    let v1_bytes = legacy_json::render(&v1);
     let text = std::str::from_utf8(&v1_bytes).expect("JSON form is UTF-8");
     assert!(text.contains("\"version\":1"), "v1 stamp must survive");
     let snap = SessionSnapshot::from_bytes(&v1_bytes).expect("v1 decode arm");
@@ -350,7 +352,7 @@ fn v1_snapshot_cross_decodes_and_restores_bit_identically() {
 }
 
 /// The v2 decode arm stays live alongside v3: the same donor state
-/// rendered as legacy v2 JSON (`to_json_bytes`) and as the current
+/// rendered as legacy v2 JSON (`legacy_json::render`) and as the current
 /// binary frame (`to_bytes`) must both decode, agree field-for-field up
 /// to the version stamp, and restore bit-identically.
 #[test]
@@ -370,7 +372,7 @@ fn v2_snapshot_cross_decodes_and_restores_bit_identically() {
 
     // Legacy JSON render: stamped v2, decodes through the explicit v2
     // match arm.
-    let v2_bytes = snapshot.to_json_bytes();
+    let v2_bytes = legacy_json::render(&snapshot);
     let text = std::str::from_utf8(&v2_bytes).expect("JSON form is UTF-8");
     assert!(text.contains("\"version\":2"), "legacy render must stamp 2");
     let from_v2 = SessionSnapshot::from_bytes(&v2_bytes).expect("v2 decode arm");

@@ -251,7 +251,8 @@ pub enum FleetEvent {
         /// Final per-session accounting.
         report: SessionReport,
     },
-    /// A session was checkpointed (payload elided).
+    /// A session was checkpointed (payload elided). Like `Parked`,
+    /// emitted only while a subscription is live.
     Snapshotted {
         /// Session id.
         id: SessionId,
@@ -649,16 +650,24 @@ impl ControlCore {
         while !self.ingress.lock().expect("ingress").try_settle(id) {
             std::thread::yield_now();
         }
-        self.hub.forget_unknown(id);
-        if let Err(e) = self.handle.snapshot(id) {
-            return Reject::service("snapshot", e).into();
-        }
-        match self.hub.wait_snapshot(id, self.cfg.control_timeout) {
-            Ok(snapshot) => ControlResponse::SnapshotBin {
+        let report = match self.handle.snapshot_fleet(&[id]) {
+            Ok(report) => report,
+            Err(e) => return Reject::service("snapshot", e).into(),
+        };
+        // Gateway sessions are gated, so the archive's one part is the
+        // self-contained snapshot frame, `SessionSnapshot::to_bytes`
+        // byte for byte.
+        match (report.archive.part_frames().next(), report.failed.first()) {
+            (Some(frame), _) => ControlResponse::SnapshotBin {
                 id,
-                snapshot: snapshot.to_bytes(),
+                snapshot: frame.to_vec(),
             },
-            Err(reject) => reject.into(),
+            (None, Some((_, reason))) => Reject::new(RejectCode::SnapshotFailed, reason).into(),
+            (None, None) => Reject::new(
+                RejectCode::UnknownSession,
+                format!("session {id} is unknown to the service"),
+            )
+            .into(),
         }
     }
 
@@ -892,6 +901,7 @@ mod tests {
                 to: 3,
             },
             FleetEvent::Dropped { id: 2, tick: 40 },
+            FleetEvent::Snapshotted { id: 3, shard: 1 },
         ];
         let response = ControlResponse::Events {
             events: events.clone(),

@@ -12,8 +12,11 @@
 //!   connection, each speaking the length-prefixed control protocol
 //!   through the shared [`ControlCore`];
 //! - the **event pump** owns the [`Service`] and its event stream,
-//!   routing `Completed`/`Snapshotted`/`Restored`/… to whichever
-//!   control request is waiting on them (via [`EventHub`]).
+//!   routing `Opened`/`Completed`/`Restored`/… to whichever control
+//!   request is waiting on them (via [`EventHub`]) and republishing
+//!   lifecycle narration (`Snapshotted`, `Parked`, …) to subscribers.
+//!   Checkpoints never wait here: they come back on the
+//!   `snapshot_fleet` reply channel.
 //!
 //! The in-process **loopback transport** ([`Gateway::loopback`])
 //! returns a data wire and a control wire that bypass the sockets but
@@ -26,7 +29,7 @@ use crate::ingress::{IngressConfig, IngressState};
 use crate::wire::MAX_FRAME;
 use foreco_serve::{
     ChannelSpec, IngressSummary, MetricsRegistry, PercentileSummary, RecoverySpec, Service,
-    ServiceConfig, ServiceHandle, SessionEvent, SessionId, SessionReport, SessionSnapshot,
+    ServiceConfig, SessionEvent, SessionId, SessionReport,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -90,7 +93,6 @@ struct SubscriberQueue {
 struct HubState {
     opened: HashMap<SessionId, Result<(), Reject>>,
     reports: HashMap<SessionId, SessionReport>,
-    snapshots: HashMap<SessionId, Result<Box<SessionSnapshot>, Reject>>,
     restored: HashMap<SessionId, Result<u64, Reject>>,
     /// `UnknownSession` answers, claimable by whichever request raced it.
     unknown: HashMap<SessionId, u64>,
@@ -166,18 +168,9 @@ impl EventHub {
                 });
                 state.reports.insert(id, report);
             }
-            SessionEvent::Snapshotted {
-                id,
-                shard,
-                snapshot,
-            } => {
+            SessionEvent::Snapshotted { id, shard } => {
+                // Observer-gated like `Parked`: narration only.
                 state.publish(FleetEvent::Snapshotted { id, shard });
-                state.snapshots.insert(id, Ok(snapshot));
-            }
-            SessionEvent::SnapshotFailed { id, reason } => {
-                state
-                    .snapshots
-                    .insert(id, Err(Reject::new(RejectCode::SnapshotFailed, reason)));
             }
             SessionEvent::Restored { id, shard, tick } => {
                 state.publish(FleetEvent::Adopted { id, shard, tick });
@@ -204,7 +197,9 @@ impl EventHub {
                 // unobserved fleet's pump.
                 state.publish(FleetEvent::Parked { id, shard });
             }
-            SessionEvent::ShardTerminated { .. } => {}
+            // A failed migration answers no control request: the
+            // session keeps running where it is.
+            SessionEvent::SnapshotFailed { .. } | SessionEvent::ShardTerminated { .. } => {}
         }
         drop(state);
         self.cv.notify_all();
@@ -313,7 +308,7 @@ impl EventHub {
     /// Waits until `claim` yields a value, the pump dies, or `timeout`
     /// passes. With `unknown_fails`, an `UnknownSession` answer for the
     /// id fails the wait — only for requests the service actually
-    /// answers that way (close/snapshot); an Open/Adopt can race stray
+    /// answers that way (close); an Open/Adopt can race stray
     /// datagrams whose unknowns mean nothing about it.
     fn wait<T>(
         &self,
@@ -364,14 +359,6 @@ impl EventHub {
         self.wait(id, timeout, true, |s| s.reports.remove(&id))
     }
 
-    pub(crate) fn wait_snapshot(
-        &self,
-        id: SessionId,
-        timeout: Duration,
-    ) -> Result<Box<SessionSnapshot>, Reject> {
-        self.wait(id, timeout, true, |s| s.snapshots.remove(&id))?
-    }
-
     pub(crate) fn wait_restored(&self, id: SessionId, timeout: Duration) -> Result<u64, Reject> {
         self.wait(id, timeout, false, |s| s.restored.remove(&id))?
     }
@@ -393,7 +380,6 @@ impl EventHub {
         let mut state = self.state.lock().expect("hub");
         state.opened.remove(&id);
         state.reports.remove(&id);
-        state.snapshots.remove(&id);
         state.restored.remove(&id);
         state.unknown.remove(&id);
         state.engine_drops.remove(&id);
@@ -507,12 +493,6 @@ impl Gateway {
             LoopbackWire::new(Arc::clone(&self.core.ingress)),
             LoopbackControl::new(self.core.clone()),
         )
-    }
-
-    /// A handle into the fronted service (for operators of the gateway
-    /// itself: shard loads, manual migration, …).
-    pub fn service_handle(&self) -> ServiceHandle {
-        self.core.handle.clone()
     }
 
     /// Every attached session's ingress counters, id-ordered.

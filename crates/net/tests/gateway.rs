@@ -923,3 +923,57 @@ fn retired_json_snapshot_verb_is_a_bad_request_on_a_live_connection() {
     }
     gateway.shutdown();
 }
+
+/// A control-plane checkpoint of an id no session ever held gets the
+/// typed `UnknownSession` rejection.
+#[test]
+fn checkpoint_of_a_never_opened_session_is_an_unknown_session() {
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(2), GatewayConfig::default())
+        .expect("spawn gateway");
+    match ForecoClient::loopback(&gateway, 404).snapshot() {
+        Err(NetError::Rejected { code, reason }) => {
+            assert_eq!(code, RejectCode::UnknownSession, "reason: {reason}");
+        }
+        other => panic!("expected a typed rejection, got {other:?}"),
+    }
+    gateway.shutdown();
+}
+
+/// One control-plane checkpoint reaches a subscriber as exactly one
+/// `Snapshotted` event.
+#[test]
+fn one_checkpoint_is_one_snapshotted_event_for_a_subscriber() {
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(2), foreco_gateway_config())
+        .expect("spawn gateway");
+    let trace = test_trace();
+    let mut watcher = ForecoClient::loopback(&gateway, 0);
+    let subscription = watcher.subscribe().expect("subscribe");
+    let mut operator = ForecoClient::loopback(&gateway, SESSION);
+    operator.open(trace[0].clone(), 64).expect("open");
+    operator
+        .replay(&trace[..20], 0, &ClientConfig::default())
+        .expect("replay");
+    operator.snapshot().expect("checkpoint");
+    // The shard narrates the checkpoint before the completion, and the
+    // close returns only after the hub absorbed the completion.
+    operator.close().expect("close");
+
+    let mut events = Vec::new();
+    loop {
+        let batch = watcher.poll_events(subscription, 1024).expect("poll");
+        assert_eq!(batch.dropped, 0, "one session cannot overflow the queue");
+        if batch.events.is_empty() {
+            break;
+        }
+        events.extend(batch.events);
+    }
+    watcher.unsubscribe(subscription).expect("unsubscribe");
+    gateway.shutdown();
+
+    let snapshotted: Vec<&FleetEvent> = events
+        .iter()
+        .filter(|e| matches!(e, FleetEvent::Snapshotted { .. }))
+        .collect();
+    assert_eq!(snapshotted.len(), 1, "events: {events:?}");
+    assert!(matches!(snapshotted[0], FleetEvent::Snapshotted { id, .. } if *id == SESSION));
+}

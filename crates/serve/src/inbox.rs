@@ -17,11 +17,18 @@
 //! pulls it back in — the owning shard replays the skipped ticks
 //! exactly, then lets the session consume the command on the tick it
 //! arrived at.
+//!
+//! Restoring an inbox from a snapshot is validated here, once: each
+//! `from_state` checks every invariant its queue relies on (capacity,
+//! length, payload dimension and finiteness, coalesced miss runs) and
+//! returns a typed [`RestoreError`] instead of panicking on a crafted
+//! snapshot.
 
+use crate::snapshot::{require_finite, RestoreError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Serialisable form of a [`BoundedInbox`] for session snapshots:
+/// Serialisable form of a [`BoundedInbox`] for session snapshots —
 /// capacity, the queued (not-yet-consumed) commands, and the lifetime
 /// accept/drop counters that feed `SessionReport::overflow_drops`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,22 +123,37 @@ impl BoundedInbox {
         }
     }
 
-    /// Rebuilds an inbox from exported state.
+    /// Rebuilds an inbox from exported state, queued commands checked
+    /// against a `dof`-joint arm.
     ///
-    /// # Panics
-    /// Panics if the state's capacity is zero or the queue exceeds it.
-    pub fn from_state(state: &InboxState) -> Self {
-        assert!(state.capacity >= 1, "inbox restore: capacity must be ≥ 1");
-        assert!(
-            state.queue.len() <= state.capacity,
-            "inbox restore: queue longer than capacity"
-        );
-        Self {
+    /// # Errors
+    /// [`RestoreError::Invalid`] for a zero capacity, a queue longer
+    /// than the capacity, or a queued command of the wrong dimension or
+    /// with a non-finite joint.
+    pub fn from_state(state: &InboxState, dof: usize) -> Result<Self, RestoreError> {
+        if state.capacity == 0 {
+            return Err(RestoreError::Invalid("inbox capacity of zero".into()));
+        }
+        if state.queue.len() > state.capacity {
+            return Err(RestoreError::Invalid(format!(
+                "{} queued commands in a capacity-{} inbox",
+                state.queue.len(),
+                state.capacity
+            )));
+        }
+        if let Some(bad) = state.queue.iter().find(|c| c.len() != dof) {
+            return Err(RestoreError::Invalid(format!(
+                "queued command of dimension {} for a {dof}-DoF arm",
+                bad.len()
+            )));
+        }
+        require_finite("queued command", state.queue.iter())?;
+        Ok(Self {
             queue: state.queue.iter().cloned().collect(),
             capacity: state.capacity,
             accepted: state.accepted,
             dropped: state.dropped,
-        }
+        })
     }
 }
 
@@ -314,32 +336,60 @@ impl GatedInbox {
         }
     }
 
-    /// Rebuilds a gated inbox from exported state.
+    /// Rebuilds a gated inbox from exported state, queued payloads
+    /// checked against a `dof`-joint arm.
     ///
-    /// # Panics
-    /// Panics if the state's capacity is zero or its queue holds more
-    /// command slots than the capacity admits.
-    pub fn from_state(state: &GatedInboxState) -> Self {
-        assert!(
-            state.capacity >= 1,
-            "gated inbox restore: capacity must be ≥ 1"
-        );
+    /// # Errors
+    /// [`RestoreError::Invalid`] for a zero capacity, more command slots
+    /// than the capacity admits, a queued payload of the wrong dimension
+    /// or with a non-finite joint, or a miss run with a zero count.
+    pub fn from_state(state: &GatedInboxState, dof: usize) -> Result<Self, RestoreError> {
+        if state.capacity == 0 {
+            return Err(RestoreError::Invalid("inbox capacity of zero".into()));
+        }
         let commands = state
             .queue
             .iter()
             .filter(|s| matches!(s, GatedSlot::Command(_)))
             .count();
-        assert!(
-            commands <= state.capacity,
-            "gated inbox restore: queue longer than capacity"
-        );
-        Self {
+        if commands > state.capacity {
+            return Err(RestoreError::Invalid(format!(
+                "{commands} queued commands in a capacity-{} gated inbox",
+                state.capacity
+            )));
+        }
+        let payloads = || {
+            state.queue.iter().filter_map(|s| match s {
+                GatedSlot::Command(c) | GatedSlot::Late { command: c, .. } => Some(c),
+                GatedSlot::Miss { .. } => None,
+            })
+        };
+        if let Some(bad) = payloads().find(|c| c.len() != dof) {
+            return Err(RestoreError::Invalid(format!(
+                "queued slot of dimension {} for a {dof}-DoF arm",
+                bad.len()
+            )));
+        }
+        require_finite("queued slot", payloads())?;
+        if state
+            .queue
+            .iter()
+            .any(|s| matches!(s, GatedSlot::Miss { count: 0 }))
+        {
+            // A zero-count run would consume a tick on take() while
+            // counting as zero slots everywhere else — a one-tick desync
+            // smuggled in through a crafted snapshot.
+            return Err(RestoreError::Invalid(
+                "gated miss run with a zero count".into(),
+            ));
+        }
+        Ok(Self {
             queue: state.queue.iter().cloned().collect(),
             commands,
             capacity: state.capacity,
             accepted: state.accepted,
             dropped: state.dropped,
-        }
+        })
     }
 }
 
@@ -426,7 +476,7 @@ mod tests {
         let json = serde_json::to_string(&state).unwrap();
         let back: InboxState = serde_json::from_str(&json).unwrap();
         assert_eq!(back, state);
-        let mut restored = BoundedInbox::from_state(&back);
+        let mut restored = BoundedInbox::from_state(&back, 2).unwrap();
         assert_eq!(restored.len(), inbox.len());
         assert_eq!(restored.accepted(), 3);
         assert_eq!(restored.dropped(), 1);
@@ -439,14 +489,92 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "queue longer than capacity")]
     fn from_state_rejects_overfull_queue() {
-        BoundedInbox::from_state(&InboxState {
-            capacity: 1,
-            queue: vec![vec![0.0], vec![1.0]],
-            accepted: 2,
+        let err = BoundedInbox::from_state(
+            &InboxState {
+                capacity: 1,
+                queue: vec![vec![0.0], vec![1.0]],
+                accepted: 2,
+                dropped: 0,
+            },
+            1,
+        )
+        .expect_err("overfull queue");
+        assert_eq!(
+            err,
+            RestoreError::Invalid("2 queued commands in a capacity-1 inbox".into())
+        );
+    }
+
+    /// The restore error's message, for a state that must be rejected.
+    fn rejection(result: Result<impl std::fmt::Debug, RestoreError>) -> String {
+        match result.expect_err("malformed state must be rejected") {
+            RestoreError::Invalid(reason) => reason,
+            other => panic!("expected RestoreError::Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_state_types_every_malformed_bounded_shape() {
+        let state = |capacity: usize, queue: Vec<Vec<f64>>| InboxState {
+            capacity,
+            queue,
+            accepted: 0,
             dropped: 0,
-        });
+        };
+        let cases = [
+            // The overfull queue is `from_state_rejects_overfull_queue`.
+            (state(0, vec![]), "inbox capacity of zero"),
+            (
+                state(2, vec![vec![0.0; 3]]),
+                "queued command of dimension 3 for a 2-DoF arm",
+            ),
+            (
+                state(2, vec![vec![0.0, f64::NAN]]),
+                "non-finite queued command",
+            ),
+        ];
+        for (bad, expected) in cases {
+            assert_eq!(rejection(BoundedInbox::from_state(&bad, 2)), expected);
+        }
+    }
+
+    #[test]
+    fn from_state_types_every_malformed_gated_shape() {
+        let state = |capacity: usize, queue: Vec<GatedSlot>| GatedInboxState {
+            capacity,
+            queue,
+            accepted: 0,
+            dropped: 0,
+        };
+        let cases = [
+            (state(0, vec![]), "inbox capacity of zero"),
+            (
+                state(1, vec![GatedSlot::Command(vec![0.0, 0.0]); 2]),
+                "2 queued commands in a capacity-1 gated inbox",
+            ),
+            (
+                state(
+                    2,
+                    vec![GatedSlot::Late {
+                        command: vec![0.0],
+                        age: 1,
+                    }],
+                ),
+                "queued slot of dimension 1 for a 2-DoF arm",
+            ),
+            (
+                state(2, vec![GatedSlot::Command(vec![f64::INFINITY, 0.0])]),
+                "non-finite queued slot",
+            ),
+            (
+                state(2, vec![GatedSlot::Miss { count: 0 }]),
+                "gated miss run with a zero count",
+            ),
+        ];
+        for (bad, expected) in cases {
+            assert_eq!(rejection(GatedInbox::from_state(&bad, 2)), expected);
+        }
     }
 
     #[test]
@@ -530,7 +658,7 @@ mod tests {
         let json = serde_json::to_string(&state).unwrap();
         let back: GatedInboxState = serde_json::from_str(&json).unwrap();
         assert_eq!(back, state);
-        let mut restored = GatedInbox::from_state(&back);
+        let mut restored = GatedInbox::from_state(&back, 2).unwrap();
         assert_eq!(restored.len(), inbox.len());
         while let Some(slot) = inbox.take() {
             assert_eq!(restored.take(), Some(slot));

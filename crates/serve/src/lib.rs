@@ -53,9 +53,11 @@
 //!   stats) to a versioned [`SessionSnapshot`] that
 //!   [`Session::restore`] rehydrates anywhere — same shard, another
 //!   shard ([`SessionCommand::Migrate`]'s drain→transfer→resume path),
-//!   or another process ([`ServiceHandle::adopt`]) — with **bit-identical**
-//!   continued output, pinned by the `tests/snapshot_roundtrip.rs`
-//!   determinism suite.
+//!   or another process (a live service checkpoints through
+//!   [`ServiceHandle::snapshot_fleet`] and revives through
+//!   [`ServiceHandle::adopt_fleet`]) — with **bit-identical** continued
+//!   output, pinned by the `tests/snapshot_roundtrip.rs` determinism
+//!   suite.
 //!
 //! # Quickstart
 //!

@@ -6,6 +6,12 @@
 //! event receiver — the controller-handle pattern: no shared state, two
 //! bounded `std::sync::mpsc` channels per shard, ownership of every
 //! session confined to exactly one shard thread.
+//!
+//! The one exception is the checkpoint: [`SessionCommand::SnapshotInto`]
+//! answers on a reply channel the caller sizes, with the snapshot already
+//! encoded in the shard's reusable scratch, so a checkpoint never rides
+//! the shared event stream. The matching [`SessionEvent::Snapshotted`] is
+//! observer-gated narration.
 
 use crate::session::SessionReport;
 use crate::snapshot::SessionSnapshot;
@@ -53,13 +59,6 @@ pub enum SessionCommand {
         /// Target session.
         id: SessionId,
     },
-    /// Checkpoint a live session: the owning shard exports its complete
-    /// state and emits [`SessionEvent::Snapshotted`]. The session keeps
-    /// running, untouched.
-    Snapshot {
-        /// Target session.
-        id: SessionId,
-    },
     /// Move a live session to shard `to`: drain (finish the current
     /// tick), transfer (snapshot + hand the state to the target shard),
     /// resume (the target rehydrates and continues). Outputs are
@@ -79,15 +78,17 @@ pub enum SessionCommand {
         /// The state to rehydrate.
         snapshot: Box<SessionSnapshot>,
         /// Claim on the script a `ScriptedRef` snapshot references
-        /// (`adopt_fleet` rides the claim along the channel, so the
-        /// trace cannot be evicted between send and restore). `None`
-        /// for self-contained snapshots.
+        /// (`adopt_fleet` and stored-trace migrations ride the claim
+        /// along the channel, so the trace cannot be evicted between
+        /// send and restore). `None` for self-contained snapshots.
         trace: Option<TraceHandle>,
     },
-    /// Checkpoint a session for a bulk fleet archive: the shard replies
-    /// on the dedicated channel instead of the event stream, with the
-    /// scripted trace deduplicated out of the snapshot (see
+    /// Checkpoint a live session — the one way a checkpoint leaves a
+    /// shard. The shard replies on the dedicated channel, never the
+    /// event stream, with the snapshot already encoded and the scripted
+    /// trace deduplicated out of it (see
     /// [`Session::snapshot_for_fleet`](crate::Session::snapshot_for_fleet)).
+    /// The session keeps running, untouched.
     /// `ServiceHandle::snapshot_fleet` fans this across all shards and
     /// assembles one archive.
     SnapshotInto {
@@ -175,20 +176,19 @@ pub enum SessionEvent {
         /// The contested id.
         id: SessionId,
     },
-    /// A session was checkpointed in response to
-    /// [`SessionCommand::Snapshot`].
+    /// A session was checkpointed by [`SessionCommand::SnapshotInto`]
+    /// (the state itself travels on the command's reply channel). Like
+    /// [`SessionEvent::Parked`], emitted **only while a lifecycle
+    /// observer is attached**: it is narration, never a result.
     Snapshotted {
         /// Session id.
         id: SessionId,
         /// Shard that owns the session.
         shard: usize,
-        /// The exported state (boxed: an order of magnitude larger than
-        /// every other event).
-        snapshot: Box<SessionSnapshot>,
     },
-    /// A snapshot or migration was requested but the session's state
-    /// cannot be exported (unsnapshotable forecaster). The session keeps
-    /// running where it is.
+    /// A migration was requested but the session's state cannot be
+    /// exported (unsnapshotable forecaster). The session keeps running
+    /// where it is.
     SnapshotFailed {
         /// Session id.
         id: SessionId,

@@ -19,7 +19,7 @@
 //! where they are, so balancing chases active work, not session counts.
 
 use crate::archive::FleetArchive;
-use crate::clock::{Pacing, TICK_PERIOD};
+use crate::clock::Pacing;
 use crate::metrics::MetricsRegistry;
 use crate::protocol::{FleetPart, ServiceError, SessionCommand, SessionEvent};
 use crate::sched::Scheduler;
@@ -91,8 +91,6 @@ pub struct ServiceConfig {
     pub pacing: Pacing,
     /// Arm model every session drives.
     pub model: ArmModel,
-    /// Virtual tick period `Ω` in seconds.
-    pub period: f64,
     /// Per-shard scheduling discipline (event-driven by default; eager
     /// is the property-tested ground truth).
     pub scheduler: Scheduler,
@@ -117,7 +115,6 @@ impl Default for ServiceConfig {
             event_capacity: 4096,
             pacing: Pacing::Unpaced,
             model: niryo_one(),
-            period: TICK_PERIOD,
             scheduler: Scheduler::default(),
             balancer: None,
             batching: true,
@@ -175,7 +172,8 @@ impl ServiceHandle {
     }
 
     /// Registers a lifecycle observer: while at least one is attached,
-    /// shards narrate park transitions as [`SessionEvent::Parked`].
+    /// shards narrate park transitions as [`SessionEvent::Parked`] and
+    /// checkpoints as [`SessionEvent::Snapshotted`].
     /// Pair with [`ServiceHandle::detach_observer`].
     pub fn attach_observer(&self) {
         self.telemetry.attach_observer();
@@ -304,15 +302,6 @@ impl ServiceHandle {
             .map_err(|_| ServiceError::Disconnected)
     }
 
-    /// Requests a checkpoint of a live session; the owning shard answers
-    /// with [`SessionEvent::Snapshotted`] (or `SnapshotFailed` /
-    /// `UnknownSession`). The session keeps running.
-    pub fn snapshot(&self, id: SessionId) -> Result<(), ServiceError> {
-        self.route(id)
-            .send(SessionCommand::Snapshot { id })
-            .map_err(|_| ServiceError::Disconnected)
-    }
-
     /// Moves a live session to shard `to` mid-run (drain → transfer →
     /// resume; see the shard docs). Watch for the paired
     /// [`SessionEvent::Migrated`] / [`SessionEvent::Restored`] events.
@@ -329,8 +318,8 @@ impl ServiceHandle {
     }
 
     /// Rehydrates a checkpointed session — e.g. one exported by
-    /// [`ServiceHandle::snapshot`] before a process restart — onto its
-    /// routed shard. The shard answers with [`SessionEvent::Restored`]
+    /// [`ServiceHandle::snapshot_fleet`] before a process restart — onto
+    /// its routed shard. The shard answers with [`SessionEvent::Restored`]
     /// (or `RestoreFailed` / `DuplicateSession`) and the session resumes
     /// from its snapshot tick.
     pub fn adopt(&self, snapshot: SessionSnapshot) -> Result<(), ServiceError> {
@@ -342,7 +331,8 @@ impl ServiceHandle {
             .map_err(|_| ServiceError::Disconnected)
     }
 
-    /// Bulk checkpoint: exports every listed session into one
+    /// Checkpoint — the only one the service offers, for one session or
+    /// a fleet: exports every listed session into one
     /// deduplicated [`FleetArchive`] — each distinct scripted trace
     /// stored once, no matter how many sessions replay it, so a
     /// thousand-session archive costs O(traces + sessions) bytes instead
@@ -519,7 +509,6 @@ impl Service {
                 routes: Arc::clone(&routes),
                 model: config.model.clone(),
                 pacing: config.pacing,
-                period: config.period,
                 scheduler: config.scheduler,
                 telemetry: Arc::clone(&telemetry),
                 models: models.clone(),
@@ -740,6 +729,7 @@ mod tests {
     use super::*;
     use crate::shard::shard_of;
     use crate::spec::{ChannelSpec, RecoverySpec, SourceSpec};
+    use foreco_store::Storage;
     use foreco_teleop::{Dataset, Skill};
     use std::sync::Arc;
 
@@ -888,28 +878,77 @@ mod tests {
         for spec in batch {
             handle.open(spec).unwrap();
         }
-        handle.snapshot(0).unwrap();
-        let mut snapshot = None;
+        let report = handle.snapshot_fleet(&[0]).unwrap();
+        assert!(report.missing.is_empty(), "snapshot raced completion");
+        assert!(report.failed.is_empty());
         let mut completed = 0;
         while completed < 2 {
-            match service.next_event().expect("service alive") {
-                SessionEvent::Snapshotted {
-                    id, snapshot: s, ..
-                } => {
-                    assert_eq!(id, 0);
-                    snapshot = Some(s);
-                }
-                SessionEvent::Completed { .. } => completed += 1,
-                _ => {}
+            if let Some(SessionEvent::Completed { .. }) = service.next_event() {
+                completed += 1;
             }
         }
-        let snapshot = snapshot.expect("snapshot event must arrive");
+        let mut sessions = report.archive.sessions().expect("frames decode");
+        assert_eq!(sessions.len(), 1, "one checkpoint for one id");
+        let snapshot = sessions.remove(0);
         assert_eq!(snapshot.id, 0);
         assert_eq!(snapshot.version, crate::snapshot::SNAPSHOT_VERSION);
         // The checkpoint survives a byte round trip.
         let bytes = snapshot.to_bytes();
         let back = crate::snapshot::SessionSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(back, *snapshot);
+        assert_eq!(back, snapshot);
+        service.join();
+    }
+
+    #[test]
+    fn snapshot_fleet_narrates_checkpoints_only_while_observed() {
+        // Checkpoint narration is observer-gated like parks: the state
+        // rides the reply channel, so an unwatched fleet's event stream
+        // never carries a `Snapshotted`.
+        let home = niryo_one().home();
+        let service = Service::spawn(ServiceConfig::with_shards(2));
+        let handle = service.handle();
+        for id in 0..4u64 {
+            handle
+                .open(SessionSpec::new(
+                    id,
+                    SourceSpec::Streamed {
+                        initial: home.clone(),
+                        inbox_capacity: 4,
+                    },
+                    ChannelSpec::Ideal,
+                    RecoverySpec::Baseline,
+                ))
+                .unwrap();
+        }
+        // Shards send a part's narration before its reply, so every
+        // event a checkpoint caused is buffered once `snapshot_fleet`
+        // returns.
+        let narrated = |service: &Service| {
+            let mut ids = Vec::new();
+            while let EventWait::Event(event) = service.next_event_timeout(Duration::ZERO) {
+                if let SessionEvent::Snapshotted { id, .. } = event {
+                    ids.push(id);
+                }
+            }
+            ids.sort_unstable();
+            ids
+        };
+        let ids = [0, 1, 2, 3];
+        assert_eq!(handle.snapshot_fleet(&ids).unwrap().archive.len(), 4);
+        assert_eq!(narrated(&service), Vec::<u64>::new(), "nobody watching");
+        handle.attach_observer();
+        assert_eq!(handle.snapshot_fleet(&ids).unwrap().archive.len(), 4);
+        assert_eq!(narrated(&service), ids, "one narration per checkpoint");
+        handle.detach_observer();
+        for id in ids {
+            handle.close(id).unwrap();
+        }
+        let mut completed = 0;
+        while completed < ids.len() {
+            if let Some(SessionEvent::Completed { .. }) = service.next_event() {
+                completed += 1;
+            }
+        }
         service.join();
     }
 
@@ -969,19 +1008,15 @@ mod tests {
         let a = Service::spawn(ServiceConfig::with_shards(1));
         let handle = a.handle();
         handle.open(specs(1).remove(0)).unwrap();
-        handle.snapshot(0).unwrap();
-        let bytes = loop {
-            match a.next_event().expect("service alive") {
-                SessionEvent::Snapshotted { snapshot, .. } => break snapshot.to_bytes(),
-                SessionEvent::Completed { .. } => panic!("snapshot raced completion"),
-                _ => {}
-            }
-        };
+        let checkpoint = handle.snapshot_fleet(&[0]).unwrap();
+        assert_eq!(checkpoint.archive.len(), 1, "snapshot raced completion");
+        let bytes = checkpoint.archive.to_bytes();
         a.join(); // "the process dies"
 
         let b = Service::spawn(ServiceConfig::with_shards(1));
-        let snapshot = crate::snapshot::SessionSnapshot::from_bytes(&bytes).unwrap();
-        b.handle().adopt(snapshot).unwrap();
+        let archive = FleetArchive::from_bytes(&bytes).unwrap();
+        let sent = b.handle().adopt_fleet(archive, &Storage::new()).unwrap();
+        assert_eq!(sent, 1);
         let report = loop {
             match b.next_event().expect("service alive") {
                 SessionEvent::Restored { id, .. } => assert_eq!(id, 0),
@@ -996,6 +1031,86 @@ mod tests {
         assert_eq!(
             report.max_deviation_mm.to_bits(),
             twin.max_deviation_mm.to_bits()
+        );
+    }
+
+    #[test]
+    fn migration_keeps_a_stored_trace_claimed() {
+        // A migrated stored-trace session must keep claiming the shared
+        // trace on its new shard, not ride on a private inline copy the
+        // store knows nothing about. Real-time pacing keeps every
+        // session running until the moves have landed.
+        const FLEET: u64 = 8;
+        let storage = Storage::new();
+        let trace = storage.insert_trace_owned(
+            Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+                .head(150)
+                .commands,
+        );
+        let batch: Vec<SessionSpec> = (0..FLEET)
+            .map(|id| {
+                SessionSpec::new(
+                    id,
+                    SourceSpec::Stored(trace.clone()),
+                    ChannelSpec::ControlledLoss {
+                        burst_len: 5,
+                        burst_prob: 0.01,
+                        seed: id,
+                    },
+                    RecoverySpec::Baseline,
+                )
+            })
+            .collect();
+        let twin = Service::spawn(ServiceConfig::with_shards(2)).run_to_completion(batch.clone());
+
+        let service = Service::spawn(ServiceConfig {
+            shards: 2,
+            pacing: Pacing::RealTime,
+            ..Default::default()
+        });
+        let handle = service.handle();
+        for spec in batch {
+            handle.open(spec).unwrap();
+        }
+        drop(trace); // from here the sessions hold the only claims
+        for id in 0..FLEET {
+            handle.migrate(id, (shard_of(id, 2) + 1) % 2).unwrap();
+        }
+        let mut restored = 0;
+        while restored < FLEET {
+            match service.next_event().expect("service alive") {
+                SessionEvent::Restored { .. } => restored += 1,
+                SessionEvent::Opened { .. } | SessionEvent::Migrated { .. } => {}
+                other => panic!("unexpected event before every move landed: {other:?}"),
+            }
+        }
+        let traces = storage.stats().traces;
+        assert_eq!(traces.objects, 1, "the trace must stay resident");
+        assert_eq!(traces.claims, FLEET, "every migrated session claims it");
+        let mut completed = 0;
+        while completed < FLEET {
+            if let Some(SessionEvent::Completed { id, report }) = service.next_event() {
+                completed += 1;
+                let want = twin.get(id).expect("twin report");
+                assert_eq!(report.ticks, want.ticks, "session {id}: ticks");
+                assert_eq!(report.misses, want.misses, "session {id}: misses");
+                assert_eq!(
+                    report.rmse_mm.to_bits(),
+                    want.rmse_mm.to_bits(),
+                    "session {id}: rmse"
+                );
+                assert_eq!(
+                    report.max_deviation_mm.to_bits(),
+                    want.max_deviation_mm.to_bits(),
+                    "session {id}: max deviation"
+                );
+            }
+        }
+        service.join();
+        assert_eq!(
+            storage.stats().traces.objects,
+            0,
+            "the last claim drop evicts the trace"
         );
     }
 
@@ -1089,7 +1204,7 @@ mod tests {
         let handle = service.handle();
         service.join();
         assert_eq!(
-            handle.snapshot(0).expect_err("pool is gone"),
+            handle.snapshot_fleet(&[0]).expect_err("pool is gone"),
             ServiceError::Disconnected
         );
         assert_eq!(
@@ -1498,8 +1613,8 @@ mod tests {
             report.archive.traces().is_empty(),
             "streamed sessions contribute no trace table"
         );
-        // Archived parts are plain self-contained snapshots: each one
-        // restores directly.
+        // Archived parts are plain self-contained snapshots, so each
+        // one restores directly.
         let model = niryo_one();
         for snapshot in report.archive.sessions().expect("frames decode") {
             Session::restore(&snapshot, &model).expect("streamed part restores");

@@ -26,8 +26,8 @@ use crate::archive::FleetSnapshotPart;
 use crate::clock::VirtualClock;
 use crate::inbox::{BoundedInbox, GatedInbox, GatedSlot, Offer};
 use crate::snapshot::{
-    compress_fates, expand_fates, RestoreError, SessionSnapshot, SnapshotError, SourceState,
-    SNAPSHOT_VERSION,
+    compress_fates, expand_fates, require_finite, RestoreError, SessionSnapshot, SnapshotError,
+    SourceState, SNAPSHOT_VERSION,
 };
 use crate::spec::SharedForecaster;
 use crate::spec::{ChannelSpec, SessionId, SessionSpec, SourceSpec};
@@ -39,6 +39,7 @@ use foreco_store::{trace_object_id, Storage, TraceHandle};
 use foreco_teleop::Dataset;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How many fates a streamed session draws from its channel per batch.
@@ -119,23 +120,63 @@ enum Source {
     },
     Streamed {
         inbox: BoundedInbox,
-        channel: Box<dyn Channel + Send>,
-        /// Construction parameters of `channel`, kept so a snapshot can
-        /// rebuild the same impairment model elsewhere.
-        channel_spec: Box<ChannelSpec>,
-        fate_buf: std::collections::VecDeque<Arrival>,
-        closing: bool,
+        link: LiveLink,
     },
     /// Flow-controlled socket ingress: one queued [`GatedSlot`] per
     /// virtual tick (late patches ride between ticks), an empty queue
     /// suspends virtual time instead of counting a miss.
     Gated {
         inbox: GatedInbox,
-        channel: Box<dyn Channel + Send>,
-        channel_spec: Box<ChannelSpec>,
-        fate_buf: std::collections::VecDeque<Arrival>,
-        closing: bool,
+        link: LiveLink,
     },
+}
+
+/// The impairment side of a live (streamed or gated) source: the
+/// channel, the spec it was built from, the chunked fate buffer, and
+/// the closing flag.
+struct LiveLink {
+    channel: Box<dyn Channel + Send>,
+    /// Construction parameters of `channel`, kept so a snapshot can
+    /// rebuild the same impairment model elsewhere.
+    spec: Box<ChannelSpec>,
+    fate_buf: VecDeque<Arrival>,
+    closing: bool,
+}
+
+impl LiveLink {
+    fn open(spec: &ChannelSpec) -> Self {
+        Self {
+            channel: spec.build(),
+            spec: Box::new(spec.clone()),
+            fate_buf: VecDeque::new(),
+            closing: false,
+        }
+    }
+
+    /// Rebuilds a link from its snapshot fields.
+    fn restore(
+        spec: &ChannelSpec,
+        rng: Option<[u64; 4]>,
+        fate_buf: &[Arrival],
+        closing: bool,
+    ) -> Self {
+        let mut link = Self::open(spec);
+        if let Some(state) = rng {
+            link.channel.restore_rng(state);
+        }
+        link.fate_buf.extend(fate_buf);
+        link.closing = closing;
+        link
+    }
+
+    /// The channel's fate for the next delivered command, drawn in
+    /// [`FATE_CHUNK`] batches.
+    fn next_fate(&mut self) -> Arrival {
+        if self.fate_buf.is_empty() {
+            self.fate_buf.extend(self.channel.fates(FATE_CHUNK));
+        }
+        self.fate_buf.pop_front().expect("chunk refilled above")
+    }
 }
 
 /// A hosted recovery loop (see module docs).
@@ -201,10 +242,7 @@ impl Session {
                 (
                     Source::Streamed {
                         inbox: BoundedInbox::new(*inbox_capacity),
-                        channel: spec.channel.build(),
-                        channel_spec: Box::new(spec.channel.clone()),
-                        fate_buf: std::collections::VecDeque::new(),
-                        closing: false,
+                        link: LiveLink::open(&spec.channel),
                     },
                     start,
                 )
@@ -217,10 +255,7 @@ impl Session {
                 (
                     Source::Gated {
                         inbox: GatedInbox::new(*inbox_capacity),
-                        channel: spec.channel.build(),
-                        channel_spec: Box::new(spec.channel.clone()),
-                        fate_buf: std::collections::VecDeque::new(),
-                        closing: false,
+                        link: LiveLink::open(&spec.channel),
                     },
                     start,
                 )
@@ -317,7 +352,7 @@ impl Session {
     /// script).
     pub fn close(&mut self) {
         match &mut self.source {
-            Source::Streamed { closing, .. } | Source::Gated { closing, .. } => *closing = true,
+            Source::Streamed { link, .. } | Source::Gated { link, .. } => link.closing = true,
             Source::Scripted { .. } => {}
         }
     }
@@ -370,7 +405,7 @@ impl Session {
                 let i = self.clock.tick() as usize;
                 i < commands.len() && !fates[i].on_time()
             }
-            Source::Streamed { inbox, closing, .. } => inbox.is_empty() && !*closing,
+            Source::Streamed { inbox, link } => inbox.is_empty() && !link.closing,
             // Gated misses are explicit wire verdicts; peeking would
             // race the gateway, so gated sessions never batch.
             Source::Gated { .. } => false,
@@ -402,39 +437,21 @@ impl Session {
                 }
                 (Some(Cow::Borrowed(commands[i].as_slice())), fates[i])
             }
-            Source::Streamed {
-                inbox,
-                channel,
-                fate_buf,
-                closing,
-                ..
-            } => {
+            Source::Streamed { inbox, link } => {
                 match inbox.take() {
-                    Some(cmd) => {
-                        if fate_buf.is_empty() {
-                            fate_buf.extend(channel.fates(FATE_CHUNK));
-                        }
-                        let fate = fate_buf.pop_front().expect("chunk refilled above");
-                        (Some(Cow::Owned(cmd)), fate)
-                    }
+                    Some(cmd) => (Some(Cow::Owned(cmd)), link.next_fate()),
                     // An empty inbox at tick time is itself the miss: the
                     // operator (or the backpressure drop) left this slot
                     // unfilled.
                     None => {
-                        if *closing {
+                        if link.closing {
                             return Advance::Completed(Box::new(self.report()));
                         }
                         (None, Arrival::Lost)
                     }
                 }
             }
-            Source::Gated {
-                inbox,
-                channel,
-                fate_buf,
-                closing,
-                ..
-            } => loop {
+            Source::Gated { inbox, link } => loop {
                 match inbox.take() {
                     // Late patches ride between ticks: amend the engine
                     // history and keep looking for a tick-consuming slot.
@@ -444,11 +461,7 @@ impl Session {
                         }
                     }
                     Some(GatedSlot::Command(cmd)) => {
-                        if fate_buf.is_empty() {
-                            fate_buf.extend(channel.fates(FATE_CHUNK));
-                        }
-                        let fate = fate_buf.pop_front().expect("chunk refilled above");
-                        break (Some(Cow::Owned(cmd)), fate);
+                        break (Some(Cow::Owned(cmd)), link.next_fate());
                     }
                     // The wire's explicit loss verdict for this slot
                     // (take() always yields single-slot units).
@@ -457,7 +470,7 @@ impl Session {
                     // suspends until the gateway enqueues one (or the
                     // session closes).
                     None => {
-                        if *closing {
+                        if link.closing {
                             return Advance::Completed(Box::new(self.report()));
                         }
                         return Advance::Idle(Wake::AwaitingInput);
@@ -524,14 +537,9 @@ impl Session {
         // Task-space error, accumulated in `trajectory_rmse_mm` /
         // `max_deviation_mm` operation order so the final report is
         // bit-identical to the offline metrics.
-        self.acc_sq_mm += (exec_pos[0] - ref_pos[0]).powi(2)
-            + (exec_pos[1] - ref_pos[1]).powi(2)
-            + (exec_pos[2] - ref_pos[2]).powi(2);
-        let d = ((exec_pos[0] - ref_pos[0]).powi(2)
-            + (exec_pos[1] - ref_pos[1]).powi(2)
-            + (exec_pos[2] - ref_pos[2]).powi(2))
-        .sqrt();
-        self.worst_mm = self.worst_mm.max(d);
+        let d2 = deviation_sq(&exec_pos, &ref_pos);
+        self.acc_sq_mm += d2;
+        self.worst_mm = self.worst_mm.max(d2.sqrt());
 
         self.clock.advance();
         Advance::Ticked(self.wake_hint())
@@ -545,8 +553,8 @@ impl Session {
         // (or a close) are pending, awaiting input otherwise. They never
         // report `ParkedUntil` — their virtual time suspends while they
         // wait, so no wall-pass timer can ever fall due.
-        if let Source::Gated { inbox, closing, .. } = &self.source {
-            return if *closing || !inbox.is_empty() {
+        if let Source::Gated { inbox, link } = &self.source {
+            return if link.closing || !inbox.is_empty() {
                 Wake::Runnable
             } else {
                 Wake::AwaitingInput
@@ -578,8 +586,8 @@ impl Session {
             // Gated sessions never reach this notion of idleness: their
             // parked state is "clock suspended", not "idle ticks elided".
             Source::Scripted { .. } | Source::Gated { .. } => return false,
-            Source::Streamed { inbox, closing, .. } => {
-                if !inbox.is_empty() || *closing {
+            Source::Streamed { inbox, link } => {
+                if !inbox.is_empty() || link.closing {
                     return false;
                 }
             }
@@ -633,9 +641,7 @@ impl Session {
             .model()
             .chain
             .forward_mm(self.reference.joints());
-        let d2 = (exec_pos[0] - ref_pos[0]).powi(2)
-            + (exec_pos[1] - ref_pos[1]).powi(2)
-            + (exec_pos[2] - ref_pos[2]).powi(2);
+        let d2 = deviation_sq(&exec_pos, &ref_pos);
         let d = d2.sqrt();
         for _ in 0..ticks {
             // Term-by-term: f64 addition is not associative, and the
@@ -701,31 +707,19 @@ impl Session {
                 commands: (**commands).clone(),
                 fates: fates.clone(),
             },
-            Source::Streamed {
-                inbox,
-                channel,
-                channel_spec,
-                fate_buf,
-                closing,
-            } => SourceState::Streamed {
+            Source::Streamed { inbox, link } => SourceState::Streamed {
                 inbox: inbox.snapshot(),
-                channel: channel_spec.clone(),
-                channel_rng: channel.rng_state(),
-                fate_buf: fate_buf.iter().copied().collect(),
-                closing: *closing,
+                channel: link.spec.clone(),
+                channel_rng: link.channel.rng_state(),
+                fate_buf: link.fate_buf.iter().copied().collect(),
+                closing: link.closing,
             },
-            Source::Gated {
-                inbox,
-                channel,
-                channel_spec,
-                fate_buf,
-                closing,
-            } => SourceState::Gated {
+            Source::Gated { inbox, link } => SourceState::Gated {
                 inbox: inbox.snapshot(),
-                channel: channel_spec.clone(),
-                channel_rng: channel.rng_state(),
-                fate_buf: fate_buf.iter().copied().collect(),
-                closing: *closing,
+                channel: link.spec.clone(),
+                channel_rng: link.channel.rng_state(),
+                fate_buf: link.fate_buf.iter().copied().collect(),
+                closing: link.closing,
             },
         };
         Ok(self.snapshot_shell(source, engine))
@@ -763,6 +757,22 @@ impl Session {
                     Some((id, Arc::clone(commands))),
                 ))
             }
+            _ => Ok((self.snapshot()?, None)),
+        }
+    }
+
+    /// What a migration ships: a session holding a stored-trace claim
+    /// travels in archive form ([`Session::snapshot_for_fleet`]) with a
+    /// clone of its claim, so the destination shares the resident trace
+    /// and the store never loses track of it; every other session
+    /// ships its self-contained snapshot.
+    pub(crate) fn snapshot_for_transfer(
+        &self,
+    ) -> Result<(SessionSnapshot, Option<TraceHandle>), SnapshotError> {
+        match &self.source {
+            Source::Scripted {
+                claim: Some(claim), ..
+            } => Ok((self.snapshot_for_fleet()?.0, Some(claim.clone()))),
             _ => Ok((self.snapshot()?, None)),
         }
     }
@@ -944,103 +954,20 @@ impl Session {
                 channel_rng,
                 fate_buf,
                 closing,
-            } => {
-                if inbox.capacity == 0 {
-                    return Err(RestoreError::Invalid("inbox capacity of zero".into()));
-                }
-                if inbox.queue.len() > inbox.capacity {
-                    return Err(RestoreError::Invalid(format!(
-                        "{} queued commands in a capacity-{} inbox",
-                        inbox.queue.len(),
-                        inbox.capacity
-                    )));
-                }
-                if let Some(bad) = inbox.queue.iter().find(|c| c.len() != model.dof()) {
-                    return Err(RestoreError::Invalid(format!(
-                        "queued command of dimension {} for a {}-DoF arm",
-                        bad.len(),
-                        model.dof()
-                    )));
-                }
-                require_finite("queued command", inbox.queue.iter())?;
-                let mut rebuilt = channel.build();
-                if let Some(state) = channel_rng {
-                    rebuilt.restore_rng(*state);
-                }
-                Source::Streamed {
-                    inbox: BoundedInbox::from_state(inbox),
-                    channel: rebuilt,
-                    channel_spec: channel.clone(),
-                    fate_buf: fate_buf.iter().copied().collect(),
-                    closing: *closing,
-                }
-            }
+            } => Source::Streamed {
+                inbox: BoundedInbox::from_state(inbox, model.dof())?,
+                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing),
+            },
             SourceState::Gated {
                 inbox,
                 channel,
                 channel_rng,
                 fate_buf,
                 closing,
-            } => {
-                if inbox.capacity == 0 {
-                    return Err(RestoreError::Invalid("inbox capacity of zero".into()));
-                }
-                let commands = inbox
-                    .queue
-                    .iter()
-                    .filter(|s| matches!(s, GatedSlot::Command(_)))
-                    .count();
-                if commands > inbox.capacity {
-                    return Err(RestoreError::Invalid(format!(
-                        "{commands} queued commands in a capacity-{} gated inbox",
-                        inbox.capacity
-                    )));
-                }
-                if let Some(bad) = inbox.queue.iter().find_map(|s| match s {
-                    GatedSlot::Command(c) | GatedSlot::Late { command: c, .. }
-                        if c.len() != model.dof() =>
-                    {
-                        Some(c.len())
-                    }
-                    _ => None,
-                }) {
-                    return Err(RestoreError::Invalid(format!(
-                        "queued slot of dimension {bad} for a {}-DoF arm",
-                        model.dof()
-                    )));
-                }
-                require_finite(
-                    "queued slot",
-                    inbox.queue.iter().filter_map(|s| match s {
-                        GatedSlot::Command(c) | GatedSlot::Late { command: c, .. } => Some(c),
-                        GatedSlot::Miss { .. } => None,
-                    }),
-                )?;
-                if inbox
-                    .queue
-                    .iter()
-                    .any(|s| matches!(s, GatedSlot::Miss { count: 0 }))
-                {
-                    // A zero-count run would consume a tick on take()
-                    // while counting as zero slots everywhere else —
-                    // a one-tick desync smuggled in through a crafted
-                    // snapshot.
-                    return Err(RestoreError::Invalid(
-                        "gated miss run with a zero count".into(),
-                    ));
-                }
-                let mut rebuilt = channel.build();
-                if let Some(state) = channel_rng {
-                    rebuilt.restore_rng(*state);
-                }
-                Source::Gated {
-                    inbox: GatedInbox::from_state(inbox),
-                    channel: rebuilt,
-                    channel_spec: channel.clone(),
-                    fate_buf: fate_buf.iter().copied().collect(),
-                    closing: *closing,
-                }
-            }
+            } => Source::Gated {
+                inbox: GatedInbox::from_state(inbox, model.dof())?,
+                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing),
+            },
         };
         let (engine, shared_model) = match &snap.engine {
             None => (None, None),
@@ -1144,19 +1071,6 @@ fn validated_scripted(
     })
 }
 
-/// Rejects non-finite commands. Delivered, one would become the
-/// engine's newest history row, and the next miss's step clamp would
-/// panic on its NaN bound.
-fn require_finite<'a>(
-    what: &str,
-    mut commands: impl Iterator<Item = &'a Vec<f64>>,
-) -> Result<(), RestoreError> {
-    if commands.any(|c| c.iter().any(|q| !q.is_finite())) {
-        return Err(RestoreError::Invalid(format!("non-finite {what}")));
-    }
-    Ok(())
-}
-
 /// Pre-checks a driver state against the target arm so restore returns
 /// an error instead of tripping `RobotDriver::from_state`'s panics.
 fn validate_driver_state(
@@ -1201,6 +1115,14 @@ fn first_fire_tick(arrives: f64, omega: f64, from: u64) -> u64 {
         i -= 1;
     }
     i
+}
+
+/// Squared task-space deviation (mm²) between the executed and the
+/// reference tool positions, summed in `trajectory_rmse_mm` term order.
+fn deviation_sq(exec_pos: &[f64; 3], ref_pos: &[f64; 3]) -> f64 {
+    (exec_pos[0] - ref_pos[0]).powi(2)
+        + (exec_pos[1] - ref_pos[1]).powi(2)
+        + (exec_pos[2] - ref_pos[2]).powi(2)
 }
 
 /// Mirrors the `pending_late.retain` block of `run_closed_loop`.

@@ -44,20 +44,30 @@
 //! [`RoutingTable`], and hands the state to the destination shard's
 //! control channel as an `Adopt` — at no instant do two shards own the
 //! session, and the destination resumes it from the exact tick it left,
-//! so results are bit-identical to never having moved. `Rebalance` (sent
-//! by the service's balancer) is the policy layer on the same mechanism:
-//! the shard picks its highest-id runnable sessions and migrates them
-//! out. Commands racing a migration can land on a shard that no longer
-//! (or does not yet) own the session; they are answered with
-//! `UnknownSession`, which for `Inject` is just another loss event of
-//! the kind the recovery engine exists to absorb.
+//! so results are bit-identical to never having moved. A session that
+//! holds a stored-trace claim ships in archive form with the claim
+//! riding along, so the trace stays claimed (and resident) in flight
+//! and the destination shares it instead of holding a private copy.
+//! `Rebalance` (sent by the service's balancer) is the policy layer on
+//! the same mechanism: the shard picks its highest-id runnable sessions
+//! and migrates them out. Commands racing a migration can land on a
+//! shard that no longer (or does not yet) own the session; they are
+//! answered with `UnknownSession`, which for `Inject` is just another
+//! loss event of the kind the recovery engine exists to absorb.
 //!
 //! Control flow per loop iteration: retry parked migration hand-offs,
 //! drain the control inbox (blocking when quiescent), fire due timers,
 //! advance the run queue, publish telemetry, pace.
+//!
+//! # Checkpoints
+//!
+//! A checkpoint leaves a shard one way: `SnapshotInto` syncs the
+//! session, encodes its archive-form snapshot into the shard's reusable
+//! scratch and answers on the caller's reply channel. The event stream
+//! only narrates it (`Snapshotted`, observer-gated like `Parked`).
 
 use crate::batch::BatchPlanner;
-use crate::clock::{Pacer, Pacing};
+use crate::clock::{Pacer, Pacing, TICK_PERIOD};
 use crate::inbox::Offer;
 use crate::protocol::{SessionCommand, SessionEvent};
 use crate::sched::{Scheduler, TimerWheel};
@@ -126,7 +136,6 @@ pub(crate) struct ShardWorker {
     pub(crate) routes: Arc<RoutingTable>,
     pub(crate) model: ArmModel,
     pub(crate) pacing: Pacing,
-    pub(crate) period: f64,
     pub(crate) scheduler: Scheduler,
     /// Shared telemetry plane (fleet counters + observer flag).
     pub(crate) telemetry: Arc<Telemetry>,
@@ -167,9 +176,10 @@ struct Runtime {
     /// take yet. Transfers never use a blocking send: two shards
     /// migrating toward each other with full control channels would
     /// deadlock the pool (neither can drain its own channel while
-    /// blocked in the other's). State parks here and is retried each
-    /// pass instead.
-    pending_transfers: Vec<(usize, Box<crate::snapshot::SessionSnapshot>)>,
+    /// blocked in the other's). The `Adopt` parks here instead, with
+    /// the trace claim a stored-trace session ships, and is retried
+    /// each pass.
+    pending_transfers: Vec<(usize, SessionCommand)>,
     /// Shared storage for adopted sessions' engine weights.
     models: Storage,
     /// Whether the pass runs the batched SoA forecasting sweep.
@@ -295,8 +305,8 @@ impl Runtime {
     fn migrate_out(&mut self, id: u64, to: usize, quiet: bool) {
         self.poke(id, false); // a parked session must ship its synced state
         let session = self.sessions.get(&id).expect("caller checked existence");
-        match session.snapshot() {
-            Ok(snapshot) => {
+        match session.snapshot_for_transfer() {
+            Ok((snapshot, trace)) => {
                 // The session has finished its current tick (migrations
                 // run inside the control drain), so the snapshot is
                 // tick-aligned. Remove it *before* the hand-off: from
@@ -310,7 +320,13 @@ impl Runtime {
                     from: self.index,
                     to,
                 });
-                self.hand_off(to, Box::new(snapshot));
+                self.hand_off(
+                    to,
+                    SessionCommand::Adopt {
+                        snapshot: Box::new(snapshot),
+                        trace,
+                    },
+                );
             }
             Err(e) => {
                 // Unsnapshotable sessions stay put and keep running
@@ -326,20 +342,14 @@ impl Runtime {
         }
     }
 
-    /// Non-blocking transfer to a peer; a full channel parks the state
-    /// for retry, a dead one drops it (pool tearing down).
-    fn hand_off(&mut self, to: usize, snapshot: Box<crate::snapshot::SessionSnapshot>) {
-        // Migration snapshots are self-contained (scripted sources ship
-        // their rows inline), so no trace claim rides along.
-        match self.peers[to].try_send(SessionCommand::Adopt {
-            snapshot,
-            trace: None,
-        }) {
+    /// Non-blocking transfer of an `Adopt` to a peer; a full channel
+    /// parks it (trace claim included) for retry, a dead one drops it
+    /// (pool tearing down).
+    fn hand_off(&mut self, to: usize, adopt: SessionCommand) {
+        match self.peers[to].try_send(adopt) {
             Ok(()) => {}
-            Err(std::sync::mpsc::TrySendError::Full(SessionCommand::Adopt {
-                snapshot: s, ..
-            })) => {
-                self.pending_transfers.push((to, s));
+            Err(std::sync::mpsc::TrySendError::Full(adopt)) => {
+                self.pending_transfers.push((to, adopt));
             }
             Err(_) => {}
         }
@@ -420,39 +430,12 @@ impl Runtime {
                     let _ = self.events.send(SessionEvent::UnknownSession { id });
                 }
             }
-            SessionCommand::Snapshot { id } => {
+            SessionCommand::SnapshotInto { id, reply } => {
                 if self.sessions.contains_key(&id) {
                     // Sync first: the checkpoint must capture the state
                     // an eager shard would have at this pass, park
                     // backlog included — that is what makes parked
                     // snapshots restore bit-identically.
-                    self.poke(id, false);
-                    let session = &self.sessions[&id];
-                    match session.snapshot() {
-                        Ok(snapshot) => {
-                            self.scratch.snapshots += 1;
-                            let _ = self.events.send(SessionEvent::Snapshotted {
-                                id,
-                                shard: self.index,
-                                snapshot: Box::new(snapshot),
-                            });
-                        }
-                        Err(e) => {
-                            let _ = self.events.send(SessionEvent::SnapshotFailed {
-                                id,
-                                reason: e.to_string(),
-                            });
-                        }
-                    }
-                    self.settle(id);
-                } else {
-                    let _ = self.events.send(SessionEvent::UnknownSession { id });
-                }
-            }
-            SessionCommand::SnapshotInto { id, reply } => {
-                if self.sessions.contains_key(&id) {
-                    // Same sync rule as `Snapshot`: the archived state
-                    // must match what an eager shard would hold.
                     self.poke(id, false);
                     let result = self.sessions[&id].snapshot_for_fleet();
                     let part = match result {
@@ -465,6 +448,13 @@ impl Runtime {
                             self.scratch.snapshots += 1;
                             self.scratch.archive_parts += 1;
                             self.scratch.archive_bytes += self.snapshot_scratch.len() as u64;
+                            // Checkpoint narration is opt-in, like parks.
+                            if self.telemetry.observed() {
+                                let _ = self.events.send(SessionEvent::Snapshotted {
+                                    id,
+                                    shard: self.index,
+                                });
+                            }
                             crate::protocol::FleetPart::Snapshot {
                                 id,
                                 frame: self.snapshot_scratch.clone(),
@@ -689,8 +679,8 @@ impl Runtime {
             return;
         }
         let pending = std::mem::take(&mut self.pending_transfers);
-        for (to, snapshot) in pending {
-            self.hand_off(to, snapshot);
+        for (to, adopt) in pending {
+            self.hand_off(to, adopt);
         }
     }
 }
@@ -706,7 +696,6 @@ impl ShardWorker {
             routes,
             model,
             pacing,
-            period,
             scheduler,
             telemetry,
             models,
@@ -733,7 +722,7 @@ impl ShardWorker {
             planner: BatchPlanner::new(),
             snapshot_scratch: Vec::new(),
         };
-        let mut pacer = Pacer::new(pacing, period);
+        let mut pacer = Pacer::new(pacing, TICK_PERIOD);
         let mut shutdown = false;
         let mut idle = true;
         // Wall deadline of the current 50 Hz slot while a real-time
@@ -765,7 +754,8 @@ impl ShardWorker {
                         // idle spans track wall time; traffic interrupts
                         // the wait mid-slot but never extends the slot.
                         let deadline = *slot_deadline.get_or_insert_with(|| {
-                            std::time::Instant::now() + std::time::Duration::from_secs_f64(period)
+                            std::time::Instant::now()
+                                + std::time::Duration::from_secs_f64(TICK_PERIOD)
                         });
                         let now = std::time::Instant::now();
                         if now >= deadline {

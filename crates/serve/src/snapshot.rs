@@ -1142,6 +1142,19 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
+/// Rejects non-finite commands. Delivered, one would become the
+/// engine's newest history row, and the next miss's step clamp would
+/// panic on its NaN bound.
+pub(crate) fn require_finite<'a>(
+    what: &str,
+    mut commands: impl Iterator<Item = &'a Vec<f64>>,
+) -> Result<(), RestoreError> {
+    if commands.any(|c| c.iter().any(|q| !q.is_finite())) {
+        return Err(RestoreError::Invalid(format!("non-finite {what}")));
+    }
+    Ok(())
+}
+
 impl From<foreco_core::EngineStateError> for RestoreError {
     fn from(e: foreco_core::EngineStateError) -> Self {
         RestoreError::Invalid(e.to_string())

@@ -482,15 +482,6 @@ impl Storage {
         })
     }
 
-    /// Claims an already-registered model by id.
-    pub fn get_model(&self, id: ObjectId) -> Option<ModelHandle> {
-        lock(&self.inner.models).claim(id).map(|slot| ModelHandle {
-            store: Arc::clone(&self.inner),
-            id,
-            payload: slot.forecaster,
-        })
-    }
-
     /// Inserts (or dedups) an opaque blob — serialized engine histories,
     /// snapshot bytes — claiming it.
     pub fn insert_blob(&self, bytes: Vec<u8>) -> BlobHandle {

@@ -256,9 +256,10 @@
 //! a versioned, serialisable [`serve::SessionSnapshot`] and
 //! [`serve::Session::restore`] rehydrates it — same results, bit for
 //! bit (pinned by the `tests/snapshot_roundtrip.rs` determinism
-//! suite). At the service level, `ServiceHandle::snapshot` checkpoints,
+//! suite). At the service level, `ServiceHandle::snapshot_fleet`
+//! checkpoints one session or many into a `FleetArchive`,
 //! `ServiceHandle::migrate` moves a session between shards mid-run, and
-//! `ServiceHandle::adopt` revives a checkpoint from another process:
+//! `ServiceHandle::adopt_fleet` revives the archive in another process:
 //!
 //! ```
 //! use foreco::prelude::*;

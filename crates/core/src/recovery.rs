@@ -597,131 +597,62 @@ impl RecoveryEngine {
                 false
             }
             None => {
-                if self.miss_prologue(out) {
+                let r = self.forecaster.history_len();
+                if self.ring.len() < r {
+                    // Not enough history yet: fall back to the Niryo
+                    // behaviour (repeat last) and record it as a forecast
+                    // slot so a late command may replace it.
+                    self.stats.warmup_repeats += 1;
+                    out.copy_from_slice(self.ring.back());
+                    self.ring.push(out, true);
                     return true;
+                }
+                if let Some(cap) = self.cfg.max_consecutive_forecasts {
+                    if self.consecutive_forecasts >= cap {
+                        // Horizon exhausted: hold the pose instead of
+                        // extrapolating further into the unknown.
+                        self.stats.horizon_holds += 1;
+                        out.copy_from_slice(self.ring.back());
+                        self.ring.push(out, true);
+                        return true;
+                    }
                 }
                 self.forecaster
                     .forecast_into(&self.ring.view(), &mut self.scratch, out);
-                self.finish_forecast(out);
+                if let Some(gamma_min) = self.cfg.trend_damping {
+                    if self.consecutive_forecasts == 0 {
+                        // Outage starts: freeze the window-quality signal.
+                        let real = (0..self.ring.len()).filter(|&i| !self.ring.flag(i)).count();
+                        self.burst_quality = real as f64 / self.ring.len() as f64;
+                    }
+                    let gamma_eff = gamma_min + (1.0 - gamma_min) * self.burst_quality;
+                    let factor = gamma_eff.powi(self.consecutive_forecasts as i32);
+                    let last = self.ring.back();
+                    for (v, prev) in out.iter_mut().zip(last) {
+                        *v = prev + factor * (*v - prev);
+                    }
+                }
+                if let Some(step) = self.cfg.max_step {
+                    let last = self.ring.back();
+                    for (v, prev) in out.iter_mut().zip(last) {
+                        *v = v.clamp(prev - step, prev + step);
+                    }
+                }
+                if let Some(limits) = &self.cfg.limits {
+                    for (v, (lo, hi)) in out.iter_mut().zip(limits) {
+                        *v = v.clamp(*lo, *hi);
+                    }
+                }
+                self.stats.forecasts += 1;
+                self.consecutive_forecasts += 1;
+                self.ring.push(out, true);
                 true
             }
         }
     }
 
-    /// The pre-forecast half of a miss tick: warmup repeat-last while
-    /// the window is short, horizon hold once the consecutive-forecast
-    /// cap is exhausted. Returns `true` when the miss was fully handled
-    /// (out holds the repeated command), `false` when a forecast is due.
-    fn miss_prologue(&mut self, out: &mut [f64]) -> bool {
-        let r = self.forecaster.history_len();
-        if self.ring.len() < r {
-            // Not enough history yet: fall back to the Niryo
-            // behaviour (repeat last) and record it as a forecast
-            // slot so a late command may replace it.
-            self.stats.warmup_repeats += 1;
-            out.copy_from_slice(self.ring.back());
-            self.ring.push(out, true);
-            return true;
-        }
-        if let Some(cap) = self.cfg.max_consecutive_forecasts {
-            if self.consecutive_forecasts >= cap {
-                // Horizon exhausted: hold the pose instead of
-                // extrapolating further into the unknown.
-                self.stats.horizon_holds += 1;
-                out.copy_from_slice(self.ring.back());
-                self.ring.push(out, true);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The post-forecast half of a miss tick: adaptive damping, step
-    /// clamp, joint limits, counters, history push. `out` holds the raw
-    /// forecast on entry and the injected command on exit.
-    fn finish_forecast(&mut self, out: &mut [f64]) {
-        if let Some(gamma_min) = self.cfg.trend_damping {
-            if self.consecutive_forecasts == 0 {
-                // Outage starts: freeze the window-quality signal.
-                let real = (0..self.ring.len()).filter(|&i| !self.ring.flag(i)).count();
-                self.burst_quality = real as f64 / self.ring.len() as f64;
-            }
-            let gamma_eff = gamma_min + (1.0 - gamma_min) * self.burst_quality;
-            let factor = gamma_eff.powi(self.consecutive_forecasts as i32);
-            let last = self.ring.back();
-            for (v, prev) in out.iter_mut().zip(last) {
-                *v = prev + factor * (*v - prev);
-            }
-        }
-        if let Some(step) = self.cfg.max_step {
-            let last = self.ring.back();
-            for (v, prev) in out.iter_mut().zip(last) {
-                *v = v.clamp(prev - step, prev + step);
-            }
-        }
-        if let Some(limits) = &self.cfg.limits {
-            for (v, (lo, hi)) in out.iter_mut().zip(limits) {
-                *v = v.clamp(*lo, *hi);
-            }
-        }
-        self.stats.forecasts += 1;
-        self.consecutive_forecasts += 1;
-        self.ring.push(out, true);
-    }
-
-    /// A miss tick whose *raw forecast row was computed by the caller* —
-    /// the batched-sweep entry. Bit-identical to
-    /// [`RecoveryEngine::tick_into`]`(None, out)` **provided** `raw`
-    /// equals what `forecast_into` would produce on the engine's current
-    /// [`RecoveryEngine::history_view`] (the batched lane guarantees
-    /// this by replicating the scalar kernel per member): warmup and
-    /// horizon-hold branches still run here, so a conservative caller
-    /// that pre-computed a row the engine turns out not to need stays
-    /// correct — the row is simply ignored.
-    ///
-    /// Returns the forecast flag, always `true` (a miss is always
-    /// concealed by *something*).
-    ///
-    /// # Panics
-    /// Panics when `raw` or `out` mismatch the engine dimensionality.
-    pub fn tick_miss_prepared(&mut self, raw: &[f64], out: &mut [f64]) -> bool {
-        assert_eq!(
-            out.len(),
-            self.forecaster.dims(),
-            "recovery: output dim mismatch"
-        );
-        assert_eq!(
-            raw.len(),
-            self.forecaster.dims(),
-            "recovery: prepared row dim mismatch"
-        );
-        self.stats.ticks += 1;
-        if self.miss_prologue(out) {
-            return true;
-        }
-        out.copy_from_slice(raw);
-        self.finish_forecast(out);
-        true
-    }
-
-    /// True when the next miss tick would run the forecaster (window
-    /// saturated, horizon not exhausted) — i.e. when pre-computing a
-    /// batched forecast row for [`RecoveryEngine::tick_miss_prepared`]
-    /// would actually be consumed rather than short-circuited by the
-    /// warmup / horizon-hold prologue.
-    pub fn miss_would_forecast(&self) -> bool {
-        if self.ring.len() < self.forecaster.history_len() {
-            return false;
-        }
-        match self.cfg.max_consecutive_forecasts {
-            Some(cap) => self.consecutive_forecasts < cap,
-            None => true,
-        }
-    }
-
     /// Borrowed view over the engine's history window (oldest first) —
-    /// what the forecaster would consume on the next miss. The batched
-    /// sweep gathers lane windows from this view between ticks.
+    /// what the forecaster would consume on the next miss.
     pub fn history_view(&self) -> HistoryView<'_> {
         self.ring.view()
     }
@@ -769,7 +700,7 @@ impl RecoveryEngine {
     /// Replays the bookkeeping of `n` consecutive idle hold ticks without
     /// running them: exactly what `n` calls of `tick(None)` would do at
     /// a verified idle fixed point ([`RecoveryEngine::idle_hold_is_identity`]).
-    /// Counter updates are integer additions, so batching is exact.
+    /// Counter updates are integer additions, so one bulk update is exact.
     ///
     /// # Panics
     /// Panics (debug) when the engine is not at the idle fixed point —
@@ -1397,73 +1328,5 @@ mod tests {
         // simply check the forecast follows truth, not the stale 1.0.
         let out = e.tick(None);
         assert_eq!(out.command, vec![3.0]);
-    }
-
-    #[test]
-    fn prepared_miss_tick_matches_tick_into() {
-        // Twin engines through a mixed delivery/miss trace, one taking
-        // the scalar miss path, the other pre-computing the forecast row
-        // (as the batched sweep does) and handing it to
-        // tick_miss_prepared. Everything must match bit for bit,
-        // including warmup/hold ticks where the prepared row is ignored.
-        let model_cfg = RecoveryConfig {
-            max_consecutive_forecasts: Some(3),
-            ..RecoveryConfig::default()
-        };
-        let mk = || {
-            RecoveryEngine::new(
-                Box::new(MovingAverage::new(3, 2)),
-                model_cfg.clone(),
-                vec![0.1, -0.2],
-            )
-        };
-        let (mut scalar, mut batched) = (mk(), mk());
-        let spare: Box<dyn Forecaster> = Box::new(MovingAverage::new(3, 2));
-        let mut scratch = ForecastScratch::new();
-        let mut raw = vec![0.0; 2];
-        let mut a = vec![0.0; 2];
-        let mut b = vec![0.0; 2];
-        let trace: Vec<Option<Vec<f64>>> = vec![
-            None, // warmup: window shorter than R
-            Some(vec![0.3, 0.1]),
-            Some(vec![0.5, 0.2]),
-            None, // real forecast
-            None,
-            None,
-            None, // horizon hold (cap 3)
-            Some(vec![0.4, 0.0]),
-            None,
-        ];
-        for arrived in trace {
-            match arrived {
-                Some(cmd) => {
-                    let fa = scalar.tick_into(Some(&cmd), &mut a);
-                    let fb = batched.tick_into(Some(&cmd), &mut b);
-                    assert_eq!(fa, fb);
-                }
-                None => {
-                    // The gather pass is conservative: compute the raw
-                    // row whenever the engine *would* forecast.
-                    let prepared = batched.miss_would_forecast();
-                    if prepared {
-                        spare.forecast_into(&batched.history_view(), &mut scratch, &mut raw);
-                    }
-                    let fa = scalar.tick_into(None, &mut a);
-                    let fb = if prepared {
-                        batched.tick_miss_prepared(&raw, &mut b)
-                    } else {
-                        batched.tick_into(None, &mut b)
-                    };
-                    assert_eq!(fa, fb);
-                }
-            }
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b));
-        }
-        assert_eq!(scalar.stats(), batched.stats());
-        assert_eq!(
-            scalar.snapshot().unwrap().history,
-            batched.snapshot().unwrap().history
-        );
     }
 }

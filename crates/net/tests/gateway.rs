@@ -953,10 +953,24 @@ fn one_checkpoint_is_one_snapshotted_event_for_a_subscriber() {
     operator
         .replay(&trace[..20], 0, &ClientConfig::default())
         .expect("replay");
+    let before = snapshots_total(&mut watcher);
     operator.snapshot().expect("checkpoint");
     // The shard narrates the checkpoint before the completion, and the
     // close returns only after the hub absorbed the completion.
     operator.close().expect("close");
+    // Counters surface at the shard's next publish, so wait for the
+    // checkpoint to show up, then check it counted once.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut after = snapshots_total(&mut watcher);
+    while after < before + 1.0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+        after = snapshots_total(&mut watcher);
+    }
+    assert_eq!(
+        after - before,
+        1.0,
+        "one checkpoint, one foreco_snapshots_total"
+    );
 
     let mut events = Vec::new();
     loop {
@@ -976,4 +990,15 @@ fn one_checkpoint_is_one_snapshotted_event_for_a_subscriber() {
         .collect();
     assert_eq!(snapshotted.len(), 1, "events: {events:?}");
     assert!(matches!(snapshotted[0], FleetEvent::Snapshotted { id, .. } if *id == SESSION));
+}
+
+/// `foreco_snapshots_total` summed over every shard's series.
+fn snapshots_total<D: DataWire, C: ControlWire>(client: &mut ForecoClient<D, C>) -> f64 {
+    let body = client.metrics().expect("scrape");
+    let (samples, _) = parse_exposition(&body);
+    samples
+        .iter()
+        .filter(|(series, _)| series.starts_with("foreco_snapshots_total"))
+        .map(|(_, value)| value)
+        .sum()
 }

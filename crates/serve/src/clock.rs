@@ -72,7 +72,7 @@ impl VirtualClock {
 
     /// Advances `ticks` periods at once (integer-exact) and returns the
     /// new tick index. Used by the scheduler's parked-session catch-up:
-    /// the tick counter is the only clock state, so batching is lossless.
+    /// the tick counter is the only clock state, so a bulk advance is lossless.
     pub fn advance_by(&mut self, ticks: u64) -> u64 {
         self.tick += ticks;
         self.tick

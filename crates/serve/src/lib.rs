@@ -101,7 +101,6 @@
 #![warn(missing_docs)]
 
 pub mod archive;
-mod batch;
 pub mod clock;
 pub mod inbox;
 pub mod metrics;

@@ -98,13 +98,6 @@ pub struct ServiceConfig {
     /// thread (sessions stay wherever placement or explicit migration
     /// put them).
     pub balancer: Option<BalancerConfig>,
-    /// Batched SoA forecasting across co-shard sessions sharing a
-    /// forecaster. On by default; each shard's planner then picks a
-    /// layout per lane via [`foreco_forecast::plan_layout`]. Per-session
-    /// results are bit-identical either way (the batched kernels
-    /// preserve the scalar f64 op order), so this is purely a
-    /// throughput knob.
-    pub batching: bool,
 }
 
 impl Default for ServiceConfig {
@@ -117,7 +110,6 @@ impl Default for ServiceConfig {
             model: niryo_one(),
             scheduler: Scheduler::default(),
             balancer: None,
-            batching: true,
         }
     }
 }
@@ -496,8 +488,7 @@ impl Service {
             channels.iter().map(|(tx, _)| tx.clone()).collect();
         // One content-addressed store shared by every shard: restored
         // sessions claim their model weights here instead of holding
-        // deep clones, so N same-model restores keep one resident copy
-        // (and share one batching lane key).
+        // deep clones, so N same-model restores keep one resident copy.
         let models = Storage::new();
         let mut workers = Vec::with_capacity(config.shards);
         for (index, (_, control_rx)) in channels.into_iter().enumerate() {
@@ -512,7 +503,6 @@ impl Service {
                 scheduler: config.scheduler,
                 telemetry: Arc::clone(&telemetry),
                 models: models.clone(),
-                batching: config.batching,
             };
             workers.push(
                 std::thread::Builder::new()

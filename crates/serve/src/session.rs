@@ -33,7 +33,6 @@ use crate::spec::SharedForecaster;
 use crate::spec::{ChannelSpec, SessionId, SessionSpec, SourceSpec};
 use foreco_core::channel::{Arrival, Channel};
 use foreco_core::{EngineSnapshot, EngineStateError, RecoveryEngine, RecoveryStats};
-use foreco_forecast::HistoryView;
 use foreco_robot::{ArmModel, DriverState, RobotDriver};
 use foreco_store::{trace_object_id, Storage, TraceHandle};
 use foreco_teleop::Dataset;
@@ -184,13 +183,6 @@ pub struct Session {
     id: SessionId,
     source: Source,
     engine: Option<RecoveryEngine>,
-    /// The trained forecaster this session shares with its siblings —
-    /// the wrapper whose store `ObjectId` (content address) keys
-    /// batched forecasting lanes, falling back to `Arc` pointer
-    /// identity for unregistered models. `None` for baseline sessions
-    /// and for engines restored without shared storage (deep-built
-    /// weights batch with nobody, so they stay on the scalar path).
-    shared_model: Option<SharedForecaster>,
     reference: RobotDriver,
     executed: RobotDriver,
     /// Late commands waiting to (maybe) patch FoReCo's history:
@@ -270,7 +262,6 @@ impl Session {
             source,
             injected: vec![0.0; model.dof()],
             engine: spec.recovery.build(start),
-            shared_model: spec.recovery.shared_model(),
             reference,
             executed,
             pending_late: Vec::new(),
@@ -370,60 +361,6 @@ impl Session {
     /// [`FATE_CHUNK`] streamed deliveries, and §VII-C pending-late
     /// bookkeeping.
     pub fn advance(&mut self) -> Advance {
-        self.advance_batched(None)
-    }
-
-    /// The batched-sweep gather peek: `Some((model, history))` exactly
-    /// when this session's *next* [`Session::advance`] is certain to be
-    /// a tick-consuming deadline miss that the engine will cover with a
-    /// fresh forecast over the returned history window — i.e. when a
-    /// pre-computed lane row handed to [`Session::advance_batched`]
-    /// will be consumed verbatim.
-    ///
-    /// Conservative by construction: any ambiguity (no shared model, no
-    /// engine, a §VII-C late patch pending, engine in warmup or
-    /// horizon-hold, a delivery due, a gated source whose misses are
-    /// explicit wire verdicts) returns `None` and the session takes the
-    /// scalar path, which is always bit-identical. The peek is only
-    /// valid until the session is next mutated, so shards gather and
-    /// advance within one pass, after timer wakes.
-    pub(crate) fn batch_window(&self) -> Option<(&SharedForecaster, HistoryView<'_>)> {
-        let model = self.shared_model.as_ref()?;
-        let engine = self.engine.as_ref()?;
-        // A pending late patch may splice the history between the gather
-        // and the tick (`pending_late_drain` runs first in the miss arm).
-        if !self.pending_late.is_empty() || !engine.miss_would_forecast() {
-            return None;
-        }
-        let miss_next = match &self.source {
-            Source::Scripted {
-                commands, fates, ..
-            } => {
-                // Late deliveries are misses *now* (the payload is
-                // queued for a future patch after the forecast), so both
-                // Lost and Late qualify.
-                let i = self.clock.tick() as usize;
-                i < commands.len() && !fates[i].on_time()
-            }
-            Source::Streamed { inbox, link } => inbox.is_empty() && !link.closing,
-            // Gated misses are explicit wire verdicts; peeking would
-            // race the gateway, so gated sessions never batch.
-            Source::Gated { .. } => false,
-        };
-        if !miss_next {
-            return None;
-        }
-        Some((model, engine.history_view()))
-    }
-
-    /// [`Session::advance`] with an optionally pre-computed forecast
-    /// row from the shard's batched lane sweep. `prepared` must be the
-    /// row a [`Session::batch_window`] peek on the current state was
-    /// promised — the raw (pre-damping) forecast over that window —
-    /// and the tick then routes through
-    /// [`RecoveryEngine::tick_miss_prepared`], bit-identical to the
-    /// scalar miss path.
-    pub(crate) fn advance_batched(&mut self, prepared: Option<&[f64]>) -> Advance {
         // What does this tick deliver? `None` = deadline miss. Scripted
         // sessions borrow the command; live sources hand over the owned
         // buffer their offer already allocated.
@@ -520,14 +457,7 @@ impl Session {
                                 cmd.into_owned(),
                             ));
                         }
-                        match prepared {
-                            Some(raw) => {
-                                engine.tick_miss_prepared(raw, &mut self.injected);
-                            }
-                            None => {
-                                engine.tick_into(None, &mut self.injected);
-                            }
-                        }
+                        engine.tick_into(None, &mut self.injected);
                     }
                 }
                 self.executed.tick(Some(&self.injected)).position_mm
@@ -836,10 +766,9 @@ impl Session {
     /// [`Session::restore`] with engine model weights resolved through
     /// shared storage: the snapshot's forecaster is content-addressed
     /// into `models`, so N same-model sessions restored on one store
-    /// hold N claims on *one* resident copy instead of N deep clones —
-    /// and land in the same batched forecasting lane. Forecasters the
-    /// store cannot address (none of the snapshotable families today)
-    /// fall back to the deep-built scalar path.
+    /// hold N claims on *one* resident copy instead of N deep clones.
+    /// Forecasters the store cannot address (none of the snapshotable
+    /// families today) fall back to a deep-built copy.
     ///
     /// # Errors
     /// As [`Session::restore`].
@@ -969,8 +898,8 @@ impl Session {
                 link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing),
             },
         };
-        let (engine, shared_model) = match &snap.engine {
-            None => (None, None),
+        let engine = match &snap.engine {
+            None => None,
             Some(engine_snap) => {
                 if engine_snap.history.first().map(Vec::len) != Some(model.dof()) {
                     return Err(RestoreError::Invalid(
@@ -992,21 +921,13 @@ impl Session {
                         .insert_model(Arc::from(engine_snap.forecaster.build()))
                         .ok()
                 }) {
-                    Some(claim) => {
-                        let shared = SharedForecaster::from_handle(claim);
-                        let engine = RecoveryEngine::from_snapshot_with(
-                            engine_snap.clone(),
-                            Box::new(shared.clone()),
-                        )?;
-                        // The session keeps the wrapper (claim included)
-                        // so its lane keys by the model's content
-                        // address, not a reallocatable pointer.
-                        (Some(engine), Some(shared))
-                    }
-                    None => (
-                        Some(RecoveryEngine::from_snapshot(engine_snap.clone())?),
-                        None,
-                    ),
+                    // The engine's boxed wrapper holds the claim for the
+                    // session's lifetime.
+                    Some(claim) => Some(RecoveryEngine::from_snapshot_with(
+                        engine_snap.clone(),
+                        Box::new(SharedForecaster::from_handle(claim)),
+                    )?),
+                    None => Some(RecoveryEngine::from_snapshot(engine_snap.clone())?),
                 }
             }
         };
@@ -1014,7 +935,6 @@ impl Session {
             id: snap.id,
             source,
             engine,
-            shared_model,
             injected: vec![0.0; model.dof()],
             reference: RobotDriver::from_state(model.clone(), snap.driver, &snap.reference),
             executed: RobotDriver::from_state(model.clone(), snap.driver, &snap.executed),

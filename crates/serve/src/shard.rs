@@ -66,7 +66,6 @@
 //! scratch and answers on the caller's reply channel. The event stream
 //! only narrates it (`Snapshotted`, observer-gated like `Parked`).
 
-use crate::batch::BatchPlanner;
 use crate::clock::{Pacer, Pacing, TICK_PERIOD};
 use crate::inbox::Offer;
 use crate::protocol::{SessionCommand, SessionEvent};
@@ -142,8 +141,6 @@ pub(crate) struct ShardWorker {
     /// Service-wide shared storage: adopted sessions resolve engine
     /// weights through it so same-model fleets hold claims, not copies.
     pub(crate) models: Storage,
-    /// Batched SoA forecasting sweep on/off (`ServiceConfig::batching`).
-    pub(crate) batching: bool,
 }
 
 /// The shard's mutable scheduling state, factored out of the run loop so
@@ -182,10 +179,6 @@ struct Runtime {
     pending_transfers: Vec<(usize, SessionCommand)>,
     /// Shared storage for adopted sessions' engine weights.
     models: Storage,
-    /// Whether the pass runs the batched SoA forecasting sweep.
-    batching: bool,
-    /// Lane state for the batched sweep (buffers retained across passes).
-    planner: BatchPlanner,
     /// Reusable encode buffer for fleet-archive parts (`SnapshotInto`):
     /// cleared and refilled per part, so a fleet checkpoint amortises to
     /// zero steady-state encoder allocations on the shard — only buffer
@@ -446,7 +439,6 @@ impl Runtime {
                             self.snapshot_scratch.clear();
                             snapshot.encode_into(&mut self.snapshot_scratch);
                             self.scratch.snapshots += 1;
-                            self.scratch.archive_parts += 1;
                             self.scratch.archive_bytes += self.snapshot_scratch.len() as u64;
                             // Checkpoint narration is opt-in, like parks.
                             if self.telemetry.observed() {
@@ -576,78 +568,39 @@ impl Runtime {
     fn run_pass(&mut self) {
         let target = self.pass + 1;
         self.fire_timers();
-        // Batched SoA sweep, phase 1 (gather): after timer wakes (which
-        // mutate engine history via catch_up) and before any session
-        // advances, collect every provably-forecasting session's window
-        // into its lane and run one batched forecast per lane. Lane
-        // membership is re-derived here every pass — that, not a
-        // registry, is what keeps it correct across park/wake, migrate,
-        // and adopt. Phase 2 (the sweep below) hands each session its
-        // row; sessions the peek skipped take the scalar path,
-        // bit-identically.
-        if self.batching {
-            self.planner.begin_pass();
-            if self.runnable.len() == self.sessions.len() {
-                for (&id, session) in self.sessions.iter() {
-                    if let Some((model, history)) = session.batch_window() {
-                        self.planner.gather(id, model, &history);
-                    }
-                }
-            } else {
-                for &id in &self.runnable {
-                    if let Some((model, history)) = self.sessions[&id].batch_window() {
-                        self.planner.gather(id, model, &history);
-                    }
-                }
-            }
-            self.planner.run();
-        }
         let mut advanced = 0u64;
         let mut parked: Vec<(u64, Wake)> = Vec::new();
         let mut completed: Vec<(u64, Box<crate::session::SessionReport>)> = Vec::new();
         let event_driven = self.scheduler.event_driven();
+        let mut verdict = |id: u64, advance: Advance| match advance {
+            Advance::Ticked(wake) => {
+                advanced += 1;
+                if event_driven && wake != Wake::Runnable {
+                    parked.push((id, wake));
+                }
+            }
+            // A starved gated session: no tick happened, so it counts as
+            // no advance; under the event scheduler it parks until
+            // traffic (eager keeps polling it — the ground-truth sweep
+            // stays a sweep).
+            Advance::Idle(wake) => {
+                if event_driven {
+                    parked.push((id, wake));
+                }
+            }
+            Advance::Completed(report) => completed.push((id, report)),
+        };
         if self.runnable.len() == self.sessions.len() {
             // Everyone is runnable (the eager mode invariant, and the
             // event mode's settle phase): sweep the map directly rather
             // than paying a per-session id lookup.
             for (&id, session) in self.sessions.iter_mut() {
-                match session.advance_batched(self.planner.take(id)) {
-                    Advance::Ticked(wake) => {
-                        advanced += 1;
-                        if event_driven && wake != Wake::Runnable {
-                            parked.push((id, wake));
-                        }
-                    }
-                    // A starved gated session: no tick happened, so it
-                    // counts as no advance; under the event scheduler it
-                    // parks until traffic (eager keeps polling it — the
-                    // ground-truth sweep stays a sweep).
-                    Advance::Idle(wake) => {
-                        if event_driven {
-                            parked.push((id, wake));
-                        }
-                    }
-                    Advance::Completed(report) => completed.push((id, report)),
-                }
+                verdict(id, session.advance());
             }
         } else {
-            let ids: Vec<u64> = self.runnable.iter().copied().collect();
-            for id in ids {
+            for &id in &self.runnable {
                 let session = self.sessions.get_mut(&id).expect("runnable session exists");
-                match session.advance_batched(self.planner.take(id)) {
-                    Advance::Ticked(wake) => {
-                        advanced += 1;
-                        if event_driven && wake != Wake::Runnable {
-                            parked.push((id, wake));
-                        }
-                    }
-                    Advance::Idle(wake) => {
-                        if event_driven {
-                            parked.push((id, wake));
-                        }
-                    }
-                    Advance::Completed(report) => completed.push((id, report)),
-                }
+                verdict(id, session.advance());
             }
         }
         for (id, wake) in parked {
@@ -699,7 +652,6 @@ impl ShardWorker {
             scheduler,
             telemetry,
             models,
-            batching,
         } = self;
         let mut rt = Runtime {
             index,
@@ -718,8 +670,6 @@ impl ShardWorker {
             ticks_advanced: 0,
             pending_transfers: Vec::new(),
             models,
-            batching,
-            planner: BatchPlanner::new(),
             snapshot_scratch: Vec::new(),
         };
         let mut pacer = Pacer::new(pacing, TICK_PERIOD);

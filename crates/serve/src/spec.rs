@@ -39,7 +39,7 @@ pub struct SharedForecaster {
     /// `new`-wrapped forecasters that bypass the store). Shared by
     /// every clone of the wrapper, so a session counts as one claim no
     /// matter how many copies of its wrapper it holds (engine box,
-    /// lane key, spec).
+    /// spec).
     claim: Option<Arc<ModelHandle>>,
 }
 
@@ -71,16 +71,6 @@ impl SharedForecaster {
         })
     }
 
-    /// Wraps an already-shared trained forecaster without a storage
-    /// claim. Wrappers built around clones of one `Arc` share the
-    /// resident model — and hence a batched forecasting lane.
-    pub fn from_arc(forecaster: Arc<dyn Forecaster>) -> Self {
-        Self {
-            inner: forecaster,
-            claim: None,
-        }
-    }
-
     /// Wraps a resident store model, holding its claim: the restore
     /// path's entry point. N sessions restored around the same content
     /// address share one resident forecaster instead of N deep-built
@@ -92,12 +82,7 @@ impl SharedForecaster {
         }
     }
 
-    /// The shared trained forecaster itself. Batched forecasting lanes
-    /// key on the store claim's content address when registered
-    /// ([`SharedForecaster::store_id`]), and fall back to this `Arc`'s
-    /// pointer identity for unregistered wrappers — so sessions whose
-    /// wrappers clone one registration, or independently register
-    /// bit-identical weights, land in the same lane.
+    /// The shared trained forecaster itself.
     pub fn shared(&self) -> Arc<dyn Forecaster> {
         Arc::clone(&self.inner)
     }
@@ -130,28 +115,6 @@ impl Forecaster for SharedForecaster {
         out: &mut [f64],
     ) {
         self.inner.forecast_into(history, scratch, out)
-    }
-
-    fn forecast_batch_slots(
-        &self,
-        members: usize,
-        slots: &[f64],
-        scratch: &mut foreco_forecast::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        // Delegation matters: the trait default reports "no native
-        // kernel", which would push every lane sharing this wrapper
-        // through the per-member scalar path even when the inner
-        // forecaster batches natively.
-        self.inner
-            .forecast_batch_slots(members, slots, scratch, out)
-    }
-
-    fn cost_class(&self) -> foreco_forecast::CostClass {
-        // Delegation matters: the trait default is Cheap, which would
-        // silently drop every wrapped Kalman/VAR out of batching (the
-        // planner never gathers cheap families).
-        self.inner.cost_class()
     }
 
     fn history_len(&self) -> usize {
@@ -333,17 +296,6 @@ impl RecoverySpec {
                 config.clone(),
                 initial,
             )),
-        }
-    }
-
-    /// The shared forecaster wrapper for batched-lane grouping (`None`
-    /// for baseline sessions). The wrapper, not the bare `Arc`: it
-    /// carries the store claim whose [`ObjectId`] keys lanes by content
-    /// for registered models.
-    pub(crate) fn shared_model(&self) -> Option<SharedForecaster> {
-        match self {
-            RecoverySpec::Baseline => None,
-            RecoverySpec::FoReCo { forecaster, .. } => Some(forecaster.clone()),
         }
     }
 }

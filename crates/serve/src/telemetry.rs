@@ -175,11 +175,9 @@ shard_metrics! {
     inbox_drops: Counter, "foreco_inbox_drops_total",
         "Commands dropped on full session inboxes.";
     snapshots: Counter, "foreco_snapshots_total",
-        "Sessions checkpointed (single snapshots and fleet-archive parts).";
+        "Sessions checkpointed (one fleet-archive part each).";
     adoptions: Counter, "foreco_adoptions_total",
         "Snapshots rehydrated into live sessions (migrations included).";
-    archive_parts: Counter, "foreco_archive_parts_total",
-        "Fleet-archive parts encoded (SnapshotInto replies).";
     archive_bytes: Counter, "foreco_archive_bytes_total",
         "Bytes of binary snapshot frames encoded for fleet archives.";
     sessions: Gauge, "foreco_shard_sessions",

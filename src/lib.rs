@@ -93,59 +93,6 @@
 //! assert_eq!(registry.shard_loads().len(), 2);
 //! ```
 //!
-//! # Batched forecasting — a throughput knob that moves zero bits
-//!
-//! With [`serve::ServiceConfig::batching`] on (the default), each shard
-//! pass gathers co-shard sessions that share one resident forecaster
-//! and are provably about to forecast into structure-of-arrays lanes.
-//! Each lane then runs one of two paths, chosen by
-//! [`forecast::plan_layout`] from the family's cost class and the
-//! lane's width. An expensive family's lane (Kalman-CV, VAR) at least
-//! [`forecast::SLOT_MAJOR_MIN_WIDTH`] wide runs the slot-major
-//! transposed kernel ([`forecast::Forecaster::forecast_batch_slots`],
-//! cross-member auto-vectorized); a narrower one runs per-member
-//! [`forecast::Forecaster::forecast_into`] over the gathered windows.
-//! Cheap kernels (MA, Holt) are never gathered at all — batching was a
-//! measured loss for them, so their sessions keep the plain scalar
-//! path. Membership is re-derived from scratch every pass, so
-//! park/wake, migration, and adoption need no bookkeeping; any session
-//! the planner cannot prove will miss simply takes the scalar path.
-//! The slot-major kernels preserve the scalar per-member f64 operation
-//! order exactly, so the knob changes throughput only — every report
-//! is bit-identical either way:
-//!
-//! ```
-//! use foreco::prelude::*;
-//! use std::sync::Arc;
-//!
-//! let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
-//! let shared = SharedForecaster::new(Var::fit_differenced(&train, 5, 1e-6).unwrap());
-//! let replay = Arc::new(Dataset::record(Skill::Inexperienced, 1, 0.02, 8).head(160).commands);
-//! let specs = || -> Vec<SessionSpec> {
-//!     (0..8)
-//!         .map(|id| SessionSpec::new(
-//!             id,
-//!             SourceSpec::Replayed(Arc::clone(&replay)),
-//!             ChannelSpec::ControlledLoss { burst_len: 8, burst_prob: 0.01, seed: id },
-//!             RecoverySpec::FoReCo {
-//!                 forecaster: shared.clone(),
-//!                 config: RecoveryConfig::for_model(&niryo_one()),
-//!             },
-//!         ))
-//!         .collect()
-//! };
-//! let run = |batching: bool| {
-//!     Service::spawn(ServiceConfig { batching, ..ServiceConfig::with_shards(2) })
-//!         .run_to_completion(specs())
-//! };
-//! let scalar = run(false); // no batching at all
-//! let batched = run(true); // per-lane plan_layout (default)
-//! for id in 0..8 {
-//!     let want = scalar.get(id).unwrap().rmse_mm.to_bits();
-//!     assert_eq!(batched.get(id).unwrap().rmse_mm.to_bits(), want); // same bits
-//! }
-//! ```
-//!
 //! # Real operators over the network
 //!
 //! The [`net`] gateway puts an actual wire in front of the service —

@@ -283,141 +283,6 @@ fn starved_streamed_session_is_allocation_free() {
     }
 }
 
-/// The batched SoA sweep obeys the same discipline: once the lane's
-/// buffers have hit their high-water mark, a full batched miss round —
-/// gather every engine's window, one `run_layout(Scalar)` (the path a
-/// narrow expensive lane takes), hand each engine its row through
-/// `tick_miss_prepared` — performs zero allocations,
-/// and so do the interleaved deliveries. Pins the "batching enabled"
-/// half of the zero-alloc contract at the machinery level.
-#[test]
-fn batched_lane_sweep_is_allocation_free() {
-    use foreco::forecast::{BatchLane, ForecastScratch, LaneLayout};
-    use std::sync::Arc;
-
-    let model = niryo_one();
-    let commands = Dataset::record(Skill::Inexperienced, 1, 0.02, 42).commands;
-    for (name, forecaster) in families() {
-        let shared: Arc<dyn Forecaster> = Arc::from(forecaster);
-        let mut engines: Vec<RecoveryEngine> = (0..16)
-            .map(|_| {
-                RecoveryEngine::new(
-                    Box::new(SharedForecaster::from_arc(Arc::clone(&shared))),
-                    RecoveryConfig::for_model(&model),
-                    model.clamp(&commands[0]),
-                )
-            })
-            .collect();
-        let mut out = vec![0.0; model.dof()];
-        for cmd in &commands[..12] {
-            for e in &mut engines {
-                e.tick_into(Some(cmd), &mut out);
-            }
-        }
-        let mut lane = BatchLane::new(Arc::clone(&shared));
-        let mut scratch = ForecastScratch::new();
-        // Warmup round: lane buffers and scratch grow to high water,
-        // and the post-outage delivery exercises each engine's rebase
-        // buffers once.
-        lane.clear();
-        for e in &engines {
-            lane.push_window(&e.history_view());
-        }
-        lane.run_layout(LaneLayout::Scalar, &mut scratch);
-        for (i, e) in engines.iter_mut().enumerate() {
-            e.tick_miss_prepared(lane.result(i), &mut out);
-        }
-        for e in &mut engines {
-            e.tick_into(Some(&commands[12]), &mut out);
-        }
-        // Steady state: every batched miss round and every delivery
-        // round is allocation-free.
-        for (round, cmd) in commands[12..112].iter().enumerate() {
-            let n = allocs_during(|| {
-                lane.clear();
-                for e in &engines {
-                    lane.push_window(&e.history_view());
-                }
-                lane.run_layout(LaneLayout::Scalar, &mut scratch);
-                for (i, e) in engines.iter_mut().enumerate() {
-                    e.tick_miss_prepared(lane.result(i), &mut out);
-                }
-                for e in &mut engines {
-                    e.tick_into(Some(cmd), &mut out);
-                }
-            });
-            assert_eq!(n, 0, "{name}: batched round {round} allocated {n} times");
-        }
-    }
-}
-
-/// The slot-major sweep obeys the same discipline at a width past the
-/// planner's threshold: the transpose lives in a lane-owned buffer and
-/// the kernels carve per-member state lanes from the caller's scratch,
-/// so after one warmup round a full slot-major miss round (gather →
-/// transpose → `run_layout(SlotMajor)` → prepared rows) plus the
-/// interleaved deliveries performs zero allocations. Families without
-/// a slot kernel (MA, Holt) degrade through the same call — their
-/// fallback must be just as silent.
-#[test]
-fn slot_major_lane_sweep_is_allocation_free() {
-    use foreco::forecast::{BatchLane, ForecastScratch, LaneLayout, SLOT_MAJOR_MIN_WIDTH};
-    use std::sync::Arc;
-
-    let model = niryo_one();
-    let commands = Dataset::record(Skill::Inexperienced, 1, 0.02, 42).commands;
-    let width = SLOT_MAJOR_MIN_WIDTH + 16;
-    for (name, forecaster) in families() {
-        let shared: Arc<dyn Forecaster> = Arc::from(forecaster);
-        let mut engines: Vec<RecoveryEngine> = (0..width)
-            .map(|_| {
-                RecoveryEngine::new(
-                    Box::new(SharedForecaster::from_arc(Arc::clone(&shared))),
-                    RecoveryConfig::for_model(&model),
-                    model.clamp(&commands[0]),
-                )
-            })
-            .collect();
-        let mut out = vec![0.0; model.dof()];
-        for cmd in &commands[..12] {
-            for e in &mut engines {
-                e.tick_into(Some(cmd), &mut out);
-            }
-        }
-        let mut lane = BatchLane::new(Arc::clone(&shared));
-        let mut scratch = ForecastScratch::new();
-        // Warmup round grows the windows, the transpose buffer, and the
-        // per-member state lanes to their high-water marks.
-        lane.clear();
-        for e in &engines {
-            lane.push_window(&e.history_view());
-        }
-        lane.run_layout(LaneLayout::SlotMajor, &mut scratch);
-        for (i, e) in engines.iter_mut().enumerate() {
-            e.tick_miss_prepared(lane.result(i), &mut out);
-        }
-        for e in &mut engines {
-            e.tick_into(Some(&commands[12]), &mut out);
-        }
-        for (round, cmd) in commands[12..112].iter().enumerate() {
-            let n = allocs_during(|| {
-                lane.clear();
-                for e in &engines {
-                    lane.push_window(&e.history_view());
-                }
-                lane.run_layout(LaneLayout::SlotMajor, &mut scratch);
-                for (i, e) in engines.iter_mut().enumerate() {
-                    e.tick_miss_prepared(lane.result(i), &mut out);
-                }
-                for e in &mut engines {
-                    e.tick_into(Some(cmd), &mut out);
-                }
-            });
-            assert_eq!(n, 0, "{name}: slot-major round {round} allocated {n} times");
-        }
-    }
-}
-
 /// The restore path shares model weights through the content-addressed
 /// store: N sessions rehydrated from same-model snapshots hold N claims
 /// on **one** resident forecaster (ROADMAP #2's last headroom), and

@@ -6,7 +6,9 @@
 //! 64 deterministic sessions (distinct operator streams, distinct
 //! channel realisations, a mix of FoReCo and baseline recovery) run on
 //! pools of 1, 2, and 8 shards; every per-session report must equal the
-//! matching solo run.
+//! matching solo run. A lockstep fleet (one registered VAR, one replayed
+//! trace, one loss seed) is held to the same standard, so co-shard
+//! sessions whose misses coincide on every pass stay covered.
 //!
 //! The scheduler dimension rides on the same workload: the event-driven
 //! run-queue scheduler (and the load balancer migrating sessions
@@ -17,6 +19,10 @@ use foreco::prelude::*;
 use foreco::serve::SessionReport;
 
 const SESSIONS: u64 = 64;
+
+/// Lockstep fleet size, and the one loss spec its sessions share.
+const LOCKSTEP: u64 = 40;
+const LOCKSTEP_CHANNEL: (usize, f64, u64) = (6, 0.01, 10_007);
 
 fn forecaster() -> Var {
     let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
@@ -61,18 +67,28 @@ fn spec_for(id: u64, shared: &SharedForecaster, model: &ArmModel) -> SessionSpec
 /// The ground truth: the same loop, run solo through `run_closed_loop`.
 fn solo_run(id: u64, var: &Var, model: &ArmModel) -> (usize, f64, f64, Option<RecoveryStats>) {
     let commands = Dataset::record(Skill::Inexperienced, 1, 0.02, 500 + id).commands;
-    let (burst_len, burst_prob, seed) = channel_for(id);
+    let foreco = (id % 3 != 2).then_some(var);
+    solo_loop(&commands, channel_for(id), foreco, model)
+}
+
+/// One standalone closed loop over `commands` and a controlled-loss
+/// channel, recovered by FoReCo on `foreco` or by the baseline.
+fn solo_loop(
+    commands: &[Vec<f64>],
+    (burst_len, burst_prob, seed): (usize, f64, u64),
+    foreco: Option<&Var>,
+    model: &ArmModel,
+) -> (usize, f64, f64, Option<RecoveryStats>) {
     let fates = ControlledLossChannel::new(burst_len, burst_prob, seed).fates(commands.len());
-    let mode = if id % 3 == 2 {
-        RecoveryMode::Baseline
-    } else {
-        RecoveryMode::FoReCo(RecoveryEngine::new(
+    let mode = match foreco {
+        None => RecoveryMode::Baseline,
+        Some(var) => RecoveryMode::FoReCo(RecoveryEngine::new(
             Box::new(var.clone()),
             RecoveryConfig::for_model(model),
             model.clamp(&commands[0]),
-        ))
+        )),
     };
-    let res = run_closed_loop(model, &commands, &fates, mode, DriverConfig::default());
+    let res = run_closed_loop(model, commands, &fates, mode, DriverConfig::default());
     (res.misses, res.rmse_mm, res.max_deviation_mm, res.stats)
 }
 
@@ -143,103 +159,34 @@ fn per_session_results_invariant_across_shard_counts() {
     }
 }
 
-/// The batched SoA forecasting sweep is a pure throughput concern: with
-/// batching on (the default) or off, at 1, 2, and 8 shards, under the
-/// eager sweep or the event-driven scheduler, every per-session report
-/// must carry identical RMSE bits. The ground truth row is the scalar
-/// path (batching off) under the eager sweep.
-#[test]
-fn batched_and_scalar_paths_agree() {
-    let model = niryo_one();
-    let var = forecaster();
-    let shared = SharedForecaster::new(var);
-    let specs = || -> Vec<SessionSpec> {
-        (0..SESSIONS)
-            .map(|id| spec_for(id, &shared, &model))
-            .collect()
-    };
-    for shards in [1usize, 2, 8] {
-        let ground = Service::spawn(ServiceConfig {
-            scheduler: Scheduler::Eager,
-            batching: false,
-            ..ServiceConfig::with_shards(shards)
-        })
-        .run_to_completion(specs());
-        let rows = [
-            ("eager+batched", Scheduler::Eager, true),
-            ("event+scalar", Scheduler::default(), false),
-            ("event+batched", Scheduler::default(), true),
-        ];
-        for (label, scheduler, batching) in rows {
-            let run = Service::spawn(ServiceConfig {
-                scheduler,
-                batching,
-                ..ServiceConfig::with_shards(shards)
-            })
-            .run_to_completion(specs());
-            for id in 0..SESSIONS {
-                let want = ground.get(id).expect("scalar report");
-                let got = run.get(id).expect("report");
-                assert_eq!(
-                    got.rmse_mm.to_bits(),
-                    want.rmse_mm.to_bits(),
-                    "session {id} rmse not bit-identical ({label} @ {shards} shards)"
-                );
-                assert_eq!(
-                    got.max_deviation_mm.to_bits(),
-                    want.max_deviation_mm.to_bits(),
-                    "session {id} max deviation ({label} @ {shards} shards)"
-                );
-                assert_eq!(
-                    got.stats, want.stats,
-                    "session {id} stats ({label} @ {shards} shards)"
-                );
-            }
-            assert_eq!(run.summary(), ground.summary(), "{label} @ {shards} shards");
-        }
-    }
-}
-
-/// The lane layout is a pure throughput concern: under the adaptive
-/// plan every report must carry RMSE bits identical to the
-/// batching-off scalar ground truth, at 1, 2, and 8 shards. Two fleets
-/// ride on it: the mixed 64-session workload, and a lockstep fleet of
-/// FoReCo sessions sharing one registered VAR, one replayed trace and
-/// one loss spec, so their misses coincide and every miss pass gathers
-/// the whole shard's fleet into one lane. At 1 shard that lane is at
-/// least [`SLOT_MAJOR_MIN_WIDTH`] wide and runs slot-major; at 2 and 8
-/// shards it is narrower and runs the per-member scalar path. This is
-/// the service-level half of the `batch_identity` contract — layout
-/// selection may change per pass with lane width and must never be
-/// observable in any session's results.
+/// Every session ticks as its own width-one lane: there is no
+/// cross-session gather, so no lane layout can be observed in any
+/// session's results. The lockstep fleet — FoReCo sessions sharing one
+/// store-registered VAR, one replayed trace and one loss seed, so their
+/// misses coincide on every pass and co-shard sessions forecast the same
+/// slot together — is the shape most likely to leak such sharing. At 1,
+/// 2 and 8 shards each report equals the one standalone run.
 #[test]
 fn every_lane_layout_agrees_at_every_shard_count() {
-    use foreco::forecast::SLOT_MAJOR_MIN_WIDTH;
-    use foreco::serve::shard_of;
-    use foreco::store::Storage;
-
-    const LOCKSTEP: u64 = 40;
     let model = niryo_one();
     let var = forecaster();
-    let shared = SharedForecaster::new(var.clone());
-    let mixed = || -> Vec<SessionSpec> {
-        (0..SESSIONS)
-            .map(|id| spec_for(id, &shared, &model))
-            .collect()
-    };
-    let store = Storage::new();
-    let registered = SharedForecaster::register(var, &store).expect("register VAR");
-    let trace = SourceSpec::replay(&Dataset::record(Skill::Inexperienced, 1, 0.02, 500));
-    let lockstep = || -> Vec<SessionSpec> {
-        (0..LOCKSTEP)
+    let store = foreco::store::Storage::new();
+    let registered = SharedForecaster::register(var.clone(), &store).expect("register VAR");
+    let commands = Dataset::record(Skill::Inexperienced, 1, 0.02, 500).commands;
+    let (misses, rmse_mm, max_dev_mm, stats) =
+        solo_loop(&commands, LOCKSTEP_CHANNEL, Some(&var), &model);
+    let trace = SourceSpec::Replayed(std::sync::Arc::new(commands));
+    let (burst_len, burst_prob, seed) = LOCKSTEP_CHANNEL;
+    for shards in [1usize, 2, 8] {
+        let specs: Vec<SessionSpec> = (0..LOCKSTEP)
             .map(|id| {
                 SessionSpec::new(
                     id,
                     trace.clone(),
                     ChannelSpec::ControlledLoss {
-                        burst_len: 6,
-                        burst_prob: 0.01,
-                        seed: 10_007,
+                        burst_len,
+                        burst_prob,
+                        seed,
                     },
                     RecoverySpec::FoReCo {
                         forecaster: registered.clone(),
@@ -247,53 +194,30 @@ fn every_lane_layout_agrees_at_every_shard_count() {
                     },
                 )
             })
-            .collect()
-    };
-    for shards in [1usize, 2, 8] {
-        // The lockstep lane's width on each shard is its session count
-        // there: wide enough for slot-major only on the 1-shard pool.
-        let widest = (0..shards)
-            .map(|s| {
-                (0..LOCKSTEP)
-                    .filter(|&id| shard_of(id, shards) == s)
-                    .count()
-            })
-            .max()
-            .unwrap_or(0);
-        assert_eq!(widest >= SLOT_MAJOR_MIN_WIDTH, shards == 1);
-        let fleets: [(&str, &dyn Fn() -> Vec<SessionSpec>); 2] =
-            [("mixed", &mixed), ("lockstep", &lockstep)];
-        for (label, specs) in fleets {
-            let ground = Service::spawn(ServiceConfig {
-                batching: false,
-                ..ServiceConfig::with_shards(shards)
-            })
-            .run_to_completion(specs());
-            let run = Service::spawn(ServiceConfig {
-                batching: true,
-                ..ServiceConfig::with_shards(shards)
-            })
-            .run_to_completion(specs());
-            assert_eq!(run.len(), ground.len(), "{label} @ {shards} shards");
-            for id in 0..ground.len() as u64 {
-                let want = ground.get(id).expect("scalar report");
-                let got = run.get(id).expect("report");
-                assert_eq!(
-                    got.rmse_mm.to_bits(),
-                    want.rmse_mm.to_bits(),
-                    "session {id} rmse not bit-identical ({label} @ {shards} shards)"
-                );
-                assert_eq!(
-                    got.max_deviation_mm.to_bits(),
-                    want.max_deviation_mm.to_bits(),
-                    "session {id} max deviation ({label} @ {shards} shards)"
-                );
-                assert_eq!(
-                    got.stats, want.stats,
-                    "session {id} stats ({label} @ {shards} shards)"
-                );
-            }
-            assert_eq!(run.summary(), ground.summary(), "{label} @ {shards} shards");
+            .collect();
+        let registry = Service::spawn(ServiceConfig::with_shards(shards)).run_to_completion(specs);
+        assert_eq!(
+            registry.len() as u64,
+            LOCKSTEP,
+            "lockstep @ {shards} shards"
+        );
+        for id in 0..LOCKSTEP {
+            let report = registry.get(id).expect("every session reports");
+            assert_eq!(
+                report.misses, misses,
+                "lockstep {id} misses @ {shards} shards"
+            );
+            assert_eq!(report.stats, stats, "lockstep {id} stats @ {shards} shards");
+            assert_eq!(
+                report.rmse_mm.to_bits(),
+                rmse_mm.to_bits(),
+                "lockstep {id} rmse not bit-identical @ {shards} shards"
+            );
+            assert_eq!(
+                report.max_deviation_mm.to_bits(),
+                max_dev_mm.to_bits(),
+                "lockstep {id} max deviation not bit-identical @ {shards} shards"
+            );
         }
     }
 }

@@ -36,7 +36,7 @@ pub struct EdgePacket {
 }
 
 /// Builds the edge-side packet stream: every packet carries `horizon`
-/// predictions computed from the真 real command history up to it.
+/// predictions computed from the real command history up to it.
 ///
 /// # Panics
 /// Panics if `commands` is empty or `horizon == 0`.

@@ -19,9 +19,9 @@
 //!   **bit-identical** to solo `run_closed_loop` runs regardless of
 //!   shard count (pinned by the shard-invariance integration test);
 //! - shards schedule **wake-on-work** by default
-//!   ([`Scheduler::EventDriven`]): a run queue plus a hierarchical
-//!   [`TimerWheel`], with idle streamed sessions parking at a *verified*
-//!   f64 fixed point (engine in horizon-hold, PIDs settled) where
+//!   ([`Scheduler::EventDriven`]): a run queue, with idle streamed
+//!   sessions parking at a *verified* f64 fixed point (engine in
+//!   horizon-hold, PIDs settled, no late command pending) where
 //!   [`Session::catch_up`] can later replay every skipped tick exactly
 //!   — a mostly-idle fleet costs work proportional to its *active*
 //!   sessions, bit-identically to the eager sweep ([`Scheduler::Eager`],
@@ -120,7 +120,7 @@ pub use clock::{Pacing, VirtualClock, TICK_HZ, TICK_PERIOD};
 pub use inbox::{BoundedInbox, GatedInbox, GatedInboxState, GatedSlot, InboxState, Offer};
 pub use metrics::{IngressSummary, MetricsRegistry, PercentileSummary, ServiceSummary};
 pub use protocol::{FleetPart, ServiceError, SessionCommand, SessionEvent};
-pub use sched::{Scheduler, TimerWheel};
+pub use sched::Scheduler;
 pub use service::{
     BalancerConfig, EventWait, FleetSnapshotReport, Service, ServiceConfig, ServiceHandle,
 };

@@ -25,7 +25,7 @@ use crate::protocol::{FleetPart, ServiceError, SessionCommand, SessionEvent};
 use crate::sched::Scheduler;
 use crate::shard::{RoutingTable, ShardWorker};
 use crate::snapshot::{SessionSnapshot, SourceState};
-use crate::spec::{SessionId, SessionSpec};
+use crate::spec::{SessionId, SessionSpec, SourceSpec};
 use crate::telemetry::{ShardSummary, Telemetry};
 use foreco_robot::{niryo_one, ArmModel};
 use foreco_store::{trace_object_id, ObjectId, Storage, TraceHandle};
@@ -578,9 +578,10 @@ impl Service {
 
     /// Batch driver: opens every spec, waits for all of them to
     /// complete, and returns the collected registry. Scripted sessions
-    /// complete on their own; streamed specs are closed immediately (so
-    /// they report after draining whatever was injected beforehand —
-    /// use the handle/event API directly for live streaming).
+    /// complete on their own; live specs (streamed or gated) are closed
+    /// immediately, so they report after draining whatever was injected
+    /// beforehand — use the handle/event API directly for live
+    /// streaming.
     ///
     /// Events are drained *while* opening, so the batch size is not
     /// limited by the bounded control/event channels: with both full,
@@ -604,7 +605,10 @@ impl Service {
         }
         let mut registry = MetricsRegistry::new();
         for spec in specs {
-            let streamed = matches!(spec.source, crate::spec::SourceSpec::Streamed { .. });
+            let live = matches!(
+                spec.source,
+                SourceSpec::Streamed { .. } | SourceSpec::Gated { .. }
+            );
             let id = spec.id;
             let control = self.handle.route(id);
             let mut pending = Box::new(spec);
@@ -620,7 +624,7 @@ impl Service {
                     Err(_) => panic!("shard terminated while opening sessions"),
                 }
             }
-            if streamed {
+            if live {
                 // Close may hit the same backpressure; same treatment.
                 loop {
                     match control.try_send(SessionCommand::Close { id }) {
@@ -749,6 +753,36 @@ mod tests {
         for id in 0..16 {
             assert!(registry.get(id).is_some(), "missing session {id}");
         }
+    }
+
+    #[test]
+    fn batch_run_closes_gated_specs() {
+        // A gated session with an empty queue suspends its clock until
+        // its next slot or a close, so the batch driver must close it
+        // like a streamed one or the registry never fills. Run on a
+        // thread so a regression fails on the timeout instead of
+        // hanging the suite.
+        let home = niryo_one().home();
+        let mut batch = specs(1);
+        batch.push(SessionSpec::new(
+            1,
+            SourceSpec::Gated {
+                initial: home,
+                inbox_capacity: 4,
+            },
+            ChannelSpec::Ideal,
+            RecoverySpec::Baseline,
+        ));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let registry = Service::spawn(ServiceConfig::with_shards(2)).run_to_completion(batch);
+            let _ = tx.send(registry);
+        });
+        let registry = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("run_to_completion hung on a gated spec");
+        assert_eq!(registry.len(), 2);
+        assert_eq!(registry.get(1).expect("gated session reported").ticks, 0);
     }
 
     #[test]
@@ -1362,13 +1396,11 @@ mod tests {
         // a parked fleet silent, each pass advances at most the hot
         // sessions. Wakeups are session advances, and a pass advances
         // only its run queue. A silent streamed session parks
-        // `AwaitingInput`; only a pending §VII-C late command parks on
-        // a timer, and late commands are off here, so timers add no
-        // wakeups. The one slack: a shard publishes `passes` before
-        // `wakeups` after each pass, so a read during the hot phase can
-        // see one pass's wakeups ahead of its pass count. The eager
-        // sweep advances the whole fleet every pass and breaks the
-        // bound by FLEET / HOT.
+        // `AwaitingInput`. The one slack: a shard publishes `passes`
+        // before `wakeups` after each pass, so a read during the hot
+        // phase can see one pass's wakeups ahead of its pass count. The
+        // eager sweep advances the whole fleet every pass and breaks
+        // the bound by FLEET / HOT.
         use std::time::Duration;
 
         const FLEET: u64 = 256;
@@ -1422,7 +1454,6 @@ mod tests {
         };
         let passes = after.passes - before.passes;
         let wakeups = after.wakeups - before.wakeups;
-        assert_eq!(after.timer_wakeups, before.timer_wakeups, "no timers");
         assert!(
             wakeups <= HOT * (passes + 1),
             "{wakeups} wakeups over {passes} passes: more than the {HOT} hot sessions per pass"

@@ -70,23 +70,23 @@ pub struct SessionReport {
 /// session be polled again?
 ///
 /// The verdict is *load-bearing* for the event-driven scheduler — a
-/// session may only report [`Wake::ParkedUntil`] / [`Wake::AwaitingInput`]
-/// from a **verified idle fixed point**, where one more idle tick would
-/// change nothing but clocks and counters (engine in horizon-hold with a
+/// non-gated session may only report [`Wake::AwaitingInput`] from a
+/// **verified idle fixed point**, where one more idle tick would change
+/// nothing but clocks and counters (engine in horizon-hold with a
 /// saturated window, both drivers' PIDs settled to exact f64 no-ops, see
 /// [`foreco_core::RecoveryEngine::idle_hold_is_identity`] and
-/// [`foreco_robot::RobotDriver::hold_is_identity`]). That is what makes
+/// [`foreco_robot::RobotDriver::hold_is_identity`], and no §VII-C late
+/// command pending — the scheduler ticks a session through its late
+/// patches rather than sleeping over them). That is what makes
 /// [`Session::catch_up`] able to replay the skipped ticks' bookkeeping
 /// exactly, keeping parked sessions bit-identical to eagerly ticked ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// Poll again on the next scheduling pass (live traffic, draining,
-    /// mid-transient, or still inside the forecast horizon).
+    /// mid-transient, still inside the forecast horizon, or a late
+    /// command pending).
     Runnable,
-    /// Idle-stable, but a pending late command (§VII-C) falls due at
-    /// this virtual tick: skip ticks until then, then poll.
-    ParkedUntil(u64),
-    /// Idle-stable with nothing scheduled: only new traffic
+    /// Idle-stable with nothing pending: only new traffic
     /// ([`Session::offer`]) or a close can make the next tick differ, so
     /// don't poll until one arrives.
     AwaitingInput,
@@ -480,9 +480,8 @@ impl Session {
     /// restored from a snapshot). See [`Wake`] for the contract.
     pub fn wake_hint(&self) -> Wake {
         // Gated sessions are wire-driven: runnable exactly while slots
-        // (or a close) are pending, awaiting input otherwise. They never
-        // report `ParkedUntil` — their virtual time suspends while they
-        // wait, so no wall-pass timer can ever fall due.
+        // (or a close) are pending, awaiting input otherwise — their
+        // virtual time suspends while they wait.
         if let Source::Gated { inbox, link } = &self.source {
             return if link.closing || !inbox.is_empty() {
                 Wake::Runnable
@@ -490,34 +489,26 @@ impl Session {
                 Wake::AwaitingInput
             };
         }
-        if !self.idle_stable() {
-            return Wake::Runnable;
-        }
-        let from = self.clock.tick();
-        match self
-            .pending_late
-            .iter()
-            .map(|(arrives, _, _)| first_fire_tick(*arrives, self.omega, from))
-            .min()
-        {
-            Some(due) if due > from => Wake::ParkedUntil(due),
-            Some(_) => Wake::Runnable, // a late command fires on the next tick
-            None => Wake::AwaitingInput,
+        if self.idle_stable() {
+            Wake::AwaitingInput
+        } else {
+            Wake::Runnable
         }
     }
 
     /// True when the next tick, fed nothing, would change no state bit
     /// outside clocks and counters: streamed source with an empty inbox
-    /// and not draining, engine (if any) at its hold identity, both
-    /// drivers at their hold fixed points. Scripted sessions always have
-    /// a next command, so they are never idle.
+    /// and not draining, no §VII-C late command pending, engine (if any)
+    /// at its hold identity, both drivers at their hold fixed points.
+    /// Scripted sessions always have a next command, so they are never
+    /// idle.
     fn idle_stable(&self) -> bool {
         match &self.source {
             // Gated sessions never reach this notion of idleness: their
             // parked state is "clock suspended", not "idle ticks elided".
             Source::Scripted { .. } | Source::Gated { .. } => return false,
             Source::Streamed { inbox, link } => {
-                if !inbox.is_empty() || link.closing {
+                if !inbox.is_empty() || link.closing || !self.pending_late.is_empty() {
                     return false;
                 }
             }
@@ -548,8 +539,8 @@ impl Session {
     ///
     /// # Panics
     /// Panics (debug) when the session is neither gated nor idle-stable
-    /// — catching up anywhere else would corrupt the determinism
-    /// contract.
+    /// — catching up anywhere else (a late patch falling due inside the
+    /// span included) would corrupt the determinism contract.
     pub fn catch_up(&mut self, ticks: u64) -> u64 {
         if matches!(self.source, Source::Gated { .. }) {
             return 0;
@@ -1013,28 +1004,6 @@ fn validate_driver_state(
         )));
     }
     Ok(())
-}
-
-/// The first tick index `i ≥ from` whose drain instant `(i+1)·Ω`
-/// reaches `arrives` — i.e. when [`pending_late_drain`] would deliver a
-/// late command. Computed against the *exact* f64 predicate the drain
-/// uses (an analytic `ceil` seeds the search, then the predicate is
-/// verified both ways), so a parked span can never skip a due patch.
-fn first_fire_tick(arrives: f64, omega: f64, from: u64) -> u64 {
-    let estimate = (arrives / omega - 1.0).ceil();
-    let mut i = if estimate.is_finite() && estimate > from as f64 {
-        estimate as u64
-    } else {
-        from
-    };
-    // Guard against rounding in either direction of the estimate.
-    while (i as f64 + 1.0) * omega < arrives {
-        i += 1;
-    }
-    while i > from && (i as f64) * omega >= arrives {
-        i -= 1;
-    }
-    i
 }
 
 /// Squared task-space deviation (mm²) between the executed and the
@@ -1503,13 +1472,14 @@ mod tests {
     }
 
     #[test]
-    fn parked_until_wakes_exactly_at_the_late_patch_tick() {
+    fn pending_late_command_keeps_a_session_from_parking() {
         // A §VII-C late command whose arrival instant lies beyond the
-        // park point is the one scheduled event that can change a parked
-        // session's state: the wake hint must name its exact due tick,
-        // and skipping to that tick must be bit-identical to ticking
-        // through. Built synthetically through the snapshot (the only
-        // way to plant a far-future pending arrival deterministically).
+        // idle fixed point still changes the session's state when it
+        // drains, so the session must stay runnable through its drain
+        // tick: the scheduler ticks it through the patch, and only the
+        // idle span after it may be skipped with catch_up. Built
+        // synthetically through the snapshot (the only way to plant a
+        // far-future pending arrival deterministically).
         let model = niryo_one();
         let home = model.home();
         let mut config = RecoveryConfig::for_model(&model);
@@ -1535,32 +1505,32 @@ mod tests {
         let t0 = donor.tick();
         let mut snap = donor.snapshot().expect("MA is snapshotable");
         // A command lost at tick 1 resurfaces mid-way through tick
-        // index t0+40 — long after the session parked.
-        let arrives = (t0 + 40) as f64 * 0.02 + 0.013;
+        // index t0+40 — long after the session reached its fixed point.
+        let drain = t0 + 40;
+        let arrives = drain as f64 * 0.02 + 0.013;
         snap.pending_late.push((arrives, 1, home.clone()));
 
         let mut eager = Session::restore(&snap, &model).expect("restore");
-        let mut parked = Session::restore(&snap, &model).expect("restore");
-        let due = match parked.wake_hint() {
-            Wake::ParkedUntil(due) => due,
-            other => panic!("expected a timed park, got {other:?}"),
-        };
-        assert_eq!(due, t0 + 40, "wake must land on the drain tick");
+        let mut lazy = Session::restore(&snap, &model).expect("restore");
+        // The lazy twin ticks only while runnable: every tick up to and
+        // including the drain tick, then it awaits input.
+        while lazy.wake_hint() == Wake::Runnable {
+            assert!(lazy.tick() <= drain, "runnable past the drain tick");
+            assert!(matches!(lazy.advance(), Advance::Ticked(_)));
+        }
+        assert_eq!(lazy.tick(), drain + 1, "parked before the drain tick");
+        assert_eq!(lazy.wake_hint(), Wake::AwaitingInput);
 
-        // Eager twin ticks through the idle span; parked twin jumps to
-        // the due tick, then both process it (the drain fires) and
-        // drain out together.
-        for _ in 0..due - t0 {
+        // The eager twin ticks through the patch and an idle tail; the
+        // lazy twin skips the tail with catch_up. Both then drain out.
+        const TAIL: u64 = 57;
+        for _ in t0..drain + 1 + TAIL {
             assert!(matches!(eager.advance(), Advance::Ticked(_)));
         }
-        parked.catch_up(due - t0);
-        assert_eq!(parked.tick(), due);
-        assert!(matches!(eager.advance(), Advance::Ticked(_)));
-        assert!(matches!(parked.advance(), Advance::Ticked(_)));
-        // The pending entry is consumed: nothing scheduled remains.
+        lazy.catch_up(TAIL);
+        assert_eq!(lazy.tick(), eager.tick());
         assert_eq!(eager.wake_hint(), Wake::AwaitingInput);
-        assert_eq!(parked.wake_hint(), Wake::AwaitingInput);
-        for s in [&mut eager, &mut parked] {
+        for s in [&mut eager, &mut lazy] {
             s.close();
         }
         let finish = |s: &mut Session| loop {
@@ -1568,41 +1538,11 @@ mod tests {
                 break report;
             }
         };
-        let (a, b) = (finish(&mut eager), finish(&mut parked));
+        let (a, b) = (finish(&mut eager), finish(&mut lazy));
         assert_eq!(a.ticks, b.ticks);
         assert_eq!(a.misses, b.misses);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.rmse_mm.to_bits(), b.rmse_mm.to_bits());
-    }
-
-    #[test]
-    fn first_fire_tick_matches_the_drain_predicate_exactly() {
-        // The park-until computation must agree with pending_late_drain's
-        // `arrives <= (i+1)·Ω` test at the boundary, or a parked span
-        // could skip a due late command.
-        let omega = 0.02;
-        for k in 1..400u64 {
-            let arrives = k as f64 * 0.00731 + 0.0003;
-            for from in [0u64, 1, 5, 1000] {
-                let i = first_fire_tick(arrives, omega, from);
-                assert!(i >= from);
-                assert!(
-                    (i as f64 + 1.0) * omega >= arrives,
-                    "fire tick {i} does not reach arrival {arrives}"
-                );
-                if i > from {
-                    assert!(
-                        (i as f64) * omega < arrives,
-                        "tick {} already fires for arrival {arrives}",
-                        i - 1
-                    );
-                }
-            }
-        }
-        // Exact-boundary case: arrival lands precisely on a drain instant.
-        let i = first_fire_tick(10.0 * omega, omega, 0);
-        assert!((i as f64 + 1.0) * omega >= 10.0 * omega);
-        assert!(i == 0 || (i as f64) * omega < 10.0 * omega);
     }
 
     #[test]

@@ -16,21 +16,20 @@
 //!
 //! Under [`Scheduler::EventDriven`] (the default) the per-pass sweep
 //! touches only the run queue. After every advance a session reports a
-//! [`Wake`] verdict; sessions at a verified idle fixed point leave the
-//! queue and park — in the [`TimerWheel`] when their next state change
-//! is a scheduled §VII-C late command ([`Wake::ParkedUntil`]), or
-//! indefinitely when only traffic can change their next tick
-//! ([`Wake::AwaitingInput`]). Parked sessions cost **zero** work per
-//! pass. Wake sources are the inbox (`Inject`), `Close`, any targeted
-//! control command, and the timer wheel; on wake the session's skipped
-//! passes are replayed exactly by `Session::catch_up`, so parking is
-//! observationally invisible (property-tested against the eager
-//! scheduler). When the whole shard is parked with no timers, the worker
-//! blocks on its control channel and the parked sessions' virtual time
-//! suspends with it — under real-time pacing it instead keeps 50 Hz
-//! slots flowing via a timed receive, so idle spans still track wall
-//! time. When only timers remain, an unpaced shard jumps its pass
-//! counter straight to the next due pass.
+//! [`Wake`] verdict; a session at a verified idle fixed point with no
+//! §VII-C late command pending reports [`Wake::AwaitingInput`], leaves
+//! the queue and parks until traffic changes its next tick. A pending
+//! late command keeps a session runnable, so the pass that drains it
+//! is ticked, never skipped. Parked sessions cost **zero** work per
+//! pass. Wake sources are the inbox (`Inject`), `Close` and any
+//! targeted control command; every wake goes through `Runtime::poke`,
+//! which replays the session's skipped passes exactly with
+//! `Session::catch_up`, so parking is observationally invisible
+//! (property-tested against the eager scheduler). When the whole shard
+//! is parked, the worker blocks on its control channel and the parked
+//! sessions' virtual time suspends with it — under real-time pacing it
+//! instead keeps 50 Hz slots flowing via a timed receive, so idle spans
+//! still track wall time.
 //!
 //! [`Scheduler::Eager`] preserves the original flat sweep (every session
 //! every pass) and is the ground truth the event-driven mode is tested
@@ -56,8 +55,8 @@
 //! loss event of the kind the recovery engine exists to absorb.
 //!
 //! Control flow per loop iteration: retry parked migration hand-offs,
-//! drain the control inbox (blocking when quiescent), fire due timers,
-//! advance the run queue, publish telemetry, pace.
+//! drain the control inbox (blocking when quiescent), advance the run
+//! queue, publish telemetry, pace.
 //!
 //! # Checkpoints
 //!
@@ -69,7 +68,7 @@
 use crate::clock::{Pacer, Pacing, TICK_PERIOD};
 use crate::inbox::Offer;
 use crate::protocol::{SessionCommand, SessionEvent};
-use crate::sched::{Scheduler, TimerWheel};
+use crate::sched::Scheduler;
 use crate::session::{Advance, Session, Wake};
 use crate::telemetry::{ShardScratch, Telemetry};
 use foreco_robot::ArmModel;
@@ -163,8 +162,6 @@ struct Runtime {
     /// through. The backlog to replay on wake is
     /// `current pass − parked_at`.
     parked: HashMap<u64, u64>,
-    /// Scheduled wakes for [`Wake::ParkedUntil`] sessions.
-    wheel: TimerWheel,
     /// Completed scheduling passes.
     pass: u64,
     /// Total session-ticks advanced (eager ticks + replayed backlog).
@@ -188,16 +185,15 @@ struct Runtime {
 
 impl Runtime {
     /// Syncs a parked session through the current pass: replays its idle
-    /// backlog, cancels its timers, and provisionally requeues it. A
-    /// no-op for runnable (or unknown) sessions. Callers that may leave
-    /// the session idle re-park it via [`Runtime::settle`]. `traffic`
-    /// marks wakes caused by operator input (`Inject`/`Close`) so the
-    /// load counters keep administrative syncs (snapshot, migration,
-    /// shutdown) out of the traffic-wakeup figure.
+    /// backlog and provisionally requeues it. The one way out of the
+    /// park; a no-op for runnable (or unknown) sessions. Callers that
+    /// may leave the session idle re-park it via [`Runtime::settle`].
+    /// `traffic` marks wakes caused by operator input (`Inject`/`Close`)
+    /// so the load counters keep administrative syncs (snapshot,
+    /// migration, shutdown) out of the traffic-wakeup figure.
     fn poke(&mut self, id: u64, traffic: bool) {
         if let Some(parked_at) = self.parked.remove(&id) {
             let backlog = self.pass - parked_at;
-            self.wheel.cancel(id);
             let session = self.sessions.get_mut(&id).expect("parked session exists");
             // Gated sessions replay nothing: their clock was suspended.
             let replayed = session.catch_up(backlog);
@@ -217,18 +213,18 @@ impl Runtime {
         if !self.scheduler.event_driven() || !self.runnable.contains(&id) {
             return;
         }
-        let wake = match self.sessions.get(&id) {
-            Some(session) => session.wake_hint(),
-            None => return,
-        };
-        if wake != Wake::Runnable {
-            self.park(id, wake, self.pass);
+        let idle = self
+            .sessions
+            .get(&id)
+            .is_some_and(|session| session.wake_hint() == Wake::AwaitingInput);
+        if idle {
+            self.park(id, self.pass);
         }
     }
 
-    /// Moves `id` out of the run queue; `ParkedUntil` wakes are keyed
-    /// into the timer wheel at the pass that maps to the named tick.
-    fn park(&mut self, id: u64, wake: Wake, at_pass: u64) {
+    /// Moves `id` out of the run queue, recording the pass it advanced
+    /// (or synced) through.
+    fn park(&mut self, id: u64, at_pass: u64) {
         self.runnable.remove(&id);
         self.parked.insert(id, at_pass);
         self.scratch.parks += 1;
@@ -240,33 +236,14 @@ impl Runtime {
                 shard: self.index,
             });
         }
-        if let Wake::ParkedUntil(due_tick) = wake {
-            // The wheel idles (un-advanced) while empty; re-anchor it to
-            // the present so firing this timer is O(gap), not O(passes
-            // since the wheel last held anything).
-            if self.wheel.is_empty() {
-                self.wheel.sync(at_pass);
-            }
-            let session = &self.sessions[&id];
-            // The session has completed `tick()` ticks; tick index
-            // `due_tick` runs `due_tick − tick() + 1` passes after the
-            // one it just advanced (or synced) through.
-            let due_pass = at_pass + (due_tick - session.tick()) + 1;
-            self.wheel.insert(due_pass, id);
-        }
     }
 
     /// Places a session that just entered this shard (open or adopt).
     fn enqueue_new(&mut self, id: u64) {
-        let wake = if self.scheduler.event_driven() {
-            self.sessions[&id].wake_hint()
+        if self.scheduler.event_driven() && self.sessions[&id].wake_hint() == Wake::AwaitingInput {
+            self.park(id, self.pass);
         } else {
-            Wake::Runnable
-        };
-        if wake == Wake::Runnable {
             self.runnable.insert(id);
-        } else {
-            self.park(id, wake, self.pass);
         }
     }
 
@@ -280,9 +257,7 @@ impl Runtime {
         }
         self.sessions.remove(&id);
         self.runnable.remove(&id);
-        if self.parked.remove(&id).is_some() {
-            self.wheel.cancel(id);
-        }
+        self.parked.remove(&id);
         // A migrated-in session leaves a routing override behind; clear
         // it so the id can be reused at its home placement.
         if shard_of(id, self.peers.len()) != self.index {
@@ -348,6 +323,29 @@ impl Runtime {
         }
     }
 
+    /// The one shape of the traffic verbs (`Inject`, `InjectMiss`,
+    /// `InjectLate`, `Close`). Traffic is a wake source: the session's
+    /// backlog is synced first, so the input lands on the tick it
+    /// arrived at; then `act` applies the verb, a `Dropped` verdict is
+    /// counted and narrated as a backpressure drop, and the session
+    /// re-parks if it is still idle. Unknown ids get `UnknownSession`.
+    fn traffic(&mut self, id: u64, act: impl FnOnce(&mut Session, &mut ShardScratch) -> Offer) {
+        if !self.sessions.contains_key(&id) {
+            let _ = self.events.send(SessionEvent::UnknownSession { id });
+            return;
+        }
+        self.poke(id, true);
+        let session = self.sessions.get_mut(&id).expect("checked above");
+        if act(session, &mut self.scratch) == Offer::Dropped {
+            self.scratch.inbox_drops += 1;
+            let _ = self.events.send(SessionEvent::CommandDropped {
+                id,
+                tick: session.tick(),
+            });
+        }
+        self.settle(id);
+    }
+
     /// One control command. Returns true when it was `Shutdown`.
     fn handle(&mut self, command: SessionCommand) -> bool {
         match command {
@@ -368,61 +366,28 @@ impl Runtime {
                 }
             }
             SessionCommand::Inject { id, command } => {
-                if self.sessions.contains_key(&id) {
-                    // Traffic is a wake source: sync the backlog first so
-                    // the command lands on the tick it arrived at.
-                    self.poke(id, true);
-                    let session = self.sessions.get_mut(&id).expect("checked above");
-                    if session.offer(command) == Offer::Dropped {
-                        self.scratch.inbox_drops += 1;
-                        let _ = self.events.send(SessionEvent::CommandDropped {
-                            id,
-                            tick: session.tick(),
-                        });
-                    }
-                    self.settle(id);
-                } else {
-                    let _ = self.events.send(SessionEvent::UnknownSession { id });
-                }
+                self.traffic(id, |session, _| session.offer(command));
             }
-            SessionCommand::InjectMiss { id } => {
-                if self.sessions.contains_key(&id) {
-                    self.poke(id, true);
-                    let session = self.sessions.get_mut(&id).expect("checked above");
-                    session.offer_miss();
-                    self.scratch.miss_marks += 1;
-                    self.settle(id);
-                } else {
-                    let _ = self.events.send(SessionEvent::UnknownSession { id });
-                }
-            }
+            SessionCommand::InjectMiss { id } => self.traffic(id, |session, scratch| {
+                // A miss marker is counted whatever the source; only
+                // gated sessions queue it.
+                session.offer_miss();
+                scratch.miss_marks += 1;
+                Offer::Accepted
+            }),
             SessionCommand::InjectLate { id, command, age } => {
-                if self.sessions.contains_key(&id) {
-                    self.poke(id, true);
-                    let session = self.sessions.get_mut(&id).expect("checked above");
-                    if session.offer_late(command, age) == Offer::Dropped {
-                        self.scratch.inbox_drops += 1;
-                        let _ = self.events.send(SessionEvent::CommandDropped {
-                            id,
-                            tick: session.tick(),
-                        });
-                    } else {
-                        self.scratch.late_replacements += 1;
+                self.traffic(id, |session, scratch| {
+                    let offer = session.offer_late(command, age);
+                    if offer == Offer::Accepted {
+                        scratch.late_replacements += 1;
                     }
-                    self.settle(id);
-                } else {
-                    let _ = self.events.send(SessionEvent::UnknownSession { id });
-                }
+                    offer
+                })
             }
-            SessionCommand::Close { id } => {
-                if self.sessions.contains_key(&id) {
-                    self.poke(id, true);
-                    self.sessions.get_mut(&id).expect("checked above").close();
-                    self.settle(id);
-                } else {
-                    let _ = self.events.send(SessionEvent::UnknownSession { id });
-                }
-            }
+            SessionCommand::Close { id } => self.traffic(id, |session, _| {
+                session.close();
+                Offer::Accepted
+            }),
             SessionCommand::SnapshotInto { id, reply } => {
                 if self.sessions.contains_key(&id) {
                     // Sync first: the checkpoint must capture the state
@@ -541,51 +506,28 @@ impl Runtime {
         false
     }
 
-    /// Fires timers due at the upcoming pass and wakes their sessions.
-    fn fire_timers(&mut self) {
-        if !self.scheduler.event_driven() || self.wheel.is_empty() {
-            return;
-        }
-        let mut fired = Vec::new();
-        self.wheel.advance(self.pass + 1, &mut fired);
-        fired.sort_unstable();
-        for id in fired {
-            if let Some(parked_at) = self.parked.remove(&id) {
-                let backlog = self.pass - parked_at;
-                let session = self.sessions.get_mut(&id).expect("timer for live session");
-                let replayed = session.catch_up(backlog);
-                self.ticks_advanced += replayed;
-                self.scratch.ticks += replayed;
-                self.scratch.wakes += 1;
-                self.scratch.timer_wakeups += 1;
-                self.runnable.insert(id);
-            }
-        }
-    }
-
-    /// One scheduling pass: fire timers, advance the run queue in
-    /// ascending-id order, park/complete per verdict.
+    /// One scheduling pass: advance the run queue in ascending-id
+    /// order, park/complete per verdict.
     fn run_pass(&mut self) {
         let target = self.pass + 1;
-        self.fire_timers();
         let mut advanced = 0u64;
-        let mut parked: Vec<(u64, Wake)> = Vec::new();
+        let mut parked: Vec<u64> = Vec::new();
         let mut completed: Vec<(u64, Box<crate::session::SessionReport>)> = Vec::new();
         let event_driven = self.scheduler.event_driven();
         let mut verdict = |id: u64, advance: Advance| match advance {
             Advance::Ticked(wake) => {
                 advanced += 1;
-                if event_driven && wake != Wake::Runnable {
-                    parked.push((id, wake));
+                if event_driven && wake == Wake::AwaitingInput {
+                    parked.push(id);
                 }
             }
             // A starved gated session: no tick happened, so it counts as
             // no advance; under the event scheduler it parks until
             // traffic (eager keeps polling it — the ground-truth sweep
             // stays a sweep).
-            Advance::Idle(wake) => {
+            Advance::Idle(_) => {
                 if event_driven {
-                    parked.push((id, wake));
+                    parked.push(id);
                 }
             }
             Advance::Completed(report) => completed.push((id, report)),
@@ -603,8 +545,8 @@ impl Runtime {
                 verdict(id, session.advance());
             }
         }
-        for (id, wake) in parked {
-            self.park(id, wake, target);
+        for id in parked {
+            self.park(id, target);
         }
         for (id, report) in completed {
             self.complete(id, *report);
@@ -665,7 +607,6 @@ impl ShardWorker {
             sessions: BTreeMap::new(),
             runnable: BTreeSet::new(),
             parked: HashMap::new(),
-            wheel: TimerWheel::new(0),
             pass: 0,
             ticks_advanced: 0,
             pending_transfers: Vec::new(),
@@ -678,19 +619,17 @@ impl ShardWorker {
         // Wall deadline of the current 50 Hz slot while a real-time
         // shard is fully parked. Fixed when the wait begins and kept
         // across interleaved control commands — restarting the period
-        // per command would let sub-period control traffic stall
-        // virtual time (and ParkedUntil timers) indefinitely.
+        // per command would let sub-period control traffic stall the
+        // parked sessions' virtual time indefinitely.
         let mut slot_deadline: Option<std::time::Instant> = None;
         'run: loop {
             rt.retry_transfers();
             // Drain control; block when quiescent (nothing runnable, no
-            // timer a blocked shard could miss, no parked hand-off).
+            // parked hand-off).
             let mut slot_elapsed = false;
             loop {
-                let quiescent = rt.runnable.is_empty()
-                    && rt.pending_transfers.is_empty()
-                    && !shutdown
-                    && (rt.wheel.is_empty() || pacing == Pacing::RealTime);
+                let quiescent =
+                    rt.runnable.is_empty() && rt.pending_transfers.is_empty() && !shutdown;
                 let command = if quiescent {
                     idle = true;
                     // Control-only work (adoptions, parks on arrival)
@@ -742,7 +681,7 @@ impl ShardWorker {
             }
             if slot_elapsed {
                 // The timed receive consumed this wall slot; run the
-                // pass (firing any due timers) without pacing again.
+                // pass without pacing again.
                 rt.run_pass();
                 rt.publish();
                 continue;
@@ -765,23 +704,16 @@ impl ShardWorker {
                 rt.runnable.extend(rt.sessions.keys().copied());
             }
             if rt.runnable.is_empty() {
-                if scheduler.event_driven() && !rt.wheel.is_empty() && pacing == Pacing::Unpaced {
-                    // Only timers remain: jump straight to the pass
-                    // before the next due one — the skipped passes are
-                    // billed to the parked sessions on wake.
-                    rt.pass = rt.wheel.next_due().expect("wheel non-empty") - 1;
-                } else {
-                    if !rt.pending_transfers.is_empty() {
-                        // Nothing to advance, destination still full:
-                        // yield briefly instead of spinning on try_send.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    // Command-only iterations (e.g. a miss marker that
-                    // left everything parked) still surface their
-                    // counters before the shard blocks again.
-                    rt.publish();
-                    continue;
+                if !rt.pending_transfers.is_empty() {
+                    // Nothing to advance, destination still full: yield
+                    // briefly instead of spinning on try_send.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
                 }
+                // Command-only iterations (e.g. a miss marker that left
+                // everything parked) still surface their counters
+                // before the shard blocks again.
+                rt.publish();
+                continue;
             }
             if idle {
                 // Coming back from an idle stretch: re-anchor real-time

@@ -171,7 +171,7 @@ shard_metrics! {
     parks: Counter, "foreco_parks_total",
         "Sessions parked at an idle fixed point.";
     wakes: Counter, "foreco_wakes_total",
-        "Sessions unparked (traffic, timer, or administrative sync).";
+        "Sessions unparked (traffic or administrative sync).";
     inbox_drops: Counter, "foreco_inbox_drops_total",
         "Commands dropped on full session inboxes.";
     snapshots: Counter, "foreco_snapshots_total",
@@ -190,8 +190,6 @@ shard_metrics! {
         "Scheduling passes executed.";
     wakeups: Counter, "foreco_wakeups_total",
         "Session advances performed.";
-    timer_wakeups: Counter, "foreco_timer_wakeups_total",
-        "Parked sessions woken by the timer wheel.";
     traffic_wakeups: Counter, "foreco_traffic_wakeups_total",
         "Parked sessions woken by operator traffic (inject or close).";
     migrated_out: Counter, "foreco_migrations_out_total",

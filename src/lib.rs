@@ -63,7 +63,7 @@
 //! with one trained forecaster shared across all of them. Shards
 //! schedule wake-on-work: sessions report a `Wake` verdict after every
 //! tick, idle streamed sessions park at a verified fixed point (costing
-//! zero scheduler work until traffic or a timer fires, with their
+//! zero scheduler work until traffic or a close arrives, with their
 //! missed slots replayed exactly on wake), and an optional balancer
 //! migrates live sessions from overloaded to underloaded shards:
 //!

@@ -222,8 +222,8 @@ fn every_lane_layout_agrees_at_every_shard_count() {
     }
 }
 
-/// The event-driven scheduler (run queue + timer wheel + parking) and
-/// the balancer (live migration policy) are pure scheduling concerns:
+/// The event-driven scheduler (run queue + parking) and the balancer
+/// (live migration policy) are pure scheduling concerns:
 /// at 1, 2, and 8 shards, their per-session reports must equal the
 /// eager sweep's bit for bit, and so must the aggregate summaries.
 #[test]

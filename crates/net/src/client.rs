@@ -333,7 +333,7 @@ impl<D: DataWire, C: ControlWire> ForecoClient<D, C> {
     }
 
     /// Checkpoints the live session, returning the snapshot's portable
-    /// byte form (the binary v3 frame, fetched through the
+    /// byte form (the binary snapshot frame, fetched through the
     /// `SnapshotBin` verb — the bytes cross the wire verbatim, with no
     /// JSON inflation).
     ///
@@ -351,7 +351,7 @@ impl<D: DataWire, C: ControlWire> ForecoClient<D, C> {
 
     /// Revives a checkpoint on the gateway, returning the next sequence
     /// number to stream from. Accepts any `SessionSnapshot` byte form —
-    /// binary v3 frames and persisted legacy JSON checkpoints both
+    /// binary frames (v3 or v4) and persisted legacy JSON checkpoints both
     /// adopt (the server sniffs the payload).
     ///
     /// # Errors

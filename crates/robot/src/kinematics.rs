@@ -5,7 +5,7 @@
 //! `θ_i = q_i + θ_offset_i` for revolute joints. Four `f64`s per link and
 //! a 3×3-plus-translation transform — no general 4×4 matrix stack needed.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// One revolute DH link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,10 +35,11 @@ impl Transform {
         }
     }
 
-    fn dh(link: &DhLink, q: f64) -> Self {
+    /// The link transform at joint angle `q`, given the link's cached
+    /// twist `(sin α, cos α)`.
+    fn dh(link: &DhLink, (sa, ca): (f64, f64), q: f64) -> Self {
         let th = q + link.theta_offset;
         let (st, ct) = th.sin_cos();
-        let (sa, ca) = link.alpha.sin_cos();
         Self {
             r: [
                 [ct, -st * ca, st * sa],
@@ -51,26 +52,41 @@ impl Transform {
 
     fn compose(&self, other: &Transform) -> Transform {
         let mut r = [[0.0; 3]; 3];
-        let mut t = [0.0; 3];
-        for i in 0..3 {
-            for j in 0..3 {
+        for (i, row) in r.iter_mut().enumerate() {
+            for (j, rij) in row.iter_mut().enumerate() {
                 for (k, other_row) in other.r.iter().enumerate() {
-                    r[i][j] += self.r[i][k] * other_row[j];
+                    *rij += self.r[i][k] * other_row[j];
                 }
             }
-            t[i] = self.t[i]
-                + self.r[i][0] * other.t[0]
-                + self.r[i][1] * other.t[1]
-                + self.r[i][2] * other.t[2];
         }
-        Transform { r, t }
+        Transform {
+            r,
+            t: self.translate(&other.t),
+        }
+    }
+
+    /// The translation column of `self.compose(other)` for an `other`
+    /// with translation `t`, in the same operation order — all the last
+    /// link of a chain needs, since FK reads no rotation.
+    fn translate(&self, t: &[f64; 3]) -> [f64; 3] {
+        let mut out = [0.0; 3];
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.t[i] + self.r[i][0] * t[0] + self.r[i][1] * t[1] + self.r[i][2] * t[2];
+        }
+        out
     }
 }
 
 /// A serial chain of revolute DH links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serialises as its links only: the per-link twist trig is derived
+/// state, recomputed on deserialisation.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DhChain {
     links: Vec<DhLink>,
+    /// `alpha.sin_cos()` per link — constant, so computed once here
+    /// rather than on every [`DhChain::forward`].
+    twist: Vec<(f64, f64)>,
 }
 
 impl DhChain {
@@ -80,7 +96,8 @@ impl DhChain {
     /// Panics on an empty chain.
     pub fn new(links: Vec<DhLink>) -> Self {
         assert!(!links.is_empty(), "DH chain needs at least one link");
-        Self { links }
+        let twist = links.iter().map(|l| l.alpha.sin_cos()).collect();
+        Self { links, twist }
     }
 
     /// Number of joints.
@@ -95,15 +112,25 @@ impl DhChain {
 
     /// End-effector position (metres) for joint angles `q`.
     ///
+    /// Bit-identical to composing every full link transform onto the
+    /// identity: the leading `identity().compose(..)` stays (its
+    /// `0.0 + x` turns a `-0.0` into `+0.0`), and only the last link's
+    /// rotation block, which the result never reads, is skipped.
+    ///
     /// # Panics
     /// Panics if `q.len() != dof()`.
     pub fn forward(&self, q: &[f64]) -> [f64; 3] {
         assert_eq!(q.len(), self.links.len(), "fk: joint count mismatch");
+        let (last, init) = self
+            .links
+            .split_last()
+            .expect("DhChain::new rejects an empty chain");
         let mut acc = Transform::identity();
-        for (link, &qi) in self.links.iter().zip(q) {
-            acc = acc.compose(&Transform::dh(link, qi));
+        for ((link, &twist), &qi) in init.iter().zip(&self.twist).zip(q) {
+            acc = acc.compose(&Transform::dh(link, twist, qi));
         }
-        acc.t
+        let (st, ct) = (q[init.len()] + last.theta_offset).sin_cos();
+        acc.translate(&[last.a * ct, last.a * st, last.d])
     }
 
     /// End-effector position in **millimetres** — the unit of every figure
@@ -124,6 +151,22 @@ impl DhChain {
     /// sanity tests.
     pub fn max_reach(&self) -> f64 {
         self.links.iter().map(|l| l.a.abs() + l.d.abs()).sum()
+    }
+}
+
+impl Serialize for DhChain {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("links".to_string(), self.links.to_value())])
+    }
+}
+
+impl Deserialize for DhChain {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let links = Vec::<DhLink>::from_value(v.get("links").unwrap_or(&Value::Null))?;
+        if links.is_empty() {
+            return Err(Error::new("DH chain needs at least one link"));
+        }
+        Ok(Self::new(links))
     }
 }
 
@@ -237,5 +280,16 @@ mod tests {
         let mm = chain.forward_mm(&[0.0]);
         assert!((mm[0] - 500.0).abs() < 1e-9);
         assert!((chain.distance_from_origin_mm(&[0.0]) - 500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn serde_carries_links_only_and_rebuilds_the_twist_cache() {
+        let chain = crate::niryo_one().chain;
+        let value = chain.to_value();
+        let fields = value.as_object().expect("object");
+        assert_eq!(fields.len(), 1, "only the links travel");
+        assert_eq!(DhChain::from_value(&value).expect("decodes"), chain);
+        let empty = Value::Object(vec![("links".to_string(), Value::Array(Vec::new()))]);
+        assert!(DhChain::from_value(&empty).is_err(), "empty chain rejected");
     }
 }

@@ -16,7 +16,9 @@
 //! # Streaming assembly (v2)
 //!
 //! Since format v2 the archive body is a contiguous run of
-//! length-prefixed **binary v3 snapshot frames**
+//! length-prefixed **binary snapshot frames** (v3, v4 since snapshot v4;
+//! each frame carries its own version, so the archive format is
+//! unchanged)
 //! ([`SessionSnapshot::encode_into`]), not a decoded session list. That
 //! makes the archive a *streaming* writer: `ServiceHandle::snapshot_fleet`
 //! calls [`FleetArchive::push_part_bytes`] as each shard's reply
@@ -88,7 +90,7 @@ pub struct FleetArchive {
     traces: Vec<TraceEntry>,
     /// Number of session frames in `parts`.
     count: usize,
-    /// Length-prefixed binary v3 snapshot frames, back to back: for
+    /// Length-prefixed binary snapshot frames, back to back: for
     /// each session a `u64` LE frame length followed by the frame.
     parts: Vec<u8>,
 }
@@ -143,7 +145,7 @@ impl FleetArchive {
         self.count += 1;
     }
 
-    /// Appends one session as a pre-encoded binary v3 frame — the
+    /// Appends one session as a pre-encoded binary snapshot frame — the
     /// streaming hand-off `snapshot_fleet` uses: shards encode into
     /// local scratch, the collector splices the bytes here without
     /// decoding them.

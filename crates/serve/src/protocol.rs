@@ -118,7 +118,7 @@ pub enum SessionCommand {
 #[derive(Debug, Clone)]
 pub enum FleetPart {
     /// The session's archive-form snapshot, already encoded as a binary
-    /// v3 frame in the shard's reusable scratch — the collector splices
+    /// snapshot frame in the shard's reusable scratch — the collector splices
     /// it into the [`FleetArchive`](crate::FleetArchive) without
     /// decoding (see
     /// [`FleetArchive::push_part_bytes`](crate::FleetArchive::push_part_bytes)).

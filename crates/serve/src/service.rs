@@ -331,7 +331,7 @@ impl ServiceHandle {
     /// of O(sessions × trace). Sessions keep running, untouched.
     ///
     /// The assembly is *streaming*: shards encode each part into their
-    /// reusable scratch as a binary v3 frame, and this collector splices
+    /// reusable scratch as a binary snapshot frame, and this collector splices
     /// the bytes straight into the archive while later shards are still
     /// draining — no snapshot is decoded in between. Sessions that are
     /// unknown (completed, never opened) or unsnapshotable are reported
@@ -1062,8 +1062,11 @@ mod tests {
     fn migration_keeps_a_stored_trace_claimed() {
         // A migrated stored-trace session must keep claiming the shared
         // trace on its new shard, not ride on a private inline copy the
-        // store knows nothing about. Real-time pacing keeps every
-        // session running until the moves have landed.
+        // store knows nothing about — and re-claim the trace's shared
+        // reference trajectory there, scoring bit-identically to a
+        // storeless twin that ticks a live reference driver. Real-time
+        // pacing keeps every session running until the moves have
+        // landed.
         const FLEET: u64 = 8;
         let storage = Storage::new();
         let trace = storage.insert_trace_owned(
@@ -1085,7 +1088,15 @@ mod tests {
                 )
             })
             .collect();
-        let twin = Service::spawn(ServiceConfig::with_shards(2)).run_to_completion(batch.clone());
+        let live: Vec<SessionSpec> = batch
+            .iter()
+            .cloned()
+            .map(|mut spec| {
+                spec.source = SourceSpec::Replayed(Arc::clone(trace.commands()));
+                spec
+            })
+            .collect();
+        let twin = Service::spawn(ServiceConfig::with_shards(2)).run_to_completion(live);
 
         let service = Service::spawn(ServiceConfig {
             shards: 2,
@@ -1111,6 +1122,12 @@ mod tests {
         let traces = storage.stats().traces;
         assert_eq!(traces.objects, 1, "the trace must stay resident");
         assert_eq!(traces.claims, FLEET, "every migrated session claims it");
+        let trajectories = storage.stats().trajectories;
+        assert_eq!(trajectories.objects, 1, "one shared reference trajectory");
+        assert_eq!(
+            trajectories.claims, FLEET,
+            "every migrated session reads it"
+        );
         let mut completed = 0;
         while completed < FLEET {
             if let Some(SessionEvent::Completed { id, report }) = service.next_event() {
@@ -1136,6 +1153,7 @@ mod tests {
             0,
             "the last claim drop evicts the trace"
         );
+        assert_eq!(storage.stats().trajectories.objects, 0);
     }
 
     #[test]

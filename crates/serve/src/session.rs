@@ -10,14 +10,23 @@
 //!
 //! Differences from the offline loop are purely structural:
 //!
-//! - the reference (perfect-channel) driver advances in lockstep with
-//!   the executed driver instead of in a separate pass — both drivers
-//!   are deterministic and independent, so their trajectories are
-//!   unchanged;
+//! - the reference (perfect-channel) trajectory is read in lockstep
+//!   with the executed driver instead of in a separate pass. A session
+//!   on a stored trace reads it by tick index from a precomputed
+//!   [`TrajectoryHandle`]: it is a pure function of (trace, arm model,
+//!   driver config) — a scripted command is delivered to the reference
+//!   whatever its fate — so the trace's store computes it once and
+//!   every session replaying that trace on that arm shares it. Every
+//!   other session (streamed, gated, storeless recorded/replayed, and
+//!   any restored from a frame that carries reference driver state)
+//!   ticks a live reference driver. Both forms produce the same
+//!   positions bit for bit, because the trajectory *is* a live driver's
+//!   output, computed once;
 //! - task-space error accumulates incrementally (same summation order
 //!   as `trajectory_rmse_mm`) instead of over stored trajectories, and
-//!   both drivers run with trail recording off — a session is O(1) in
-//!   memory regardless of how long it runs, which is what lets one
+//!   the drivers run with trail recording off — a session is O(1) in
+//!   memory regardless of how long it runs (a shared trajectory is
+//!   O(trace) per trace, not per session), which is what lets one
 //!   process hold thousands of arms;
 //! - commands may come from a live bounded inbox instead of a recorded
 //!   script, in which case an empty inbox at tick time *is* the miss.
@@ -33,8 +42,8 @@ use crate::spec::SharedForecaster;
 use crate::spec::{ChannelSpec, SessionId, SessionSpec, SourceSpec};
 use foreco_core::channel::{Arrival, Channel};
 use foreco_core::{EngineSnapshot, EngineStateError, RecoveryEngine, RecoveryStats};
-use foreco_robot::{ArmModel, DriverState, RobotDriver};
-use foreco_store::{trace_object_id, Storage, TraceHandle};
+use foreco_robot::{ArmModel, DriverConfig, DriverState, RobotDriver};
+use foreco_store::{trace_object_id, Storage, TraceHandle, TrajectoryHandle};
 use foreco_teleop::Dataset;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -178,12 +187,102 @@ impl LiveLink {
     }
 }
 
+/// The perfect-channel side of a session: what the executed arm's
+/// deviation is measured against.
+// One per session, built once: boxing the live driver would only add a
+// pointer chase to every live tick.
+#[allow(clippy::large_enum_variant)]
+enum Reference {
+    /// A driver fed every delivered command, ticked in lockstep.
+    Live(RobotDriver),
+    /// A scripted source's positions, precomputed once per (trace, arm
+    /// model, driver config) and read by tick index. `_claim` pins the
+    /// shared copy in the trace's store; `None` for a session-private
+    /// copy (an inline frame restored without a store).
+    Trajectory {
+        points: Arc<[[f64; 3]]>,
+        _claim: Option<TrajectoryHandle>,
+    },
+}
+
+impl Reference {
+    /// The trajectory `commands` defines on `model` under `cfg`: shared
+    /// through the trace's store when `claim` holds the trace, computed
+    /// privately otherwise. The commands must already be validated
+    /// against the arm (the build ticks a driver over all of them).
+    fn trajectory(
+        commands: &[Vec<f64>],
+        claim: Option<&TraceHandle>,
+        model: &ArmModel,
+        cfg: DriverConfig,
+    ) -> Self {
+        let build = |rows: &[Vec<f64>]| {
+            let mut driver = RobotDriver::new(model.clone(), cfg, &model.clamp(&rows[0]));
+            driver.set_recording(false);
+            rows.iter()
+                .map(|row| driver.tick(Some(row)).position_mm)
+                .collect::<Vec<_>>()
+        };
+        match claim {
+            Some(trace) => {
+                let handle = trace.trajectory(&model_bits(model), &config_bits(&cfg), build);
+                Reference::Trajectory {
+                    points: Arc::clone(handle.points()),
+                    _claim: Some(handle),
+                }
+            }
+            None => Reference::Trajectory {
+                points: build(commands).into(),
+                _claim: None,
+            },
+        }
+    }
+
+    /// True when the next tick, fed nothing, would change no state bit.
+    /// A trajectory is read by a scripted session, which never idles.
+    fn hold_is_identity(&self) -> bool {
+        match self {
+            Reference::Live(driver) => driver.hold_is_identity(None),
+            Reference::Trajectory { .. } => false,
+        }
+    }
+
+    /// The state a snapshot carries: `None` for a trajectory, which is
+    /// re-derived from the trace at restore.
+    fn export_state(&self) -> Option<DriverState> {
+        match self {
+            Reference::Live(driver) => Some(driver.export_state()),
+            Reference::Trajectory { .. } => None,
+        }
+    }
+}
+
+/// The arm model's content as raw bit words — every number a driver
+/// tick reads from it — for [`foreco_store::trajectory_object_id`].
+fn model_bits(model: &ArmModel) -> Vec<u64> {
+    let limits = model
+        .limits
+        .iter()
+        .flat_map(|l| [l.min, l.max, l.max_velocity]);
+    let links = model
+        .chain
+        .links()
+        .iter()
+        .flat_map(|l| [l.a, l.alpha, l.d, l.theta_offset]);
+    limits.chain(links).map(f64::to_bits).collect()
+}
+
+/// The driver configuration as raw bit words (see [`model_bits`]).
+fn config_bits(cfg: &DriverConfig) -> [u64; 4] {
+    [cfg.period, cfg.gains.kp, cfg.gains.ki, cfg.gains.kd].map(f64::to_bits)
+}
+
 /// A hosted recovery loop (see module docs).
 pub struct Session {
     id: SessionId,
     source: Source,
     engine: Option<RecoveryEngine>,
-    reference: RobotDriver,
+    reference: Reference,
     executed: RobotDriver,
     /// Late commands waiting to (maybe) patch FoReCo's history:
     /// (arrival time, tick index, payload) — §VII-C.
@@ -253,9 +352,21 @@ impl Session {
                 )
             }
         };
-        let mut reference = RobotDriver::new(model.clone(), spec.driver, &start);
+        // A stored trace shares its reference trajectory; every other
+        // source ticks a live reference driver.
+        let reference = match &source {
+            Source::Scripted {
+                commands,
+                claim: Some(trace),
+                ..
+            } => Reference::trajectory(commands, Some(trace), model, spec.driver),
+            _ => {
+                let mut driver = RobotDriver::new(model.clone(), spec.driver, &start);
+                driver.set_recording(false);
+                Reference::Live(driver)
+            }
+        };
         let mut executed = RobotDriver::new(model.clone(), spec.driver, &start);
-        reference.set_recording(false);
         executed.set_recording(false);
         Self {
             id: spec.id,
@@ -419,12 +530,12 @@ impl Session {
         let i = self.clock.tick() as usize;
         let now = (i as f64 + 1.0) * self.omega; // driver consumption instant
 
-        // Reference driver: the defined trajectory (perfect channel).
-        // Streamed misses have no command to define with — hold, like
-        // the executed side's baseline.
-        let ref_pos = {
-            let sample = self.reference.tick(delivered.as_deref());
-            sample.position_mm
+        // Reference: the defined trajectory (perfect channel). Streamed
+        // misses have no command to define with — the live driver
+        // holds, like the executed side's baseline.
+        let ref_pos = match &mut self.reference {
+            Reference::Live(driver) => driver.tick(delivered.as_deref()).position_mm,
+            Reference::Trajectory { points, .. } => points[i],
         };
 
         // Executed driver: impairment + recovery, mirroring
@@ -517,9 +628,9 @@ impl Session {
             Some(engine) => {
                 engine.idle_hold_is_identity()
                     && self.executed.hold_is_identity(Some(engine.held_command()))
-                    && self.reference.hold_is_identity(None)
+                    && self.reference.hold_is_identity()
             }
-            None => self.executed.hold_is_identity(None) && self.reference.hold_is_identity(None),
+            None => self.executed.hold_is_identity(None) && self.reference.hold_is_identity(),
         }
     }
 
@@ -549,6 +660,11 @@ impl Session {
             return 0;
         }
         debug_assert!(self.idle_stable(), "catch_up outside the idle fixed point");
+        let Reference::Live(reference) = &mut self.reference else {
+            // Only scripted sessions read a trajectory, and they never
+            // idle: there is nothing to replay.
+            return 0;
+        };
         // Positions are frozen at the fixed point, so the per-tick
         // deviation is one constant — computed by the same expression
         // `advance` evaluates, on the same (unchanged) joints.
@@ -557,11 +673,7 @@ impl Session {
             .model()
             .chain
             .forward_mm(self.executed.joints());
-        let ref_pos = self
-            .reference
-            .model()
-            .chain
-            .forward_mm(self.reference.joints());
+        let ref_pos = reference.model().chain.forward_mm(reference.joints());
         let d2 = deviation_sq(&exec_pos, &ref_pos);
         let d = d2.sqrt();
         for _ in 0..ticks {
@@ -577,7 +689,7 @@ impl Session {
         if let Some(engine) = &mut self.engine {
             engine.apply_idle_holds(ticks);
         }
-        self.reference.advance_time(ticks);
+        reference.advance_time(ticks);
         self.executed.advance_time(ticks);
         self.clock.advance_by(ticks);
         ticks
@@ -611,10 +723,12 @@ impl Session {
     }
 
     /// Checkpoints the complete session to a [`SessionSnapshot`]: engine
-    /// history, forecaster, PID/driver state, channel RNG, tick, and
-    /// every accumulator. The session keeps running; restoring the
-    /// snapshot anywhere continues it with bit-identical outputs (see
-    /// the [`crate::snapshot`] module docs for the contract).
+    /// history, forecaster, PID/driver state (the reference driver's
+    /// only when it is live: a trajectory is re-derived from the script
+    /// at restore), channel RNG, tick, and every accumulator. The
+    /// session keeps running; restoring the snapshot anywhere continues
+    /// it with bit-identical outputs (see the [`crate::snapshot`] module
+    /// docs for the contract).
     ///
     /// # Errors
     /// [`SnapshotError::UnsupportedForecaster`] when the engine wraps a
@@ -741,6 +855,13 @@ impl Session {
     /// Rehydrates a session from a snapshot onto `model`, continuing
     /// exactly where the snapshotted session left off.
     ///
+    /// A frame that carries reference driver state (every v1–v3 frame,
+    /// and v4 frames of live-reference sessions) restores that live
+    /// driver. A v4 scripted frame without it re-derives the reference
+    /// trajectory: an inline script computes a session-private copy
+    /// here, a by-reference one shares its trace's copy
+    /// ([`Session::restore_stored`]).
+    ///
     /// A [`SourceState::ScriptedRef`] snapshot (an archive entry) is
     /// rejected here — the script is not in the snapshot; claim it from
     /// storage and use [`Session::restore_stored`].
@@ -797,10 +918,17 @@ impl Session {
         models: Option<&Storage>,
     ) -> Result<Self, RestoreError> {
         match snap.version {
-            // v1 layouts are a subset of v2 (no `ScriptedRef`), and v3
-            // changed only the byte encoding, so one restore path
-            // serves every legal version.
-            1 | 2 | SNAPSHOT_VERSION => {}
+            // v1 layouts are a subset of v2 (no `ScriptedRef`), v3
+            // changed only the byte encoding, and v4 only lets the
+            // reference state be absent, so one restore path serves
+            // every legal version.
+            1..=3 if snap.reference.is_none() => {
+                return Err(RestoreError::Invalid(format!(
+                    "a v{} snapshot must carry reference driver state",
+                    snap.version
+                )))
+            }
+            1..=SNAPSHOT_VERSION => {}
             found => {
                 return Err(RestoreError::Version {
                     found,
@@ -818,7 +946,9 @@ impl Session {
                 "driver period must be positive".into(),
             ));
         }
-        validate_driver_state(&snap.reference, model, "reference")?;
+        if let Some(reference) = &snap.reference {
+            validate_driver_state(reference, model, "reference")?;
+        }
         validate_driver_state(&snap.executed, model, "executed")?;
         if let Some(bad) = snap
             .pending_late
@@ -860,13 +990,8 @@ impl Session {
                     )));
                 }
                 let commands = Arc::clone(handle.commands());
-                validated_scripted(
-                    commands,
-                    expand_fates(fates),
-                    Some(handle),
-                    snap.tick,
-                    model,
-                )?
+                let fates = expand_fates(fates, commands.len())?;
+                validated_scripted(commands, fates, Some(handle), snap.tick, model)?
             }
             SourceState::Streamed {
                 inbox,
@@ -922,12 +1047,28 @@ impl Session {
                 }
             }
         };
+        let reference = match (&snap.reference, &source) {
+            (Some(state), _) => {
+                Reference::Live(RobotDriver::from_state(model.clone(), snap.driver, state))
+            }
+            (
+                None,
+                Source::Scripted {
+                    commands, claim, ..
+                },
+            ) => Reference::trajectory(commands, claim.as_ref(), model, snap.driver),
+            (None, _) => {
+                return Err(RestoreError::Invalid(
+                    "only a scripted source may omit the reference driver state".into(),
+                ))
+            }
+        };
         Ok(Self {
             id: snap.id,
             source,
             engine,
             injected: vec![0.0; model.dof()],
-            reference: RobotDriver::from_state(model.clone(), snap.driver, &snap.reference),
+            reference,
             executed: RobotDriver::from_state(model.clone(), snap.driver, &snap.executed),
             pending_late: snap.pending_late.clone(),
             clock: VirtualClock::at_tick(snap.period, snap.tick),
@@ -1814,5 +1955,196 @@ mod tests {
         };
         assert_eq!(report.overflow_drops, 1);
         assert_eq!(report.ticks, 2);
+    }
+
+    /// A FoReCo spec over `source` under a light burst-loss channel.
+    fn replay_spec(id: SessionId, source: SourceSpec, var: &Var) -> SessionSpec {
+        SessionSpec::new(
+            id,
+            source,
+            ChannelSpec::ControlledLoss {
+                burst_len: 6,
+                burst_prob: 0.02,
+                seed: 31,
+            },
+            RecoverySpec::FoReCo {
+                forecaster: SharedForecaster::new(var.clone()),
+                config: RecoveryConfig::for_model(&niryo_one()),
+            },
+        )
+    }
+
+    /// The reference position the last tick scored against.
+    fn reference_pos(session: &Session) -> [f64; 3] {
+        match &session.reference {
+            Reference::Live(driver) => driver.model().chain.forward_mm(driver.joints()),
+            Reference::Trajectory { points, .. } => points[session.tick() as usize - 1],
+        }
+    }
+
+    /// Advances both sessions to `until` (or completion), asserting the
+    /// per-tick reference position and deviation accumulators agree bit
+    /// for bit; returns the reports if they completed.
+    fn lockstep(
+        a: &mut Session,
+        b: &mut Session,
+        until: u64,
+    ) -> Option<(SessionReport, SessionReport)> {
+        while a.tick() < until {
+            match (a.advance(), b.advance()) {
+                (Advance::Completed(ra), Advance::Completed(rb)) => return Some((*ra, *rb)),
+                (Advance::Ticked(_), Advance::Ticked(_)) => {}
+                other => panic!("sessions diverged in shape at tick {}: {other:?}", a.tick()),
+            }
+            let tick = a.tick();
+            assert_eq!(tick, b.tick());
+            assert_eq!(
+                reference_pos(a).map(f64::to_bits),
+                reference_pos(b).map(f64::to_bits),
+                "reference position at tick {tick}"
+            );
+            assert_eq!(a.acc_sq_mm.to_bits(), b.acc_sq_mm.to_bits(), "tick {tick}");
+            assert_eq!(a.worst_mm.to_bits(), b.worst_mm.to_bits(), "tick {tick}");
+        }
+        None
+    }
+
+    #[test]
+    fn trajectory_reference_matches_a_live_reference_twin() {
+        let model = niryo_one();
+        let var = trained_var();
+        let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 77);
+        let store = Storage::new();
+        let stored = replay_spec(1, SourceSpec::stored(&store, &test), &var);
+        let replayed = replay_spec(1, SourceSpec::replay(&test), &var);
+
+        // Tick 0: a stored trace opens on the shared trajectory, the
+        // storeless twin on a live driver.
+        let mut shared = Session::open(&stored, &model);
+        let mut live = Session::open(&replayed, &model);
+        assert!(matches!(shared.reference, Reference::Trajectory { .. }));
+        assert!(matches!(live.reference, Reference::Live(_)));
+        assert!(lockstep(&mut shared, &mut live, 250).is_none());
+
+        // Mid-trace: a v4 archive part carries no reference state and
+        // restores onto the store's trajectory.
+        let (part, _) = shared.snapshot_for_fleet().expect("fleet part");
+        assert_eq!((part.version, part.reference.is_none()), (4, true));
+        let part = SessionSnapshot::from_bytes(&part.to_bytes()).expect("decodes");
+        let trace = match &stored.source {
+            SourceSpec::Stored(trace) => trace.clone(),
+            _ => unreachable!(),
+        };
+        drop(shared);
+        let mut shared = Session::restore_stored(&part, &model, trace).expect("restores");
+        assert!(matches!(shared.reference, Reference::Trajectory { .. }));
+        assert!(lockstep(&mut shared, &mut live, 500).is_none());
+
+        // Migration: the transfer form with its claim, restored the way
+        // an adopting shard does.
+        let (snap, claim) = shared.snapshot_for_transfer().expect("transfer");
+        drop(shared);
+        let mut shared = Session::restore_with(&snap, &model, claim, Some(&store)).expect("adopts");
+        assert!(lockstep(&mut shared, &mut live, 650).is_none());
+
+        // An inline v4 frame restored without a store derives a private
+        // trajectory.
+        let inline = shared.snapshot().expect("inline snapshot");
+        assert!(inline.reference.is_none());
+        drop(shared);
+        let mut private = Session::restore(&inline, &model).expect("restores");
+        assert!(matches!(
+            private.reference,
+            Reference::Trajectory { _claim: None, .. }
+        ));
+        let (a, b) = lockstep(&mut private, &mut live, u64::MAX).expect("both complete");
+        assert_eq!(a, b, "reports must be bit-identical");
+        assert_eq!(a.rmse_mm.to_bits(), b.rmse_mm.to_bits());
+    }
+
+    /// Count gate (CI store job): sessions on one stored trace share one
+    /// reference trajectory — built once, resident while claimed,
+    /// evicted with the last claim. Counts, never a clock.
+    #[test]
+    fn stored_trace_sessions_share_one_reference_trajectory() {
+        const SESSIONS: u64 = 64;
+        let model = niryo_one();
+        let store = Storage::new();
+        let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 78);
+        let trace = store.insert_trace(&test.commands);
+        let mut sessions: Vec<Session> = (0..SESSIONS)
+            .map(|id| {
+                let spec = SessionSpec::new(
+                    id,
+                    SourceSpec::Stored(trace.clone()),
+                    ChannelSpec::ControlledLoss {
+                        burst_len: 4,
+                        burst_prob: 0.02,
+                        seed: id,
+                    },
+                    RecoverySpec::Baseline,
+                );
+                Session::open(&spec, &model)
+            })
+            .collect();
+        let s = store.stats().trajectories;
+        assert_eq!(
+            (s.objects, s.inserts, s.claims),
+            (1, 1, SESSIONS),
+            "{SESSIONS} sessions on one trace: one trajectory, one build"
+        );
+        assert_eq!(
+            s.resident_bytes,
+            test.commands.len() * 24 + 8 * (2 + 6 * 7 + 4)
+        );
+
+        // A by-reference restore claims the resident copy; no rebuild.
+        for _ in 0..10 {
+            sessions[0].advance();
+        }
+        let (part, _) = sessions[0].snapshot_for_fleet().expect("fleet part");
+        sessions.push(Session::restore_stored(&part, &model, trace.clone()).expect("restores"));
+        let s = store.stats().trajectories;
+        assert_eq!((s.objects, s.inserts, s.claims), (1, 1, SESSIONS + 1));
+
+        drop(sessions);
+        let s = store.stats().trajectories;
+        assert_eq!((s.objects, s.evictions, s.resident_bytes), (0, 1, 0));
+        drop(trace);
+        assert_eq!(store.stats().resident_bytes(), 0);
+    }
+
+    #[test]
+    fn trajectory_id_tracks_the_arm_and_the_driver_config() {
+        let model = niryo_one();
+        let store = Storage::new();
+        let trace = store.insert_trace(&Dataset::record(Skill::Experienced, 1, 0.02, 5).commands);
+        let open = |model: &ArmModel, driver: DriverConfig| {
+            let mut spec = SessionSpec::new(
+                0,
+                SourceSpec::Stored(trace.clone()),
+                ChannelSpec::Ideal,
+                RecoverySpec::Baseline,
+            );
+            spec.driver = driver;
+            Session::open(&spec, model)
+        };
+        let base = open(&model, DriverConfig::default());
+        // Raw bits, never normalised: `+0.0` and `-0.0` gains differ.
+        let with_kd = |kd: f64| {
+            let mut cfg = DriverConfig::default();
+            cfg.gains.kd = kd;
+            cfg
+        };
+        let pos_kd = open(&model, with_kd(0.0));
+        let neg_kd = open(&model, with_kd(-0.0));
+        let mut arm = model.clone();
+        arm.limits[2].max_velocity *= 0.5;
+        let slow = open(&arm, DriverConfig::default());
+        let again = open(&model, DriverConfig::default());
+        let s = store.stats().trajectories;
+        assert_eq!((s.objects, s.inserts, s.claims), (4, 4, 5));
+        drop((base, pos_kd, neg_kd, slow, again));
+        assert_eq!(store.stats().trajectories.objects, 0);
     }
 }

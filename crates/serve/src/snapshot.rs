@@ -13,12 +13,12 @@
 //! | session  | id, virtual tick, period, error accumulators, miss count |
 //! | source   | scripted: remaining script + pre-drawn fates; streamed: inbox queue + counters, channel spec + RNG words, buffered fates, closing flag |
 //! | recovery | engine history + forecast slots + counters + config + concrete forecaster ([`foreco_core::EngineSnapshot`]) |
-//! | robot    | both drivers' joints, held command, PID integral/derivative memory ([`foreco_robot::DriverState`]) |
+//! | robot    | executed driver's joints, held command, PID integral/derivative memory ([`foreco_robot::DriverState`]); the reference driver's too when it is live, absent (v4+) when the session reads a reference trajectory, which restore re-derives from the script |
 //! | pending  | late commands awaiting §VII-C history patches |
 //!
 //! # Format and versioning
 //!
-//! [`SessionSnapshot::to_bytes`] writes the **v3 binary frame**: a
+//! [`SessionSnapshot::to_bytes`] writes the **v4 binary frame**: a
 //! length-prefixed little-endian layout in the style of the wire codec
 //! (`foreco-net`'s `wire.rs`) — 4-byte magic [`SNAPSHOT_MAGIC`], a
 //! `u32` format version, then every field in a fixed order with `f64`s
@@ -34,6 +34,13 @@
 //! Bump [`SNAPSHOT_VERSION`] whenever a field changes meaning, and keep
 //! decoding old versions explicit (a `match` on the version), never
 //! implicit.
+//!
+//! **v3 → v4.** v4 is the v3 layout with the reference driver state
+//! made optional (a presence byte before it): a session on a stored
+//! trace reads its reference trajectory from the trace's store and
+//! snapshots none. v3 frames decode through their own `match` arm and
+//! always carry the state (the committed `tests/fixtures/snapshot_v3.bin`
+//! golden pins that arm).
 //!
 //! **v1/v2 → v3.** Versions 1 and 2 were JSON documents rendered
 //! through the in-tree serde shim (shortest-round-trip floats, 64-bit
@@ -88,9 +95,10 @@ use serde::{Deserialize, Serialize};
 
 /// Current snapshot format version (see the module docs for the
 /// versioning policy). v2 added [`SourceState::ScriptedRef`]; v3 moved
-/// the frame from JSON to the length-prefixed binary layout. v1/v2 JSON
-/// decoding is retained behind explicit `match` arms.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// the frame from JSON to the length-prefixed binary layout; v4 made
+/// the reference driver state optional. v1/v2 JSON and v3 binary
+/// decoding are retained behind explicit `match` arms.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Leading magic of every binary (v3+) snapshot frame. Deliberately not
 /// `{`: the decoder dispatches legacy JSON documents on that byte.
@@ -134,16 +142,32 @@ pub(crate) fn compress_fates(fates: &[Arrival]) -> Vec<FateRun> {
     runs
 }
 
-/// Expands run-length-encoded fates back to the per-slot stream.
-pub(crate) fn expand_fates(runs: &[FateRun]) -> Vec<Arrival> {
-    let total: u64 = runs.iter().map(|r| r.count).sum();
-    let mut fates = Vec::with_capacity(total as usize);
+/// Expands run-length-encoded fates back to the per-slot stream of a
+/// `commands`-row script.
+///
+/// # Errors
+/// [`RestoreError::Invalid`] unless the runs cover exactly `commands`
+/// slots — checked before anything is allocated, so a corrupt count
+/// word cannot become a huge allocation.
+pub(crate) fn expand_fates(
+    runs: &[FateRun],
+    commands: usize,
+) -> Result<Vec<Arrival>, RestoreError> {
+    let total = runs
+        .iter()
+        .try_fold(0u64, |total, run| total.checked_add(run.count));
+    if total != Some(commands as u64) {
+        return Err(RestoreError::Invalid(format!(
+            "fate runs do not cover the {commands}-command script"
+        )));
+    }
+    let mut fates = Vec::with_capacity(commands);
     for run in runs {
         for _ in 0..run.count {
             fates.push(run.fate);
         }
     }
-    fates
+    Ok(fates)
 }
 
 /// Serialised command source of a mid-run session.
@@ -233,8 +257,9 @@ pub struct SessionSnapshot {
     /// Late commands awaiting delivery: `(arrival time, tick index,
     /// payload)`, mirroring the session's pending list (§VII-C).
     pub pending_late: Vec<(f64, usize, Vec<f64>)>,
-    /// Reference (perfect-channel) driver state.
-    pub reference: DriverState,
+    /// Reference (perfect-channel) driver state; `None` (v4+) when the
+    /// session reads a reference trajectory derived from its script.
+    pub reference: Option<DriverState>,
     /// Executed (impaired + recovered) driver state.
     pub executed: DriverState,
 }
@@ -826,7 +851,7 @@ fn read_engine(r: &mut Reader<'_>) -> Result<EngineSnapshot, RestoreError> {
 }
 
 impl SessionSnapshot {
-    /// Appends the v3 binary frame to `buf` (which is **not** cleared:
+    /// Appends the v4 binary frame to `buf` (which is **not** cleared:
     /// archive writers append frames back to back). Reusing one scratch
     /// buffer across a fleet's worth of encodes amortises the encoder
     /// to zero steady-state allocations per session — the only
@@ -862,11 +887,17 @@ impl SessionSnapshot {
             put_u64(buf, *idx as u64);
             put_row(buf, row);
         }
-        put_driver_state(buf, &self.reference);
+        match &self.reference {
+            None => put_u8(buf, 0),
+            Some(state) => {
+                put_u8(buf, 1);
+                put_driver_state(buf, state);
+            }
+        }
         put_driver_state(buf, &self.executed);
     }
 
-    /// Serialises the snapshot to its portable byte form: the v3 binary
+    /// Serialises the snapshot to its portable byte form: the v4 binary
     /// frame (see [`SessionSnapshot::encode_into`] for the reusable-
     /// scratch variant fleet checkpointing uses).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -876,11 +907,11 @@ impl SessionSnapshot {
     }
 
     /// Parses a snapshot previously produced by
-    /// [`SessionSnapshot::to_bytes`] (binary v3) or a persisted legacy
-    /// JSON document (v1/v2). The first byte dispatches: `{` selects the
-    /// legacy JSON parser, the binary magic selects the v3 frame
-    /// decoder. Per the versioning invariant, every legal version is an
-    /// explicit `match` arm.
+    /// [`SessionSnapshot::to_bytes`] (binary v4), a persisted v3 binary
+    /// frame, or a persisted legacy JSON document (v1/v2). The first
+    /// byte dispatches: `{` selects the legacy JSON parser, the binary
+    /// magic selects the frame decoder. Per the versioning invariant,
+    /// every legal version is an explicit `match` arm.
     ///
     /// # Errors
     /// A typed [`RestoreError`] for every malformed shape — truncation,
@@ -900,11 +931,11 @@ impl SessionSnapshot {
                 1 => Ok(snap),
                 // v2: the last JSON format.
                 2 => Ok(snap),
-                // v3 is a binary frame by definition; a JSON document
+                // v3+ is a binary frame by definition; a JSON document
                 // claiming it is malformed, not merely foreign.
-                SNAPSHOT_VERSION => Err(RestoreError::Decode(
-                    "version 3 snapshots use the binary frame, not JSON".into(),
-                )),
+                found @ 3..=SNAPSHOT_VERSION => Err(RestoreError::Decode(format!(
+                    "version {found} snapshots use the binary frame, not JSON"
+                ))),
                 found => Err(RestoreError::Version {
                     found,
                     expected: SNAPSHOT_VERSION,
@@ -920,7 +951,8 @@ impl SessionSnapshot {
         }
         let version = r.u32()?;
         match version {
-            SNAPSHOT_VERSION => {}
+            // v3: the reference driver state is always present.
+            3 | SNAPSHOT_VERSION => {}
             found => {
                 return Err(RestoreError::Version {
                     found,
@@ -961,7 +993,20 @@ impl SessionSnapshot {
             let row = r.row()?;
             pending_late.push((t, idx, row));
         }
-        let reference = read_driver_state(&mut r)?;
+        let reference = match version {
+            // v3 always carries the state, with no presence byte.
+            3 => Some(read_driver_state(&mut r)?),
+            _ => match r.u8()? {
+                0 => None,
+                1 => Some(read_driver_state(&mut r)?),
+                found => {
+                    return Err(RestoreError::BadTag {
+                        what: "reference presence",
+                        found,
+                    })
+                }
+            },
+        };
         let executed = read_driver_state(&mut r)?;
         if r.remaining() != 0 {
             return Err(RestoreError::TrailingBytes {
@@ -994,7 +1039,8 @@ impl SessionSnapshot {
     ///
     /// # Errors
     /// [`RestoreError::Invalid`] when `commands` is not the trace the
-    /// snapshot references (content address mismatch).
+    /// snapshot references (content address mismatch) or the fate runs
+    /// do not cover it.
     pub fn materialized(&self, commands: &[Vec<f64>]) -> Result<SessionSnapshot, RestoreError> {
         let mut snap = self.clone();
         if let SourceState::ScriptedRef { trace, fates } = &snap.source {
@@ -1006,7 +1052,7 @@ impl SessionSnapshot {
             }
             snap.source = SourceState::Scripted {
                 commands: commands.to_vec(),
-                fates: expand_fates(fates),
+                fates: expand_fates(fates, commands.len())?,
             };
         }
         Ok(snap)

@@ -234,11 +234,12 @@
 //!
 //! # Binary fleet checkpoints
 //!
-//! Snapshot version 3 is a length-prefixed **binary frame** (magic
-//! `FSNP`, f64s as raw [`f64::to_bits`] words — bit-lossless by
-//! construction), with versions 1 and 2 kept decodable forever as
+//! Snapshot versions 3 and 4 are a length-prefixed **binary frame**
+//! (magic `FSNP`, f64s as raw [`f64::to_bits`] words — bit-lossless by
+//! construction; v4 lets a session on a stored trace omit its reference
+//! driver state), with versions 1 and 2 kept decodable forever as
 //! explicit JSON match arms: `SessionSnapshot::from_bytes` accepts all
-//! three (the library writes only v3), and every malformed shape maps
+//! four (the library writes only v4), and every malformed shape maps
 //! to a typed [`serve::RestoreError`], never a panic (fuzzed by
 //! `tests/snapshot_codec.rs`). At fleet scale, shards encode each part
 //! straight into a reusable scratch buffer and
@@ -266,7 +267,7 @@
 //!     session.advance();
 //! }
 //!
-//! // One binary v3 part spliced into an archive, round-tripped, and
+//! // One binary v4 part spliced into an archive, round-tripped, and
 //! // filed under its content address.
 //! let mut archive = FleetArchive::new();
 //! archive.push_part(&session.snapshot().unwrap());

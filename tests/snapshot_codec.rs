@@ -1,4 +1,4 @@
-//! The binary snapshot codec (v3), fuzzed the way `net`'s wire codec
+//! The binary snapshot codec (v3/v4), fuzzed the way `net`'s wire codec
 //! is: every malformed shape maps to a typed [`RestoreError`] and never
 //! a panic, well-formed frames round-trip to *exact* struct equality,
 //! and the legacy JSON arms (v1, v2) stay decodable forever via
@@ -23,11 +23,21 @@
 //!    binary-only), and state the tick path would panic on (driver
 //!    period, joint limits, `max_step`, damping, non-finite history or
 //!    commands, invalid forecaster state) → `Invalid` at restore;
-//! 4. golden fixtures: committed v1 and v2 JSON snapshots that must
-//!    decode and restore **bit-identically** against a freshly run
-//!    twin in every future build. Regenerate (after an intentional
-//!    donor change) with
-//!    `cargo test -q --test snapshot_codec -- --ignored regenerate`.
+//! 4. golden fixtures: committed v1 and v2 JSON snapshots and a v3
+//!    binary archive that must decode and restore **bit-identically**
+//!    against a freshly run twin in every future build (the v3 parts
+//!    also against the reports the v3 build recorded). Regenerate the
+//!    JSON ones (after an intentional donor change) with
+//!    `cargo test -q --test snapshot_codec -- --ignored regenerate`;
+//!    the v3 golden is frozen, since no current build writes v3.
+//!
+//! The v4 arms — a frame whose session reads a reference trajectory and
+//! so carries no reference driver state — get the layer 1 and 2
+//! treatment too: exact round trips, bit-identical restores (inline
+//! onto a private trajectory, by reference onto the store's), and
+//! single-byte mutants through decode → restore → run; an absent
+//! reference is a typed error on a streamed or gated source and on any
+//! v1–v3 snapshot.
 //!
 //! Run with a fixed case count via `PROPTEST_CASES` (CI pins it).
 
@@ -264,30 +274,26 @@ proptest! {
 }
 
 /// Decode → restore → run to completion over single-byte mutants of
-/// the donor frame, every `STRIDE`-th byte with a rotating mask. A
-/// mutant may fail to decode or restore (a typed error), but one that
-/// restores must run out its script without panicking: restore
-/// validates everything the tick path asserts on.
-#[test]
-fn restored_mutants_run_to_completion() {
-    // Release runs cover a few thousand mutants in a few seconds; debug
-    // builds take a sparser sample of the same sweep. Both strides
-    // land on mutants of the engine's joint limits (release also on the
-    // VAR coefficient shape) that restore-time validation must reject.
-    const STRIDE: usize = if cfg!(debug_assertions) { 81 } else { 9 };
+/// `donor`, every `stride`-th byte with a rotating mask. A mutant may
+/// fail to decode or restore (a typed error), but one that restores
+/// must run out its script without panicking: restore validates
+/// everything the tick path asserts on. Returns how many restored.
+fn assert_mutants_run_to_completion(
+    donor: &[u8],
+    stride: usize,
+    restore: impl Fn(&SessionSnapshot) -> Result<Session, RestoreError> + std::panic::RefUnwindSafe,
+) -> usize {
     const MASKS: [u8; 4] = [0x01, 0x40, 0x80, 0xFF];
-    let model = niryo_one();
-    let donor = donor_bytes();
     let mut restored = 0usize;
     let mut panics = Vec::new();
-    for (i, at) in (0..donor.len()).step_by(STRIDE).enumerate() {
+    for (i, at) in (0..donor.len()).step_by(stride).enumerate() {
         let mut bytes = donor.to_vec();
         bytes[at] ^= MASKS[i % MASKS.len()];
         let run = std::panic::catch_unwind(|| {
             let Ok(snap) = SessionSnapshot::from_bytes(&bytes) else {
                 return false;
             };
-            let Ok(mut session) = Session::restore(&snap, &model) else {
+            let Ok(mut session) = restore(&snap) else {
                 return false;
             };
             run_out(&mut session);
@@ -314,10 +320,152 @@ fn restored_mutants_run_to_completion() {
         panics.len(),
         panics.join("\n")
     );
+    restored
+}
+
+#[test]
+fn restored_mutants_run_to_completion() {
+    // Release runs cover a few thousand mutants in a few seconds; debug
+    // builds take a sparser sample of the same sweep. Both strides
+    // land on mutants of the engine's joint limits (release also on the
+    // VAR coefficient shape) that restore-time validation must reject.
+    const STRIDE: usize = if cfg!(debug_assertions) { 81 } else { 9 };
+    let model = niryo_one();
+    let restored = assert_mutants_run_to_completion(donor_bytes(), STRIDE, |snap| {
+        Session::restore(snap, &model)
+    });
     assert!(
         restored > 0,
         "some payload-only mutants must restore and run"
     );
+}
+
+/// The scripted donor's script and loss pattern on a stored trace, at
+/// tick 120: its session reads the store's reference trajectory, so
+/// both of its v4 frames — inline `snapshot()` and by-reference
+/// `snapshot_for_fleet()` — carry no reference driver state.
+fn stored_donor(store: &Storage) -> (SessionSnapshot, SessionSnapshot, TraceHandle) {
+    let model = niryo_one();
+    let mut spec = scripted_spec(7, true, &model);
+    let trace = store.insert_trace(&Dataset::record(Skill::Inexperienced, 1, 0.02, 42).commands);
+    spec.source = SourceSpec::Stored(trace.clone());
+    let mut session = Session::open(&spec, &model);
+    while session.tick() < 120 {
+        assert!(matches!(session.advance(), Advance::Ticked(_)));
+    }
+    let inline = session.snapshot().expect("inline snapshot");
+    let (by_ref, _) = session.snapshot_for_fleet().expect("fleet part");
+    (inline, by_ref, trace)
+}
+
+#[test]
+fn absent_reference_round_trips_and_restores_bit_identically() {
+    let model = niryo_one();
+    let store = Storage::new();
+    let (inline, by_ref, trace) = stored_donor(&store);
+    let spec = scripted_spec(7, true, &model);
+    let twin = run_out(&mut Session::open(&spec, &model));
+    for (snap, what) in [(&inline, "inline"), (&by_ref, "by-reference")] {
+        assert_eq!(snap.version, SNAPSHOT_VERSION);
+        assert!(snap.reference.is_none(), "{what}: no reference state");
+        let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).expect("decode");
+        assert_eq!(&decoded, snap, "{what}: v4 round-trip must be exact");
+    }
+    let private = run_out(&mut Session::restore(&inline, &model).expect("inline restores"));
+    assert_reports_bit_identical(&twin, &private, "inline, private trajectory");
+    let shared =
+        run_out(&mut Session::restore_stored(&by_ref, &model, trace).expect("ref restores"));
+    assert_reports_bit_identical(&twin, &shared, "by reference, shared trajectory");
+}
+
+/// Single-byte mutants of both absent-reference frames through decode →
+/// restore → run: typed errors or a completed run, never a panic.
+#[test]
+fn absent_reference_mutants_run_to_completion() {
+    const STRIDE: usize = if cfg!(debug_assertions) { 81 } else { 9 };
+    let model = niryo_one();
+    let store = Storage::new();
+    let (inline, by_ref, trace) = stored_donor(&store);
+    let restored = assert_mutants_run_to_completion(&inline.to_bytes(), STRIDE, |snap| {
+        Session::restore(snap, &model)
+    });
+    assert!(restored > 0, "payload-only inline mutants must run");
+    let restored = assert_mutants_run_to_completion(&by_ref.to_bytes(), STRIDE, |snap| {
+        Session::restore_stored(snap, &model, trace.clone())
+    });
+    assert!(restored > 0, "payload-only by-reference mutants must run");
+    // The presence byte sits just before the executed driver state, the
+    // frame's last field, which is as long as the state a present
+    // reference adds: an unassigned value there is a typed tag error.
+    let mut bytes = by_ref.to_bytes();
+    let mut with_ref = by_ref.clone();
+    with_ref.reference = Some(by_ref.executed.clone());
+    let state_len = with_ref.to_bytes().len() - bytes.len();
+    let at = bytes.len() - state_len - 1;
+    assert_eq!(bytes[at], 0, "absent-reference presence byte");
+    bytes[at] = 7;
+    match SessionSnapshot::from_bytes(&bytes) {
+        Err(RestoreError::BadTag { what, found: 7 }) => assert_eq!(what, "reference presence"),
+        other => panic!("presence byte 7 gave {other:?}"),
+    }
+}
+
+#[test]
+fn absent_reference_is_rejected_off_a_scripted_v4_source() {
+    let model = niryo_one();
+    // Streamed and gated sessions tick a live reference driver: a frame
+    // without its state cannot restore them.
+    let mut streamed = streamed_donor();
+    streamed.reference = None;
+    let mut gated = gated_donor();
+    gated.reference = None;
+    for (snap, what) in [(streamed, "streamed"), (gated, "gated")] {
+        let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).expect("decodes");
+        match Session::restore(&decoded, &model) {
+            Err(RestoreError::Invalid(reason)) => {
+                assert!(reason.contains("scripted"), "{what}: {reason}")
+            }
+            Err(other) => panic!("{what} without reference gave {other:?}"),
+            Ok(_) => panic!("{what} without reference restored"),
+        }
+    }
+    // v1–v3 always carried the state: a legacy document without it is
+    // invalid even for a scripted source.
+    let store = Storage::new();
+    let (inline, _, _) = stored_donor(&store);
+    for version in [1, 2, 3] {
+        let mut legacy = inline.clone();
+        legacy.version = version;
+        match Session::restore(&legacy, &model) {
+            Err(RestoreError::Invalid(reason)) => {
+                assert!(reason.contains("reference"), "v{version}: {reason}")
+            }
+            Err(other) => panic!("v{version} without reference gave {other:?}"),
+            Ok(_) => panic!("v{version} without reference restored"),
+        }
+    }
+}
+
+/// Mid-run gated donor: a few ingress slots consumed, one still queued.
+fn gated_donor() -> SessionSnapshot {
+    let model = niryo_one();
+    let home = model.home();
+    let spec = SessionSpec::new(
+        12,
+        SourceSpec::Gated {
+            initial: home.clone(),
+            inbox_capacity: 8,
+        },
+        ChannelSpec::Ideal,
+        RecoverySpec::Baseline,
+    );
+    let mut session = Session::open(&spec, &model);
+    for _ in 0..4 {
+        session.offer(home.clone());
+        assert!(matches!(session.advance(), Advance::Ticked(_)));
+    }
+    session.offer(home.clone());
+    session.snapshot().expect("gated donor snapshotable")
 }
 
 // ---------------------------------------------------------------------
@@ -326,7 +474,7 @@ fn restored_mutants_run_to_completion() {
 
 #[test]
 fn binary_version_skew_is_rejected() {
-    for skew in [2u32, 4, 99] {
+    for skew in [2u32, SNAPSHOT_VERSION + 1, 99] {
         let mut bytes = donor_bytes().to_vec();
         bytes[4..8].copy_from_slice(&skew.to_le_bytes());
         match SessionSnapshot::from_bytes(&bytes) {
@@ -656,6 +804,103 @@ fn v1_golden_fixture_decodes_and_restores_bit_identically() {
 #[test]
 fn v2_golden_fixture_decodes_and_restores_bit_identically() {
     assert_fixture_restores(V2_FIXTURE, 2);
+}
+
+/// The v3 golden: a fleet archive (format v2, its parts v3 binary
+/// frames) holding one inline `Scripted` part and one `ScriptedRef`
+/// part, written by the last build whose encoder stamped v3. Frozen:
+/// no later build can write a v3 frame, so `regenerate` leaves it be.
+const V3_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/snapshot_v3.bin"
+);
+
+/// The reports the v3 build produced for the two fixture parts, one
+/// [`report_digest`] line each, in part order.
+const V3_DIGESTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/snapshot_v3.digests"
+);
+
+/// The spec behind the fixture's `ScriptedRef` part: the golden donor's
+/// recorded trace, filed into `store`, under its own loss pattern.
+fn stored_fixture_spec(store: &Storage, model: &ArmModel) -> SessionSpec {
+    let trace = Dataset::record(Skill::Inexperienced, 1, 0.02, 42);
+    SessionSpec::new(
+        11,
+        SourceSpec::stored(store, &trace),
+        ChannelSpec::ControlledLoss {
+            burst_len: 6,
+            burst_prob: 0.03,
+            seed: 13,
+        },
+        RecoverySpec::FoReCo {
+            forecaster: SharedForecaster::new(shared_var().clone()),
+            config: RecoveryConfig::for_model(model),
+        },
+    )
+}
+
+/// Every report field a restore must reproduce, f64s as bit patterns.
+fn report_digest(r: &foreco::serve::SessionReport) -> String {
+    format!(
+        "id={} ticks={} misses={} drops={} rmse={:016x} max={:016x} stats={:?}",
+        r.id,
+        r.ticks,
+        r.misses,
+        r.overflow_drops,
+        r.rmse_mm.to_bits(),
+        r.max_deviation_mm.to_bits(),
+        r.stats
+    )
+}
+
+#[test]
+fn v3_golden_fixture_decodes_and_restores_bit_identically() {
+    use foreco::serve::snapshot::SourceState;
+    use foreco::serve::FleetArchive;
+    let bytes = std::fs::read(V3_FIXTURE).expect("committed v3 golden fixture");
+    let digests = std::fs::read_to_string(V3_DIGESTS).expect("committed v3 digests");
+    let expected: Vec<&str> = digests.lines().collect();
+    let archive = FleetArchive::from_bytes(&bytes).expect("v3 golden archive decodes");
+    let parts = archive.sessions().expect("v3 golden frames decode");
+    assert_eq!(parts.len(), 2, "one inline and one by-reference part");
+    assert_eq!(expected.len(), parts.len(), "one digest per part");
+    assert!(parts.iter().all(|p| p.version == 3), "frames stamped v3");
+    let model = niryo_one();
+
+    // Part 0: the inline script, restored without any store.
+    assert!(matches!(parts[0].source, SourceState::Scripted { .. }));
+    let (_, spec, _) = fixture_donor();
+    let twin = run_out(&mut Session::open(&spec, &model));
+    let resumed = run_out(&mut Session::restore(&parts[0], &model).expect("inline restores"));
+    assert_reports_bit_identical(&twin, &resumed, "v3 inline part");
+    assert_eq!(
+        report_digest(&resumed),
+        expected[0],
+        "v3 inline part digest"
+    );
+
+    // Part 1: the script by reference, claimed from the archive's table.
+    let SourceState::ScriptedRef { trace, .. } = &parts[1].source else {
+        panic!("second v3 part must be by reference");
+    };
+    let store = Storage::new();
+    let entry = archive
+        .trace(*trace)
+        .expect("referenced trace in the table");
+    let claim = store.insert_trace(&entry.commands);
+    assert_eq!(claim.id(), *trace, "table entry is the referenced trace");
+    let spec = stored_fixture_spec(&store, &model);
+    let twin = run_out(&mut Session::open(&spec, &model));
+    let resumed =
+        run_out(&mut Session::restore_stored(&parts[1], &model, claim).expect("ref restores"));
+    assert_reports_bit_identical(&twin, &resumed, "v3 by-reference part");
+    assert_eq!(
+        report_digest(&resumed),
+        expected[1],
+        "v3 by-reference digest"
+    );
 }
 
 /// Rewrites both golden fixtures from the deterministic donor. Run

@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 /// Holt double-exponential-smoothing forecaster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Holt {
-    r: usize,
-    dims: usize,
+    pub(crate) r: usize,
+    pub(crate) dims: usize,
     /// Level smoothing factor `α ∈ (0, 1]`.
     pub alpha: f64,
     /// Trend smoothing factor `β ∈ (0, 1]`.

@@ -23,8 +23,8 @@ use serde::{Deserialize, Serialize};
 /// Constant-velocity Kalman filter forecaster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KalmanCv {
-    r: usize,
-    dims: usize,
+    pub(crate) r: usize,
+    pub(crate) dims: usize,
     /// Command period Ω used by the process model (seconds).
     pub period: f64,
     /// Process-noise intensity (rad²/s³): how much the operator's joint

@@ -40,7 +40,7 @@ pub use holt::Holt;
 pub use kalman::KalmanCv;
 pub use ma::MovingAverage;
 pub use seq2seq::{Seq2SeqForecaster, Seq2SeqTrainConfig};
-pub use state::ForecasterState;
+pub use state::{ForecasterState, StateCodecError};
 pub use var::{Var, VarMode};
 pub use varma::Varma;
 

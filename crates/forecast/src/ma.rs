@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 /// Moving average over the last `R` commands.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MovingAverage {
-    r: usize,
-    dims: usize,
+    pub(crate) r: usize,
+    pub(crate) dims: usize,
 }
 
 impl MovingAverage {

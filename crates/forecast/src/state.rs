@@ -20,8 +20,36 @@
 //! Engines wrapping it report
 //! `Forecaster::export_state() == None` and snapshotting such a session
 //! fails with an explicit error instead of silently dropping state.
+//!
+//! # Canonical binary form
+//!
+//! [`ForecasterState::encode_into`] writes the one binary encoding of a
+//! state: a family tag byte, then the family's dimensions as `u64`
+//! words and every `f64` as its raw [`f64::to_bits`] word, all little
+//! endian. It is bit-lossless by construction (`-0.0` and NaN payloads
+//! included) and runs no float formatter. The same bytes are the
+//! store's content address ([`ForecasterState::canonical_bytes`]) and
+//! the forecaster field of a session snapshot frame.
+//!
+//! | tag | family | body |
+//! |---|---|---|
+//! | 0 | MA | `r`, `dims` |
+//! | 1 | Holt | `r`, `dims`, `alpha`, `beta` |
+//! | 2 | Kalman-CV | `r`, `dims`, `period`, `process_noise`, `measurement_noise` |
+//! | 3 | VAR | `r`, `dims`, mode byte, coefficient matrix, optional diff clamp |
+//! | 4 | VARMA | `r`, `q`, `dims`, stage-1 VAR body, stage-2 matrix |
+//!
+//! A matrix is `rows`, `cols`, then `rows × cols` words row-major; an
+//! optional `f64` is a presence byte and the word. Decoding
+//! ([`ForecasterState::from_canonical_bytes`]) never panics: counts are
+//! overflow-checked and capped against the remaining bytes before they
+//! allocate, trailing bytes are rejected, and every malformed shape is a
+//! typed [`StateCodecError`]. Decoding checks structure only;
+//! [`ForecasterState::validate`] checks what each family's constructor
+//! guarantees.
 
-use crate::{Forecaster, Holt, KalmanCv, MovingAverage, Var, Varma};
+use crate::{Forecaster, Holt, KalmanCv, MovingAverage, Var, VarMode, Varma};
+use foreco_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Concrete, serialisable form of a deployed forecaster.
@@ -70,16 +98,110 @@ impl ForecasterState {
     }
 
     /// The canonical bytes of this state — the content a model is
-    /// *addressed by* in shared storage and dedup-aware archives.
+    /// *addressed by* in shared storage: the binary form of
+    /// [`ForecasterState::encode_into`] (see the module docs).
     ///
     /// Two models have the same canonical bytes iff they are the same
-    /// forecaster family with bit-identical parameters (the JSON codec
-    /// round-trips every `f64` bit pattern, `-0.0` and NaNs included),
-    /// which by the purity contract above means bit-identical forecasts.
+    /// forecaster family with bit-identical parameters (every `f64`
+    /// travels as its raw bit pattern, so `-0.0` ≠ `+0.0` and distinct
+    /// NaN payloads differ), which by the purity contract above means
+    /// bit-identical forecasts.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        serde_json::to_string(self)
-            .expect("forecaster state serialization is infallible")
-            .into_bytes()
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the canonical binary form (see the module docs) to `buf`,
+    /// which is not cleared. Into a buffer with room to spare it
+    /// allocates nothing.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            ForecasterState::Ma(f) => {
+                buf.push(TAG_MA);
+                put_usize(buf, f.r);
+                put_usize(buf, f.dims);
+            }
+            ForecasterState::Holt(f) => {
+                buf.push(TAG_HOLT);
+                put_usize(buf, f.r);
+                put_usize(buf, f.dims);
+                put_f64(buf, f.alpha);
+                put_f64(buf, f.beta);
+            }
+            ForecasterState::Kalman(f) => {
+                buf.push(TAG_KALMAN);
+                put_usize(buf, f.r);
+                put_usize(buf, f.dims);
+                put_f64(buf, f.period);
+                put_f64(buf, f.process_noise);
+                put_f64(buf, f.measurement_noise);
+            }
+            ForecasterState::Var(f) => {
+                buf.push(TAG_VAR);
+                put_var(buf, f);
+            }
+            ForecasterState::Varma(f) => {
+                buf.push(TAG_VARMA);
+                put_usize(buf, f.r);
+                put_usize(buf, f.q);
+                put_usize(buf, f.dims);
+                put_var(buf, &f.stage1);
+                put_matrix(buf, &f.beta);
+            }
+        }
+    }
+
+    /// Decodes exactly one canonical binary form, the inverse of
+    /// [`ForecasterState::encode_into`]. The result is structurally
+    /// sound (every matrix holds `rows × cols` values) but not
+    /// validated: call [`ForecasterState::validate`] before building it.
+    ///
+    /// # Errors
+    /// A typed [`StateCodecError`] for every malformed shape — never a
+    /// panic.
+    pub fn from_canonical_bytes(bytes: &[u8]) -> Result<Self, StateCodecError> {
+        let mut r = Reader { buf: bytes, pos: 0 };
+        let state = match r.u8()? {
+            TAG_MA => ForecasterState::Ma(MovingAverage {
+                r: r.usize("MA window")?,
+                dims: r.usize("MA dims")?,
+            }),
+            TAG_HOLT => ForecasterState::Holt(Holt {
+                r: r.usize("Holt window")?,
+                dims: r.usize("Holt dims")?,
+                alpha: r.f64()?,
+                beta: r.f64()?,
+            }),
+            TAG_KALMAN => ForecasterState::Kalman(KalmanCv {
+                r: r.usize("Kalman window")?,
+                dims: r.usize("Kalman dims")?,
+                period: r.f64()?,
+                process_noise: r.f64()?,
+                measurement_noise: r.f64()?,
+            }),
+            TAG_VAR => ForecasterState::Var(r.var()?),
+            TAG_VARMA => ForecasterState::Varma(Varma {
+                r: r.usize("VARMA AR order")?,
+                q: r.usize("VARMA MA order")?,
+                dims: r.usize("VARMA dims")?,
+                stage1: r.var()?,
+                beta: r.matrix()?,
+            }),
+            found => {
+                return Err(StateCodecError::BadTag {
+                    what: "forecaster family",
+                    found,
+                })
+            }
+        };
+        if r.pos != bytes.len() {
+            return Err(StateCodecError::TrailingBytes {
+                expect: r.pos,
+                got: bytes.len(),
+            });
+        }
+        Ok(state)
     }
 
     /// Display name of the wrapped forecaster.
@@ -100,6 +222,211 @@ impl ForecasterState {
 /// overflow that sum or abort the process on allocation. Far above any
 /// window the paper or this repository deploys (at most 20).
 pub(crate) const MAX_WINDOW: usize = 4096;
+
+const TAG_MA: u8 = 0;
+const TAG_HOLT: u8 = 1;
+const TAG_KALMAN: u8 = 2;
+const TAG_VAR: u8 = 3;
+const TAG_VARMA: u8 = 4;
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_usize(buf: &mut Vec<u8>, v: usize) {
+    put_u64(buf, v as u64);
+}
+
+fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, v.to_bits());
+}
+
+fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {
+    put_usize(buf, m.rows());
+    put_usize(buf, m.cols());
+    for &v in m.as_slice() {
+        put_f64(buf, v);
+    }
+}
+
+/// A VAR's body: shared by the VAR family and VARMA's stage 1.
+fn put_var(buf: &mut Vec<u8>, var: &Var) {
+    put_usize(buf, var.r);
+    put_usize(buf, var.dims);
+    buf.push(match var.mode {
+        VarMode::Levels => 0,
+        VarMode::Differences => 1,
+    });
+    put_matrix(buf, &var.beta);
+    match var.diff_clamp {
+        None => buf.push(0),
+        Some(clamp) => {
+            buf.push(1);
+            put_f64(buf, clamp);
+        }
+    }
+}
+
+/// Why a canonical forecaster state failed to decode. Every malformed
+/// input maps to exactly one variant; decoding never panics.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StateCodecError {
+    /// Fewer bytes than the layout requires.
+    Truncated {
+        /// Bytes required to read the next field.
+        need: usize,
+        /// Bytes present.
+        got: usize,
+    },
+    /// An unassigned tag byte where a discriminant or flag was expected.
+    BadTag {
+        /// Which field carried the tag.
+        what: &'static str,
+        /// The byte found.
+        found: u8,
+    },
+    /// A count larger than the remaining bytes could hold (or than
+    /// `usize` can express), rejected before it becomes an allocation.
+    Oversized {
+        /// Which field declared it.
+        what: &'static str,
+        /// The declared count.
+        declared: u64,
+        /// The most the remaining bytes could hold.
+        limit: u64,
+    },
+    /// Bytes left over after one complete state.
+    TrailingBytes {
+        /// Length of the decoded state.
+        expect: usize,
+        /// Bytes present.
+        got: usize,
+    },
+}
+
+impl std::fmt::Display for StateCodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StateCodecError::Truncated { need, got } => {
+                write!(
+                    f,
+                    "forecaster state truncated: need {need} bytes, got {got}"
+                )
+            }
+            StateCodecError::BadTag { what, found } => {
+                write!(f, "forecaster state: bad tag {found:#04x} for {what}")
+            }
+            StateCodecError::Oversized {
+                what,
+                declared,
+                limit,
+            } => write!(
+                f,
+                "forecaster state: oversized {what}: {declared} declared, at most {limit} possible"
+            ),
+            StateCodecError::TrailingBytes { expect, got } => write!(
+                f,
+                "forecaster state: trailing bytes: state is {expect}, buffer holds {got}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StateCodecError {}
+
+/// Bounds-checked cursor over one canonical state.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StateCodecError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(StateCodecError::Truncated {
+                need: self.pos.saturating_add(n),
+                got: self.buf.len(),
+            })?;
+        let slice = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(slice)
+    }
+
+    fn u8(&mut self) -> Result<u8, StateCodecError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u64(&mut self) -> Result<u64, StateCodecError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    fn f64(&mut self) -> Result<f64, StateCodecError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    fn usize(&mut self, what: &'static str) -> Result<usize, StateCodecError> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| StateCodecError::Oversized {
+            what,
+            declared: v,
+            limit: usize::MAX as u64,
+        })
+    }
+
+    /// `rows × cols` words, the product overflow-checked and capped
+    /// against the remaining bytes before anything is allocated, so the
+    /// matrix built always holds exactly its shape.
+    fn matrix(&mut self) -> Result<Matrix, StateCodecError> {
+        let rows = self.usize("matrix rows")?;
+        let cols = self.usize("matrix cols")?;
+        let limit = ((self.buf.len() - self.pos) / 8) as u64;
+        let n = rows
+            .checked_mul(cols)
+            .filter(|&n| n as u64 <= limit)
+            .ok_or(StateCodecError::Oversized {
+                what: "matrix data",
+                declared: (rows as u64).saturating_mul(cols as u64),
+                limit,
+            })?;
+        let data = self
+            .take(n * 8)?
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8"))))
+            .collect();
+        Ok(Matrix::from_vec(rows, cols, data))
+    }
+
+    fn var(&mut self) -> Result<Var, StateCodecError> {
+        Ok(Var {
+            r: self.usize("VAR order")?,
+            dims: self.usize("VAR dims")?,
+            mode: match self.u8()? {
+                0 => VarMode::Levels,
+                1 => VarMode::Differences,
+                found => {
+                    return Err(StateCodecError::BadTag {
+                        what: "VAR mode",
+                        found,
+                    })
+                }
+            },
+            beta: self.matrix()?,
+            diff_clamp: match self.u8()? {
+                0 => None,
+                1 => Some(self.f64()?),
+                found => {
+                    return Err(StateCodecError::BadTag {
+                        what: "VAR diff clamp",
+                        found,
+                    })
+                }
+            },
+        })
+    }
+}
 
 /// `Ok` when `ok`, otherwise `what` as the error.
 pub(crate) fn require(ok: bool, what: impl Into<String>) -> Result<(), String> {
@@ -131,5 +458,54 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&a), bits(&b), "{} drifted", state.name());
         }
+    }
+
+    #[test]
+    fn canonical_bytes_round_trip_and_reject_malformed_shapes() {
+        let beta = Matrix::from_fn(5, 2, |i, j| (i * 2 + j) as f64 * -0.25);
+        let var = Var::from_coefficients(2, 2, beta);
+        let states = [
+            ForecasterState::Ma(MovingAverage::new(5, 2)),
+            ForecasterState::Holt(Holt::default_teleop(5, 2)),
+            ForecasterState::Kalman(KalmanCv::default_teleop(8, 2)),
+            ForecasterState::Var(var),
+        ];
+        for state in &states {
+            let bytes = state.canonical_bytes();
+            let back = ForecasterState::from_canonical_bytes(&bytes).expect("decodes");
+            assert_eq!(&back, state);
+            assert_eq!(back.canonical_bytes(), bytes, "{}", state.name());
+            for cut in 0..bytes.len() {
+                assert!(matches!(
+                    ForecasterState::from_canonical_bytes(&bytes[..cut]),
+                    Err(StateCodecError::Truncated { .. } | StateCodecError::Oversized { .. })
+                ));
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(matches!(
+                ForecasterState::from_canonical_bytes(&long),
+                Err(StateCodecError::TrailingBytes { .. })
+            ));
+        }
+        let mut bytes = states[3].canonical_bytes();
+        // Tag, r, dims, mode: the matrix's row word starts at byte 18.
+        bytes[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            ForecasterState::from_canonical_bytes(&bytes),
+            Err(StateCodecError::Oversized { .. })
+        ));
+        bytes[17] = 2;
+        assert_eq!(
+            ForecasterState::from_canonical_bytes(&bytes),
+            Err(StateCodecError::BadTag {
+                what: "VAR mode",
+                found: 2
+            })
+        );
+        assert!(matches!(
+            ForecasterState::from_canonical_bytes(&[9]),
+            Err(StateCodecError::BadTag { found: 9, .. })
+        ));
     }
 }

@@ -45,17 +45,17 @@ pub enum VarMode {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Var {
-    r: usize,
-    dims: usize,
-    mode: VarMode,
+    pub(crate) r: usize,
+    pub(crate) dims: usize,
+    pub(crate) mode: VarMode,
     /// Coefficients, `(1 + d·R) x d`: row 0 is the bias `b`, then one row
     /// per (lag, joint) regressor, oldest lag first.
-    beta: Matrix,
+    pub(crate) beta: Matrix,
     /// Differences mode only: the largest |Δ| seen in training. Input
     /// windows are clamped to it at forecast time, so an out-of-
     /// distribution jump (e.g. the correction step after a loss burst)
     /// cannot masquerade as a huge velocity and be extrapolated.
-    diff_clamp: Option<f64>,
+    pub(crate) diff_clamp: Option<f64>,
 }
 
 impl Var {

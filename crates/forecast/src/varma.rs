@@ -23,13 +23,13 @@ use serde::{Deserialize, Serialize};
 /// A trained VARMA(R, Q) model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Varma {
-    r: usize,
-    q: usize,
-    dims: usize,
+    pub(crate) r: usize,
+    pub(crate) q: usize,
+    pub(crate) dims: usize,
     /// Stage-1 VAR used to reconstruct residuals at forecast time.
-    stage1: Var,
+    pub(crate) stage1: Var,
     /// Stage-2 coefficients, `(1 + d·R + d·Q) x d`.
-    beta: Matrix,
+    pub(crate) beta: Matrix,
 }
 
 impl Varma {

@@ -1002,3 +1002,60 @@ fn snapshots_total<D: DataWire, C: ControlWire>(client: &mut ForecoClient<D, C>)
         .map(|(_, value)| value)
         .sum()
 }
+
+/// A checkpoint whose channel spec would panic a shard when built
+/// decodes fine, so restore must refuse it: an `AdoptBin` carrying one
+/// gets the typed `RestoreFailed`, and the same shard then opens and
+/// runs a fresh session to the end of its trace.
+#[test]
+fn adopt_bin_with_a_hostile_channel_spec_is_refused_and_the_shard_serves_on() {
+    use foreco_serve::SourceState;
+    let trace = test_trace();
+    let clean = ClientConfig::default();
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(1), foreco_gateway_config())
+        .expect("spawn gateway");
+    let mut donor = ForecoClient::loopback(&gateway, SESSION);
+    donor.open(trace[0].clone(), 64).expect("open donor");
+    donor.replay(&trace[..20], 0, &clean).expect("donor replay");
+    let checkpoint = donor.snapshot().expect("checkpoint");
+    donor.close().expect("close donor");
+
+    let hostile_specs = [
+        ChannelSpec::ControlledLoss {
+            burst_len: 4,
+            burst_prob: 2.0,
+            seed: 1,
+        },
+        ChannelSpec::ControlledLoss {
+            burst_len: 0,
+            burst_prob: 0.02,
+            seed: 1,
+        },
+    ];
+    for spec in hostile_specs {
+        let mut snapshot = SessionSnapshot::from_bytes(&checkpoint).expect("decode checkpoint");
+        let SourceState::Gated { channel, .. } = &mut snapshot.source else {
+            panic!("gateway sessions are gated");
+        };
+        **channel = spec.clone();
+        match ForecoClient::loopback(&gateway, SESSION).adopt(&snapshot.to_bytes()) {
+            Err(NetError::Rejected { code, reason }) => {
+                assert_eq!(code, RejectCode::RestoreFailed, "{spec:?}: {reason}");
+            }
+            other => panic!("{spec:?}: expected a typed rejection, got {other:?}"),
+        }
+    }
+
+    let mut fresh = ForecoClient::loopback(&gateway, SESSION + 1);
+    fresh
+        .open(trace[0].clone(), trace.len())
+        .expect("open after refusals");
+    fresh.replay(&trace, 0, &clean).expect("fresh replay");
+    let (report, _) = fresh.close().expect("close fresh");
+    assert_eq!(
+        report.ticks as usize,
+        trace.len(),
+        "the fresh session ran its trace"
+    );
+    gateway.shutdown();
+}

@@ -16,9 +16,10 @@
 //! # Streaming assembly (v2)
 //!
 //! Since format v2 the archive body is a contiguous run of
-//! length-prefixed **binary snapshot frames** (v3, v4 since snapshot v4;
-//! each frame carries its own version, so the archive format is
-//! unchanged)
+//! length-prefixed **binary snapshot frames** (v3; v4 since snapshot
+//! v4; v5, whose forecaster and jammed-channel fields are binary, since
+//! snapshot v5; each frame carries its own version, so the archive
+//! format is unchanged)
 //! ([`SessionSnapshot::encode_into`]), not a decoded session list. That
 //! makes the archive a *streaming* writer: `ServiceHandle::snapshot_fleet`
 //! calls [`FleetArchive::push_part_bytes`] as each shard's reply

@@ -162,19 +162,24 @@ impl LiveLink {
     }
 
     /// Rebuilds a link from its snapshot fields.
+    ///
+    /// # Errors
+    /// [`RestoreError::Invalid`] when `spec` would panic in
+    /// [`ChannelSpec::build`].
     fn restore(
         spec: &ChannelSpec,
         rng: Option<[u64; 4]>,
         fate_buf: &[Arrival],
         closing: bool,
-    ) -> Self {
+    ) -> Result<Self, RestoreError> {
+        spec.validate().map_err(RestoreError::Invalid)?;
         let mut link = Self::open(spec);
         if let Some(state) = rng {
             link.channel.restore_rng(state);
         }
         link.fate_buf.extend(fate_buf);
         link.closing = closing;
-        link
+        Ok(link)
     }
 
     /// The channel's fate for the next delivered command, drawn in
@@ -1001,7 +1006,7 @@ impl Session {
                 closing,
             } => Source::Streamed {
                 inbox: BoundedInbox::from_state(inbox, model.dof())?,
-                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing),
+                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing)?,
             },
             SourceState::Gated {
                 inbox,
@@ -1011,7 +1016,7 @@ impl Session {
                 closing,
             } => Source::Gated {
                 inbox: GatedInbox::from_state(inbox, model.dof())?,
-                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing),
+                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing)?,
             },
         };
         let engine = match &snap.engine {
@@ -2026,10 +2031,13 @@ mod tests {
         assert!(matches!(live.reference, Reference::Live(_)));
         assert!(lockstep(&mut shared, &mut live, 250).is_none());
 
-        // Mid-trace: a v4 archive part carries no reference state and
+        // Mid-trace: a v4+ archive part carries no reference state and
         // restores onto the store's trajectory.
         let (part, _) = shared.snapshot_for_fleet().expect("fleet part");
-        assert_eq!((part.version, part.reference.is_none()), (4, true));
+        assert_eq!(
+            (part.version, part.reference.is_none()),
+            (SNAPSHOT_VERSION, true)
+        );
         let part = SessionSnapshot::from_bytes(&part.to_bytes()).expect("decodes");
         let trace = match &stored.source {
             SourceSpec::Stored(trace) => trace.clone(),

@@ -18,7 +18,7 @@
 //!
 //! # Format and versioning
 //!
-//! [`SessionSnapshot::to_bytes`] writes the **v4 binary frame**: a
+//! [`SessionSnapshot::to_bytes`] writes the **v5 binary frame**: a
 //! length-prefixed little-endian layout in the style of the wire codec
 //! (`foreco-net`'s `wire.rs`) — 4-byte magic [`SNAPSHOT_MAGIC`], a
 //! `u32` format version, then every field in a fixed order with `f64`s
@@ -34,6 +34,15 @@
 //! Bump [`SNAPSHOT_VERSION`] whenever a field changes meaning, and keep
 //! decoding old versions explicit (a `match` on the version), never
 //! implicit.
+//!
+//! **v4 → v5.** v5 is the v4 layout with no JSON left in it. The
+//! forecaster field is the length-prefixed canonical binary form of
+//! [`ForecasterState`] (`ForecasterState::encode_into`, the same bytes
+//! the store addresses a model by), and a jammed [`ChannelSpec`] is
+//! written field by field like every other channel. v3/v4 frames keep
+//! decoding both fields through their canonical-JSON sub-blob arms (the
+//! committed `tests/fixtures/snapshot_v4.bin` golden pins them, a
+//! jammed streamed part included).
 //!
 //! **v3 → v4.** v4 is the v3 layout with the reference driver state
 //! made optional (a presence byte before it): a session on a stored
@@ -55,14 +64,12 @@
 //! (`tests/fixtures/snapshot_v{1,2}.json`) are rendered by the test
 //! tree's `legacy_json` helper.
 //!
-//! The encoder is allocation-disciplined for fleet use:
+//! The encoder is allocation-free for fleet use:
 //! [`SessionSnapshot::encode_into`] appends to a caller-owned scratch
 //! buffer, so a shard checkpointing thousands of sessions reuses one
-//! growing `Vec<u8>` — steady state allocates only when the scratch
-//! grows or a forecaster/jammed-channel sub-blob renders (those two
-//! cold config payloads ride as length-prefixed canonical JSON inside
-//! the frame; their codec is the store's content-address codec, so the
-//! bytes are bit-exact too).
+//! growing `Vec<u8>` and allocates only when the scratch grows
+//! (`tests/hot_path_allocs.rs` counts 0 allocations into a warm
+//! scratch).
 //!
 //! # Determinism contract
 //!
@@ -88,17 +95,19 @@ use crate::inbox::{GatedInboxState, GatedSlot, InboxState};
 use crate::spec::{ChannelSpec, SessionId};
 use foreco_core::channel::Arrival;
 use foreco_core::{EngineSnapshot, RecoveryConfig, RecoveryStats};
-use foreco_forecast::ForecasterState;
+use foreco_forecast::{ForecasterState, StateCodecError};
 use foreco_robot::{DriverConfig, DriverState, PidGains, PidState};
 use foreco_store::ObjectId;
+use foreco_wifi::{Interference, LinkConfig, Params};
 use serde::{Deserialize, Serialize};
 
 /// Current snapshot format version (see the module docs for the
 /// versioning policy). v2 added [`SourceState::ScriptedRef`]; v3 moved
 /// the frame from JSON to the length-prefixed binary layout; v4 made
-/// the reference driver state optional. v1/v2 JSON and v3 binary
-/// decoding are retained behind explicit `match` arms.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// the reference driver state optional; v5 made the forecaster and
+/// jammed-channel fields binary. v1/v2 JSON and v3/v4 binary decoding
+/// are retained behind explicit `match` arms.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Leading magic of every binary (v3+) snapshot frame. Deliberately not
 /// `{`: the decoder dispatches legacy JSON documents on that byte.
@@ -265,7 +274,7 @@ pub struct SessionSnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Binary primitives (v3 frame)
+// Binary primitives (v3+ frame)
 // ---------------------------------------------------------------------
 
 pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
@@ -328,17 +337,6 @@ pub(crate) fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
             put_f64(buf, v);
         }
     }
-}
-
-/// A length-prefixed canonical-JSON sub-blob: the carrier for the two
-/// cold config payloads ([`ForecasterState`], a jammed [`ChannelSpec`])
-/// whose concrete types live in other crates. The in-tree JSON codec is
-/// bit-exact for every `f64` pattern, so the sub-blob inherits the
-/// frame's losslessness.
-pub(crate) fn put_json_blob<T: Serialize>(buf: &mut Vec<u8>, value: &T) {
-    let json = serde_json::to_string(value).expect("sub-blob serialisation is infallible");
-    put_u64(buf, json.len() as u64);
-    buf.extend_from_slice(json.as_bytes());
 }
 
 /// Cursor over a binary frame. Every read is bounds-checked into a
@@ -473,10 +471,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn json_blob<T: Deserialize>(
-        &mut self,
-        what: &'static str,
-    ) -> Result<T, RestoreError> {
+    /// A length-prefixed canonical-JSON sub-blob: how v3/v4 frames
+    /// carried the forecaster state and a jammed channel spec.
+    fn json_blob<T: Deserialize>(&mut self, what: &'static str) -> Result<T, RestoreError> {
         let n = self.len(what, 1)?;
         let bytes = self.take(n)?;
         let text = std::str::from_utf8(bytes)
@@ -529,17 +526,68 @@ fn put_channel(buf: &mut Vec<u8>, channel: &ChannelSpec) {
             put_f64(buf, *burst_prob);
             put_u64(buf, *seed);
         }
-        // The jammed-link spec nests the full 802.11 configuration
-        // (foreco-wifi types): it rides as a canonical-JSON sub-blob
-        // rather than freezing that crate's layout into this frame.
-        spec @ ChannelSpec::Jammed { .. } => {
+        ChannelSpec::Jammed {
+            link,
+            tolerance,
+            seed,
+        } => {
             put_u8(buf, 2);
-            put_json_blob(buf, spec);
+            put_link(buf, link);
+            put_f64(buf, *tolerance);
+            put_u64(buf, *seed);
         }
     }
 }
 
-fn read_channel(r: &mut Reader<'_>) -> Result<ChannelSpec, RestoreError> {
+/// The 802.11 link of a jammed channel (v5+), field by field.
+fn put_link(buf: &mut Vec<u8>, link: &LinkConfig) {
+    let p = &link.params;
+    put_f64(buf, link.period);
+    put_u64(buf, link.queue_capacity as u64);
+    put_f64(buf, p.slot);
+    put_f64(buf, p.sifs);
+    put_f64(buf, p.difs);
+    for v in [p.cw_min, p.backoff_stages, p.max_retx] {
+        put_u32(buf, v);
+    }
+    put_f64(buf, p.phy_header);
+    for v in [p.mac_header_bits, p.payload_bits, p.ack_bits] {
+        put_u32(buf, v);
+    }
+    put_f64(buf, p.data_rate);
+    put_f64(buf, p.basic_rate);
+    put_u64(buf, link.stations as u64);
+    put_f64(buf, link.interference.prob);
+    put_u32(buf, link.interference.duration_slots);
+}
+
+fn read_link(r: &mut Reader<'_>) -> Result<LinkConfig, RestoreError> {
+    Ok(LinkConfig {
+        period: r.f64()?,
+        queue_capacity: r.usize("link queue capacity")?,
+        params: Params {
+            slot: r.f64()?,
+            sifs: r.f64()?,
+            difs: r.f64()?,
+            cw_min: r.u32()?,
+            backoff_stages: r.u32()?,
+            max_retx: r.u32()?,
+            phy_header: r.f64()?,
+            mac_header_bits: r.u32()?,
+            payload_bits: r.u32()?,
+            ack_bits: r.u32()?,
+            data_rate: r.f64()?,
+            basic_rate: r.f64()?,
+        },
+        stations: r.usize("link stations")?,
+        interference: Interference {
+            prob: r.f64()?,
+            duration_slots: r.u32()?,
+        },
+    })
+}
+
+fn read_channel(r: &mut Reader<'_>, version: u32) -> Result<ChannelSpec, RestoreError> {
     match r.u8()? {
         0 => Ok(ChannelSpec::Ideal),
         1 => Ok(ChannelSpec::ControlledLoss {
@@ -547,7 +595,15 @@ fn read_channel(r: &mut Reader<'_>) -> Result<ChannelSpec, RestoreError> {
             burst_prob: r.f64()?,
             seed: r.u64()?,
         }),
-        2 => r.json_blob::<ChannelSpec>("channel spec"),
+        2 => match version {
+            // v3/v4 carried the jammed spec as a canonical-JSON sub-blob.
+            3 | 4 => r.json_blob::<ChannelSpec>("channel spec"),
+            _ => Ok(ChannelSpec::Jammed {
+                link: read_link(r)?,
+                tolerance: r.f64()?,
+                seed: r.u64()?,
+            }),
+        },
         found => Err(RestoreError::BadTag {
             what: "channel spec",
             found,
@@ -668,7 +724,7 @@ fn put_source(buf: &mut Vec<u8>, source: &SourceState) {
     }
 }
 
-fn read_source(r: &mut Reader<'_>) -> Result<SourceState, RestoreError> {
+fn read_source(r: &mut Reader<'_>, version: u32) -> Result<SourceState, RestoreError> {
     match r.u8()? {
         0 => Ok(SourceState::Scripted {
             commands: r.rows()?,
@@ -704,7 +760,7 @@ fn read_source(r: &mut Reader<'_>) -> Result<SourceState, RestoreError> {
                     accepted,
                     dropped,
                 },
-                channel: Box::new(read_channel(r)?),
+                channel: Box::new(read_channel(r, version)?),
                 channel_rng: read_rng(r)?,
                 fate_buf: r.fates()?,
                 closing: r.bool("gated closing flag")?,
@@ -722,7 +778,7 @@ fn read_source(r: &mut Reader<'_>) -> Result<SourceState, RestoreError> {
                     accepted,
                     dropped,
                 },
-                channel: Box::new(read_channel(r)?),
+                channel: Box::new(read_channel(r, version)?),
                 channel_rng: read_rng(r)?,
                 fate_buf: r.fates()?,
                 closing: r.bool("streamed closing flag")?,
@@ -736,7 +792,13 @@ fn read_source(r: &mut Reader<'_>) -> Result<SourceState, RestoreError> {
 }
 
 fn put_engine(buf: &mut Vec<u8>, engine: &EngineSnapshot) {
-    put_json_blob(buf, &engine.forecaster);
+    // Length-prefixed canonical binary state (v5+): the length word is
+    // back-patched once the state is written.
+    let at = buf.len();
+    put_u64(buf, 0);
+    engine.forecaster.encode_into(buf);
+    let len = (buf.len() - at - 8) as u64;
+    buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     let config = &engine.config;
     put_f64(buf, config.period);
     put_bool(buf, config.use_late_commands);
@@ -781,8 +843,15 @@ fn put_engine(buf: &mut Vec<u8>, engine: &EngineSnapshot) {
     }
 }
 
-fn read_engine(r: &mut Reader<'_>) -> Result<EngineSnapshot, RestoreError> {
-    let forecaster: ForecasterState = r.json_blob("forecaster state")?;
+fn read_engine(r: &mut Reader<'_>, version: u32) -> Result<EngineSnapshot, RestoreError> {
+    let forecaster = match version {
+        // v3/v4 carried the state as a canonical-JSON sub-blob.
+        3 | 4 => r.json_blob::<ForecasterState>("forecaster state")?,
+        _ => {
+            let n = r.len("forecaster state", 1)?;
+            ForecasterState::from_canonical_bytes(r.take(n)?)?
+        }
+    };
     let period = r.f64()?;
     let use_late_commands = r.bool("use_late_commands")?;
     let limits = match r.u8()? {
@@ -851,12 +920,11 @@ fn read_engine(r: &mut Reader<'_>) -> Result<EngineSnapshot, RestoreError> {
 }
 
 impl SessionSnapshot {
-    /// Appends the v4 binary frame to `buf` (which is **not** cleared:
+    /// Appends the v5 binary frame to `buf` (which is **not** cleared:
     /// archive writers append frames back to back). Reusing one scratch
     /// buffer across a fleet's worth of encodes amortises the encoder
-    /// to zero steady-state allocations per session — the only
-    /// allocating paths are scratch growth and the forecaster /
-    /// jammed-channel canonical-JSON sub-blobs (see the module docs).
+    /// to zero steady-state allocations per session: only scratch
+    /// growth allocates.
     ///
     /// The frame carries `self.version` verbatim; the decoder is the
     /// authority on which versions are legal.
@@ -897,7 +965,7 @@ impl SessionSnapshot {
         put_driver_state(buf, &self.executed);
     }
 
-    /// Serialises the snapshot to its portable byte form: the v4 binary
+    /// Serialises the snapshot to its portable byte form: the v5 binary
     /// frame (see [`SessionSnapshot::encode_into`] for the reusable-
     /// scratch variant fleet checkpointing uses).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -907,11 +975,11 @@ impl SessionSnapshot {
     }
 
     /// Parses a snapshot previously produced by
-    /// [`SessionSnapshot::to_bytes`] (binary v4), a persisted v3 binary
-    /// frame, or a persisted legacy JSON document (v1/v2). The first
-    /// byte dispatches: `{` selects the legacy JSON parser, the binary
-    /// magic selects the frame decoder. Per the versioning invariant,
-    /// every legal version is an explicit `match` arm.
+    /// [`SessionSnapshot::to_bytes`] (binary v5), a persisted v3/v4
+    /// binary frame, or a persisted legacy JSON document (v1/v2). The
+    /// first byte dispatches: `{` selects the legacy JSON parser, the
+    /// binary magic selects the frame decoder. Per the versioning
+    /// invariant, every legal version is an explicit `match` arm.
     ///
     /// # Errors
     /// A typed [`RestoreError`] for every malformed shape — truncation,
@@ -951,8 +1019,9 @@ impl SessionSnapshot {
         }
         let version = r.u32()?;
         match version {
-            // v3: the reference driver state is always present.
-            3 | SNAPSHOT_VERSION => {}
+            // v3: the reference driver state is always present; v3/v4:
+            // JSON forecaster and jammed-channel sub-blobs.
+            3 | 4 | SNAPSHOT_VERSION => {}
             found => {
                 return Err(RestoreError::Version {
                     found,
@@ -974,10 +1043,10 @@ impl SessionSnapshot {
         let misses = r.usize("miss count")?;
         let acc_sq_mm = r.f64()?;
         let worst_mm = r.f64()?;
-        let source = read_source(&mut r)?;
+        let source = read_source(&mut r, version)?;
         let engine = match r.u8()? {
             0 => None,
-            1 => Some(read_engine(&mut r)?),
+            1 => Some(read_engine(&mut r, version)?),
             found => {
                 return Err(RestoreError::BadTag {
                     what: "engine presence",
@@ -1199,6 +1268,27 @@ pub(crate) fn require_finite<'a>(
         return Err(RestoreError::Invalid(format!("non-finite {what}")));
     }
     Ok(())
+}
+
+impl From<StateCodecError> for RestoreError {
+    fn from(e: StateCodecError) -> Self {
+        match e {
+            StateCodecError::Truncated { need, got } => RestoreError::Truncated { need, got },
+            StateCodecError::BadTag { what, found } => RestoreError::BadTag { what, found },
+            StateCodecError::Oversized {
+                what,
+                declared,
+                limit,
+            } => RestoreError::Oversized {
+                what,
+                declared,
+                limit,
+            },
+            StateCodecError::TrailingBytes { expect, got } => {
+                RestoreError::TrailingBytes { expect, got }
+            }
+        }
+    }
 }
 
 impl From<foreco_core::EngineStateError> for RestoreError {

@@ -254,7 +254,48 @@ pub enum ChannelSpec {
 }
 
 impl ChannelSpec {
+    /// Everything the channel constructors behind `build` assert on, NaN
+    /// included: a burst of at least one loss with a probability in
+    /// `[0, 1]`, and a jammed link with a non-negative tolerance and a
+    /// configuration [`LinkConfig::validate`] accepts. A spec decoded
+    /// from a checkpoint is checked here before it is built.
+    ///
+    /// # Errors
+    /// The first violated precondition, as text.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            ChannelSpec::Ideal => Ok(()),
+            ChannelSpec::ControlledLoss {
+                burst_len,
+                burst_prob,
+                ..
+            } => {
+                if *burst_len == 0 {
+                    return Err("controlled loss: burst length must be ≥ 1".into());
+                }
+                if !(0.0..=1.0).contains(burst_prob) {
+                    return Err(format!(
+                        "controlled loss: burst probability {burst_prob} is outside [0, 1]"
+                    ));
+                }
+                Ok(())
+            }
+            ChannelSpec::Jammed {
+                link, tolerance, ..
+            } => {
+                if tolerance.is_nan() || *tolerance < 0.0 {
+                    return Err(format!("jammed link: tolerance {tolerance} must be ≥ 0"));
+                }
+                link.validate()
+                    .map_err(|reason| format!("jammed link: {reason}"))
+            }
+        }
+    }
+
     /// Materialises the channel.
+    ///
+    /// # Panics
+    /// On a spec [`ChannelSpec::validate`] rejects.
     pub(crate) fn build(&self) -> Box<dyn Channel + Send> {
         match self {
             ChannelSpec::Ideal => Box::new(IdealChannel),

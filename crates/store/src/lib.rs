@@ -8,7 +8,8 @@
 //! - **content-addressed identity** — an object's [`ObjectId`] is a
 //!   stable 128-bit hash over its canonical bytes (for traces, the
 //!   [`f64::to_bits`] patterns of every command; for models, the
-//!   canonical serialized [`ForecasterState`]). Inserting the same
+//!   canonical binary form of [`ForecasterState`], whose `f64`s are raw
+//!   `to_bits` words too). Inserting the same
 //!   content twice yields the same id and the same resident object, so
 //!   dedup is automatic and bit-exact: `-0.0` and `+0.0` are *different*
 //!   content, two bit-identical NaN payloads are the *same* content;
@@ -169,8 +170,14 @@ pub fn trace_object_id(commands: &[Vec<f64>]) -> ObjectId {
 /// Content address of a trained forecaster model: a hash over the
 /// canonical bytes of its exported [`ForecasterState`].
 pub fn model_object_id(state: &ForecasterState) -> ObjectId {
-    let mut h = Hasher128::new("foreco-store/model/v1");
-    h.bytes(&state.canonical_bytes());
+    model_id_of_canonical(&state.canonical_bytes())
+}
+
+/// [`model_object_id`] over already-rendered canonical bytes. The
+/// domain is v2: the canonical form moved from JSON to binary.
+fn model_id_of_canonical(canonical: &[u8]) -> ObjectId {
+    let mut h = Hasher128::new("foreco-store/model/v2");
+    h.bytes(canonical);
     h.finish()
 }
 
@@ -504,7 +511,7 @@ impl Storage {
                 name: forecaster.name().to_string(),
             })?;
         let canonical = state.canonical_bytes();
-        let id = model_object_id(&state);
+        let id = model_id_of_canonical(&canonical);
         let mut index = lock(&self.inner.models);
         let slot = match index.claim_dedup(id, |resident| *resident.canonical == canonical) {
             Some(resident) => resident,

@@ -26,18 +26,30 @@ impl Interference {
     /// Panics if `prob` is outside `[0, 1]` or `prob > 0` with a zero
     /// duration.
     pub fn new(prob: f64, duration_slots: u32) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&prob),
-            "p_if must be in [0,1], got {prob}"
-        );
-        assert!(
-            prob == 0.0 || duration_slots >= 1,
-            "active interferer needs duration ≥ 1 slot"
-        );
-        Self {
+        let source = Self {
             prob,
             duration_slots,
+        };
+        source
+            .validate()
+            .unwrap_or_else(|reason| panic!("{reason}"));
+        source
+    }
+
+    /// The constructor's preconditions, for a source built field by
+    /// field (a decoded checkpoint): `p_if ∈ [0, 1]` (not NaN) and a
+    /// duration of at least one slot when active.
+    ///
+    /// # Errors
+    /// The first violated precondition, as text.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.prob) {
+            return Err(format!("p_if must be in [0,1], got {}", self.prob));
         }
+        if self.prob != 0.0 && self.duration_slots == 0 {
+            return Err("active interferer needs duration ≥ 1 slot".into());
+        }
+        Ok(())
     }
 
     /// No interference at all (the paper's baseline channel).

@@ -38,6 +38,28 @@ pub struct LinkConfig {
     pub interference: Interference,
 }
 
+impl LinkConfig {
+    /// Everything [`WirelessLink::new`] needs to solve and simulate the
+    /// link without panicking: a positive, finite period, a queue, at
+    /// least one station, valid [`Params`] and a valid [`Interference`].
+    ///
+    /// # Errors
+    /// The first violated precondition, as text.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.period > 0.0 && self.period.is_finite()) {
+            return Err("period must be positive and finite".into());
+        }
+        if self.queue_capacity == 0 {
+            return Err("queue capacity must be ≥ 1".into());
+        }
+        if self.stations == 0 {
+            return Err("need at least one station".into());
+        }
+        self.params.validate()?;
+        self.interference.validate()
+    }
+}
+
 impl Default for LinkConfig {
     fn default() -> Self {
         Self {
@@ -107,10 +129,10 @@ impl WirelessLink {
     /// Solves the DCF model for `cfg` and prepares a seeded generator.
     ///
     /// # Panics
-    /// Panics on invalid configuration (non-positive period, zero queue).
+    /// Panics on a configuration [`LinkConfig::validate`] rejects.
     pub fn new(cfg: LinkConfig, seed: u64) -> Self {
-        assert!(cfg.period > 0.0, "period must be positive");
-        assert!(cfg.queue_capacity >= 1, "queue capacity must be ≥ 1");
+        cfg.validate()
+            .unwrap_or_else(|reason| panic!("invalid link configuration: {reason}"));
         let solution = DcfModel {
             params: cfg.params,
             stations: cfg.stations,

@@ -97,22 +97,47 @@ impl Params {
     }
 
     /// Validates internal consistency; returns a description of the first
-    /// violation found.
+    /// violation found. A valid set solves without panicking and with
+    /// finite timings: every duration and rate is finite, the window
+    /// doublings fit a `u32` ([`Params::cw`]), the frame's bit count
+    /// does not overflow, and the retry chain is at most
+    /// [`Params::MAX_RETX`] long.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.slot > 0.0 && self.sifs > 0.0 && self.difs > 0.0) {
-            return Err("slot/SIFS/DIFS must be positive".into());
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        if !(positive(self.slot) && positive(self.sifs) && positive(self.difs)) {
+            return Err("slot/SIFS/DIFS must be positive and finite".into());
+        }
+        if !(self.phy_header >= 0.0 && self.phy_header.is_finite()) {
+            return Err("PHY header duration must be finite and non-negative".into());
         }
         if self.cw_min < 2 {
             return Err("CWmin must be at least 2".into());
         }
-        if self.data_rate <= 0.0 || self.basic_rate <= 0.0 {
-            return Err("rates must be positive".into());
+        if self.backoff_stages >= u32::BITS {
+            return Err(format!("at most {} backoff stages", u32::BITS - 1));
+        }
+        if self.max_retx > Self::MAX_RETX {
+            return Err(format!("at most {} re-transmissions", Self::MAX_RETX));
+        }
+        if !(positive(self.data_rate) && positive(self.basic_rate)) {
+            return Err("rates must be positive and finite".into());
         }
         if self.payload_bits == 0 {
             return Err("payload must be non-empty".into());
         }
+        if self
+            .mac_header_bits
+            .checked_add(self.payload_bits)
+            .is_none()
+        {
+            return Err("MAC header plus payload overflows".into());
+        }
         Ok(())
     }
+
+    /// Upper bound on [`Params::max_retx`]: the 802.11 MIB's largest
+    /// retry limit. The DCF solution keeps one phase per attempt.
+    pub const MAX_RETX: u32 = 255;
 }
 
 impl Default for Params {
@@ -168,6 +193,21 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = Params::default_paper();
         p.payload_bits = 0;
+        assert!(p.validate().is_err());
+        let mut p = Params::default_paper();
+        p.data_rate = f64::NAN;
+        assert!(p.validate().is_err());
+        let mut p = Params::default_paper();
+        p.phy_header = f64::INFINITY;
+        assert!(p.validate().is_err());
+        let mut p = Params::default_paper();
+        p.backoff_stages = 32;
+        assert!(p.validate().is_err());
+        let mut p = Params::default_paper();
+        p.max_retx = u32::MAX;
+        assert!(p.validate().is_err());
+        let mut p = Params::default_paper();
+        p.mac_header_bits = u32::MAX;
         assert!(p.validate().is_err());
     }
 }

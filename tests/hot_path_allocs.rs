@@ -21,6 +21,10 @@
 //! A second per-thread counter tracks net heap bytes (allocated minus
 //! freed), which pins what shared storage saves: sessions on one stored
 //! trace hold one resident copy, not one each.
+//!
+//! The checkpoint writer is held to the same count: encoding a v5
+//! snapshot frame into a warm scratch allocates nothing, forecaster
+//! state and jammed channel spec included (no JSON in the writer).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -488,4 +492,89 @@ fn stored_trace_sessions_hold_one_resident_copy() {
         per_session * 8 < inline,
         "{per_session} archive B/session vs {inline} B for one inline snapshot"
     );
+}
+
+/// A shard encodes every checkpoint part into one reusable scratch.
+/// Once the scratch is warm, a v5 frame costs 0 allocations for a
+/// VAR-FoReCo scripted part (inline and by reference) and for a
+/// streamed part on a jammed link: the forecaster state and the
+/// channel spec are written as binary words, not rendered as JSON.
+#[test]
+fn snapshot_encode_into_warm_scratch_allocates_nothing() {
+    let model = niryo_one();
+    let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
+    let var = SharedForecaster::new(Var::fit_differenced(&train, 5, 1e-6).expect("fit VAR"));
+    let recovery = RecoverySpec::FoReCo {
+        forecaster: var,
+        config: RecoveryConfig::for_model(&model),
+    };
+    let store = Storage::new();
+    let trace = store.insert_trace(&Dataset::record(Skill::Inexperienced, 1, 0.02, 42).commands);
+    let scripted = SessionSpec::new(
+        1,
+        SourceSpec::Stored(trace),
+        ChannelSpec::ControlledLoss {
+            burst_len: 4,
+            burst_prob: 0.02,
+            seed: 9,
+        },
+        recovery.clone(),
+    );
+    let mut session = Session::open(&scripted, &model);
+    for _ in 0..120 {
+        assert!(matches!(session.advance(), Advance::Ticked(_)));
+    }
+    let inline = session.snapshot().expect("inline part");
+    let (by_ref, _) = session.snapshot_for_fleet().expect("fleet part");
+
+    let home = model.home();
+    let jammed = SessionSpec::new(
+        2,
+        SourceSpec::Streamed {
+            initial: home.clone(),
+            inbox_capacity: 64,
+        },
+        ChannelSpec::Jammed {
+            link: LinkConfig {
+                stations: 25,
+                interference: Interference::new(0.025, 10),
+                ..LinkConfig::default()
+            },
+            tolerance: 0.0,
+            seed: 15,
+        },
+        recovery,
+    );
+    let mut session = Session::open(&jammed, &model);
+    for _ in 0..40 {
+        session.offer(home.clone());
+        assert!(matches!(session.advance(), Advance::Ticked(_)));
+    }
+    let streamed = session.snapshot().expect("jammed part");
+
+    let parts = [
+        ("inline scripted", &inline),
+        ("by-reference scripted", &by_ref),
+        ("jammed streamed", &streamed),
+    ];
+    let mut scratch = Vec::new();
+    for (_, part) in parts {
+        scratch.clear();
+        part.encode_into(&mut scratch);
+    }
+    for (name, part) in parts {
+        let n = allocs_during(|| {
+            scratch.clear();
+            part.encode_into(&mut scratch);
+        });
+        assert_eq!(
+            n, 0,
+            "{name}: encoding into a warm scratch allocated {n} times"
+        );
+        assert_eq!(
+            SessionSnapshot::from_bytes(&scratch).expect("decodes"),
+            *part,
+            "{name}: the frame round-trips"
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! The binary snapshot codec (v3/v4), fuzzed the way `net`'s wire codec
+//! The binary snapshot codec (v3–v5), fuzzed the way `net`'s wire codec
 //! is: every malformed shape maps to a typed [`RestoreError`] and never
 //! a panic, well-formed frames round-trip to *exact* struct equality,
 //! and the legacy JSON arms (v1, v2) stay decodable forever via
@@ -23,13 +23,14 @@
 //!    binary-only), and state the tick path would panic on (driver
 //!    period, joint limits, `max_step`, damping, non-finite history or
 //!    commands, invalid forecaster state) → `Invalid` at restore;
-//! 4. golden fixtures: committed v1 and v2 JSON snapshots and a v3
-//!    binary archive that must decode and restore **bit-identically**
-//!    against a freshly run twin in every future build (the v3 parts
-//!    also against the reports the v3 build recorded). Regenerate the
-//!    JSON ones (after an intentional donor change) with
+//! 4. golden fixtures: committed v1 and v2 JSON snapshots and v3 and
+//!    v4 binary archives that must decode and restore **bit-identically**
+//!    against a freshly run twin in every future build (the binary
+//!    parts also against the reports their build recorded). Regenerate
+//!    the JSON ones (after an intentional donor change) with
 //!    `cargo test -q --test snapshot_codec -- --ignored regenerate`;
-//!    the v3 golden is frozen, since no current build writes v3.
+//!    the v3 and v4 goldens are frozen, since no current build writes
+//!    either version.
 //!
 //! The v4 arms — a frame whose session reads a reference trajectory and
 //! so carries no reference driver state — get the layer 1 and 2
@@ -38,6 +39,15 @@
 //! single-byte mutants through decode → restore → run; an absent
 //! reference is a typed error on a streamed or gated source and on any
 //! v1–v3 snapshot.
+//!
+//! The v5 arms — the forecaster's canonical binary form and a jammed
+//! channel spec written field by field — get exact round trips for
+//! every forecaster family, the store-identity property of the
+//! canonical form (`-0.0` ≠ `+0.0`, distinct NaN payloads differ,
+//! identical ones dedup), and byte-by-byte mutant sweeps of both
+//! fields through decode → restore → run. A channel spec that decodes
+//! but would panic when built is a typed error at restore, on a
+//! streamed and on a gated source.
 //!
 //! Run with a fixed case count via `PROPTEST_CASES` (CI pins it).
 
@@ -274,19 +284,21 @@ proptest! {
 }
 
 /// Decode → restore → run to completion over single-byte mutants of
-/// `donor`, every `stride`-th byte with a rotating mask. A mutant may
-/// fail to decode or restore (a typed error), but one that restores
-/// must run out its script without panicking: restore validates
-/// everything the tick path asserts on. Returns how many restored.
+/// `donor`, every `stride`-th byte of `range` with a rotating mask. A
+/// mutant may fail to decode or restore (a typed error), but one that
+/// restores must run out without panicking: restore validates
+/// everything the tick path asserts on. A live source is closed first,
+/// so it drains its inbox and completes. Returns how many restored.
 fn assert_mutants_run_to_completion(
     donor: &[u8],
+    range: std::ops::Range<usize>,
     stride: usize,
     restore: impl Fn(&SessionSnapshot) -> Result<Session, RestoreError> + std::panic::RefUnwindSafe,
 ) -> usize {
     const MASKS: [u8; 4] = [0x01, 0x40, 0x80, 0xFF];
     let mut restored = 0usize;
     let mut panics = Vec::new();
-    for (i, at) in (0..donor.len()).step_by(stride).enumerate() {
+    for (i, at) in range.step_by(stride).enumerate() {
         let mut bytes = donor.to_vec();
         bytes[at] ^= MASKS[i % MASKS.len()];
         let run = std::panic::catch_unwind(|| {
@@ -296,6 +308,7 @@ fn assert_mutants_run_to_completion(
             let Ok(mut session) = restore(&snap) else {
                 return false;
             };
+            session.close();
             run_out(&mut session);
             true
         });
@@ -331,7 +344,8 @@ fn restored_mutants_run_to_completion() {
     // VAR coefficient shape) that restore-time validation must reject.
     const STRIDE: usize = if cfg!(debug_assertions) { 81 } else { 9 };
     let model = niryo_one();
-    let restored = assert_mutants_run_to_completion(donor_bytes(), STRIDE, |snap| {
+    let donor = donor_bytes();
+    let restored = assert_mutants_run_to_completion(donor, 0..donor.len(), STRIDE, |snap| {
         Session::restore(snap, &model)
     });
     assert!(
@@ -386,11 +400,13 @@ fn absent_reference_mutants_run_to_completion() {
     let model = niryo_one();
     let store = Storage::new();
     let (inline, by_ref, trace) = stored_donor(&store);
-    let restored = assert_mutants_run_to_completion(&inline.to_bytes(), STRIDE, |snap| {
+    let bytes = inline.to_bytes();
+    let restored = assert_mutants_run_to_completion(&bytes, 0..bytes.len(), STRIDE, |snap| {
         Session::restore(snap, &model)
     });
     assert!(restored > 0, "payload-only inline mutants must run");
-    let restored = assert_mutants_run_to_completion(&by_ref.to_bytes(), STRIDE, |snap| {
+    let bytes = by_ref.to_bytes();
+    let restored = assert_mutants_run_to_completion(&bytes, 0..bytes.len(), STRIDE, |snap| {
         Session::restore_stored(snap, &model, trace.clone())
     });
     assert!(restored > 0, "payload-only by-reference mutants must run");
@@ -466,6 +482,201 @@ fn gated_donor() -> SessionSnapshot {
     }
     session.offer(home.clone());
     session.snapshot().expect("gated donor snapshotable")
+}
+
+/// The streamed spec behind the jammed donor: the Fig.-8 cell (25
+/// stations, `p_if` 0.025, `T_if` 10 slots) in front of a VAR engine.
+fn jammed_streamed_spec(model: &ArmModel) -> SessionSpec {
+    SessionSpec::new(
+        14,
+        SourceSpec::Streamed {
+            initial: model.home(),
+            inbox_capacity: 64,
+        },
+        ChannelSpec::Jammed {
+            link: LinkConfig {
+                stations: 25,
+                interference: Interference::new(0.025, 10),
+                ..LinkConfig::default()
+            },
+            tolerance: 0.0,
+            seed: 15,
+        },
+        RecoverySpec::FoReCo {
+            forecaster: SharedForecaster::new(shared_var().clone()),
+            config: RecoveryConfig::for_model(model),
+        },
+    )
+}
+
+/// The `k`-th operator command of the jammed donor: small deterministic
+/// offsets around the home pose.
+fn jammed_command(home: &[f64], k: u64) -> Vec<f64> {
+    home.iter()
+        .enumerate()
+        .map(|(j, q)| q + 0.01 * (((k * 31 + j as u64) % 7) as f64 - 3.0) / 3.0)
+        .collect()
+}
+
+/// The jammed donor: 48 commands ticked over the jammed link, 12 more
+/// queued, then closed, so it runs out by draining its inbox.
+fn jammed_streamed_session(model: &ArmModel) -> Session {
+    let home = model.home();
+    let mut session = Session::open(&jammed_streamed_spec(model), model);
+    for k in 0..48u64 {
+        session.offer(jammed_command(&home, k));
+        assert!(matches!(session.advance(), Advance::Ticked(_)));
+    }
+    for k in 48..60u64 {
+        session.offer(jammed_command(&home, k));
+    }
+    session.close();
+    session
+}
+
+// ---------------------------------------------------------------------
+// The v5 arms: canonical forecaster state and binary channel specs.
+// ---------------------------------------------------------------------
+
+/// One state per family the canonical form covers, VAR in both modes
+/// and VARMA with its stage-1 VAR.
+fn every_family() -> Vec<ForecasterState> {
+    let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
+    vec![
+        ForecasterState::Ma(MovingAverage::new(5, 6)),
+        ForecasterState::Holt(Holt::default_teleop(5, 6)),
+        ForecasterState::Kalman(KalmanCv::default_teleop(8, 6)),
+        ForecasterState::Var(shared_var().clone()),
+        ForecasterState::Var(Var::fit(&train, 3, 1e-6).expect("fit levels VAR")),
+        ForecasterState::Varma(Varma::fit(&train, 3, 2, 1e-6).expect("fit VARMA")),
+    ]
+}
+
+#[test]
+fn canonical_form_round_trips_every_family_bit_exactly() {
+    for state in every_family() {
+        let bytes = state.canonical_bytes();
+        let back = ForecasterState::from_canonical_bytes(&bytes).expect("canonical form decodes");
+        assert_eq!(back, state, "{}", state.name());
+        // Raw `to_bits` words: equal bytes are equal bits.
+        assert_eq!(back.canonical_bytes(), bytes, "{}", state.name());
+        // The same bytes are the v5 frame's forecaster field.
+        let snap = donor_with_engine(|e| e.forecaster = state.clone());
+        let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).expect("v5 frame decodes");
+        assert_eq!(
+            decoded,
+            snap,
+            "{}: v5 round-trip must be exact",
+            state.name()
+        );
+    }
+}
+
+/// Byte offset of the first coefficient in a VAR's canonical form:
+/// tag, `r`, `dims`, mode byte, then the matrix's `rows` and `cols`.
+const VAR_FIRST_COEFFICIENT: usize = 1 + 8 + 8 + 1 + 8 + 8;
+
+/// The shared VAR with its first coefficient's bits replaced.
+fn var_with_first_coefficient(bits: u64) -> ForecasterState {
+    let mut bytes = ForecasterState::Var(shared_var().clone()).canonical_bytes();
+    bytes[VAR_FIRST_COEFFICIENT..VAR_FIRST_COEFFICIENT + 8].copy_from_slice(&bits.to_le_bytes());
+    ForecasterState::from_canonical_bytes(&bytes).expect("edited VAR decodes")
+}
+
+#[test]
+fn canonical_form_keeps_the_store_identity_invariant() {
+    use foreco::store::model_object_id;
+    use std::sync::Arc;
+    let store = Storage::new();
+    let insert = |state: &ForecasterState| {
+        store
+            .insert_model(Arc::from(state.build()))
+            .expect("snapshotable family")
+    };
+    let distinct = [
+        (0.0f64.to_bits(), (-0.0f64).to_bits(), "+0.0 vs -0.0"),
+        (
+            0x7ff8_0000_0000_0001,
+            0x7ff8_0000_0000_0002,
+            "two NaN payloads",
+        ),
+    ];
+    let mut claims = Vec::new();
+    for (a, b, case) in distinct {
+        let (a, b) = (var_with_first_coefficient(a), var_with_first_coefficient(b));
+        assert_ne!(a.canonical_bytes(), b.canonical_bytes(), "{case}: bytes");
+        assert_ne!(model_object_id(&a), model_object_id(&b), "{case}: ids");
+        let (ca, cb) = (insert(&a), insert(&b));
+        assert_ne!(ca.id(), cb.id(), "{case}: store objects");
+        claims.extend([ca, cb]);
+    }
+    assert_eq!(store.stats().models.objects, 4, "four distinct models");
+    // Bit-identical NaNs are the same content: they dedup.
+    let again = insert(&var_with_first_coefficient(0x7ff8_0000_0000_0001));
+    assert_eq!(again.id(), claims[2].id(), "identical NaN payloads dedup");
+    assert_eq!(store.stats().models.objects, 4, "no new object");
+}
+
+/// The byte range `needle` occupies in `frame` (its only occurrence).
+fn field_range(frame: &[u8], needle: &[u8]) -> std::ops::Range<usize> {
+    let at = frame
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("field present in the frame");
+    at..at + needle.len()
+}
+
+/// Byte-by-byte mutants of the v5 forecaster field of the VAR-FoReCo
+/// scripted donor, and of the whole v5 jammed streamed frame (its
+/// channel spec, RNG words, fate buffer and forecaster included):
+/// decode → restore → run, never a panic.
+#[test]
+fn v5_mutants_run_to_completion() {
+    const STRIDE: usize = if cfg!(debug_assertions) { 3 } else { 1 };
+    let model = niryo_one();
+
+    let scripted = donor_bytes();
+    let state = SessionSnapshot::from_bytes(scripted).expect("donor decodes");
+    assert_eq!(state.version, SNAPSHOT_VERSION);
+    let field = field_range(
+        scripted,
+        &state
+            .engine
+            .as_ref()
+            .expect("engine")
+            .forecaster
+            .canonical_bytes(),
+    );
+    let restored = assert_mutants_run_to_completion(scripted, field, STRIDE, |snap| {
+        Session::restore(snap, &model)
+    });
+    assert!(restored > 0, "payload-only forecaster mutants must run");
+
+    let jammed = jammed_streamed_session(&model)
+        .snapshot()
+        .expect("jammed snapshot")
+        .to_bytes();
+    let restored = assert_mutants_run_to_completion(&jammed, 0..jammed.len(), STRIDE, |snap| {
+        Session::restore(snap, &model)
+    });
+    assert!(restored > 0, "payload-only jammed mutants must run");
+}
+
+#[test]
+fn jammed_streamed_donor_round_trips_and_restores_bit_identically() {
+    let model = niryo_one();
+    let mut donor = jammed_streamed_session(&model);
+    let snap = donor.snapshot().expect("jammed snapshot");
+    assert!(matches!(
+        &snap.source,
+        foreco::serve::snapshot::SourceState::Streamed { channel, .. }
+            if matches!(**channel, ChannelSpec::Jammed { .. })
+    ));
+    let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).expect("decode");
+    assert_eq!(decoded, snap, "jammed v5 round-trip must be exact");
+    let twin = run_out(&mut donor);
+    let resumed = run_out(&mut Session::restore(&decoded, &model).expect("restore"));
+    assert_reports_bit_identical(&twin, &resumed, "jammed v5 restore");
 }
 
 // ---------------------------------------------------------------------
@@ -654,9 +865,9 @@ fn donor_with_forecaster(state_json: &str) -> SessionSnapshot {
     })
 }
 
-/// `state`'s canonical JSON with `from` replaced by `to` (once).
+/// `state`'s JSON with `from` replaced by `to` (once).
 fn edited_state(state: ForecasterState, from: &str, to: &str) -> String {
-    let json = String::from_utf8(state.canonical_bytes()).expect("UTF-8 JSON");
+    let json = serde_json::to_string(&state).expect("forecaster JSON");
     assert!(json.contains(from), "{from} not in {json}");
     json.replacen(from, to, 1)
 }
@@ -693,8 +904,8 @@ fn invalid_forecaster_state_is_rejected_at_restore_for_every_family() {
         // A VARMA whose stage 2 holds a non-finite coefficient (JSON has
         // no infinity, but a number past f64's range parses as one).
         {
-            let mut json = String::from_utf8(ForecasterState::Varma(varma).canonical_bytes())
-                .expect("UTF-8 JSON");
+            let mut json =
+                serde_json::to_string(&ForecasterState::Varma(varma)).expect("forecaster JSON");
             let at = json.rfind("\"data\":[").expect("stage-2 data") + "\"data\":[".len();
             let end = at + json[at..].find(',').expect("more than one coefficient");
             json.replace_range(at..end, "1e999");
@@ -726,6 +937,85 @@ fn invalid_forecaster_state_is_rejected_at_restore_for_every_family() {
         let snap = donor_with_forecaster(&json);
         let name = snap.engine.as_ref().expect("engine").forecaster.name();
         assert_rejected_at_restore(&snap, name);
+    }
+}
+
+/// Channel specs that decode but would panic when built: each assert
+/// reachable from `ChannelSpec::build`, NaN included.
+fn hostile_channel_specs() -> Vec<(&'static str, ChannelSpec)> {
+    let loss = |burst_len, burst_prob| ChannelSpec::ControlledLoss {
+        burst_len,
+        burst_prob,
+        seed: 1,
+    };
+    let jammed = |edit: fn(&mut LinkConfig), tolerance| {
+        let mut link = LinkConfig::default();
+        edit(&mut link);
+        ChannelSpec::Jammed {
+            link,
+            tolerance,
+            seed: 1,
+        }
+    };
+    vec![
+        ("burst_prob 2.0", loss(4, 2.0)),
+        ("burst_prob NaN", loss(4, f64::NAN)),
+        ("burst_len 0", loss(0, 0.02)),
+        ("tolerance < 0", jammed(|_| {}, -0.001)),
+        ("tolerance NaN", jammed(|_| {}, f64::NAN)),
+        ("period 0", jammed(|l| l.period = 0.0, 0.0)),
+        ("period NaN", jammed(|l| l.period = f64::NAN, 0.0)),
+        ("queue_capacity 0", jammed(|l| l.queue_capacity = 0, 0.0)),
+        ("stations 0", jammed(|l| l.stations = 0, 0.0)),
+        ("cw_min 1", jammed(|l| l.params.cw_min = 1, 0.0)),
+        ("slot NaN", jammed(|l| l.params.slot = f64::NAN, 0.0)),
+        (
+            "data_rate NaN",
+            jammed(|l| l.params.data_rate = f64::NAN, 0.0),
+        ),
+        (
+            "backoff_stages 40",
+            jammed(|l| l.params.backoff_stages = 40, 0.0),
+        ),
+        (
+            "max_retx u32::MAX",
+            jammed(|l| l.params.max_retx = u32::MAX, 0.0),
+        ),
+        (
+            "header bits overflow",
+            jammed(|l| l.params.mac_header_bits = u32::MAX, 0.0),
+        ),
+        ("p_if 1.5", jammed(|l| l.interference.prob = 1.5, 0.0)),
+        ("p_if NaN", jammed(|l| l.interference.prob = f64::NAN, 0.0)),
+        (
+            "active interferer of 0 slots",
+            jammed(
+                |l| {
+                    l.interference.prob = 0.5;
+                    l.interference.duration_slots = 0;
+                },
+                0.0,
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn hostile_channel_specs_are_rejected_at_restore() {
+    use foreco::serve::snapshot::SourceState;
+    for (case, spec) in hostile_channel_specs() {
+        assert!(spec.validate().is_err(), "{case}: validate");
+        for (mut snap, source) in [(streamed_donor(), "streamed"), (gated_donor(), "gated")] {
+            match &mut snap.source {
+                SourceState::Streamed { channel, .. } | SourceState::Gated { channel, .. } => {
+                    **channel = spec.clone();
+                }
+                _ => panic!("{source} donor has a live channel"),
+            }
+            // Through the v5 frame: the spec decodes, restore refuses it.
+            let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).expect("decodes");
+            assert_rejected_at_restore(&decoded, &format!("{source}, {case}"));
+        }
     }
 }
 
@@ -901,6 +1191,89 @@ fn v3_golden_fixture_decodes_and_restores_bit_identically() {
         expected[1],
         "v3 by-reference digest"
     );
+}
+
+/// The v4 golden: a fleet archive (format v2, its parts v4 binary
+/// frames) holding one inline `Scripted` VAR part, one
+/// trajectory-backed `ScriptedRef` part (no reference driver state) and
+/// one streamed part on a jammed link, written by the last build whose
+/// encoder stamped v4. Its frames carry the forecaster and the jammed
+/// channel spec as JSON sub-blobs, so it pins those v4 decode arms.
+/// Frozen like the v3 golden.
+const V4_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/snapshot_v4.bin"
+);
+
+/// The reports the v4 build produced for the three fixture parts, one
+/// [`report_digest`] line each, in part order.
+const V4_DIGESTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/snapshot_v4.digests"
+);
+
+#[test]
+fn v4_golden_fixture_decodes_and_restores_bit_identically() {
+    use foreco::serve::snapshot::SourceState;
+    use foreco::serve::FleetArchive;
+    let bytes = std::fs::read(V4_FIXTURE).expect("committed v4 golden fixture");
+    let digests = std::fs::read_to_string(V4_DIGESTS).expect("committed v4 digests");
+    let expected: Vec<&str> = digests.lines().collect();
+    let archive = FleetArchive::from_bytes(&bytes).expect("v4 golden archive decodes");
+    let parts = archive.sessions().expect("v4 golden frames decode");
+    assert_eq!(parts.len(), 3, "inline, by-reference and jammed parts");
+    assert_eq!(expected.len(), parts.len(), "one digest per part");
+    assert!(parts.iter().all(|p| p.version == 4), "frames stamped v4");
+    let model = niryo_one();
+    // Each part re-encodes as a v5 frame that decodes to the same state.
+    for part in &parts {
+        let mut v5 = part.clone();
+        v5.version = SNAPSHOT_VERSION;
+        let back = SessionSnapshot::from_bytes(&v5.to_bytes()).expect("v5 re-encode decodes");
+        assert_eq!(back, v5, "v4 → v5 cross-decode");
+    }
+
+    // Part 0: the inline script, equal to today's donor field for field.
+    let (mut donor, spec, _) = fixture_donor();
+    donor.version = 4;
+    assert_eq!(parts[0], donor, "v4 inline part is the deterministic donor");
+    let twin = run_out(&mut Session::open(&spec, &model));
+    let resumed = run_out(&mut Session::restore(&parts[0], &model).expect("inline restores"));
+    assert_reports_bit_identical(&twin, &resumed, "v4 inline part");
+    assert_eq!(report_digest(&resumed), expected[0], "v4 inline digest");
+
+    // Part 1: the script by reference, onto the store's trajectory.
+    let SourceState::ScriptedRef { trace, .. } = &parts[1].source else {
+        panic!("second v4 part must be by reference");
+    };
+    assert!(parts[1].reference.is_none(), "trajectory-backed part");
+    let store = Storage::new();
+    let entry = archive
+        .trace(*trace)
+        .expect("referenced trace in the table");
+    let claim = store.insert_trace(&entry.commands);
+    assert_eq!(claim.id(), *trace, "table entry is the referenced trace");
+    let spec = stored_fixture_spec(&store, &model);
+    let twin = run_out(&mut Session::open(&spec, &model));
+    let resumed =
+        run_out(&mut Session::restore_stored(&parts[1], &model, claim).expect("ref restores"));
+    assert_reports_bit_identical(&twin, &resumed, "v4 by-reference part");
+    assert_eq!(
+        report_digest(&resumed),
+        expected[1],
+        "v4 by-reference digest"
+    );
+
+    // Part 2: the jammed streamed session, its JSON channel spec decoded
+    // to exactly today's donor state.
+    let mut twin = jammed_streamed_session(&model);
+    let mut donor = twin.snapshot().expect("jammed snapshot");
+    donor.version = 4;
+    assert_eq!(parts[2], donor, "v4 jammed part is the deterministic donor");
+    let twin = run_out(&mut twin);
+    let resumed = run_out(&mut Session::restore(&parts[2], &model).expect("jammed restores"));
+    assert_reports_bit_identical(&twin, &resumed, "v4 jammed part");
+    assert_eq!(report_digest(&resumed), expected[2], "v4 jammed digest");
 }
 
 /// Rewrites both golden fixtures from the deterministic donor. Run

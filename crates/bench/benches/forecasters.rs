@@ -1,21 +1,14 @@
 //! Inference latency of every forecaster — the "Inference (ms)" column of
 //! Table II. The paper's bar: inference must fit far inside the 20 ms
-//! control period even on weak hardware.
-//!
-//! The `lane_layout` group is the evidence behind
-//! `foreco_forecast::SLOT_MAJOR_MIN_WIDTH`: per-member forecast time of
-//! the scalar path against a slot-major lane, for each expensive family
-//! at widths straddling the threshold. Run with
+//! control period even on weak hardware. Run with
 //! `cargo bench -p foreco-bench --bench forecasters`.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use foreco_forecast::{
-    BatchLane, ForecastScratch, Forecaster, HistoryView, Holt, KalmanCv, LaneLayout, MovingAverage,
-    Seq2SeqForecaster, Seq2SeqTrainConfig, Var, Varma,
+    Forecaster, Holt, MovingAverage, Seq2SeqForecaster, Seq2SeqTrainConfig, Var, Varma,
 };
 use foreco_teleop::{Dataset, Skill};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_forecasters(c: &mut Criterion) {
     let train = Dataset::record(Skill::Experienced, 4, 0.02, 1);
@@ -75,82 +68,5 @@ fn bench_training(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-member scalar `forecast_into` against one slot-major lane, each
-/// timed per member forecast. The scalar arm reads every member's
-/// window in place, as an engine's miss path does; the slot-major arm
-/// pays what a shard pass pays for a lane: gather every window,
-/// transpose, run the lane kernel. Each iteration covers about 4096
-/// member forecasts, so narrow lanes are not dominated by timer
-/// overhead. The two arms are checked bit-identical before timing.
-fn bench_lane_layouts(c: &mut Criterion) {
-    let train = Dataset::record(Skill::Experienced, 4, 0.02, 1);
-    let families: [(&str, Arc<dyn Forecaster>); 2] = [
-        (
-            "var_r5",
-            Arc::new(Var::fit_differenced(&train, 5, 1e-6).unwrap()),
-        ),
-        ("kalman_r5", Arc::new(KalmanCv::default_teleop(5, 6))),
-    ];
-    let mut group = c.benchmark_group("lane_layout");
-    group.sample_size(51);
-    for (name, f) in &families {
-        let (rows, dims) = (f.history_len(), f.dims());
-        for width in [8, 16, 31, 32, 33, 64, 256] {
-            // Member m's window starts m rows into the recording.
-            let windows: Vec<f64> = (0..width)
-                .flat_map(|m| train.commands[m..m + rows].iter().flatten().copied())
-                .collect();
-            let rounds = (4096 / width).max(1);
-            let mut scratch = ForecastScratch::new();
-            let mut out = vec![0.0; width * dims];
-            let scalar = |scratch: &mut ForecastScratch, out: &mut [f64]| {
-                for (w, o) in windows
-                    .chunks_exact(rows * dims)
-                    .zip(out.chunks_exact_mut(dims))
-                {
-                    f.forecast_into(&HistoryView::contiguous(w, dims), scratch, o);
-                }
-            };
-            let mut lane = BatchLane::new(Arc::clone(f));
-            let slot_major = |lane: &mut BatchLane, scratch: &mut ForecastScratch| {
-                lane.clear();
-                for w in windows.chunks_exact(rows * dims) {
-                    lane.push_window(&HistoryView::contiguous(w, dims));
-                }
-                lane.run_layout(LaneLayout::SlotMajor, scratch);
-            };
-            scalar(&mut scratch, &mut out);
-            slot_major(&mut lane, &mut scratch);
-            for (m, expect) in out.chunks_exact(dims).enumerate() {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(lane.result(m)), bits(expect), "{name} w{width} m{m}");
-            }
-            group.throughput(Throughput::Elements((rounds * width) as u64));
-            group.bench_function(&format!("{name}/w{width}/scalar"), |b| {
-                b.iter(|| {
-                    for _ in 0..rounds {
-                        scalar(&mut scratch, &mut out);
-                    }
-                    black_box(&out);
-                })
-            });
-            group.bench_function(&format!("{name}/w{width}/slot_major"), |b| {
-                b.iter(|| {
-                    for _ in 0..rounds {
-                        slot_major(&mut lane, &mut scratch);
-                    }
-                    black_box(lane.result(0));
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_forecasters,
-    bench_training,
-    bench_lane_layouts
-);
+criterion_group!(benches, bench_forecasters, bench_training);
 criterion_main!(benches);

@@ -92,9 +92,9 @@ impl<'a> HistoryView<'a> {
 
     /// The view's two underlying contiguous runs, older rows first.
     /// Either slice may be empty; together they hold exactly
-    /// `len() × dims()` values. Lets bulk consumers (the batching
-    /// gather) copy a window as at most two `memcpy`s instead of a
-    /// per-row loop.
+    /// `len() × dims()` values. Its only consumer is the
+    /// [`crate::batch`] probe shim's gather, which copies a window as at
+    /// most two `memcpy`s.
     #[inline]
     pub fn runs(&self) -> (&'a [f64], &'a [f64]) {
         (self.head, self.tail)
@@ -153,59 +153,6 @@ impl<'a> HistoryView<'a> {
     }
 }
 
-/// The row accessor the expensive families' kernels are written
-/// against: rows oldest first, member `m`'s coordinate `k` of row `i`
-/// at `row(i)[k * width() + m]`. A [`HistoryView`] is width 1 (the
-/// engine's ring) and a [`SlotRows`] lane is width = members, so one
-/// kernel body generic over it is both the scalar and the slot-major
-/// path, with every member's f64 operations in the same order.
-pub(crate) trait LaneRows {
-    /// Members per coordinate.
-    fn width(&self) -> usize;
-    /// Row `i`: `dims × width()` values.
-    fn row(&self, i: usize) -> &[f64];
-}
-
-impl LaneRows for HistoryView<'_> {
-    fn width(&self) -> usize {
-        1
-    }
-
-    fn row(&self, i: usize) -> &[f64] {
-        HistoryView::row(self, i)
-    }
-}
-
-/// A slot-major lane, `slots[(row * dims + dim) * members + m]` (the
-/// layout [`crate::Forecaster::forecast_batch_slots`] receives).
-pub(crate) struct SlotRows<'a> {
-    slots: &'a [f64],
-    row_len: usize,
-    members: usize,
-}
-
-impl<'a> SlotRows<'a> {
-    /// Panics unless `slots` holds `rows × dims × members` values.
-    pub(crate) fn new(slots: &'a [f64], rows: usize, dims: usize, members: usize) -> Self {
-        assert_eq!(slots.len(), rows * dims * members, "slot batch shape");
-        Self {
-            slots,
-            row_len: dims * members,
-            members,
-        }
-    }
-}
-
-impl LaneRows for SlotRows<'_> {
-    fn width(&self) -> usize {
-        self.members
-    }
-
-    fn row(&self, i: usize) -> &[f64] {
-        &self.slots[i * self.row_len..(i + 1) * self.row_len]
-    }
-}
-
 /// Caller-owned scratch space for [`crate::Forecaster::forecast_into`].
 ///
 /// Holds two independent growable `f64` buffers (VARMA needs its rebuilt
@@ -213,11 +160,7 @@ impl LaneRows for SlotRows<'_> {
 /// keep their high-water capacity across calls, so after the first
 /// forecast of a given shape no further allocation ever happens.
 /// Contents are unspecified between calls — implementations must fully
-/// overwrite what they use. The expensive families' kernels size these
-/// buffers to the call's *width* (Kalman-CV's six filter-state lanes
-/// from [`ForecastScratch::buf`], VAR's accumulator and diff rows from
-/// [`ForecastScratch::pair`]), so the high-water mark tracks the
-/// widest lane ever run — still zero allocations per steady pass.
+/// overwrite what they use.
 #[derive(Debug, Default, Clone)]
 pub struct ForecastScratch {
     a: Vec<f64>,

@@ -15,7 +15,6 @@
 //! phase; the process/measurement noises are the tuning knobs). The
 //! prediction is the one-step-ahead state `F x̂`.
 
-use crate::history::{LaneRows, SlotRows};
 use crate::state::{require, MAX_WINDOW};
 use crate::{Forecaster, HistoryView};
 use serde::{Deserialize, Serialize};
@@ -83,66 +82,6 @@ impl KalmanCv {
     pub fn default_teleop(r: usize, dims: usize) -> Self {
         Self::new(r, dims, 0.020, 2.0, 1e-4)
     }
-
-    /// The one filter recursion, for every [`LaneRows`] width: each
-    /// member's coordinate `k < d` runs its own filter over rows `0..R`
-    /// in `state`'s six lanes (`[pos, vel]` and the covariance, `width`
-    /// values each) and lands member-major at `out[m * d + k]`.
-    ///
-    /// Always inlined: one out-of-line copy shared by the width-1
-    /// callers measured ~15% slower on the engine's path.
-    #[inline(always)]
-    fn filter<L: LaneRows>(&self, rows: &L, d: usize, state: &mut [f64], out: &mut [f64]) {
-        let w = rows.width();
-        let dt = self.period;
-        // Discrete white-noise-acceleration process covariance.
-        let q11 = self.process_noise * dt * dt * dt / 3.0;
-        let q12 = self.process_noise * dt * dt / 2.0;
-        let q22 = self.process_noise * dt;
-        let rm = self.measurement_noise;
-        let (x0, rest) = state.split_at_mut(w);
-        let (x1, rest) = rest.split_at_mut(w);
-        let (p00, rest) = rest.split_at_mut(w);
-        let (p01, rest) = rest.split_at_mut(w);
-        let (p10, rest) = rest.split_at_mut(w);
-        let p11 = &mut rest[..w];
-        for k in 0..d {
-            // State [pos, vel] = [z₀, 0], generous prior P = I.
-            x0.copy_from_slice(&rows.row(0)[k * w..(k + 1) * w]);
-            x1.fill(0.0);
-            p00.fill(1.0);
-            p01.fill(0.0);
-            p10.fill(0.0);
-            p11.fill(1.0);
-            for i in 1..self.r {
-                let z = &rows.row(i)[k * w..(k + 1) * w];
-                for m in 0..w {
-                    // Predict: x ← F x, P ← F P Fᵀ + Q.
-                    let xp0 = x0[m] + dt * x1[m];
-                    let xp1 = x1[m];
-                    let a00 = p00[m] + dt * (p10[m] + p01[m]) + dt * dt * p11[m] + q11;
-                    let a01 = p01[m] + dt * p11[m] + q12;
-                    let a10 = p10[m] + dt * p11[m] + q12;
-                    let a11 = p11[m] + q22;
-                    // Update with measurement z of position.
-                    let s = a00 + rm;
-                    let k0 = a00 / s;
-                    let k1 = a10 / s;
-                    let innov = z[m] - xp0;
-                    x0[m] = xp0 + k0 * innov;
-                    x1[m] = xp1 + k1 * innov;
-                    p00[m] = (1.0 - k0) * a00;
-                    p01[m] = (1.0 - k0) * a01;
-                    p10[m] = a10 - k1 * a00;
-                    p11[m] = a11 - k1 * a01;
-                }
-            }
-            // One-step-ahead prediction.
-            for m in 0..w {
-                out[m * d + k] = x0[m] + dt * x1[m];
-            }
-        }
-    }
 }
 
 impl Forecaster for KalmanCv {
@@ -160,27 +99,44 @@ impl Forecaster for KalmanCv {
         );
         assert_eq!(history.dims(), self.dims, "Kalman: dimension mismatch");
         assert_eq!(out.len(), self.dims, "Kalman: output dimension mismatch");
-        self.filter(&history.suffix(self.r), self.dims, &mut [0.0; 6], out);
-    }
-
-    fn forecast_batch_slots(
-        &self,
-        members: usize,
-        slots: &[f64],
-        scratch: &mut crate::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let rows = SlotRows::new(slots, self.r, self.dims, members);
-        assert_eq!(out.len(), members * self.dims, "Kalman: batch output shape");
-        self.filter(&rows, self.dims, scratch.buf(6 * members), out);
-        true
-    }
-
-    fn cost_class(&self) -> crate::CostClass {
-        // Six covariance updates and a division per (member, row, joint):
-        // the recursion dwarfs the gather + transpose, so wide lanes pay
-        // for the slot-major layout.
-        crate::CostClass::Expensive
+        let rows = history.suffix(self.r);
+        let dt = self.period;
+        // Discrete white-noise-acceleration process covariance.
+        let q11 = self.process_noise * dt * dt * dt / 3.0;
+        let q12 = self.process_noise * dt * dt / 2.0;
+        let q22 = self.process_noise * dt;
+        let rm = self.measurement_noise;
+        // One filter per coordinate, written here rather than in a
+        // helper: an out-of-line copy measured ~15% slower on the
+        // engine's miss path.
+        for (k, o) in out.iter_mut().enumerate() {
+            // State [pos, vel] = [z₀, 0], generous prior P = I.
+            let (mut x0, mut x1) = (rows.row(0)[k], 0.0);
+            let (mut p00, mut p01, mut p10, mut p11) = (1.0, 0.0, 0.0, 1.0);
+            for i in 1..self.r {
+                let z = rows.row(i)[k];
+                // Predict: x ← F x, P ← F P Fᵀ + Q.
+                let xp0 = x0 + dt * x1;
+                let xp1 = x1;
+                let a00 = p00 + dt * (p10 + p01) + dt * dt * p11 + q11;
+                let a01 = p01 + dt * p11 + q12;
+                let a10 = p10 + dt * p11 + q12;
+                let a11 = p11 + q22;
+                // Update with measurement z of position.
+                let s = a00 + rm;
+                let k0 = a00 / s;
+                let k1 = a10 / s;
+                let innov = z - xp0;
+                x0 = xp0 + k0 * innov;
+                x1 = xp1 + k1 * innov;
+                p00 = (1.0 - k0) * a00;
+                p01 = (1.0 - k0) * a01;
+                p10 = a10 - k1 * a00;
+                p11 = a11 - k1 * a01;
+            }
+            // One-step-ahead prediction.
+            *o = x0 + dt * x1;
+        }
     }
 
     fn history_len(&self) -> usize {

@@ -34,7 +34,7 @@ pub mod state;
 mod var;
 mod varma;
 
-pub use batch::{plan_layout, BatchLane, CostClass, LaneLayout, SLOT_MAJOR_MIN_WIDTH};
+pub use batch::{plan_layout, BatchLane};
 pub use history::{ForecastScratch, HistoryView};
 pub use holt::Holt;
 pub use kalman::KalmanCv;
@@ -108,8 +108,7 @@ pub trait Forecaster: Send + Sync {
     /// `forecast_into` suite compares the two over NaN and `-0.0`
     /// payloads at every ring split. The served families (MA, Holt,
     /// Kalman, VAR, VARMA) allocate nothing here once `scratch` has
-    /// grown; VAR and Kalman-CV run their one kernel body at width 1,
-    /// straight into `out`.
+    /// grown.
     ///
     /// # Panics
     /// Panics when the view holds fewer than `history_len()` rows, its
@@ -120,57 +119,6 @@ pub trait Forecaster: Send + Sync {
         scratch: &mut ForecastScratch,
         out: &mut [f64],
     );
-
-    /// Batched forecast over a **slot-major** (transposed) lane:
-    /// `slots[(row * dims() + dim) * members + m]` holds member `m`'s
-    /// value for coordinate `dim` of history row `row` (rows
-    /// oldest-first), so the `members` values of any one slot are
-    /// contiguous and a kernel's cross-member inner loop is a unit-
-    /// stride walk the compiler auto-vectorizes. Predictions land
-    /// member-major in `out`: member `m`'s `dims()` values at
-    /// `out[m * dims()..]`.
-    ///
-    /// Returns `true` when the forecaster ran the slot-major batch
-    /// natively, `false` when it has no such kernel — the caller then
-    /// degrades to per-member [`Forecaster::forecast_into`] over the
-    /// gathered windows (see [`BatchLane::run_layout`]).
-    ///
-    /// **Contract: bit-identical to the scalar path.** Cross-member
-    /// lanes are independent sequences: for each member the kernel must
-    /// perform the exact floating-point operations of `forecast_into`
-    /// on that member's rows, in the same dataflow order. VAR and
-    /// Kalman-CV meet it by construction: this method runs the same
-    /// kernel body as `forecast_into`, at width `members` instead of 1,
-    /// so only *which member* an innermost iteration touches changes.
-    /// The `batch_identity` suite guards it across both [`LaneLayout`]s.
-    ///
-    /// # Panics
-    /// Native implementations panic when `slots.len() != members *
-    /// history_len() * dims()` or `out.len() != members * dims()`.
-    fn forecast_batch_slots(
-        &self,
-        members: usize,
-        slots: &[f64],
-        scratch: &mut ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let _ = (members, slots, scratch, out);
-        false
-    }
-
-    /// The forecast kernel's cost class — the input (together with lane
-    /// width) to the batched layout decision [`plan_layout`]. Default
-    /// [`CostClass::Cheap`]: the kernel is so light that gathering
-    /// windows into a lane costs more than the dispatch it saves, so
-    /// cheap families stay on the scalar path and are never gathered.
-    /// Only families whose per-member arithmetic dominates the gather +
-    /// transpose cost *and* that ship a native
-    /// [`Forecaster::forecast_batch_slots`] kernel (Kalman-CV, VAR)
-    /// report [`CostClass::Expensive`]. Wrappers must delegate, or the
-    /// models they wrap silently drop out of slot-major batching.
-    fn cost_class(&self) -> CostClass {
-        CostClass::Cheap
-    }
 
     /// Serialisable description of this forecaster for session
     /// snapshots, or `None` when the forecaster cannot be checkpointed

@@ -7,7 +7,6 @@
 //! built from [`foreco_teleop::Dataset::windows`] and solved with
 //! `foreco-linalg`'s ridge-stabilised normal equations.
 
-use crate::history::{LaneRows, SlotRows};
 use crate::state::require;
 use crate::{Forecaster, HistoryView};
 use foreco_linalg::{ols_ridge, Matrix, OlsError};
@@ -239,34 +238,30 @@ impl Var {
 }
 
 impl Var {
-    /// The one VAR kernel, for every [`LaneRows`] width. `acc` (laid
-    /// out like a row) receives each member's `b + Σ w·row` over rows
-    /// `0..R` in Levels mode; in Differences mode the regressors are the
-    /// clamped first differences of rows `0..=R` (built per lag in
-    /// `diff`) and the result is integrated onto row `R` as `c + dv`.
+    /// The VAR kernel: `acc` receives `b + Σ w·row` over rows `0..R` in
+    /// Levels mode; in Differences mode the regressors are the clamped
+    /// first differences of rows `0..=R` (built per lag in `diff`) and
+    /// the result is integrated onto row `R` as `c + dv`.
     ///
-    /// Per member: bias, then lag-major / joint-minor terms, a `±0.0`
-    /// regressor adding nothing — a branch at width 1, a select across
-    /// members so the member loop vectorizes.
-    pub(crate) fn predict<L: LaneRows>(
+    /// Bias, then lag-major / joint-minor terms; a `±0.0` regressor adds
+    /// nothing and is skipped.
+    pub(crate) fn predict(
         &self,
-        rows: &L,
+        rows: &HistoryView<'_>,
         mode: VarMode,
         diff: &mut [f64],
         acc: &mut [f64],
     ) {
-        let (d, w) = (self.dims, rows.width());
-        assert_eq!(rows.row(0).len(), d * w, "VAR: dimension mismatch");
-        assert_eq!(acc.len(), d * w, "VAR: output dimension mismatch");
-        for k in 0..d {
-            acc[k * w..(k + 1) * w].fill(self.beta[(0, k)]);
-        }
+        let d = self.dims;
+        assert_eq!(rows.dims(), d, "VAR: dimension mismatch");
+        assert_eq!(acc.len(), d, "VAR: output dimension mismatch");
+        acc.copy_from_slice(self.beta.row(0));
         let clamp = self.diff_clamp.unwrap_or(f64::INFINITY);
         for lag in 0..self.r {
             let reg: &[f64] = match mode {
                 VarMode::Levels => rows.row(lag),
                 VarMode::Differences => {
-                    let diff = &mut diff[..d * w];
+                    let diff = &mut diff[..d];
                     let (prev, next) = (rows.row(lag), rows.row(lag + 1));
                     for ((dv, n), p) in diff.iter_mut().zip(next).zip(prev) {
                         *dv = (n - p).clamp(-clamp, clamp);
@@ -274,18 +269,12 @@ impl Var {
                     diff
                 }
             };
-            for l in 0..d {
-                let reg = &reg[l * w..(l + 1) * w];
-                if w == 1 && reg[0] == 0.0 {
+            for (l, &v) in reg.iter().enumerate() {
+                if v == 0.0 {
                     continue;
                 }
-                let row = 1 + lag * d + l;
-                for k in 0..d {
-                    let b = self.beta[(row, k)];
-                    for (a, &v) in acc[k * w..(k + 1) * w].iter_mut().zip(reg) {
-                        let fused = *a + v * b;
-                        *a = if v != 0.0 { fused } else { *a };
-                    }
+                for (a, &b) in acc.iter_mut().zip(self.beta.row(1 + lag * d + l)) {
+                    *a += v * b;
                 }
             }
         }
@@ -343,33 +332,6 @@ impl Forecaster for Var {
             VarMode::Differences => scratch.buf(self.dims),
         };
         self.predict(&history.suffix(need), self.mode, diff, out);
-    }
-
-    fn forecast_batch_slots(
-        &self,
-        members: usize,
-        slots: &[f64],
-        scratch: &mut crate::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let d = self.dims;
-        let rows = SlotRows::new(slots, self.history_len(), d, members);
-        assert_eq!(out.len(), members * d, "VAR: batch output shape");
-        let (acc, diff) = scratch.pair(d * members, d * members);
-        self.predict(&rows, self.mode, diff, acc);
-        for m in 0..members {
-            for k in 0..d {
-                out[m * d + k] = acc[k * members + m];
-            }
-        }
-        true
-    }
-
-    fn cost_class(&self) -> crate::CostClass {
-        // `(R · d²)` multiply-adds per member against an `R · d` window:
-        // the regression dwarfs the gather + transpose, so wide lanes
-        // pay for the slot-major layout.
-        crate::CostClass::Expensive
     }
 
     fn history_len(&self) -> usize {

@@ -15,8 +15,9 @@
 //! to its other counters: see [`crate::telemetry`]. A
 //! [`ServiceHandle`](crate::ServiceHandle) snapshots it into
 //! [`ShardSummary`](crate::telemetry::ShardSummary) values — the inputs
-//! of the balancer policy and of the idle-heavy benchmark's
-//! `wakeups_per_tick` evidence.
+//! of the balancer policy, of the count test
+//! `idle_fleet_wakeups_track_the_hot_set_not_the_fleet` and of
+//! perfbench's `serve.wakeups_per_pass`.
 
 /// How a shard decides which sessions to advance on each pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -338,9 +338,8 @@ pub mod prelude {
         RecoveryStats,
     };
     pub use foreco_forecast::{
-        forecast_horizon, plan_layout, CostClass, ForecastScratch, Forecaster, HistoryView, Holt,
-        KalmanCv, LaneLayout, MovingAverage, Seq2SeqForecaster, Var, VarMode, Varma,
-        SLOT_MAJOR_MIN_WIDTH,
+        forecast_horizon, ForecastScratch, Forecaster, HistoryView, Holt, KalmanCv, MovingAverage,
+        Seq2SeqForecaster, Var, VarMode, Varma,
     };
     pub use foreco_net::{
         ClientConfig, EventStream, FleetEvent, ForecoClient, Gateway, GatewayConfig, IngressConfig,

@@ -14,10 +14,11 @@
 //! - [`JammedChannel`] — the §V/§VI-C/§VI-D-2 set-up: delays and losses
 //!   drawn from the 802.11-with-interference link model of `foreco-wifi`.
 
-use foreco_wifi::{CommandFate, LinkConfig, WirelessLink};
+use foreco_wifi::{CommandFate, DcfSolution, LinkConfig, WirelessLink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Per-command network outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -148,11 +149,30 @@ impl JammedChannel {
     /// # Panics
     /// Panics if `tolerance` is negative.
     pub fn new(link_cfg: LinkConfig, tolerance: f64, seed: u64) -> Self {
-        assert!(tolerance >= 0.0, "tolerance must be non-negative");
-        Self {
-            link: WirelessLink::new(link_cfg, seed),
+        Self::on_link(WirelessLink::new(link_cfg, seed), tolerance)
+    }
+
+    /// [`JammedChannel::new`] on an already solved link (see
+    /// [`WirelessLink::with_solution`]): channels on one configuration
+    /// share one DCF solve and draw the fates a fresh solve would.
+    ///
+    /// # Panics
+    /// Panics if `tolerance` is negative.
+    pub fn with_solution(
+        link_cfg: LinkConfig,
+        solution: Arc<DcfSolution>,
+        tolerance: f64,
+        seed: u64,
+    ) -> Self {
+        Self::on_link(
+            WirelessLink::with_solution(link_cfg, solution, seed),
             tolerance,
-        }
+        )
+    }
+
+    fn on_link(link: WirelessLink, tolerance: f64) -> Self {
+        assert!(tolerance >= 0.0, "tolerance must be non-negative");
+        Self { link, tolerance }
     }
 
     /// The analytical solution backing the link (for reports).

@@ -103,6 +103,7 @@
 pub mod archive;
 pub mod clock;
 pub mod inbox;
+mod memo;
 pub mod metrics;
 pub mod protocol;
 pub mod sched;

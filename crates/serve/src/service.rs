@@ -1064,9 +1064,9 @@ mod tests {
         // trace on its new shard, not ride on a private inline copy the
         // store knows nothing about — and re-claim the trace's shared
         // reference trajectory there, scoring bit-identically to a
-        // storeless twin that ticks a live reference driver. Real-time
-        // pacing keeps every session running until the moves have
-        // landed.
+        // storeless `Replayed` twin, whose trajectory each shard's memo
+        // builds outside the store. Real-time pacing keeps every session
+        // running until the moves have landed.
         const FLEET: u64 = 8;
         let storage = Storage::new();
         let trace = storage.insert_trace_owned(
@@ -1742,6 +1742,173 @@ mod tests {
         }
         assert_eq!(restored, 6, "every adoption must report Restored");
         service.join();
+    }
+
+    /// Count gate (CI store job): replayed sessions on one script `Arc`
+    /// share one reference trajectory per shard — built once, keyed by
+    /// the `Arc`'s identity rather than its rows, and pruned once the
+    /// last session using it drops. Counts, never a clock.
+    #[test]
+    fn replayed_sessions_share_one_reference_trajectory() {
+        const SESSIONS: u64 = 64;
+        let rows = Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+            .head(100)
+            .commands;
+        let script = Arc::new(rows.clone());
+        let same_rows = Arc::new(rows.clone());
+        let later = Arc::new(rows);
+        let spec = |id: u64, script: &Arc<Vec<Vec<f64>>>| {
+            SessionSpec::new(
+                id,
+                SourceSpec::Replayed(Arc::clone(script)),
+                ChannelSpec::ControlledLoss {
+                    burst_len: 4,
+                    burst_prob: 0.02,
+                    seed: id,
+                },
+                RecoverySpec::Baseline,
+            )
+        };
+        // Real-time pacing keeps every session alive until the last
+        // open has landed.
+        let service = Service::spawn(ServiceConfig {
+            shards: 1,
+            pacing: Pacing::RealTime,
+            ..Default::default()
+        });
+        let handle = service.handle();
+        for id in 0..SESSIONS {
+            handle.open(spec(id, &script)).unwrap();
+        }
+        handle.open(spec(SESSIONS, &same_rows)).unwrap();
+        let (mut opened, mut completed) = (0, 0);
+        while completed < SESSIONS + 1 {
+            match service.next_event().expect("service alive") {
+                SessionEvent::Opened { .. } => {
+                    opened += 1;
+                    if opened == SESSIONS + 1 {
+                        // One memo entry per script, each pinning the
+                        // script's address with a `Weak`.
+                        assert_eq!(Arc::weak_count(&script), 1);
+                        assert_eq!(Arc::weak_count(&same_rows), 1);
+                    }
+                }
+                SessionEvent::Completed { .. } => completed += 1,
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        // The next insert prunes every entry no live session holds.
+        handle.open(spec(SESSIONS + 1, &later)).unwrap();
+        match service.next_event().expect("service alive") {
+            SessionEvent::Opened { .. } => {}
+            other => panic!("unexpected event {other:?}"),
+        }
+        assert_eq!(
+            (Arc::weak_count(&script), Arc::weak_count(&same_rows)),
+            (0, 0),
+            "no live entry survives the last session on a script"
+        );
+        service.join();
+        let load = handle.shard_loads().remove(0);
+        assert_eq!(load.opened, SESSIONS + 2);
+        assert_eq!(
+            load.reference_builds, 3,
+            "one build per script Arc: {SESSIONS} sessions on one, the same rows \
+             in a second Arc, and one after the prune"
+        );
+        assert_eq!(load.link_solves, 0);
+    }
+
+    /// Count gate (CI store job): jammed sessions on one link
+    /// configuration — scripted, streamed, and a streamed part adopted
+    /// from an archive — cost one DCF solve on their shard, and the
+    /// solve is keyed by the configuration's raw bits. Counts, never a
+    /// clock.
+    #[test]
+    fn jammed_sessions_share_one_link_solve() {
+        use crate::archive::FleetArchive;
+        use crate::session::Session;
+        use foreco_wifi::{Interference, LinkConfig};
+
+        const SCRIPTED: u64 = 8;
+        const STREAMED: u64 = 4;
+        let model = niryo_one();
+        let link = LinkConfig {
+            stations: 25,
+            interference: Interference::new(0.025, 10),
+            ..LinkConfig::default()
+        };
+        let streamed = |id: u64, link: LinkConfig| {
+            SessionSpec::new(
+                id,
+                SourceSpec::Streamed {
+                    initial: model.home(),
+                    inbox_capacity: 4,
+                },
+                ChannelSpec::Jammed {
+                    link,
+                    tolerance: 0.0,
+                    seed: id,
+                },
+                RecoverySpec::Baseline,
+            )
+        };
+        let script = Arc::new(
+            Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+                .head(100)
+                .commands,
+        );
+        let mut donor = Session::open(&streamed(SCRIPTED + STREAMED, link), &model);
+        for _ in 0..300 {
+            donor.advance();
+        }
+        let archive = FleetArchive::build(vec![donor.snapshot_for_fleet().expect("part")]);
+        drop(donor);
+
+        // Real-time pacing keeps the scripted sessions, which open
+        // first, alive while the rest arrive: they hold the solution.
+        let service = Service::spawn(ServiceConfig {
+            shards: 1,
+            pacing: Pacing::RealTime,
+            ..Default::default()
+        });
+        let handle = service.handle();
+        for id in 0..SCRIPTED {
+            let mut spec = streamed(id, link);
+            spec.source = SourceSpec::Replayed(Arc::clone(&script));
+            handle.open(spec).unwrap();
+        }
+        for id in SCRIPTED..SCRIPTED + STREAMED {
+            handle.open(streamed(id, link)).unwrap();
+        }
+        assert_eq!(handle.adopt_fleet(archive, &Storage::new()).unwrap(), 1);
+        let mut completed = 0;
+        let mut restored = false;
+        while completed < SCRIPTED || !restored {
+            match service.next_event().expect("service alive") {
+                SessionEvent::Completed { .. } => completed += 1,
+                SessionEvent::Restored { .. } => restored = true,
+                SessionEvent::Opened { .. } => {}
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        service.join();
+        let load = handle.shard_loads().remove(0);
+        assert_eq!((load.opened, load.adoptions), (SCRIPTED + STREAMED, 1));
+        assert_eq!(load.link_solves, 1, "one link configuration, one solve");
+
+        // Raw bits, never normalised: an interferer with `p_if = -0.0`
+        // is another configuration than one with `+0.0`.
+        let service = Service::spawn(ServiceConfig::with_shards(1));
+        let handle = service.handle();
+        for (id, prob) in [0.0, -0.0, 0.0, -0.0].into_iter().enumerate() {
+            let mut quiet = LinkConfig::default();
+            quiet.interference.prob = prob;
+            handle.open(streamed(id as u64, quiet)).unwrap();
+        }
+        service.join();
+        let load = handle.shard_loads().remove(0);
+        assert_eq!((load.opened, load.link_solves), (4, 2));
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //! Differences from the offline loop are purely structural:
 //!
 //! - the reference (perfect-channel) trajectory is read in lockstep
-//!   with the executed driver instead of in a separate pass. A session
-//!   on a stored trace reads it by tick index from a precomputed
-//!   [`TrajectoryHandle`]: it is a pure function of (trace, arm model,
-//!   driver config) — a scripted command is delivered to the reference
-//!   whatever its fate — so the trace's store computes it once and
-//!   every session replaying that trace on that arm shares it. Every
-//!   other session (streamed, gated, storeless recorded/replayed, and
-//!   any restored from a frame that carries reference driver state)
-//!   ticks a live reference driver. Both forms produce the same
-//!   positions bit for bit, because the trajectory *is* a live driver's
-//!   output, computed once;
+//!   with the executed driver instead of in a separate pass. A scripted
+//!   session on a stored or replayed script reads it by tick index from
+//!   a precomputed trajectory: it is a pure function of (script, arm
+//!   model, driver config) — a scripted command is delivered to the
+//!   reference whatever its fate — so it is computed once and shared by
+//!   every session on that script and arm. A stored trace's store holds
+//!   it ([`TrajectoryHandle`]); a replayed script's is shared through the
+//!   shard's memo, keyed by the identity of the script's `Arc`. Every
+//!   other session (streamed, gated, recorded, and any restored from a
+//!   frame that carries reference driver state) ticks a live reference
+//!   driver. Both forms produce the same positions bit for bit, because
+//!   the trajectory *is* a live driver's output, computed once;
 //! - task-space error accumulates incrementally (same summation order
 //!   as `trajectory_rmse_mm`) instead of over stored trajectories, and
 //!   the drivers run with trail recording off — a session is O(1) in
@@ -34,6 +35,7 @@
 use crate::archive::FleetSnapshotPart;
 use crate::clock::VirtualClock;
 use crate::inbox::{BoundedInbox, GatedInbox, GatedSlot, Offer};
+use crate::memo::{Points, ShardMemo};
 use crate::snapshot::{
     compress_fates, expand_fates, require_finite, RestoreError, SessionSnapshot, SnapshotError,
     SourceState, SNAPSHOT_VERSION,
@@ -45,6 +47,7 @@ use foreco_core::{EngineSnapshot, EngineStateError, RecoveryEngine, RecoveryStat
 use foreco_robot::{ArmModel, DriverConfig, DriverState, RobotDriver};
 use foreco_store::{trace_object_id, Storage, TraceHandle, TrajectoryHandle};
 use foreco_teleop::Dataset;
+use foreco_wifi::DcfSolution;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -125,6 +128,10 @@ enum Source {
         /// session's lifetime (acquired at build/restore, never on the
         /// tick path). `None` for recorded/replayed scripts.
         claim: Option<TraceHandle>,
+        /// The DCF solution a jammed script's fates were drawn from,
+        /// held so the shard memo shares it with later opens on the
+        /// same link while this session lives. `None` otherwise.
+        _link: Option<Arc<DcfSolution>>,
     },
     Streamed {
         inbox: BoundedInbox,
@@ -152,9 +159,9 @@ struct LiveLink {
 }
 
 impl LiveLink {
-    fn open(spec: &ChannelSpec) -> Self {
+    fn open(spec: &ChannelSpec, memo: &mut ShardMemo) -> Self {
         Self {
-            channel: spec.build(),
+            channel: spec.build(memo).0,
             spec: Box::new(spec.clone()),
             fate_buf: VecDeque::new(),
             closing: false,
@@ -171,9 +178,10 @@ impl LiveLink {
         rng: Option<[u64; 4]>,
         fate_buf: &[Arrival],
         closing: bool,
+        memo: &mut ShardMemo,
     ) -> Result<Self, RestoreError> {
         spec.validate().map_err(RestoreError::Invalid)?;
-        let mut link = Self::open(spec);
+        let mut link = Self::open(spec, memo);
         if let Some(state) = rng {
             link.channel.restore_rng(state);
         }
@@ -200,26 +208,31 @@ impl LiveLink {
 enum Reference {
     /// A driver fed every delivered command, ticked in lockstep.
     Live(RobotDriver),
-    /// A scripted source's positions, precomputed once per (trace, arm
-    /// model, driver config) and read by tick index. `_claim` pins the
-    /// shared copy in the trace's store; `None` for a session-private
-    /// copy (an inline frame restored without a store).
-    Trajectory {
-        points: Arc<[[f64; 3]]>,
-        _claim: Option<TrajectoryHandle>,
-    },
+    /// A scripted source's positions, precomputed once per (script, arm
+    /// model, driver config) and read by tick index. `_pin` keeps the
+    /// shared copy resident.
+    Trajectory { points: Points, _pin: TrajectoryPin },
+}
+
+/// What keeps a session's shared reference trajectory resident.
+enum TrajectoryPin {
+    /// A stored trace's trajectory, claimed in the trace's store.
+    Stored { _claim: TrajectoryHandle },
+    /// Any other script's, shared through the shard memo.
+    Memo { _entry: Arc<Points> },
 }
 
 impl Reference {
     /// The trajectory `commands` defines on `model` under `cfg`: shared
-    /// through the trace's store when `claim` holds the trace, computed
-    /// privately otherwise. The commands must already be validated
-    /// against the arm (the build ticks a driver over all of them).
+    /// through the trace's store when `claim` holds the trace, through
+    /// `memo` otherwise. The commands must already be validated against
+    /// the arm (the build ticks a driver over all of them).
     fn trajectory(
-        commands: &[Vec<f64>],
+        commands: &Arc<Vec<Vec<f64>>>,
         claim: Option<&TraceHandle>,
         model: &ArmModel,
         cfg: DriverConfig,
+        memo: &mut ShardMemo,
     ) -> Self {
         let build = |rows: &[Vec<f64>]| {
             let mut driver = RobotDriver::new(model.clone(), cfg, &model.clamp(&rows[0]));
@@ -230,16 +243,26 @@ impl Reference {
         };
         match claim {
             Some(trace) => {
-                let handle = trace.trajectory(&model_bits(model), &config_bits(&cfg), build);
+                let mut built = false;
+                let handle = trace.trajectory(&model_bits(model), &config_bits(&cfg), |rows| {
+                    built = true;
+                    build(rows)
+                });
+                if built {
+                    memo.count_reference_build();
+                }
                 Reference::Trajectory {
                     points: Arc::clone(handle.points()),
-                    _claim: Some(handle),
+                    _pin: TrajectoryPin::Stored { _claim: handle },
                 }
             }
-            None => Reference::Trajectory {
-                points: build(commands).into(),
-                _claim: None,
-            },
+            None => {
+                let pin = memo.trajectory(commands, model_bits(model), config_bits(&cfg), build);
+                Reference::Trajectory {
+                    points: Arc::clone(&pin),
+                    _pin: TrajectoryPin::Memo { _entry: pin },
+                }
+            }
         }
     }
 
@@ -253,7 +276,7 @@ impl Reference {
     }
 
     /// The state a snapshot carries: `None` for a trajectory, which is
-    /// re-derived from the trace at restore.
+    /// re-derived from the script at restore.
     fn export_state(&self) -> Option<DriverState> {
         match self {
             Reference::Live(driver) => Some(driver.export_state()),
@@ -311,6 +334,12 @@ impl Session {
     /// Panics if a recorded/replayed source has no commands, or if the
     /// engine dimensionality mismatches the arm.
     pub fn open(spec: &SessionSpec, model: &ArmModel) -> Self {
+        Self::open_with(spec, model, &mut ShardMemo::default())
+    }
+
+    /// [`Session::open`] with the DCF solution and the replayed reference
+    /// trajectory shared through a shard's `memo`.
+    pub(crate) fn open_with(spec: &SessionSpec, model: &ArmModel, memo: &mut ShardMemo) -> Self {
         let omega = spec.driver.period;
         let (source, start) = match &spec.source {
             SourceSpec::Recorded {
@@ -319,16 +348,17 @@ impl Session {
                 seed,
             } => {
                 let commands = Arc::new(Dataset::record(*skill, *cycles, omega, *seed).commands);
-                Self::scripted_source(commands, None, spec, model)
+                Self::scripted_source(commands, None, spec, model, memo)
             }
             SourceSpec::Replayed(commands) => {
-                Self::scripted_source(Arc::clone(commands), None, spec, model)
+                Self::scripted_source(Arc::clone(commands), None, spec, model, memo)
             }
             SourceSpec::Stored(handle) => Self::scripted_source(
                 Arc::clone(handle.commands()),
                 Some(handle.clone()),
                 spec,
                 model,
+                memo,
             ),
             SourceSpec::Streamed {
                 initial,
@@ -338,7 +368,7 @@ impl Session {
                 (
                     Source::Streamed {
                         inbox: BoundedInbox::new(*inbox_capacity),
-                        link: LiveLink::open(&spec.channel),
+                        link: LiveLink::open(&spec.channel, memo),
                     },
                     start,
                 )
@@ -351,20 +381,22 @@ impl Session {
                 (
                     Source::Gated {
                         inbox: GatedInbox::new(*inbox_capacity),
-                        link: LiveLink::open(&spec.channel),
+                        link: LiveLink::open(&spec.channel, memo),
                     },
                     start,
                 )
             }
         };
-        // A stored trace shares its reference trajectory; every other
-        // source ticks a live reference driver.
-        let reference = match &source {
-            Source::Scripted {
-                commands,
-                claim: Some(trace),
-                ..
-            } => Reference::trajectory(commands, Some(trace), model, spec.driver),
+        // A stored or replayed script shares its reference trajectory; a
+        // recorded script (one operator recording per session) and every
+        // live source tick a live reference driver.
+        let reference = match (&spec.source, &source) {
+            (
+                SourceSpec::Stored(_) | SourceSpec::Replayed(_),
+                Source::Scripted {
+                    commands, claim, ..
+                },
+            ) => Reference::trajectory(commands, claim.as_ref(), model, spec.driver, memo),
             _ => {
                 let mut driver = RobotDriver::new(model.clone(), spec.driver, &start);
                 driver.set_recording(false);
@@ -394,15 +426,18 @@ impl Session {
         claim: Option<TraceHandle>,
         spec: &SessionSpec,
         model: &ArmModel,
+        memo: &mut ShardMemo,
     ) -> (Source, Vec<f64>) {
         assert!(!commands.is_empty(), "session: no commands");
-        let fates = spec.channel.build().fates(commands.len());
+        let (mut channel, link) = spec.channel.build(memo);
+        let fates = channel.fates(commands.len());
         let start = model.clamp(&commands[0]);
         (
             Source::Scripted {
                 commands,
                 fates,
                 claim,
+                _link: link,
             },
             start,
         )
@@ -471,7 +506,8 @@ impl Session {
     /// allocations** — scripted commands are borrowed straight from the
     /// shared script, the engine ticks through
     /// [`RecoveryEngine::tick_into`] into the session-owned `injected`
-    /// buffer, and both drivers update in place. The remaining
+    /// buffer, and the drivers update in place (a session reading a
+    /// shared reference trajectory ticks one). The remaining
     /// allocator traffic is bounded and off the steady path: inbox
     /// hand-offs (owned at offer time), a fate-chunk refill every
     /// [`FATE_CHUNK`] streamed deliveries, and §VII-C pending-late
@@ -782,6 +818,7 @@ impl Session {
                 commands,
                 fates,
                 claim,
+                ..
             } => {
                 let engine = self.engine_snapshot()?;
                 let id = claim
@@ -862,9 +899,10 @@ impl Session {
     ///
     /// A frame that carries reference driver state (every v1–v3 frame,
     /// and v4 frames of live-reference sessions) restores that live
-    /// driver. A v4 scripted frame without it re-derives the reference
-    /// trajectory: an inline script computes a session-private copy
-    /// here, a by-reference one shares its trace's copy
+    /// driver. A v4+ scripted frame without it re-derives the reference
+    /// trajectory: an inline script computes its own copy here (its rows
+    /// are the frame's fresh copy, which no other session shares), a
+    /// by-reference one shares its trace's copy
     /// ([`Session::restore_stored`]).
     ///
     /// A [`SourceState::ScriptedRef`] snapshot (an archive entry) is
@@ -877,7 +915,7 @@ impl Session {
     /// invariants (dimension mismatches against `model`, inconsistent
     /// script/fate lengths, out-of-range restore points, …).
     pub fn restore(snap: &SessionSnapshot, model: &ArmModel) -> Result<Self, RestoreError> {
-        Self::restore_with(snap, model, None, None)
+        Self::restore_with(snap, model, None, None, &mut ShardMemo::default())
     }
 
     /// [`Session::restore`] with engine model weights resolved through
@@ -894,7 +932,7 @@ impl Session {
         model: &ArmModel,
         models: &Storage,
     ) -> Result<Self, RestoreError> {
-        Self::restore_with(snap, model, None, Some(models))
+        Self::restore_with(snap, model, None, Some(models), &mut ShardMemo::default())
     }
 
     /// Rehydrates a [`SourceState::ScriptedRef`] snapshot, resolving the
@@ -910,17 +948,21 @@ impl Session {
         model: &ArmModel,
         trace: TraceHandle,
     ) -> Result<Self, RestoreError> {
-        Self::restore_with(snap, model, Some(trace), None)
+        Self::restore_with(snap, model, Some(trace), None, &mut ShardMemo::default())
     }
 
     /// Shared body of the restore entries. `models` is the optional
     /// shared-storage route for engine weights (see
-    /// [`Session::restore_shared`]).
+    /// [`Session::restore_shared`]); `memo` shares a jammed link's DCF
+    /// solution and an absent reference's trajectory with the shard's
+    /// other sessions. A channel spec is validated before the memo sees
+    /// it.
     pub(crate) fn restore_with(
         snap: &SessionSnapshot,
         model: &ArmModel,
         trace: Option<TraceHandle>,
         models: Option<&Storage>,
+        memo: &mut ShardMemo,
     ) -> Result<Self, RestoreError> {
         match snap.version {
             // v1 layouts are a subset of v2 (no `ScriptedRef`), v3
@@ -1006,7 +1048,7 @@ impl Session {
                 closing,
             } => Source::Streamed {
                 inbox: BoundedInbox::from_state(inbox, model.dof())?,
-                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing)?,
+                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing, memo)?,
             },
             SourceState::Gated {
                 inbox,
@@ -1016,7 +1058,7 @@ impl Session {
                 closing,
             } => Source::Gated {
                 inbox: GatedInbox::from_state(inbox, model.dof())?,
-                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing)?,
+                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing, memo)?,
             },
         };
         let engine = match &snap.engine {
@@ -1061,7 +1103,7 @@ impl Session {
                 Source::Scripted {
                     commands, claim, ..
                 },
-            ) => Reference::trajectory(commands, claim.as_ref(), model, snap.driver),
+            ) => Reference::trajectory(commands, claim.as_ref(), model, snap.driver, memo),
             (None, _) => {
                 return Err(RestoreError::Invalid(
                     "only a scripted source may omit the reference driver state".into(),
@@ -1125,6 +1167,7 @@ fn validated_scripted(
         commands,
         fates,
         claim,
+        _link: None,
     })
 }
 
@@ -1218,7 +1261,10 @@ mod tests {
             }
         };
 
-        let fates = channel.build().fates(test.commands.len());
+        let fates = channel
+            .build(&mut ShardMemo::default())
+            .0
+            .fates(test.commands.len());
         let engine = RecoveryEngine::new(
             Box::new(var),
             RecoveryConfig::for_model(&model),
@@ -1267,7 +1313,10 @@ mod tests {
                 break report;
             }
         };
-        let fates = channel.build().fates(test.commands.len());
+        let fates = channel
+            .build(&mut ShardMemo::default())
+            .0
+            .fates(test.commands.len());
         let solo = run_closed_loop(
             &model,
             &test.commands,
@@ -1987,31 +2036,60 @@ mod tests {
         }
     }
 
-    /// Advances both sessions to `until` (or completion), asserting the
-    /// per-tick reference position and deviation accumulators agree bit
-    /// for bit; returns the reports if they completed.
-    fn lockstep(
-        a: &mut Session,
-        b: &mut Session,
-        until: u64,
-    ) -> Option<(SessionReport, SessionReport)> {
-        while a.tick() < until {
-            match (a.advance(), b.advance()) {
-                (Advance::Completed(ra), Advance::Completed(rb)) => return Some((*ra, *rb)),
-                (Advance::Ticked(_), Advance::Ticked(_)) => {}
-                other => panic!("sessions diverged in shape at tick {}: {other:?}", a.tick()),
+    /// Advances every session to `until` (or completion), asserting that
+    /// each one's per-tick reference position and deviation accumulators
+    /// agree bit for bit with the first's; returns the reports if they
+    /// completed.
+    fn lockstep(sessions: &mut [&mut Session], until: u64) -> Option<Vec<SessionReport>> {
+        while sessions[0].tick() < until {
+            let steps: Vec<Advance> = sessions.iter_mut().map(|s| s.advance()).collect();
+            if steps.iter().all(|s| matches!(s, Advance::Completed(_))) {
+                return Some(
+                    steps
+                        .into_iter()
+                        .map(|step| match step {
+                            Advance::Completed(report) => *report,
+                            _ => unreachable!(),
+                        })
+                        .collect(),
+                );
             }
-            let tick = a.tick();
-            assert_eq!(tick, b.tick());
-            assert_eq!(
-                reference_pos(a).map(f64::to_bits),
-                reference_pos(b).map(f64::to_bits),
-                "reference position at tick {tick}"
+            let tick = sessions[0].tick();
+            assert!(
+                steps.iter().all(|s| matches!(s, Advance::Ticked(_))),
+                "sessions diverged in shape at tick {tick}: {steps:?}"
             );
-            assert_eq!(a.acc_sq_mm.to_bits(), b.acc_sq_mm.to_bits(), "tick {tick}");
-            assert_eq!(a.worst_mm.to_bits(), b.worst_mm.to_bits(), "tick {tick}");
+            let (first, rest) = sessions.split_first().expect("at least one session");
+            for other in rest {
+                assert_eq!(tick, other.tick());
+                assert_eq!(
+                    reference_pos(first).map(f64::to_bits),
+                    reference_pos(other).map(f64::to_bits),
+                    "reference position at tick {tick}"
+                );
+                assert_eq!(
+                    first.acc_sq_mm.to_bits(),
+                    other.acc_sq_mm.to_bits(),
+                    "tick {tick}"
+                );
+                assert_eq!(
+                    first.worst_mm.to_bits(),
+                    other.worst_mm.to_bits(),
+                    "tick {tick}"
+                );
+            }
         }
         None
+    }
+
+    fn shares_through_the_memo(session: &Session) -> bool {
+        matches!(
+            session.reference,
+            Reference::Trajectory {
+                _pin: TrajectoryPin::Memo { .. },
+                ..
+            }
+        )
     }
 
     #[test]
@@ -2021,18 +2099,38 @@ mod tests {
         let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 77);
         let store = Storage::new();
         let stored = replay_spec(1, SourceSpec::stored(&store, &test), &var);
-        let replayed = replay_spec(1, SourceSpec::replay(&test), &var);
+        let replay = replay_spec(1, SourceSpec::replay(&test), &var);
+        let recorded = replay_spec(
+            1,
+            SourceSpec::Recorded {
+                skill: Skill::Inexperienced,
+                cycles: 1,
+                seed: 77,
+            },
+            &var,
+        );
 
-        // Tick 0: a stored trace opens on the shared trajectory, the
-        // storeless twin on a live driver.
+        // Tick 0: a stored trace opens on the store's trajectory, a
+        // replayed script on the memo's, and the recorded twin — the
+        // same rows, recorded at open — on a live driver.
+        let mut live = Session::open(&recorded, &model);
         let mut shared = Session::open(&stored, &model);
-        let mut live = Session::open(&replayed, &model);
-        assert!(matches!(shared.reference, Reference::Trajectory { .. }));
+        let mut replayed = Session::open(&replay, &model);
         assert!(matches!(live.reference, Reference::Live(_)));
-        assert!(lockstep(&mut shared, &mut live, 250).is_none());
+        assert!(matches!(
+            shared.reference,
+            Reference::Trajectory {
+                _pin: TrajectoryPin::Stored { .. },
+                ..
+            }
+        ));
+        assert!(shares_through_the_memo(&replayed));
+        assert!(lockstep(&mut [&mut live, &mut shared, &mut replayed], 250).is_none());
 
         // Mid-trace: a v4+ archive part carries no reference state and
-        // restores onto the store's trajectory.
+        // restores onto the store's trajectory; the replayed session's
+        // inline frame carries none either and restores onto a memo
+        // trajectory derived from its script.
         let (part, _) = shared.snapshot_for_fleet().expect("fleet part");
         assert_eq!(
             (part.version, part.reference.is_none()),
@@ -2046,28 +2144,37 @@ mod tests {
         drop(shared);
         let mut shared = Session::restore_stored(&part, &model, trace).expect("restores");
         assert!(matches!(shared.reference, Reference::Trajectory { .. }));
-        assert!(lockstep(&mut shared, &mut live, 500).is_none());
+        let frame = replayed.snapshot().expect("inline snapshot");
+        assert!(matches!(frame.source, SourceState::Scripted { .. }));
+        assert!(frame.reference.is_none());
+        let frame = SessionSnapshot::from_bytes(&frame.to_bytes()).expect("decodes");
+        drop(replayed);
+        let mut replayed = Session::restore(&frame, &model).expect("restores");
+        assert!(shares_through_the_memo(&replayed));
+        assert!(lockstep(&mut [&mut live, &mut shared, &mut replayed], 500).is_none());
 
         // Migration: the transfer form with its claim, restored the way
         // an adopting shard does.
         let (snap, claim) = shared.snapshot_for_transfer().expect("transfer");
         drop(shared);
-        let mut shared = Session::restore_with(&snap, &model, claim, Some(&store)).expect("adopts");
-        assert!(lockstep(&mut shared, &mut live, 650).is_none());
+        let mut memo = ShardMemo::default();
+        let mut shared =
+            Session::restore_with(&snap, &model, claim, Some(&store), &mut memo).expect("adopts");
+        assert!(lockstep(&mut [&mut live, &mut shared, &mut replayed], 650).is_none());
 
-        // An inline v4 frame restored without a store derives a private
-        // trajectory.
+        // An inline v4 frame restored without a store derives its
+        // trajectory through the memo.
         let inline = shared.snapshot().expect("inline snapshot");
         assert!(inline.reference.is_none());
         drop(shared);
         let mut private = Session::restore(&inline, &model).expect("restores");
-        assert!(matches!(
-            private.reference,
-            Reference::Trajectory { _claim: None, .. }
-        ));
-        let (a, b) = lockstep(&mut private, &mut live, u64::MAX).expect("both complete");
-        assert_eq!(a, b, "reports must be bit-identical");
-        assert_eq!(a.rmse_mm.to_bits(), b.rmse_mm.to_bits());
+        assert!(shares_through_the_memo(&private));
+        let reports = lockstep(&mut [&mut live, &mut private, &mut replayed], u64::MAX)
+            .expect("all complete");
+        for report in &reports[1..] {
+            assert_eq!(*report, reports[0], "reports must be bit-identical");
+            assert_eq!(report.rmse_mm.to_bits(), reports[0].rmse_mm.to_bits());
+        }
     }
 
     /// Count gate (CI store job): sessions on one stored trace share one

@@ -67,6 +67,7 @@
 
 use crate::clock::{Pacer, Pacing, TICK_PERIOD};
 use crate::inbox::Offer;
+use crate::memo::ShardMemo;
 use crate::protocol::{SessionCommand, SessionEvent};
 use crate::sched::Scheduler;
 use crate::session::{Advance, Session, Wake};
@@ -181,6 +182,10 @@ struct Runtime {
     /// zero steady-state encoder allocations on the shard — only buffer
     /// growth and the reply hand-off copy allocate.
     snapshot_scratch: Vec<u8>,
+    /// DCF solutions and replayed reference trajectories shared by this
+    /// shard's sessions (see [`crate::memo`]); opens and adoptions
+    /// consult it.
+    memo: ShardMemo,
 }
 
 impl Runtime {
@@ -236,6 +241,14 @@ impl Runtime {
                 shard: self.index,
             });
         }
+    }
+
+    /// Moves what the memo computed for an open or adoption into this
+    /// pass's telemetry.
+    fn count_memo_work(&mut self) {
+        let (solves, builds) = self.memo.take_counts();
+        self.scratch.link_solves += solves;
+        self.scratch.reference_builds += builds;
     }
 
     /// Places a session that just entered this shard (open or adopt).
@@ -352,8 +365,9 @@ impl Runtime {
             SessionCommand::Open(spec) => {
                 let id = spec.id;
                 if let std::collections::btree_map::Entry::Vacant(slot) = self.sessions.entry(id) {
-                    slot.insert(Session::open(&spec, &self.model));
+                    slot.insert(Session::open_with(&spec, &self.model, &mut self.memo));
                     self.scratch.opened += 1;
+                    self.count_memo_work();
                     self.enqueue_new(id);
                     let _ = self.events.send(SessionEvent::Opened {
                         id,
@@ -460,7 +474,13 @@ impl Runtime {
             SessionCommand::Adopt { snapshot, trace } => {
                 let id = snapshot.id;
                 if let std::collections::btree_map::Entry::Vacant(slot) = self.sessions.entry(id) {
-                    match Session::restore_with(&snapshot, &self.model, trace, Some(&self.models)) {
+                    match Session::restore_with(
+                        &snapshot,
+                        &self.model,
+                        trace,
+                        Some(&self.models),
+                        &mut self.memo,
+                    ) {
                         Ok(session) => {
                             let tick = session.tick();
                             slot.insert(session);
@@ -485,6 +505,7 @@ impl Runtime {
                             });
                         }
                     }
+                    self.count_memo_work();
                 } else {
                     let _ = self.events.send(SessionEvent::DuplicateSession { id });
                 }
@@ -612,6 +633,7 @@ impl ShardWorker {
             pending_transfers: Vec::new(),
             models,
             snapshot_scratch: Vec::new(),
+            memo: ShardMemo::default(),
         };
         let mut pacer = Pacer::new(pacing, TICK_PERIOD);
         let mut shutdown = false;

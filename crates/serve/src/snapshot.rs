@@ -540,7 +540,7 @@ fn put_channel(buf: &mut Vec<u8>, channel: &ChannelSpec) {
 }
 
 /// The 802.11 link of a jammed channel (v5+), field by field.
-fn put_link(buf: &mut Vec<u8>, link: &LinkConfig) {
+pub(crate) fn put_link(buf: &mut Vec<u8>, link: &LinkConfig) {
     let p = &link.params;
     put_f64(buf, link.period);
     put_u64(buf, link.queue_capacity as u64);

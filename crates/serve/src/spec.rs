@@ -12,13 +12,14 @@
 //! VAR fitted once can serve thousands of concurrent sessions without
 //! copies (the deployment shape of the paper's edge cloud, §V).
 
+use crate::memo::ShardMemo;
 use foreco_core::channel::{Channel, ControlledLossChannel, IdealChannel, JammedChannel};
 use foreco_core::{RecoveryConfig, RecoveryEngine};
 use foreco_forecast::{Forecaster, ForecasterState};
 use foreco_robot::DriverConfig;
 use foreco_store::{ModelHandle, ObjectId, Storage, StoreError, TraceHandle};
 use foreco_teleop::{Dataset, Skill};
-use foreco_wifi::LinkConfig;
+use foreco_wifi::{DcfSolution, LinkConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -152,6 +153,10 @@ pub enum SourceSpec {
     },
     /// Replay a pre-recorded command list, shared across sessions
     /// (thousands of sessions can replay one dataset with zero copies).
+    /// Sessions on one shard that replay clones of one `Arc` on one arm
+    /// also share one reference trajectory, computed once: the shard's
+    /// memo keys it by the `Arc`'s identity and never hashes the rows,
+    /// so an equal list in another `Arc` costs its own build.
     Replayed(Arc<Vec<Vec<f64>>>),
     /// Replay a trace claimed from a `foreco-store` [`Storage`]. Like
     /// [`SourceSpec::Replayed`] the rows are shared, but the claim also
@@ -206,10 +211,12 @@ impl SourceSpec {
     /// Convenience: replay an already-recorded dataset.
     ///
     /// Copies the rows once per call (sessions built from clones of the
-    /// returned spec still share that one `Arc`). When many specs are
-    /// built independently over the same dataset, prefer
+    /// returned spec still share that one `Arc`, and with it one
+    /// reference trajectory per shard). When many specs are built
+    /// independently over the same dataset, prefer
     /// [`SourceSpec::stored`] — the store dedups by content, so N specs
-    /// cost one resident copy no matter how they were constructed.
+    /// cost one resident copy and one trajectory no matter how they
+    /// were constructed.
     pub fn replay(dataset: &Dataset) -> Self {
         SourceSpec::Replayed(Arc::new(dataset.commands.clone()))
     }
@@ -292,23 +299,36 @@ impl ChannelSpec {
         }
     }
 
-    /// Materialises the channel.
+    /// Materialises the channel. A jammed link takes its DCF solution
+    /// from `memo`, and the solution comes back alongside the channel so
+    /// a caller that drops the channel can still hold it.
     ///
     /// # Panics
     /// On a spec [`ChannelSpec::validate`] rejects.
-    pub(crate) fn build(&self) -> Box<dyn Channel + Send> {
+    pub(crate) fn build(
+        &self,
+        memo: &mut ShardMemo,
+    ) -> (Box<dyn Channel + Send>, Option<Arc<DcfSolution>>) {
         match self {
-            ChannelSpec::Ideal => Box::new(IdealChannel),
+            ChannelSpec::Ideal => (Box::new(IdealChannel), None),
             ChannelSpec::ControlledLoss {
                 burst_len,
                 burst_prob,
                 seed,
-            } => Box::new(ControlledLossChannel::new(*burst_len, *burst_prob, *seed)),
+            } => (
+                Box::new(ControlledLossChannel::new(*burst_len, *burst_prob, *seed)),
+                None,
+            ),
             ChannelSpec::Jammed {
                 link,
                 tolerance,
                 seed,
-            } => Box::new(JammedChannel::new(*link, *tolerance, *seed)),
+            } => {
+                let solution = memo.link_solution(link);
+                let channel =
+                    JammedChannel::with_solution(*link, Arc::clone(&solution), *tolerance, *seed);
+                (Box::new(channel), Some(solution))
+            }
         }
     }
 }

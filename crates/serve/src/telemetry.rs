@@ -196,6 +196,10 @@ shard_metrics! {
         "Sessions migrated away from the shard.";
     migrated_in: Counter, "foreco_migrations_in_total",
         "Sessions adopted by the shard.";
+    link_solves: Counter, "foreco_link_solves_total",
+        "DCF link solves at open or restore (one per live link configuration).";
+    reference_builds: Counter, "foreco_reference_builds_total",
+        "Reference trajectories built at open or restore (one per live script and arm).";
 }
 
 impl ShardSummary {

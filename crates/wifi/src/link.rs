@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Configuration of a wireless command link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -121,7 +122,7 @@ impl CommandFate {
 /// ```
 pub struct WirelessLink {
     cfg: LinkConfig,
-    solution: DcfSolution,
+    solution: Arc<DcfSolution>,
     rng: StdRng,
 }
 
@@ -131,15 +132,32 @@ impl WirelessLink {
     /// # Panics
     /// Panics on a configuration [`LinkConfig::validate`] rejects.
     pub fn new(cfg: LinkConfig, seed: u64) -> Self {
+        Self::with_solution(cfg, Arc::new(Self::solve(&cfg)), seed)
+    }
+
+    /// The DCF solution behind every link on `cfg`: a pure function of
+    /// the configuration (the seed only seeds the sampler), so links on
+    /// one configuration may share one solve through
+    /// [`WirelessLink::with_solution`].
+    ///
+    /// # Panics
+    /// Panics on a configuration [`LinkConfig::validate`] rejects.
+    pub fn solve(cfg: &LinkConfig) -> DcfSolution {
         cfg.validate()
             .unwrap_or_else(|reason| panic!("invalid link configuration: {reason}"));
-        let solution = DcfModel {
+        DcfModel {
             params: cfg.params,
             stations: cfg.stations,
             interference: cfg.interference,
             offered_interval: Some(cfg.period),
         }
-        .solve();
+        .solve()
+    }
+
+    /// A seeded generator on an already solved link: `solution` must be
+    /// what [`WirelessLink::solve`] returns for `cfg`. The link samples
+    /// exactly the fates [`WirelessLink::new`] with the same seed does.
+    pub fn with_solution(cfg: LinkConfig, solution: Arc<DcfSolution>, seed: u64) -> Self {
         Self {
             cfg,
             solution,
@@ -158,8 +176,9 @@ impl WirelessLink {
     }
 
     /// Raw generator state for checkpointing a mid-stream link: together
-    /// with the configuration (from which the DCF solution is
-    /// re-derived) it fully determines every future sample.
+    /// with the configuration (whose DCF solution is solved again, or
+    /// shared from a link already solved on it) it fully determines
+    /// every future sample.
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
     }
@@ -300,6 +319,31 @@ mod tests {
         let a = WirelessLink::new(cfg(15, 0.025, 50), 99).simulate(2_000);
         let b = WirelessLink::new(cfg(15, 0.025, 50), 99).simulate(2_000);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_shared_solution_samples_what_a_fresh_solve_does() {
+        let c = cfg(25, 0.025, 10);
+        let shared = Arc::new(WirelessLink::solve(&c));
+        let mut fresh = WirelessLink::new(c, 41);
+        let mut reused = WirelessLink::with_solution(c, Arc::clone(&shared), 41);
+        let mut twin = WirelessLink::with_solution(c, Arc::clone(&shared), 7);
+        let bits = |fates: Vec<CommandFate>| -> Vec<u64> {
+            fates
+                .iter()
+                .map(|f| match f {
+                    CommandFate::Delivered { delay } => delay.to_bits(),
+                    CommandFate::LostRtx => u64::MAX,
+                    CommandFate::LostQueue => u64::MAX - 1,
+                })
+                .collect()
+        };
+        assert_eq!(bits(fresh.simulate(1_500)), bits(reused.simulate(1_500)));
+        // Mid-stream: a checkpointed generator restored onto the shared
+        // solution carries on bit for bit.
+        twin.restore_rng(fresh.rng_state());
+        assert_eq!(bits(fresh.simulate(1_500)), bits(twin.simulate(1_500)));
+        assert_eq!(Arc::strong_count(&shared), 3);
     }
 
     /// Cross-validation against the generic DES engine: with no losses and

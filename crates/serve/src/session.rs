@@ -11,18 +11,18 @@
 //! Differences from the offline loop are purely structural:
 //!
 //! - the reference (perfect-channel) trajectory is read in lockstep
-//!   with the executed driver instead of in a separate pass. A scripted
-//!   session on a stored or replayed script reads it by tick index from
-//!   a precomputed trajectory: it is a pure function of (script, arm
-//!   model, driver config) — a scripted command is delivered to the
-//!   reference whatever its fate — so it is computed once and shared by
-//!   every session on that script and arm. A stored trace's store holds
-//!   it ([`TrajectoryHandle`]); a replayed script's is shared through the
-//!   shard's memo, keyed by the identity of the script's `Arc`. Every
-//!   other session (streamed, gated, recorded, and any restored from a
-//!   frame that carries reference driver state) ticks a live reference
-//!   driver. Both forms produce the same positions bit for bit, because
-//!   the trajectory *is* a live driver's output, computed once;
+//!   with the executed driver instead of in a separate pass, and each
+//!   source owns its one form of it. A scripted session reads it by
+//!   tick index from a precomputed trajectory: it is a pure function of
+//!   (script, arm model, driver config) — a scripted command is
+//!   delivered to the reference whatever its fate — so it is computed
+//!   once and shared by every session on that script and arm. A stored
+//!   trace's store holds it ([`TrajectoryHandle`]); any other script's
+//!   is shared through the shard's memo, keyed by the identity of the
+//!   script's `Arc`. A streamed or gated session has no script to
+//!   precompute from, so it ticks a live reference driver. The two
+//!   forms produce the same positions bit for bit, because the
+//!   trajectory *is* a live driver's output, computed once;
 //! - task-space error accumulates incrementally (same summation order
 //!   as `trajectory_rmse_mm`) instead of over stored trajectories, and
 //!   the drivers run with trail recording off — a session is O(1) in
@@ -46,7 +46,6 @@ use foreco_core::channel::{Arrival, Channel};
 use foreco_core::{EngineSnapshot, EngineStateError, RecoveryEngine, RecoveryStats};
 use foreco_robot::{ArmModel, DriverConfig, DriverState, RobotDriver};
 use foreco_store::{trace_object_id, Storage, TraceHandle, TrajectoryHandle};
-use foreco_teleop::Dataset;
 use foreco_wifi::DcfSolution;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -120,14 +119,13 @@ pub enum Advance {
     Completed(Box<SessionReport>),
 }
 
+/// Where commands come from, each source with its perfect-channel
+/// reference: what the executed arm's deviation is measured against.
 enum Source {
     Scripted {
-        commands: Arc<Vec<Vec<f64>>>,
+        /// The rows and their reference trajectory.
+        script: Script,
         fates: Vec<Arrival>,
-        /// Store claim pinning a `SourceSpec::Stored` trace for the
-        /// session's lifetime (acquired at build/restore, never on the
-        /// tick path). `None` for recorded/replayed scripts.
-        claim: Option<TraceHandle>,
         /// The DCF solution a jammed script's fates were drawn from,
         /// held so the shard memo shares it with later opens on the
         /// same link while this session lives. `None` otherwise.
@@ -136,6 +134,8 @@ enum Source {
     Streamed {
         inbox: BoundedInbox,
         link: LiveLink,
+        /// A driver fed every delivered command, ticked in lockstep.
+        reference: RobotDriver,
     },
     /// Flow-controlled socket ingress: one queued [`GatedSlot`] per
     /// virtual tick (late patches ride between ticks), an empty queue
@@ -143,7 +143,79 @@ enum Source {
     Gated {
         inbox: GatedInbox,
         link: LiveLink,
+        /// As for `Streamed`.
+        reference: RobotDriver,
     },
+}
+
+/// Where a scripted session's rows and their reference trajectory live.
+/// Each variant holds what keeps both resident for the session's
+/// lifetime, acquired at open or restore, never on the tick path.
+enum Script {
+    /// A stored trace, and its trajectory claimed in the trace's store.
+    Stored {
+        trace: TraceHandle,
+        trajectory: TrajectoryHandle,
+    },
+    /// Rows shared through an `Arc`, and their trajectory pinned
+    /// through the shard memo.
+    Shared {
+        commands: Arc<Vec<Vec<f64>>>,
+        trajectory: Arc<Points>,
+    },
+}
+
+impl Script {
+    /// `trace` with its trajectory on `model` under `cfg`, claimed in
+    /// the trace's store (and built there if no session holds it).
+    fn stored(
+        trace: TraceHandle,
+        model: &ArmModel,
+        cfg: DriverConfig,
+        memo: &mut ShardMemo,
+    ) -> Self {
+        let mut built = false;
+        let trajectory = trace.trajectory(&model_bits(model), &config_bits(&cfg), |rows| {
+            built = true;
+            reference_trajectory(rows, model, cfg)
+        });
+        if built {
+            memo.count_reference_build();
+        }
+        Script::Stored { trace, trajectory }
+    }
+
+    /// `commands` with their trajectory on `model` under `cfg`, shared
+    /// through `memo`.
+    fn shared(
+        commands: Arc<Vec<Vec<f64>>>,
+        model: &ArmModel,
+        cfg: DriverConfig,
+        memo: &mut ShardMemo,
+    ) -> Self {
+        let trajectory = memo.trajectory(&commands, model_bits(model), config_bits(&cfg), |rows| {
+            reference_trajectory(rows, model, cfg)
+        });
+        Script::Shared {
+            commands,
+            trajectory,
+        }
+    }
+
+    fn commands(&self) -> &Arc<Vec<Vec<f64>>> {
+        match self {
+            Script::Stored { trace, .. } => trace.commands(),
+            Script::Shared { commands, .. } => commands,
+        }
+    }
+
+    /// The reference position after each row, in tick order.
+    fn points(&self) -> &[[f64; 3]] {
+        match self {
+            Script::Stored { trajectory, .. } => trajectory.points(),
+            Script::Shared { trajectory, .. } => trajectory,
+        }
+    }
 }
 
 /// The impairment side of a live (streamed or gated) source: the
@@ -200,89 +272,26 @@ impl LiveLink {
     }
 }
 
-/// The perfect-channel side of a session: what the executed arm's
-/// deviation is measured against.
-// One per session, built once: boxing the live driver would only add a
-// pointer chase to every live tick.
-#[allow(clippy::large_enum_variant)]
-enum Reference {
-    /// A driver fed every delivered command, ticked in lockstep.
-    Live(RobotDriver),
-    /// A scripted source's positions, precomputed once per (script, arm
-    /// model, driver config) and read by tick index. `_pin` keeps the
-    /// shared copy resident.
-    Trajectory { points: Points, _pin: TrajectoryPin },
+/// A driver at `start` with trail recording off, as every driver a
+/// session ticks runs (O(1) memory however long it runs).
+fn untrailed_driver(model: &ArmModel, cfg: DriverConfig, start: &[f64]) -> RobotDriver {
+    let mut driver = RobotDriver::new(model.clone(), cfg, start);
+    driver.set_recording(false);
+    driver
 }
 
-/// What keeps a session's shared reference trajectory resident.
-enum TrajectoryPin {
-    /// A stored trace's trajectory, claimed in the trace's store.
-    Stored { _claim: TrajectoryHandle },
-    /// Any other script's, shared through the shard memo.
-    Memo { _entry: Arc<Points> },
-}
-
-impl Reference {
-    /// The trajectory `commands` defines on `model` under `cfg`: shared
-    /// through the trace's store when `claim` holds the trace, through
-    /// `memo` otherwise. The commands must already be validated against
-    /// the arm (the build ticks a driver over all of them).
-    fn trajectory(
-        commands: &Arc<Vec<Vec<f64>>>,
-        claim: Option<&TraceHandle>,
-        model: &ArmModel,
-        cfg: DriverConfig,
-        memo: &mut ShardMemo,
-    ) -> Self {
-        let build = |rows: &[Vec<f64>]| {
-            let mut driver = RobotDriver::new(model.clone(), cfg, &model.clamp(&rows[0]));
-            driver.set_recording(false);
-            rows.iter()
-                .map(|row| driver.tick(Some(row)).position_mm)
-                .collect::<Vec<_>>()
-        };
-        match claim {
-            Some(trace) => {
-                let mut built = false;
-                let handle = trace.trajectory(&model_bits(model), &config_bits(&cfg), |rows| {
-                    built = true;
-                    build(rows)
-                });
-                if built {
-                    memo.count_reference_build();
-                }
-                Reference::Trajectory {
-                    points: Arc::clone(handle.points()),
-                    _pin: TrajectoryPin::Stored { _claim: handle },
-                }
-            }
-            None => {
-                let pin = memo.trajectory(commands, model_bits(model), config_bits(&cfg), build);
-                Reference::Trajectory {
-                    points: Arc::clone(&pin),
-                    _pin: TrajectoryPin::Memo { _entry: pin },
-                }
-            }
-        }
-    }
-
-    /// True when the next tick, fed nothing, would change no state bit.
-    /// A trajectory is read by a scripted session, which never idles.
-    fn hold_is_identity(&self) -> bool {
-        match self {
-            Reference::Live(driver) => driver.hold_is_identity(None),
-            Reference::Trajectory { .. } => false,
-        }
-    }
-
-    /// The state a snapshot carries: `None` for a trajectory, which is
-    /// re-derived from the script at restore.
-    fn export_state(&self) -> Option<DriverState> {
-        match self {
-            Reference::Live(driver) => Some(driver.export_state()),
-            Reference::Trajectory { .. } => None,
-        }
-    }
+/// The positions a driver on `model` under `cfg` reaches when fed each
+/// of `rows` in turn: a scripted session's reference trajectory. The
+/// rows must already be validated against the arm.
+///
+/// # Panics
+/// On an empty script: a session starts from its first row.
+fn reference_trajectory(rows: &[Vec<f64>], model: &ArmModel, cfg: DriverConfig) -> Vec<[f64; 3]> {
+    assert!(!rows.is_empty(), "session: no commands");
+    let mut driver = untrailed_driver(model, cfg, &model.clamp(&rows[0]));
+    rows.iter()
+        .map(|row| driver.tick(Some(row)).position_mm)
+        .collect()
 }
 
 /// The arm model's content as raw bit words — every number a driver
@@ -310,7 +319,6 @@ pub struct Session {
     id: SessionId,
     source: Source,
     engine: Option<RecoveryEngine>,
-    reference: Reference,
     executed: RobotDriver,
     /// Late commands waiting to (maybe) patch FoReCo's history:
     /// (arrival time, tick index, payload) — §VII-C.
@@ -331,7 +339,7 @@ impl Session {
     /// Materialises a session from its spec on the given arm model.
     ///
     /// # Panics
-    /// Panics if a recorded/replayed source has no commands, or if the
+    /// Panics if a replayed or stored source has no commands, or if the
     /// engine dimensionality mismatches the arm.
     pub fn open(spec: &SessionSpec, model: &ArmModel) -> Self {
         Self::open_with(spec, model, &mut ShardMemo::default())
@@ -342,24 +350,14 @@ impl Session {
     pub(crate) fn open_with(spec: &SessionSpec, model: &ArmModel, memo: &mut ShardMemo) -> Self {
         let omega = spec.driver.period;
         let (source, start) = match &spec.source {
-            SourceSpec::Recorded {
-                skill,
-                cycles,
-                seed,
-            } => {
-                let commands = Arc::new(Dataset::record(*skill, *cycles, omega, *seed).commands);
-                Self::scripted_source(commands, None, spec, model, memo)
-            }
             SourceSpec::Replayed(commands) => {
-                Self::scripted_source(Arc::clone(commands), None, spec, model, memo)
+                let script = Script::shared(Arc::clone(commands), model, spec.driver, memo);
+                Self::scripted_source(script, spec, model, memo)
             }
-            SourceSpec::Stored(handle) => Self::scripted_source(
-                Arc::clone(handle.commands()),
-                Some(handle.clone()),
-                spec,
-                model,
-                memo,
-            ),
+            SourceSpec::Stored(handle) => {
+                let script = Script::stored(handle.clone(), model, spec.driver, memo);
+                Self::scripted_source(script, spec, model, memo)
+            }
             SourceSpec::Streamed {
                 initial,
                 inbox_capacity,
@@ -369,6 +367,7 @@ impl Session {
                     Source::Streamed {
                         inbox: BoundedInbox::new(*inbox_capacity),
                         link: LiveLink::open(&spec.channel, memo),
+                        reference: untrailed_driver(model, spec.driver, &start),
                     },
                     start,
                 )
@@ -382,36 +381,18 @@ impl Session {
                     Source::Gated {
                         inbox: GatedInbox::new(*inbox_capacity),
                         link: LiveLink::open(&spec.channel, memo),
+                        reference: untrailed_driver(model, spec.driver, &start),
                     },
                     start,
                 )
             }
         };
-        // A stored or replayed script shares its reference trajectory; a
-        // recorded script (one operator recording per session) and every
-        // live source tick a live reference driver.
-        let reference = match (&spec.source, &source) {
-            (
-                SourceSpec::Stored(_) | SourceSpec::Replayed(_),
-                Source::Scripted {
-                    commands, claim, ..
-                },
-            ) => Reference::trajectory(commands, claim.as_ref(), model, spec.driver, memo),
-            _ => {
-                let mut driver = RobotDriver::new(model.clone(), spec.driver, &start);
-                driver.set_recording(false);
-                Reference::Live(driver)
-            }
-        };
-        let mut executed = RobotDriver::new(model.clone(), spec.driver, &start);
-        executed.set_recording(false);
         Self {
             id: spec.id,
-            source,
             injected: vec![0.0; model.dof()],
+            executed: untrailed_driver(model, spec.driver, &start),
             engine: spec.recovery.build(start),
-            reference,
-            executed,
+            source,
             pending_late: Vec::new(),
             clock: VirtualClock::new(omega),
             omega,
@@ -422,21 +403,19 @@ impl Session {
     }
 
     fn scripted_source(
-        commands: Arc<Vec<Vec<f64>>>,
-        claim: Option<TraceHandle>,
+        script: Script,
         spec: &SessionSpec,
         model: &ArmModel,
         memo: &mut ShardMemo,
     ) -> (Source, Vec<f64>) {
-        assert!(!commands.is_empty(), "session: no commands");
+        let commands = script.commands();
         let (mut channel, link) = spec.channel.build(memo);
         let fates = channel.fates(commands.len());
         let start = model.clamp(&commands[0]);
         (
             Source::Scripted {
-                commands,
+                script,
                 fates,
-                claim,
                 _link: link,
             },
             start,
@@ -516,68 +495,72 @@ impl Session {
         // What does this tick deliver? `None` = deadline miss. Scripted
         // sessions borrow the command; live sources hand over the owned
         // buffer their offer already allocated.
-        let (delivered, fate): (Option<Cow<'_, [f64]>>, Arrival) = match &mut self.source {
-            Source::Scripted {
-                commands, fates, ..
-            } => {
-                let i = self.clock.tick() as usize;
-                if i >= commands.len() {
-                    return Advance::Completed(Box::new(self.report()));
-                }
-                (Some(Cow::Borrowed(commands[i].as_slice())), fates[i])
-            }
-            Source::Streamed { inbox, link } => {
-                match inbox.take() {
-                    Some(cmd) => (Some(Cow::Owned(cmd)), link.next_fate()),
-                    // An empty inbox at tick time is itself the miss: the
-                    // operator (or the backpressure drop) left this slot
-                    // unfilled.
-                    None => {
-                        if link.closing {
-                            return Advance::Completed(Box::new(self.report()));
-                        }
-                        (None, Arrival::Lost)
-                    }
-                }
-            }
-            Source::Gated { inbox, link } => loop {
-                match inbox.take() {
-                    // Late patches ride between ticks: amend the engine
-                    // history and keep looking for a tick-consuming slot.
-                    Some(GatedSlot::Late { command, age }) => {
-                        if let Some(engine) = &mut self.engine {
-                            engine.late_command(&command, age);
-                        }
-                    }
-                    Some(GatedSlot::Command(cmd)) => {
-                        break (Some(Cow::Owned(cmd)), link.next_fate());
-                    }
-                    // The wire's explicit loss verdict for this slot
-                    // (take() always yields single-slot units).
-                    Some(GatedSlot::Miss { .. }) => break (None, Arrival::Lost),
-                    // No verdict yet is *not* a miss: virtual time
-                    // suspends until the gateway enqueues one (or the
-                    // session closes).
-                    None => {
-                        if link.closing {
-                            return Advance::Completed(Box::new(self.report()));
-                        }
-                        return Advance::Idle(Wake::AwaitingInput);
-                    }
-                }
-            },
-        };
-
-        let i = self.clock.tick() as usize;
-        let now = (i as f64 + 1.0) * self.omega; // driver consumption instant
-
-        // Reference: the defined trajectory (perfect channel). Streamed
-        // misses have no command to define with — the live driver
+        //
+        // Reference: the defined trajectory (perfect channel), read by
+        // tick index off a script, or ticked on a live source's driver.
+        // Live misses have no command to define with — the live driver
         // holds, like the executed side's baseline.
-        let ref_pos = match &mut self.reference {
-            Reference::Live(driver) => driver.tick(delivered.as_deref()).position_mm,
-            Reference::Trajectory { points, .. } => points[i],
-        };
+        let i = self.clock.tick() as usize;
+        let (delivered, fate, ref_pos): (Option<Cow<'_, [f64]>>, Arrival, [f64; 3]) =
+            match &mut self.source {
+                Source::Scripted { script, fates, .. } => {
+                    let commands = script.commands();
+                    if i >= commands.len() {
+                        return Advance::Completed(Box::new(self.report()));
+                    }
+                    let command = Cow::Borrowed(commands[i].as_slice());
+                    (Some(command), fates[i], script.points()[i])
+                }
+                Source::Streamed {
+                    inbox,
+                    link,
+                    reference,
+                } => {
+                    let (command, fate) = match inbox.take() {
+                        Some(cmd) => (Some(cmd), link.next_fate()),
+                        // An empty inbox at tick time is itself the miss:
+                        // the operator (or the backpressure drop) left
+                        // this slot unfilled.
+                        None if link.closing => return Advance::Completed(Box::new(self.report())),
+                        None => (None, Arrival::Lost),
+                    };
+                    let ref_pos = reference.tick(command.as_deref()).position_mm;
+                    (command.map(Cow::Owned), fate, ref_pos)
+                }
+                Source::Gated {
+                    inbox,
+                    link,
+                    reference,
+                } => {
+                    let (command, fate) = loop {
+                        match inbox.take() {
+                            // Late patches ride between ticks: amend the
+                            // engine history and keep looking for a
+                            // tick-consuming slot.
+                            Some(GatedSlot::Late { command, age }) => {
+                                if let Some(engine) = &mut self.engine {
+                                    engine.late_command(&command, age);
+                                }
+                            }
+                            Some(GatedSlot::Command(cmd)) => break (Some(cmd), link.next_fate()),
+                            // The wire's explicit loss verdict for this
+                            // slot (take() always yields single-slot units).
+                            Some(GatedSlot::Miss { .. }) => break (None, Arrival::Lost),
+                            // No verdict yet is *not* a miss: virtual time
+                            // suspends until the gateway enqueues one (or
+                            // the session closes).
+                            None if link.closing => {
+                                return Advance::Completed(Box::new(self.report()))
+                            }
+                            None => return Advance::Idle(Wake::AwaitingInput),
+                        }
+                    };
+                    let ref_pos = reference.tick(command.as_deref()).position_mm;
+                    (command.map(Cow::Owned), fate, ref_pos)
+                }
+            };
+
+        let now = (i as f64 + 1.0) * self.omega; // driver consumption instant
 
         // Executed driver: impairment + recovery, mirroring
         // `run_closed_loop` exactly.
@@ -634,7 +617,7 @@ impl Session {
         // Gated sessions are wire-driven: runnable exactly while slots
         // (or a close) are pending, awaiting input otherwise — their
         // virtual time suspends while they wait.
-        if let Source::Gated { inbox, link } = &self.source {
+        if let Source::Gated { inbox, link, .. } = &self.source {
             return if link.closing || !inbox.is_empty() {
                 Wake::Runnable
             } else {
@@ -655,24 +638,29 @@ impl Session {
     /// Scripted sessions always have a next command, so they are never
     /// idle.
     fn idle_stable(&self) -> bool {
-        match &self.source {
+        let reference = match &self.source {
             // Gated sessions never reach this notion of idleness: their
             // parked state is "clock suspended", not "idle ticks elided".
             Source::Scripted { .. } | Source::Gated { .. } => return false,
-            Source::Streamed { inbox, link } => {
+            Source::Streamed {
+                inbox,
+                link,
+                reference,
+            } => {
                 if !inbox.is_empty() || link.closing || !self.pending_late.is_empty() {
                     return false;
                 }
+                reference
             }
-        }
-        match &self.engine {
+        };
+        let executed_holds = match &self.engine {
             Some(engine) => {
                 engine.idle_hold_is_identity()
                     && self.executed.hold_is_identity(Some(engine.held_command()))
-                    && self.reference.hold_is_identity()
             }
-            None => self.executed.hold_is_identity(None) && self.reference.hold_is_identity(),
-        }
+            None => self.executed.hold_is_identity(None),
+        };
+        executed_holds && reference.hold_is_identity(None)
     }
 
     /// Replays `ticks` idle ticks' bookkeeping at a verified idle fixed
@@ -701,9 +689,8 @@ impl Session {
             return 0;
         }
         debug_assert!(self.idle_stable(), "catch_up outside the idle fixed point");
-        let Reference::Live(reference) = &mut self.reference else {
-            // Only scripted sessions read a trajectory, and they never
-            // idle: there is nothing to replay.
+        let Source::Streamed { reference, .. } = &mut self.source else {
+            // Scripted sessions never idle: there is nothing to replay.
             return 0;
         };
         // Positions are frozen at the fixed point, so the per-tick
@@ -765,8 +752,8 @@ impl Session {
 
     /// Checkpoints the complete session to a [`SessionSnapshot`]: engine
     /// history, forecaster, PID/driver state (the reference driver's
-    /// only when it is live: a trajectory is re-derived from the script
-    /// at restore), channel RNG, tick, and every accumulator. The
+    /// only on a live source: a script's trajectory is re-derived at
+    /// restore), channel RNG, tick, and every accumulator. The
     /// session keeps running; restoring the snapshot anywhere continues
     /// it with bit-identical outputs (see the [`crate::snapshot`] module
     /// docs for the contract).
@@ -777,20 +764,18 @@ impl Session {
     pub fn snapshot(&self) -> Result<SessionSnapshot, SnapshotError> {
         let engine = self.engine_snapshot()?;
         let source = match &self.source {
-            Source::Scripted {
-                commands, fates, ..
-            } => SourceState::Scripted {
-                commands: (**commands).clone(),
+            Source::Scripted { script, fates, .. } => SourceState::Scripted {
+                commands: (**script.commands()).clone(),
                 fates: fates.clone(),
             },
-            Source::Streamed { inbox, link } => SourceState::Streamed {
+            Source::Streamed { inbox, link, .. } => SourceState::Streamed {
                 inbox: inbox.snapshot(),
                 channel: link.spec.clone(),
                 channel_rng: link.channel.rng_state(),
                 fate_buf: link.fate_buf.iter().copied().collect(),
                 closing: link.closing,
             },
-            Source::Gated { inbox, link } => SourceState::Gated {
+            Source::Gated { inbox, link, .. } => SourceState::Gated {
                 inbox: inbox.snapshot(),
                 channel: link.spec.clone(),
                 channel_rng: link.channel.rng_state(),
@@ -814,24 +799,19 @@ impl Session {
     /// Same as [`Session::snapshot`].
     pub fn snapshot_for_fleet(&self) -> Result<FleetSnapshotPart, SnapshotError> {
         match &self.source {
-            Source::Scripted {
-                commands,
-                fates,
-                claim,
-                ..
-            } => {
+            Source::Scripted { script, fates, .. } => {
                 let engine = self.engine_snapshot()?;
-                let id = claim
-                    .as_ref()
-                    .map(TraceHandle::id)
-                    .unwrap_or_else(|| trace_object_id(commands));
+                let id = match script {
+                    Script::Stored { trace, .. } => trace.id(),
+                    Script::Shared { commands, .. } => trace_object_id(commands),
+                };
                 let source = SourceState::ScriptedRef {
                     trace: id,
                     fates: compress_fates(fates),
                 };
                 Ok((
                     self.snapshot_shell(source, engine),
-                    Some((id, Arc::clone(commands))),
+                    Some((id, Arc::clone(script.commands()))),
                 ))
             }
             _ => Ok((self.snapshot()?, None)),
@@ -848,8 +828,9 @@ impl Session {
     ) -> Result<(SessionSnapshot, Option<TraceHandle>), SnapshotError> {
         match &self.source {
             Source::Scripted {
-                claim: Some(claim), ..
-            } => Ok((self.snapshot_for_fleet()?.0, Some(claim.clone()))),
+                script: Script::Stored { trace, .. },
+                ..
+            } => Ok((self.snapshot_for_fleet()?.0, Some(trace.clone()))),
             _ => Ok((self.snapshot()?, None)),
         }
     }
@@ -889,7 +870,13 @@ impl Session {
             source,
             engine,
             pending_late: self.pending_late.clone(),
-            reference: self.reference.export_state(),
+            // A script's trajectory is re-derived from it at restore.
+            reference: match &self.source {
+                Source::Scripted { .. } => None,
+                Source::Streamed { reference, .. } | Source::Gated { reference, .. } => {
+                    Some(reference.export_state())
+                }
+            },
             executed: self.executed.export_state(),
         }
     }
@@ -897,13 +884,16 @@ impl Session {
     /// Rehydrates a session from a snapshot onto `model`, continuing
     /// exactly where the snapshotted session left off.
     ///
-    /// A frame that carries reference driver state (every v1–v3 frame,
-    /// and v4 frames of live-reference sessions) restores that live
-    /// driver. A v4+ scripted frame without it re-derives the reference
-    /// trajectory: an inline script computes its own copy here (its rows
-    /// are the frame's fresh copy, which no other session shares), a
-    /// by-reference one shares its trace's copy
-    /// ([`Session::restore_stored`]).
+    /// A streamed or gated frame restores its live reference driver from
+    /// the frame's reference state. A scripted frame re-derives its
+    /// reference trajectory from the script: an inline script computes
+    /// its own copy here (its rows are the frame's fresh copy, which no
+    /// other session shares), a by-reference one shares its trace's copy
+    /// ([`Session::restore_stored`]). Reference state on a scripted
+    /// frame (every v1–v3 frame carries it, as do v4/v5 frames written
+    /// by sessions that ticked a live driver over a script) is validated
+    /// against `model`, then dropped: the trajectory is that driver's
+    /// output.
     ///
     /// A [`SourceState::ScriptedRef`] snapshot (an archive entry) is
     /// rejected here — the script is not in the snapshot; claim it from
@@ -954,9 +944,8 @@ impl Session {
     /// Shared body of the restore entries. `models` is the optional
     /// shared-storage route for engine weights (see
     /// [`Session::restore_shared`]); `memo` shares a jammed link's DCF
-    /// solution and an absent reference's trajectory with the shard's
-    /// other sessions. A channel spec is validated before the memo sees
-    /// it.
+    /// solution and an inline script's trajectory with the shard's other
+    /// sessions. A channel spec is validated before the memo sees it.
     pub(crate) fn restore_with(
         snap: &SessionSnapshot,
         model: &ArmModel,
@@ -1012,14 +1001,21 @@ impl Session {
             "pending late command",
             snap.pending_late.iter().map(|(_, _, payload)| payload),
         )?;
+        let live_reference = || match &snap.reference {
+            Some(state) => Ok(RobotDriver::from_state(model.clone(), snap.driver, state)),
+            None => Err(RestoreError::Invalid(
+                "only a scripted source may omit the reference driver state".into(),
+            )),
+        };
         let source = match &snap.source {
-            SourceState::Scripted { commands, fates } => validated_scripted(
-                Arc::new(commands.clone()),
-                fates.clone(),
-                None,
-                snap.tick,
-                model,
-            )?,
+            SourceState::Scripted { commands, fates } => {
+                validate_script(commands, fates.len(), snap.tick, model)?;
+                Source::Scripted {
+                    script: Script::shared(Arc::new(commands.clone()), model, snap.driver, memo),
+                    fates: fates.clone(),
+                    _link: None,
+                }
+            }
             SourceState::ScriptedRef {
                 trace: trace_id,
                 fates,
@@ -1036,9 +1032,13 @@ impl Session {
                         handle.id()
                     )));
                 }
-                let commands = Arc::clone(handle.commands());
-                let fates = expand_fates(fates, commands.len())?;
-                validated_scripted(commands, fates, Some(handle), snap.tick, model)?
+                let fates = expand_fates(fates, handle.commands().len())?;
+                validate_script(handle.commands(), fates.len(), snap.tick, model)?;
+                Source::Scripted {
+                    script: Script::stored(handle, model, snap.driver, memo),
+                    fates,
+                    _link: None,
+                }
             }
             SourceState::Streamed {
                 inbox,
@@ -1049,6 +1049,7 @@ impl Session {
             } => Source::Streamed {
                 inbox: BoundedInbox::from_state(inbox, model.dof())?,
                 link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing, memo)?,
+                reference: live_reference()?,
             },
             SourceState::Gated {
                 inbox,
@@ -1059,6 +1060,7 @@ impl Session {
             } => Source::Gated {
                 inbox: GatedInbox::from_state(inbox, model.dof())?,
                 link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing, memo)?,
+                reference: live_reference()?,
             },
         };
         let engine = match &snap.engine {
@@ -1094,28 +1096,11 @@ impl Session {
                 }
             }
         };
-        let reference = match (&snap.reference, &source) {
-            (Some(state), _) => {
-                Reference::Live(RobotDriver::from_state(model.clone(), snap.driver, state))
-            }
-            (
-                None,
-                Source::Scripted {
-                    commands, claim, ..
-                },
-            ) => Reference::trajectory(commands, claim.as_ref(), model, snap.driver, memo),
-            (None, _) => {
-                return Err(RestoreError::Invalid(
-                    "only a scripted source may omit the reference driver state".into(),
-                ))
-            }
-        };
         Ok(Self {
             id: snap.id,
             source,
             engine,
             injected: vec![0.0; model.dof()],
-            reference,
             executed: RobotDriver::from_state(model.clone(), snap.driver, &snap.executed),
             pending_late: snap.pending_late.clone(),
             clock: VirtualClock::at_tick(snap.period, snap.tick),
@@ -1127,16 +1112,16 @@ impl Session {
     }
 }
 
-/// Validates and builds a scripted source at restore time — shared by
-/// the inline `Scripted` and by-reference `ScriptedRef` decode paths,
-/// so both enforce identical invariants.
-fn validated_scripted(
-    commands: Arc<Vec<Vec<f64>>>,
-    fates: Vec<Arrival>,
-    claim: Option<TraceHandle>,
+/// Validates a scripted source at restore time — shared by the inline
+/// `Scripted` and by-reference `ScriptedRef` decode paths, so both
+/// enforce identical invariants before the trajectory build ticks a
+/// driver over every row.
+fn validate_script(
+    commands: &[Vec<f64>],
+    fates: usize,
     tick: u64,
     model: &ArmModel,
-) -> Result<Source, RestoreError> {
+) -> Result<(), RestoreError> {
     if commands.is_empty() {
         return Err(RestoreError::Invalid(
             "scripted source without commands".into(),
@@ -1150,10 +1135,9 @@ fn validated_scripted(
         )));
     }
     require_finite("scripted command", commands.iter())?;
-    if fates.len() != commands.len() {
+    if fates != commands.len() {
         return Err(RestoreError::Invalid(format!(
-            "{} fates for {} commands",
-            fates.len(),
+            "{fates} fates for {} commands",
             commands.len()
         )));
     }
@@ -1163,12 +1147,7 @@ fn validated_scripted(
             commands.len()
         )));
     }
-    Ok(Source::Scripted {
-        commands,
-        fates,
-        claim,
-        _link: None,
-    })
+    Ok(())
 }
 
 /// Pre-checks a driver state against the target arm so restore returns
@@ -2028,19 +2007,26 @@ mod tests {
         )
     }
 
-    /// The reference position the last tick scored against.
+    /// The trajectory position a scripted session's last tick scored
+    /// against.
     fn reference_pos(session: &Session) -> [f64; 3] {
-        match &session.reference {
-            Reference::Live(driver) => driver.model().chain.forward_mm(driver.joints()),
-            Reference::Trajectory { points, .. } => points[session.tick() as usize - 1],
-        }
+        let Source::Scripted { script, .. } = &session.source else {
+            panic!("a scripted session reads a trajectory");
+        };
+        script.points()[session.tick() as usize - 1]
     }
 
-    /// Advances every session to `until` (or completion), asserting that
-    /// each one's per-tick reference position and deviation accumulators
-    /// agree bit for bit with the first's; returns the reports if they
-    /// completed.
-    fn lockstep(sessions: &mut [&mut Session], until: u64) -> Option<Vec<SessionReport>> {
+    /// Advances every session to `until` (or completion), ticking the
+    /// live `twin` over the same `rows` alongside. Asserts each tick that
+    /// every session's reference read equals the twin's FK position and
+    /// that the deviation accumulators agree with the first session's,
+    /// bit for bit; returns the reports if the sessions completed.
+    fn lockstep(
+        twin: &mut RobotDriver,
+        rows: &[Vec<f64>],
+        sessions: &mut [&mut Session],
+        until: u64,
+    ) -> Option<Vec<SessionReport>> {
         while sessions[0].tick() < until {
             let steps: Vec<Advance> = sessions.iter_mut().map(|s| s.advance()).collect();
             if steps.iter().all(|s| matches!(s, Advance::Completed(_))) {
@@ -2059,12 +2045,19 @@ mod tests {
                 steps.iter().all(|s| matches!(s, Advance::Ticked(_))),
                 "sessions diverged in shape at tick {tick}: {steps:?}"
             );
+            twin.tick(Some(&rows[tick as usize - 1]));
+            let live = twin.model().chain.forward_mm(twin.joints());
             let (first, rest) = sessions.split_first().expect("at least one session");
+            assert_eq!(
+                reference_pos(first).map(f64::to_bits),
+                live.map(f64::to_bits),
+                "reference position at tick {tick}"
+            );
             for other in rest {
                 assert_eq!(tick, other.tick());
                 assert_eq!(
-                    reference_pos(first).map(f64::to_bits),
                     reference_pos(other).map(f64::to_bits),
+                    live.map(f64::to_bits),
                     "reference position at tick {tick}"
                 );
                 assert_eq!(
@@ -2084,9 +2077,19 @@ mod tests {
 
     fn shares_through_the_memo(session: &Session) -> bool {
         matches!(
-            session.reference,
-            Reference::Trajectory {
-                _pin: TrajectoryPin::Memo { .. },
+            session.source,
+            Source::Scripted {
+                script: Script::Shared { .. },
+                ..
+            }
+        )
+    }
+
+    fn reads_the_store(session: &Session) -> bool {
+        matches!(
+            session.source,
+            Source::Scripted {
+                script: Script::Stored { .. },
                 ..
             }
         )
@@ -2097,35 +2100,23 @@ mod tests {
         let model = niryo_one();
         let var = trained_var();
         let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 77);
+        let rows = &test.commands;
+        assert!(rows.len() > 600, "{} rows", rows.len());
         let store = Storage::new();
         let stored = replay_spec(1, SourceSpec::stored(&store, &test), &var);
         let replay = replay_spec(1, SourceSpec::replay(&test), &var);
-        let recorded = replay_spec(
-            1,
-            SourceSpec::Recorded {
-                skill: Skill::Inexperienced,
-                cycles: 1,
-                seed: 77,
-            },
-            &var,
-        );
+        // The live twin: a standalone driver fed every row, as a
+        // perfect channel delivers them.
+        let mut twin = RobotDriver::new(model.clone(), stored.driver, &model.clamp(&rows[0]));
 
         // Tick 0: a stored trace opens on the store's trajectory, a
-        // replayed script on the memo's, and the recorded twin — the
-        // same rows, recorded at open — on a live driver.
-        let mut live = Session::open(&recorded, &model);
+        // replayed script on the memo's.
         let mut shared = Session::open(&stored, &model);
         let mut replayed = Session::open(&replay, &model);
-        assert!(matches!(live.reference, Reference::Live(_)));
-        assert!(matches!(
-            shared.reference,
-            Reference::Trajectory {
-                _pin: TrajectoryPin::Stored { .. },
-                ..
-            }
-        ));
+        assert!(reads_the_store(&shared));
         assert!(shares_through_the_memo(&replayed));
-        assert!(lockstep(&mut [&mut live, &mut shared, &mut replayed], 250).is_none());
+        let mut sessions = [&mut shared, &mut replayed];
+        assert!(lockstep(&mut twin, rows, &mut sessions, 200).is_none());
 
         // Mid-trace: a v4+ archive part carries no reference state and
         // restores onto the store's trajectory; the replayed session's
@@ -2143,7 +2134,7 @@ mod tests {
         };
         drop(shared);
         let mut shared = Session::restore_stored(&part, &model, trace).expect("restores");
-        assert!(matches!(shared.reference, Reference::Trajectory { .. }));
+        assert!(reads_the_store(&shared));
         let frame = replayed.snapshot().expect("inline snapshot");
         assert!(matches!(frame.source, SourceState::Scripted { .. }));
         assert!(frame.reference.is_none());
@@ -2151,7 +2142,8 @@ mod tests {
         drop(replayed);
         let mut replayed = Session::restore(&frame, &model).expect("restores");
         assert!(shares_through_the_memo(&replayed));
-        assert!(lockstep(&mut [&mut live, &mut shared, &mut replayed], 500).is_none());
+        let mut sessions = [&mut shared, &mut replayed];
+        assert!(lockstep(&mut twin, rows, &mut sessions, 350).is_none());
 
         // Migration: the transfer form with its claim, restored the way
         // an adopting shard does.
@@ -2160,21 +2152,33 @@ mod tests {
         let mut memo = ShardMemo::default();
         let mut shared =
             Session::restore_with(&snap, &model, claim, Some(&store), &mut memo).expect("adopts");
-        assert!(lockstep(&mut [&mut live, &mut shared, &mut replayed], 650).is_none());
+        assert!(reads_the_store(&shared));
+        let mut sessions = [&mut shared, &mut replayed];
+        assert!(lockstep(&mut twin, rows, &mut sessions, 500).is_none());
 
-        // An inline v4 frame restored without a store derives its
+        // A scripted frame carrying reference driver state — as every
+        // v1–v3 writer produced — lands on a trajectory all the same.
+        let mut legacy = replayed.snapshot().expect("inline snapshot");
+        legacy.reference = Some(twin.export_state());
+        let legacy = SessionSnapshot::from_bytes(&legacy.to_bytes()).expect("decodes");
+        assert!(legacy.reference.is_some());
+        drop(replayed);
+        let mut replayed = Session::restore(&legacy, &model).expect("restores");
+        assert!(shares_through_the_memo(&replayed));
+        let mut sessions = [&mut shared, &mut replayed];
+        assert!(lockstep(&mut twin, rows, &mut sessions, 600).is_none());
+
+        // An inline v4+ frame restored without a store derives its
         // trajectory through the memo.
         let inline = shared.snapshot().expect("inline snapshot");
         assert!(inline.reference.is_none());
         drop(shared);
         let mut private = Session::restore(&inline, &model).expect("restores");
         assert!(shares_through_the_memo(&private));
-        let reports = lockstep(&mut [&mut live, &mut private, &mut replayed], u64::MAX)
-            .expect("all complete");
-        for report in &reports[1..] {
-            assert_eq!(*report, reports[0], "reports must be bit-identical");
-            assert_eq!(report.rmse_mm.to_bits(), reports[0].rmse_mm.to_bits());
-        }
+        let mut sessions = [&mut private, &mut replayed];
+        let reports = lockstep(&mut twin, rows, &mut sessions, u64::MAX).expect("all complete");
+        assert_eq!(reports[1], reports[0], "reports must be bit-identical");
+        assert_eq!(reports[1].rmse_mm.to_bits(), reports[0].rmse_mm.to_bits());
     }
 
     /// Count gate (CI store job): sessions on one stored trace share one

@@ -13,7 +13,7 @@
 //! | session  | id, virtual tick, period, error accumulators, miss count |
 //! | source   | scripted: remaining script + pre-drawn fates; streamed: inbox queue + counters, channel spec + RNG words, buffered fates, closing flag |
 //! | recovery | engine history + forecast slots + counters + config + concrete forecaster ([`foreco_core::EngineSnapshot`]) |
-//! | robot    | executed driver's joints, held command, PID integral/derivative memory ([`foreco_robot::DriverState`]); the reference driver's too when it is live, absent (v4+) when the session reads a reference trajectory, which restore re-derives from the script |
+//! | robot    | executed driver's joints, held command, PID integral/derivative memory ([`foreco_robot::DriverState`]); a streamed or gated source's live reference driver too; absent (v4+) on a scripted source, whose reference trajectory restore re-derives from the script |
 //! | pending  | late commands awaiting §VII-C history patches |
 //!
 //! # Format and versioning
@@ -266,8 +266,12 @@ pub struct SessionSnapshot {
     /// Late commands awaiting delivery: `(arrival time, tick index,
     /// payload)`, mirroring the session's pending list (§VII-C).
     pub pending_late: Vec<(f64, usize, Vec<f64>)>,
-    /// Reference (perfect-channel) driver state; `None` (v4+) when the
-    /// session reads a reference trajectory derived from its script.
+    /// Reference (perfect-channel) driver state. A v4+ writer sets it
+    /// iff the source is streamed or gated, the sources that tick a live
+    /// reference driver. A scripted session reads a trajectory derived
+    /// from its script instead: restore validates a scripted frame's
+    /// copy (every v1–v3 frame carries one) against the arm, then
+    /// re-derives the trajectory and drops it.
     pub reference: Option<DriverState>,
     /// Executed (impaired + recovered) driver state.
     pub executed: DriverState,

@@ -18,7 +18,7 @@ use foreco_core::{RecoveryConfig, RecoveryEngine};
 use foreco_forecast::{Forecaster, ForecasterState};
 use foreco_robot::DriverConfig;
 use foreco_store::{ModelHandle, ObjectId, Storage, StoreError, TraceHandle};
-use foreco_teleop::{Dataset, Skill};
+use foreco_teleop::Dataset;
 use foreco_wifi::{DcfSolution, LinkConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -141,16 +141,6 @@ impl Forecaster for SharedForecaster {
 /// Where a session's operator commands come from.
 #[derive(Debug, Clone)]
 pub enum SourceSpec {
-    /// Record a pick-and-place dataset at session open (each session gets
-    /// its own operator RNG stream).
-    Recorded {
-        /// Operator skill profile.
-        skill: Skill,
-        /// Pick-and-place repetitions.
-        cycles: usize,
-        /// Operator RNG seed.
-        seed: u64,
-    },
     /// Replay a pre-recorded command list, shared across sessions
     /// (thousands of sessions can replay one dataset with zero copies).
     /// Sessions on one shard that replay clones of one `Arc` on one arm

@@ -50,11 +50,7 @@ fn spec_for(id: u64, shared: &SharedForecaster, model: &ArmModel) -> SessionSpec
     };
     SessionSpec::new(
         id,
-        SourceSpec::Recorded {
-            skill: Skill::Inexperienced,
-            cycles: 1,
-            seed: 500 + id,
-        },
+        SourceSpec::replay(&Dataset::record(Skill::Inexperienced, 1, 0.02, 500 + id)),
         ChannelSpec::ControlledLoss {
             burst_len,
             burst_prob,

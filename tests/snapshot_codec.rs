@@ -38,7 +38,8 @@
 //! onto a private trajectory, by reference onto the store's), and
 //! single-byte mutants through decode → restore → run; an absent
 //! reference is a typed error on a streamed or gated source and on any
-//! v1–v3 snapshot.
+//! v1–v3 snapshot, and a malformed one is a typed error on a scripted
+//! source too, which restores onto its trajectory and drops the state.
 //!
 //! The v5 arms — the forecaster's canonical binary form and a jammed
 //! channel spec written field by field — get exact round trips for
@@ -85,11 +86,7 @@ fn scripted_spec(id: SessionId, foreco: bool, model: &ArmModel) -> SessionSpec {
     };
     SessionSpec::new(
         id,
-        SourceSpec::Recorded {
-            skill: Skill::Inexperienced,
-            cycles: 1,
-            seed: 42,
-        },
+        SourceSpec::replay(&Dataset::record(Skill::Inexperienced, 1, 0.02, 42)),
         ChannelSpec::ControlledLoss {
             burst_len: 4,
             burst_prob: 0.02,
@@ -458,6 +455,47 @@ fn absent_reference_is_rejected_off_a_scripted_v4_source() {
             }
             Err(other) => panic!("v{version} without reference gave {other:?}"),
             Ok(_) => panic!("v{version} without reference restored"),
+        }
+    }
+}
+
+/// One corruption of a driver state.
+type DriverEdit = fn(&mut foreco::robot::DriverState);
+
+#[test]
+fn malformed_reference_is_rejected_on_a_scripted_source() {
+    // A scripted session reads its trajectory and drops the reference
+    // state a frame carries, but restore still validates that state.
+    let model = niryo_one();
+    let store = Storage::new();
+    let (inline, by_ref, trace) = stored_donor(&store);
+    let restore = |snap: &SessionSnapshot, what: &str| match what {
+        "inline" => Session::restore(snap, &model),
+        _ => Session::restore_stored(snap, &model, trace.clone()),
+    };
+    let cases: [(&str, DriverEdit); 3] = [
+        ("intact", |_| {}),
+        ("one joint short", |s| {
+            s.joints.pop();
+        }),
+        ("joint beyond its limit", |s| s.joints[1] = 10.0),
+    ];
+    for (case, corrupt) in cases {
+        for (snap, what) in [(&inline, "inline"), (&by_ref, "by-reference")] {
+            let mut carrying = snap.clone();
+            let mut state = snap.executed.clone();
+            corrupt(&mut state);
+            carrying.reference = Some(state);
+            let decoded = SessionSnapshot::from_bytes(&carrying.to_bytes()).expect("decodes");
+            match (case, restore(&decoded, what)) {
+                ("intact", Ok(_)) => {}
+                ("intact", Err(err)) => panic!("{what}, intact reference gave {err:?}"),
+                (_, Err(RestoreError::Invalid(reason))) => {
+                    assert!(reason.contains("reference"), "{what}, {case}: {reason}")
+                }
+                (_, Err(other)) => panic!("{what}, {case} gave {other:?}"),
+                (_, Ok(_)) => panic!("{what}, {case} restored"),
+            }
         }
     }
 }
@@ -1053,9 +1091,11 @@ const V2_FIXTURE: &str = concat!(
     "/tests/fixtures/snapshot_v2.json"
 );
 
-/// The donor both fixtures were generated from (see `regenerate`).
+/// The donor both fixtures were generated from (see `regenerate`),
+/// with the reference driver state its v1/v2 writer carried.
 fn fixture_donor() -> (SessionSnapshot, SessionSpec, ArmModel) {
-    scripted_donor(true, 140)
+    let (donor, spec, model) = scripted_donor(true, 140);
+    (legacy_json::with_reference(donor, &model), spec, model)
 }
 
 fn assert_fixture_restores(path: &str, version: u32) {

@@ -67,11 +67,7 @@ fn spec_for(
     };
     SessionSpec::new(
         id,
-        SourceSpec::Recorded {
-            skill: Skill::Inexperienced,
-            cycles: 1,
-            seed: op_seed,
-        },
+        SourceSpec::replay(&Dataset::record(Skill::Inexperienced, 1, 0.02, op_seed)),
         ChannelSpec::ControlledLoss {
             burst_len,
             burst_prob,
@@ -337,7 +333,7 @@ fn v1_snapshot_cross_decodes_and_restores_bit_identically() {
     // Masquerade as the oldest release's wire form. A self-contained
     // (non-ScriptedRef) snapshot is layout-identical across v1/v2 JSON,
     // so stamping 1 and rendering JSON *is* a v1 document.
-    let mut v1 = donor.snapshot().unwrap();
+    let mut v1 = legacy_json::with_reference(donor.snapshot().unwrap(), &model);
     v1.version = 1;
     let v1_bytes = legacy_json::render(&v1);
     let text = std::str::from_utf8(&v1_bytes).expect("JSON form is UTF-8");
@@ -367,7 +363,7 @@ fn v2_snapshot_cross_decodes_and_restores_bit_identically() {
     for _ in 0..170 {
         assert!(matches!(donor.advance(), Advance::Ticked(_)));
     }
-    let snapshot = donor.snapshot().unwrap();
+    let snapshot = legacy_json::with_reference(donor.snapshot().unwrap(), &model);
     assert_eq!(snapshot.version, foreco::serve::SNAPSHOT_VERSION);
 
     // Legacy JSON render: stamped v2, decodes through the explicit v2

@@ -296,7 +296,7 @@ impl CommandRing {
 /// The FoReCo recovery engine.
 ///
 /// The steady-state path ([`RecoveryEngine::tick_into`]) is
-/// **zero-heap-allocation**: history lives in a flat [`CommandRing`],
+/// **zero-heap-allocation**: history lives in a flat `CommandRing`,
 /// forecasts are produced through
 /// [`Forecaster::forecast_into`] against a borrowed window view, and
 /// every intermediate row reuses engine-owned scratch. The allocating

@@ -33,13 +33,13 @@
 //!
 //! Assembled by `ServiceHandle::snapshot_fleet`, revived by
 //! `ServiceHandle::adopt_fleet` (which files the trace table into a
-//! `foreco-store` [`Storage`](foreco_store::Storage) and sends each
+//! `foreco-store` [`Storage`] and sends each
 //! session its claim). Whole archives also file into shared storage as
 //! content-addressed blobs ([`FleetArchive::file_blob`]): two identical
 //! fleet checkpoints dedup to one stored payload.
 //!
 //! The archive has its own format version, gated exactly like
-//! [`SNAPSHOT_VERSION`](crate::SNAPSHOT_VERSION): an explicit `match`,
+//! [`SNAPSHOT_VERSION`]: an explicit `match`,
 //! foreign versions rejected, and the v1 JSON form kept as a first-class
 //! decode arm (legacy sessions are re-encoded into binary frames on the
 //! way in, stamped with the current snapshot version).

@@ -201,8 +201,8 @@ pub struct GatedInboxState {
     pub dropped: u64,
 }
 
-/// The flow-controlled ingress queue behind [`SourceSpec::Gated`]
-/// (`crate::SourceSpec::Gated`) sessions.
+/// The flow-controlled ingress queue behind
+/// [`SourceSpec::Gated`](crate::SourceSpec::Gated) sessions.
 ///
 /// Unlike [`BoundedInbox`], where an empty queue at tick time *is* the
 /// miss, a gated session's virtual clock advances only as slots are

@@ -2,12 +2,13 @@
 //!
 //! Two things a session computes at open are pure functions of data a
 //! whole fleet shares. A jammed link's DCF solution depends only on its
-//! [`LinkConfig`] (the seed only seeds the sampler), and a replayed
-//! script's perfect-channel reference trajectory only on the script, the
+//! [`LinkConfig`] (the seed only seeds the sampler), and a scripted
+//! session's perfect-channel reference trajectory only on the script, the
 //! arm model and the driver configuration. A batch of 64 sessions on one
 //! link cell and one script would otherwise solve the chain 64 times and
 //! tick a second driver in every session. [`ShardMemo`] hands each result
-//! out once per shard for as long as a session uses it:
+//! out once per shard for as long as a session uses it, and it is the
+//! only cache of either:
 //!
 //! - sessions hold the strong `Arc`s and the memo only `Weak`s, pruned on
 //!   insert, so nothing stays resident after the last session that uses
@@ -16,9 +17,12 @@
 //!   a snapshot frame writes for it — so `-0.0` and `+0.0` are different
 //!   configurations;
 //! - a trajectory is keyed by the identity of the script's `Arc` plus the
-//!   arm-model and driver-config bits. The entry keeps a `Weak` of the
-//!   script, so the address cannot be reused while the key names it, and
-//!   no row is ever hashed.
+//!   arm-model and driver-config bits. A replayed script's `Arc` is the
+//!   spec's; a stored trace's is the one its store owns, which stays put
+//!   while any claim on the trace lives, so every session on one resident
+//!   trace shares one key. The entry keeps a `Weak` of the script, so the
+//!   address cannot be reused while the key names it, and no row is ever
+//!   hashed.
 //!
 //! A memo belongs to one shard's runtime: no lock, no process-global
 //! state. Entries that open or restore a session outside a shard run with
@@ -90,7 +94,7 @@ impl ShardMemo {
             return pin;
         }
         let pin = Arc::new(Points::from(build(script)));
-        self.count_reference_build();
+        self.reference_builds += 1;
         self.trajectories
             .retain(|_, entry| entry.pin.strong_count() > 0);
         self.trajectories.insert(
@@ -101,12 +105,6 @@ impl ShardMemo {
             },
         );
         pin
-    }
-
-    /// Counts a trajectory built outside the memo (a stored trace's,
-    /// filed in its own store).
-    pub(crate) fn count_reference_build(&mut self) {
-        self.reference_builds += 1;
     }
 
     /// `(link_solves, reference_builds)` since the last call, reset.

@@ -2,7 +2,7 @@
 //!
 //! [`Service::spawn`] starts `shards` worker threads, each owning a
 //! bounded control channel and a share of the sessions (placement by
-//! [`shard_of`]). Callers hold a [`ServiceHandle`] to open, feed, and
+//! [`shard_of`](crate::shard_of)). Callers hold a [`ServiceHandle`] to open, feed, and
 //! close sessions, and drain [`SessionEvent`]s from the service to
 //! observe them. [`Service::run_to_completion`] is the batch
 //! convenience: open a set of scripted sessions, collect every report
@@ -1062,11 +1062,10 @@ mod tests {
     fn migration_keeps_a_stored_trace_claimed() {
         // A migrated stored-trace session must keep claiming the shared
         // trace on its new shard, not ride on a private inline copy the
-        // store knows nothing about — and re-claim the trace's shared
-        // reference trajectory there, scoring bit-identically to a
-        // storeless `Replayed` twin, whose trajectory each shard's memo
-        // builds outside the store. Real-time pacing keeps every session
-        // running until the moves have landed.
+        // store knows nothing about — and share its new shard's memo
+        // trajectory there, scoring bit-identically to a storeless
+        // `Replayed` twin. Real-time pacing keeps every session running
+        // until the moves have landed.
         const FLEET: u64 = 8;
         let storage = Storage::new();
         let trace = storage.insert_trace_owned(
@@ -1122,12 +1121,6 @@ mod tests {
         let traces = storage.stats().traces;
         assert_eq!(traces.objects, 1, "the trace must stay resident");
         assert_eq!(traces.claims, FLEET, "every migrated session claims it");
-        let trajectories = storage.stats().trajectories;
-        assert_eq!(trajectories.objects, 1, "one shared reference trajectory");
-        assert_eq!(
-            trajectories.claims, FLEET,
-            "every migrated session reads it"
-        );
         let mut completed = 0;
         while completed < FLEET {
             if let Some(SessionEvent::Completed { id, report }) = service.next_event() {
@@ -1153,7 +1146,19 @@ mod tests {
             0,
             "the last claim drop evicts the trace"
         );
-        assert_eq!(storage.stats().trajectories.objects, 0);
+        // Each shard builds the trajectory at most twice: at its first
+        // open, and again if every session it opened has left before the
+        // first one migrating in lands. Without sharing, the 8 opens and
+        // 8 adoptions would build it 16 times.
+        let builds: u64 = handle
+            .shard_loads()
+            .iter()
+            .map(|l| l.reference_builds)
+            .sum();
+        assert!(
+            builds <= 4,
+            "{builds} trajectory builds for {FLEET} sessions"
+        );
     }
 
     #[test]
@@ -1744,23 +1749,26 @@ mod tests {
         service.join();
     }
 
-    /// Count gate (CI store job): replayed sessions on one script `Arc`
-    /// share one reference trajectory per shard — built once, keyed by
-    /// the `Arc`'s identity rather than its rows, and pruned once the
-    /// last session using it drops. Counts, never a clock.
+    /// Count gate (CI store job): scripted sessions on one script share
+    /// one reference trajectory per shard, whatever their source — built
+    /// once in the shard memo, keyed by the identity of the script's
+    /// `Arc` (a stored trace's is the one its store owns) rather than its
+    /// rows, and pruned once the last session using it drops. Counts,
+    /// never a clock.
     #[test]
-    fn replayed_sessions_share_one_reference_trajectory() {
+    fn scripted_sessions_share_one_reference_trajectory() {
+        use crate::archive::FleetArchive;
+        use crate::session::Session;
+
         const SESSIONS: u64 = 64;
+        let model = niryo_one();
         let rows = Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
             .head(100)
             .commands;
-        let script = Arc::new(rows.clone());
-        let same_rows = Arc::new(rows.clone());
-        let later = Arc::new(rows);
-        let spec = |id: u64, script: &Arc<Vec<Vec<f64>>>| {
+        let spec = |id: u64, source: SourceSpec| {
             SessionSpec::new(
                 id,
-                SourceSpec::Replayed(Arc::clone(script)),
+                source,
                 ChannelSpec::ControlledLoss {
                     burst_len: 4,
                     burst_prob: 0.02,
@@ -1770,17 +1778,39 @@ mod tests {
             )
         };
         // Real-time pacing keeps every session alive until the last
-        // open has landed.
-        let service = Service::spawn(ServiceConfig {
-            shards: 1,
-            pacing: Pacing::RealTime,
-            ..Default::default()
-        });
+        // open or adoption has landed.
+        let spawn = || {
+            Service::spawn(ServiceConfig {
+                shards: 1,
+                pacing: Pacing::RealTime,
+                ..Default::default()
+            })
+        };
+        // Opens one session on a fresh script and waits for it: the
+        // insert prunes every entry no live session holds.
+        let open_later = |service: &Service, id: u64| {
+            let later = SourceSpec::Replayed(Arc::new(rows.clone()));
+            service.handle().open(spec(id, later)).unwrap();
+            match service.next_event().expect("service alive") {
+                SessionEvent::Opened { .. } => {}
+                other => panic!("unexpected event {other:?}"),
+            }
+        };
+
+        // Replayed: one build for every session on one script `Arc`, one
+        // more for a second `Arc` holding the same rows.
+        let script = Arc::new(rows.clone());
+        let same_rows = Arc::new(rows.clone());
+        let service = spawn();
         let handle = service.handle();
         for id in 0..SESSIONS {
-            handle.open(spec(id, &script)).unwrap();
+            handle
+                .open(spec(id, SourceSpec::Replayed(Arc::clone(&script))))
+                .unwrap();
         }
-        handle.open(spec(SESSIONS, &same_rows)).unwrap();
+        handle
+            .open(spec(SESSIONS, SourceSpec::Replayed(Arc::clone(&same_rows))))
+            .unwrap();
         let (mut opened, mut completed) = (0, 0);
         while completed < SESSIONS + 1 {
             match service.next_event().expect("service alive") {
@@ -1797,12 +1827,7 @@ mod tests {
                 other => panic!("unexpected event {other:?}"),
             }
         }
-        // The next insert prunes every entry no live session holds.
-        handle.open(spec(SESSIONS + 1, &later)).unwrap();
-        match service.next_event().expect("service alive") {
-            SessionEvent::Opened { .. } => {}
-            other => panic!("unexpected event {other:?}"),
-        }
+        open_later(&service, SESSIONS + 1);
         assert_eq!(
             (Arc::weak_count(&script), Arc::weak_count(&same_rows)),
             (0, 0),
@@ -1817,6 +1842,60 @@ mod tests {
              in a second Arc, and one after the prune"
         );
         assert_eq!(load.link_solves, 0);
+
+        // Stored: one build for every session on one resident trace, and
+        // none for a mid-trace by-reference part of the same trace
+        // adopted while they live. The donor runs standalone, so its
+        // build lands on a throwaway memo, not the shard's.
+        let storage = Storage::new();
+        let trace = storage.insert_trace(&rows);
+        // The store's rows, held without a claim: their `Weak` count is
+        // the number of memo entries keyed by them.
+        let stored_rows = Arc::clone(trace.commands());
+        let mut donor = Session::open(&spec(SESSIONS, SourceSpec::Stored(trace.clone())), &model);
+        for _ in 0..40 {
+            donor.advance();
+        }
+        let archive = FleetArchive::build(vec![donor.snapshot_for_fleet().expect("part")]);
+        drop(donor);
+        let service = spawn();
+        let handle = service.handle();
+        for id in 0..SESSIONS {
+            handle
+                .open(spec(id, SourceSpec::Stored(trace.clone())))
+                .unwrap();
+        }
+        drop(trace); // from here the sessions hold the only claims
+        assert_eq!(handle.adopt_fleet(archive, &storage).unwrap(), 1);
+        let (mut opened, mut restored, mut completed) = (0, 0, 0);
+        while completed < SESSIONS + 1 {
+            match service.next_event().expect("service alive") {
+                SessionEvent::Opened { .. } => opened += 1,
+                SessionEvent::Restored { .. } => restored += 1,
+                SessionEvent::Completed { .. } => completed += 1,
+                other => panic!("unexpected event {other:?}"),
+            }
+            if opened + restored == SESSIONS + 1 && completed == 0 {
+                assert_eq!(Arc::weak_count(&stored_rows), 1, "one memo entry");
+            }
+        }
+        assert_eq!(storage.stats().traces.objects, 0, "the last claim evicts");
+        open_later(&service, SESSIONS + 1);
+        assert_eq!(
+            Arc::weak_count(&stored_rows),
+            0,
+            "no live entry survives the last session on a trace"
+        );
+        service.join();
+        let load = handle.shard_loads().remove(0);
+        assert_eq!((load.opened, load.adoptions), (SESSIONS + 1, 1));
+        assert_eq!(
+            load.reference_builds, 2,
+            "one build for {SESSIONS} opens and an adoption on one trace, \
+             and one after the prune"
+        );
+        assert_eq!(load.link_solves, 0);
+        assert_eq!(storage.stats().resident_bytes(), 0);
     }
 
     /// Count gate (CI store job): jammed sessions on one link

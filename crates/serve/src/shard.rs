@@ -40,7 +40,7 @@
 //! Migration preserves the ownership discipline: `Migrate` runs inside
 //! the control drain (so the session is between ticks), syncs a parked
 //! session's backlog, snapshots it, removes it, updates the shared
-//! [`RoutingTable`], and hands the state to the destination shard's
+//! `RoutingTable`, and hands the state to the destination shard's
 //! control channel as an `Adopt` — at no instant do two shards own the
 //! session, and the destination resumes it from the exact tick it left,
 //! so results are bit-identical to never having moved. A session that
@@ -182,7 +182,7 @@ struct Runtime {
     /// zero steady-state encoder allocations on the shard — only buffer
     /// growth and the reply hand-off copy allocate.
     snapshot_scratch: Vec<u8>,
-    /// DCF solutions and replayed reference trajectories shared by this
+    /// DCF solutions and scripted reference trajectories shared by this
     /// shard's sessions (see [`crate::memo`]); opens and adoptions
     /// consult it.
     memo: ShardMemo,

@@ -46,8 +46,7 @@
 //!
 //! **v3 → v4.** v4 is the v3 layout with the reference driver state
 //! made optional (a presence byte before it): a session on a stored
-//! trace reads its reference trajectory from the trace's store and
-//! snapshots none. v3 frames decode through their own `match` arm and
+//! trace reads a precomputed reference trajectory and snapshots none. v3 frames decode through their own `match` arm and
 //! always carry the state (the committed `tests/fixtures/snapshot_v3.bin`
 //! golden pins that arm).
 //!

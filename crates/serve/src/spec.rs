@@ -153,11 +153,13 @@ pub enum SourceSpec {
     /// dedups across *independently built* specs (same content ⇒ same
     /// resident object) and keeps the trace evictable the moment the
     /// last session drops: the session holds the claim for its
-    /// lifetime, acquired at build time, never on the tick path.
+    /// lifetime, acquired at build time, never on the tick path. The
+    /// store's `Arc` of the rows keys the shard memo's trajectory, as a
+    /// replayed script's `Arc` does.
     Stored(TraceHandle),
-    /// Commands arrive live through [`ServiceHandle::inject`]
-    /// (`crate::ServiceHandle::inject`) into the session's bounded inbox;
-    /// `initial` is the agreed start pose.
+    /// Commands arrive live through
+    /// [`ServiceHandle::inject`](crate::ServiceHandle::inject) into the
+    /// session's bounded inbox; `initial` is the agreed start pose.
     ///
     /// A streamed session counts every tick with an empty inbox as a
     /// deadline miss, so live operation needs the service's virtual
@@ -174,10 +176,11 @@ pub enum SourceSpec {
     },
     /// Flow-controlled socket ingress (the `foreco-net` gateway's
     /// session shape): the wire carries one verdict per virtual tick
-    /// slot — a command ([`ServiceHandle::try_inject`]
-    /// (`crate::ServiceHandle::try_inject`)), an explicit loss
-    /// (`inject_miss`), or a tickless §VII-C late patch (`inject_late`)
-    /// — and the session's clock advances only as slots are consumed.
+    /// slot — a command
+    /// ([`ServiceHandle::try_inject`](crate::ServiceHandle::try_inject)),
+    /// an explicit loss (`inject_miss`), or a tickless §VII-C late patch
+    /// (`inject_late`) — and the session's clock advances only as slots
+    /// are consumed.
     /// An empty queue parks the session *without* a miss (no verdict is
     /// not a loss), so the interleaving of socket threads and shard
     /// clocks cannot change a single output: the same slot sequence is
@@ -205,8 +208,8 @@ impl SourceSpec {
     /// reference trajectory per shard). When many specs are built
     /// independently over the same dataset, prefer
     /// [`SourceSpec::stored`] — the store dedups by content, so N specs
-    /// cost one resident copy and one trajectory no matter how they
-    /// were constructed.
+    /// cost one resident copy, and with it one trajectory per shard, no
+    /// matter how they were constructed.
     pub fn replay(dataset: &Dataset) -> Self {
         SourceSpec::Replayed(Arc::new(dataset.commands.clone()))
     }

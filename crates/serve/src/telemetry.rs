@@ -199,7 +199,7 @@ shard_metrics! {
     link_solves: Counter, "foreco_link_solves_total",
         "DCF link solves at open or restore (one per live link configuration).";
     reference_builds: Counter, "foreco_reference_builds_total",
-        "Reference trajectories built at open or restore (one per live script and arm).";
+        "Reference trajectories built at open or restore (one per live script and arm per shard).";
 }
 
 impl ShardSummary {

@@ -18,30 +18,15 @@
 //!   that claims the object. Cloning a handle adds a claim, dropping one
 //!   releases it, and the object is evicted from the store the moment
 //!   its last claim drops. There is no manual free and no GC pause;
-//! - **typed indexes** for the four object kinds the fleet shares:
+//! - **typed indexes** for the three object kinds the fleet shares:
 //!   teleop traces (`Vec<Vec<f64>>` command streams), trained forecaster
-//!   models (`Arc<dyn Forecaster>`), opaque blobs (engine-history /
-//!   snapshot bytes), and reference trajectories (`Arc<[[f64; 3]]>`
-//!   tool positions derived from a trace).
+//!   models (`Arc<dyn Forecaster>`), and opaque blobs (engine-history /
+//!   snapshot bytes).
 //!
 //! Claims are **never** taken on a session's tick path: `foreco-serve`
 //! acquires them at session build / restore and holds them for the
 //! session's lifetime, so the zero-allocation steady-state contract is
 //! untouched.
-//!
-//! # Derived trajectories
-//!
-//! A trajectory is the tool-position series a trace defines on a
-//! perfect channel for one arm model and driver configuration. It is
-//! *derived* content: [`TraceHandle::trajectory`] files it in the
-//! trace's own store under [`trajectory_object_id`] — the trace's id
-//! plus the raw [`f64::to_bits`] words of the arm model and driver
-//! configuration, never normalised — and computes it with a
-//! caller-supplied closure (so this crate stays robot-free), outside
-//! the index lock, only when no resident copy exists. Residency follows
-//! the same rule as every other kind: resident iff claimed, evicted at
-//! the last claim drop, so N sessions replaying one trace on one arm
-//! hold one trajectory, and a fleet that finishes leaves none behind.
 //!
 //! # Example
 //!
@@ -178,22 +163,6 @@ pub fn model_object_id(state: &ForecasterState) -> ObjectId {
 fn model_id_of_canonical(canonical: &[u8]) -> ObjectId {
     let mut h = Hasher128::new("foreco-store/model/v2");
     h.bytes(canonical);
-    h.finish()
-}
-
-/// Content address of the reference trajectory that trace `trace`
-/// defines for one arm model and driver configuration, given as the
-/// raw [`f64::to_bits`] words of each (never normalised: `-0.0` and
-/// `+0.0` gains are different configurations, like they are different
-/// trace content).
-pub fn trajectory_object_id(trace: ObjectId, model_bits: &[u64], config_bits: &[u64]) -> ObjectId {
-    let mut h = Hasher128::new("foreco-store/trajectory/v1");
-    for words in [&[trace.hi, trace.lo][..], model_bits, config_bits] {
-        h.u64(words.len() as u64);
-        for &w in words {
-            h.u64(w);
-        }
-    }
     h.finish()
 }
 
@@ -348,21 +317,12 @@ struct ModelSlot {
     canonical: Arc<Vec<u8>>,
 }
 
-/// Resident trajectory payload: the positions plus the exact inputs
-/// its id was derived from (kept for collision verification).
-#[derive(Clone)]
-struct TrajectorySlot {
-    points: Arc<[[f64; 3]]>,
-    inputs: Arc<[u64]>,
-}
-
-/// The four typed indexes behind one [`Storage`].
+/// The three typed indexes behind one [`Storage`].
 #[derive(Default)]
 struct StoreInner {
     traces: Mutex<Index<Arc<Vec<Vec<f64>>>>>,
     models: Mutex<Index<ModelSlot>>,
     blobs: Mutex<Index<Arc<Vec<u8>>>>,
-    trajectories: Mutex<Index<TrajectorySlot>>,
 }
 
 /// Locks an index, recovering from a poisoned mutex: the indexes hold
@@ -405,18 +365,12 @@ pub struct StoreStats {
     pub models: KindStats,
     /// Opaque blob index.
     pub blobs: KindStats,
-    /// Derived reference-trajectory index. `inserts` counts the
-    /// trajectories built and kept.
-    pub trajectories: KindStats,
 }
 
 impl StoreStats {
     /// Total resident payload bytes across all indexes.
     pub fn resident_bytes(&self) -> usize {
-        self.traces.resident_bytes
-            + self.models.resident_bytes
-            + self.blobs.resident_bytes
-            + self.trajectories.resident_bytes
+        self.traces.resident_bytes + self.models.resident_bytes + self.blobs.resident_bytes
     }
 }
 
@@ -564,13 +518,12 @@ impl Storage {
         })
     }
 
-    /// Current counters across all four indexes.
+    /// Current counters across all three indexes.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             traces: lock(&self.inner.traces).stats(),
             models: lock(&self.inner.models).stats(),
             blobs: lock(&self.inner.blobs).stats(),
-            trajectories: lock(&self.inner.trajectories).stats(),
         }
     }
 }
@@ -647,66 +600,10 @@ claim_handle!(
     len
 );
 
-claim_handle!(
-    /// RAII claim over a resident reference trajectory (see
-    /// [`TraceHandle::trajectory`]).
-    TrajectoryHandle,
-    Arc<[[f64; 3]]>,
-    trajectories,
-    len
-);
-
 impl TraceHandle {
     /// The shared command rows (cheap to clone: an `Arc` bump).
     pub fn commands(&self) -> &Arc<Vec<Vec<f64>>> {
         &self.payload
-    }
-
-    /// Claims the reference trajectory this trace defines for the arm
-    /// model and driver configuration given as raw bit words (see
-    /// [`trajectory_object_id`]), in this trace's own store.
-    ///
-    /// When no copy is resident, `build` computes it from the rows —
-    /// outside the index lock, so a slow build never stalls other
-    /// claimants. Two racing first claims may both build; the first to
-    /// file its result wins and the other claims it, so every holder of
-    /// one id sees one payload.
-    ///
-    /// # Panics
-    /// Panics on a 128-bit id collision (distinct inputs, one id).
-    pub fn trajectory(
-        &self,
-        model_bits: &[u64],
-        config_bits: &[u64],
-        build: impl FnOnce(&[Vec<f64>]) -> Vec<[f64; 3]>,
-    ) -> TrajectoryHandle {
-        let id = trajectory_object_id(self.id, model_bits, config_bits);
-        let inputs: Vec<u64> = [&[self.id.hi, self.id.lo][..], model_bits, config_bits].concat();
-        let same_inputs = |slot: &TrajectorySlot| *slot.inputs == *inputs;
-        let resident = lock(&self.store.trajectories).claim_dedup(id, same_inputs);
-        let slot = match resident {
-            Some(slot) => slot,
-            None => {
-                let points: Arc<[[f64; 3]]> = build(&self.payload).into();
-                let mut index = lock(&self.store.trajectories);
-                match index.claim_dedup(id, same_inputs) {
-                    Some(slot) => slot,
-                    None => {
-                        let bytes = std::mem::size_of_val(&*points) + inputs.len() * 8;
-                        let slot = TrajectorySlot {
-                            points,
-                            inputs: inputs.into(),
-                        };
-                        index.insert_new(id, slot, bytes)
-                    }
-                }
-            }
-        };
-        TrajectoryHandle {
-            store: Arc::clone(&self.store),
-            id,
-            payload: slot.points,
-        }
     }
 
     /// Number of command rows.
@@ -732,24 +629,6 @@ impl ModelHandle {
     /// `Forecaster::name()` of the registered model.
     pub fn name(&self) -> &'static str {
         self.payload.name()
-    }
-}
-
-impl TrajectoryHandle {
-    /// The shared positions, one per trace row (cheap to clone: an
-    /// `Arc` bump).
-    pub fn points(&self) -> &Arc<[[f64; 3]]> {
-        &self.payload
-    }
-
-    /// Number of positions.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// True when the trajectory is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
     }
 }
 
@@ -886,56 +765,6 @@ mod tests {
         let json = serde_json::to_string(&id).expect("encode");
         let back: ObjectId = serde_json::from_str(&json).expect("decode");
         assert_eq!(back, id);
-    }
-
-    /// A stand-in trajectory build: one point per row, counted.
-    fn points(rows: &[Vec<f64>], builds: &mut u32) -> Vec<[f64; 3]> {
-        *builds += 1;
-        rows.iter().map(|r| [r[0], r[1], 0.0]).collect()
-    }
-
-    #[test]
-    fn trajectories_build_once_per_content_and_evict_at_the_last_claim() {
-        let store = Storage::new();
-        let trace = store.insert_trace(&trace(1.0));
-        let mut builds = 0;
-        let a = trace.trajectory(&[1, 2], &[3], |rows| points(rows, &mut builds));
-        let b = trace.trajectory(&[1, 2], &[3], |rows| points(rows, &mut builds));
-        assert_eq!(builds, 1, "the second claim reads the resident copy");
-        assert_eq!(a.id(), b.id());
-        assert!(Arc::ptr_eq(a.points(), b.points()));
-        assert_eq!((a.len(), a.points()[2]), (4, [3.0, 2.0, 0.0]));
-        let s = store.stats().trajectories;
-        assert_eq!((s.objects, s.claims, s.inserts, s.dedup_hits), (1, 2, 1, 1));
-        assert_eq!(s.resident_bytes, 4 * 24 + 5 * 8);
-        drop(a);
-        let c = b.clone();
-        drop(b);
-        assert_eq!(store.stats().trajectories.objects, 1, "claim outstanding");
-        drop(c);
-        let s = store.stats().trajectories;
-        assert_eq!((s.objects, s.evictions, s.resident_bytes), (0, 1, 0));
-        // Evicted means rebuilt on the next claim.
-        let _d = trace.trajectory(&[1, 2], &[3], |rows| points(rows, &mut builds));
-        assert_eq!(builds, 2);
-    }
-
-    #[test]
-    fn trajectory_ids_separate_every_input_bit() {
-        let t1 = trace_object_id(&trace(1.0));
-        let t2 = trace_object_id(&trace(2.0));
-        let base = trajectory_object_id(t1, &[1, 2], &[3]);
-        assert_ne!(base, trajectory_object_id(t2, &[1, 2], &[3]), "trace");
-        assert_ne!(base, trajectory_object_id(t1, &[1, 3], &[3]), "model");
-        assert_ne!(base, trajectory_object_id(t1, &[1, 2], &[4]), "config");
-        // Length-prefixed: moving a word across the boundary is new content.
-        assert_ne!(base, trajectory_object_id(t1, &[1], &[2, 3]), "boundary");
-        let (pos, neg) = (0.0f64.to_bits(), (-0.0f64).to_bits());
-        assert_ne!(
-            trajectory_object_id(t1, &[pos], &[]),
-            trajectory_object_id(t1, &[neg], &[]),
-            "-0.0 and +0.0 are different bits"
-        );
     }
 
     #[test]

@@ -277,8 +277,8 @@ pub enum FleetEvent {
         /// Shard it parked on.
         shard: usize,
     },
-    /// A session was rehydrated from a snapshot (adopt, or the resume
-    /// half of a migration).
+    /// A session arrived on a shard and resumed: adopted from a
+    /// snapshot, or the resume half of a migration.
     Adopted {
         /// Session id.
         id: SessionId,

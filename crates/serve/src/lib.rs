@@ -51,13 +51,14 @@
 //! - sessions are **portable**: [`Session::snapshot`] checkpoints a live
 //!   loop (engine history, forecaster, PID state, channel RNG, tick,
 //!   stats) to a versioned [`SessionSnapshot`] that
-//!   [`Session::restore`] rehydrates anywhere — same shard, another
-//!   shard ([`SessionCommand::Migrate`]'s drain→transfer→resume path),
-//!   or another process (a live service checkpoints through
+//!   [`Session::restore`] rehydrates anywhere, e.g. in another process
+//!   (a live service checkpoints through
 //!   [`ServiceHandle::snapshot_fleet`] and revives through
-//!   [`ServiceHandle::adopt_fleet`]) — with **bit-identical** continued
-//!   output, pinned by the `tests/snapshot_roundtrip.rs` determinism
-//!   suite.
+//!   [`ServiceHandle::adopt_fleet`]); within one service,
+//!   [`SessionCommand::Migrate`]'s drain→transfer→resume path moves the
+//!   live session itself to another shard, no snapshot taken. Either
+//!   way the continued output is **bit-identical**, pinned by the
+//!   `tests/snapshot_roundtrip.rs` determinism suite.
 //!
 //! # Quickstart
 //!

@@ -13,7 +13,7 @@
 //! the shared event stream. The matching [`SessionEvent::Snapshotted`] is
 //! observer-gated narration.
 
-use crate::session::SessionReport;
+use crate::session::{Session, SessionReport};
 use crate::snapshot::SessionSnapshot;
 use crate::spec::{SessionId, SessionSpec};
 use foreco_store::{ObjectId, TraceHandle};
@@ -21,7 +21,7 @@ use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 /// Instructions a caller sends into the service.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum SessionCommand {
     /// Materialise a new session on its home shard (boxed: a spec is an
     /// order of magnitude larger than the per-tick variants).
@@ -60,27 +60,31 @@ pub enum SessionCommand {
         id: SessionId,
     },
     /// Move a live session to shard `to`: drain (finish the current
-    /// tick), transfer (snapshot + hand the state to the target shard),
-    /// resume (the target rehydrates and continues). Outputs are
-    /// bit-identical to never having moved; the service's routing table
-    /// follows the session so later commands find it.
+    /// tick), transfer (hand the live session over as a
+    /// [`SessionCommand::Transfer`]), resume. Outputs are bit-identical
+    /// to never having moved; the service's routing table follows the
+    /// session so later commands find it.
     Migrate {
         /// Target session.
         id: SessionId,
         /// Destination shard index.
         to: usize,
     },
-    /// Rehydrate a snapshotted session on the receiving shard — the
-    /// transfer half of a migration, also sent directly by
-    /// [`ServiceHandle::adopt`](crate::ServiceHandle::adopt) to revive a
-    /// checkpoint from another process or an earlier run.
+    /// The transfer half of a migration, shard to shard: the live
+    /// session, synced through its shard's current pass, with its trace
+    /// claim, memo pins and DCF solution inside — nothing is rebuilt.
+    Transfer(Box<Session>),
+    /// Rehydrate a snapshotted session on the receiving shard, sent by
+    /// [`ServiceHandle::adopt`](crate::ServiceHandle::adopt) and
+    /// [`ServiceHandle::adopt_fleet`](crate::ServiceHandle::adopt_fleet)
+    /// to revive a checkpoint from another process or an earlier run.
     Adopt {
         /// The state to rehydrate.
         snapshot: Box<SessionSnapshot>,
         /// Claim on the script a `ScriptedRef` snapshot references
-        /// (`adopt_fleet` and stored-trace migrations ride the claim
-        /// along the channel, so the trace cannot be evicted between
-        /// send and restore). `None` for self-contained snapshots.
+        /// (`adopt_fleet` rides the claim along the channel, so the
+        /// trace cannot be evicted between send and restore). `None`
+        /// for self-contained snapshots.
         trace: Option<TraceHandle>,
     },
     /// Checkpoint a live session — the one way a checkpoint leaves a
@@ -186,9 +190,9 @@ pub enum SessionEvent {
         /// Shard that owns the session.
         shard: usize,
     },
-    /// A migration was requested but the session's state cannot be
-    /// exported (unsnapshotable forecaster). The session keeps running
-    /// where it is.
+    /// A `Migrate` written straight to a shard's control channel named
+    /// a destination outside the pool (the handle rejects those up
+    /// front). The session keeps running where it is.
     SnapshotFailed {
         /// Session id.
         id: SessionId,
@@ -225,7 +229,8 @@ pub enum SessionEvent {
         /// Shard the session parked on.
         shard: usize,
     },
-    /// A session was rehydrated from a snapshot and resumed.
+    /// A session arrived on a shard (adopted from a snapshot, or
+    /// migrated in) and resumed.
     Restored {
         /// Session id.
         id: SessionId,

@@ -295,7 +295,8 @@ impl ServiceHandle {
     }
 
     /// Moves a live session to shard `to` mid-run (drain → transfer →
-    /// resume; see the shard docs). Watch for the paired
+    /// resume; see the shard docs): the live session itself moves, so
+    /// an unsnapshotable one can too. Watch for the paired
     /// [`SessionEvent::Migrated`] / [`SessionEvent::Restored`] events.
     pub fn migrate(&self, id: SessionId, to: usize) -> Result<(), ServiceError> {
         if to >= self.controls.len() {
@@ -1062,10 +1063,11 @@ mod tests {
     fn migration_keeps_a_stored_trace_claimed() {
         // A migrated stored-trace session must keep claiming the shared
         // trace on its new shard, not ride on a private inline copy the
-        // store knows nothing about — and share its new shard's memo
-        // trajectory there, scoring bit-identically to a storeless
-        // `Replayed` twin. Real-time pacing keeps every session running
-        // until the moves have landed.
+        // store knows nothing about, and keep the trajectory it shares
+        // with its fleet, scoring bit-identically to a storeless
+        // `Replayed` twin. A migrated `Replayed` fleet must keep its
+        // shared trajectory too. Real-time pacing keeps every session
+        // running until the moves have landed.
         const FLEET: u64 = 8;
         let storage = Storage::new();
         let trace = storage.insert_trace_owned(
@@ -1095,69 +1097,201 @@ mod tests {
                 spec
             })
             .collect();
-        let twin = Service::spawn(ServiceConfig::with_shards(2)).run_to_completion(live);
+        let twin = Service::spawn(ServiceConfig::with_shards(2)).run_to_completion(live.clone());
+        drop(trace); // from here the specs, then the sessions, hold the only claims
 
-        let service = Service::spawn(ServiceConfig {
-            shards: 2,
-            pacing: Pacing::RealTime,
-            ..Default::default()
-        });
-        let handle = service.handle();
-        for spec in batch {
-            handle.open(spec).unwrap();
-        }
-        drop(trace); // from here the sessions hold the only claims
-        for id in 0..FLEET {
-            handle.migrate(id, (shard_of(id, 2) + 1) % 2).unwrap();
-        }
-        let mut restored = 0;
-        while restored < FLEET {
-            match service.next_event().expect("service alive") {
-                SessionEvent::Restored { .. } => restored += 1,
-                SessionEvent::Opened { .. } | SessionEvent::Migrated { .. } => {}
-                other => panic!("unexpected event before every move landed: {other:?}"),
+        // Opens `batch` on a real-time 2-shard service and moves every
+        // session to the other shard, waiting until each move landed.
+        let migrate_all = |batch: Vec<SessionSpec>| {
+            let service = Service::spawn(ServiceConfig {
+                shards: 2,
+                pacing: Pacing::RealTime,
+                ..Default::default()
+            });
+            let handle = service.handle();
+            for spec in batch {
+                handle.open(spec).unwrap();
             }
-        }
+            for id in 0..FLEET {
+                handle.migrate(id, (shard_of(id, 2) + 1) % 2).unwrap();
+            }
+            let mut restored = 0;
+            while restored < FLEET {
+                match service.next_event().expect("service alive") {
+                    SessionEvent::Restored { .. } => restored += 1,
+                    SessionEvent::Opened { .. } | SessionEvent::Migrated { .. } => {}
+                    other => panic!("unexpected event before every move landed: {other:?}"),
+                }
+            }
+            service
+        };
+        // Runs a migrated fleet out against the unmigrated twin and
+        // returns its trajectory builds.
+        let finish = |service: Service| {
+            let handle = service.handle();
+            let mut completed = 0;
+            while completed < FLEET {
+                if let Some(SessionEvent::Completed { id, report }) = service.next_event() {
+                    completed += 1;
+                    let want = twin.get(id).expect("twin report");
+                    assert_eq!(report.ticks, want.ticks, "session {id}: ticks");
+                    assert_eq!(report.misses, want.misses, "session {id}: misses");
+                    assert_eq!(
+                        report.rmse_mm.to_bits(),
+                        want.rmse_mm.to_bits(),
+                        "session {id}: rmse"
+                    );
+                    assert_eq!(
+                        report.max_deviation_mm.to_bits(),
+                        want.max_deviation_mm.to_bits(),
+                        "session {id}: max deviation"
+                    );
+                }
+            }
+            service.join();
+            handle
+                .shard_loads()
+                .iter()
+                .map(|l| l.reference_builds)
+                .sum::<u64>()
+        };
+        // Each shard builds the trajectory once, at its first open: a
+        // migrated session carries its pin to the other shard, which
+        // builds nothing for it.
+        let service = migrate_all(batch);
         let traces = storage.stats().traces;
         assert_eq!(traces.objects, 1, "the trace must stay resident");
         assert_eq!(traces.claims, FLEET, "every migrated session claims it");
-        let mut completed = 0;
-        while completed < FLEET {
-            if let Some(SessionEvent::Completed { id, report }) = service.next_event() {
-                completed += 1;
-                let want = twin.get(id).expect("twin report");
-                assert_eq!(report.ticks, want.ticks, "session {id}: ticks");
-                assert_eq!(report.misses, want.misses, "session {id}: misses");
-                assert_eq!(
-                    report.rmse_mm.to_bits(),
-                    want.rmse_mm.to_bits(),
-                    "session {id}: rmse"
-                );
-                assert_eq!(
-                    report.max_deviation_mm.to_bits(),
-                    want.max_deviation_mm.to_bits(),
-                    "session {id}: max deviation"
-                );
-            }
-        }
-        service.join();
+        let builds = finish(service);
         assert_eq!(
             storage.stats().traces.objects,
             0,
             "the last claim drop evicts the trace"
         );
-        // Each shard builds the trajectory at most twice: at its first
-        // open, and again if every session it opened has left before the
-        // first one migrating in lands. Without sharing, the 8 opens and
-        // 8 adoptions would build it 16 times.
-        let builds: u64 = handle
-            .shard_loads()
-            .iter()
-            .map(|l| l.reference_builds)
-            .sum();
-        assert!(
-            builds <= 4,
-            "{builds} trajectory builds for {FLEET} sessions"
+        assert_eq!(
+            builds, 2,
+            "stored: {builds} trajectory builds for {FLEET} sessions"
+        );
+
+        // The same fleet on one replayed `Arc`.
+        let builds = finish(migrate_all(live));
+        assert_eq!(
+            builds, 2,
+            "replayed: {builds} trajectory builds for {FLEET} sessions"
+        );
+    }
+
+    #[test]
+    fn unsnapshotable_session_migrates_bit_identically() {
+        // A forecaster with no checkpoint form makes a session
+        // unsnapshotable, but a migration moves the live session, so it
+        // moves all the same and reports as if it had stayed put. A
+        // gated source makes both runs exact: its clock advances only
+        // on the slots fed to it.
+        use crate::spec::SharedForecaster;
+        use foreco_core::RecoveryConfig;
+        use foreco_forecast::{ForecastScratch, Forecaster, HistoryView, Var};
+        use std::time::{Duration, Instant};
+
+        /// A VAR without `export_state`; everything else delegates.
+        struct Opaque(Var);
+        impl Forecaster for Opaque {
+            fn history_len(&self) -> usize {
+                self.0.history_len()
+            }
+            fn dims(&self) -> usize {
+                self.0.dims()
+            }
+            fn name(&self) -> &'static str {
+                "opaque"
+            }
+            fn forecast_into(
+                &self,
+                history: &HistoryView<'_>,
+                scratch: &mut ForecastScratch,
+                out: &mut [f64],
+            ) {
+                self.0.forecast_into(history, scratch, out)
+            }
+        }
+
+        const ID: u64 = 3;
+        const HALF: usize = 60;
+        let model = niryo_one();
+        let train = Dataset::record(Skill::Experienced, 2, 0.02, 7);
+        let var = Var::fit_differenced(&train, 5, 1e-6).unwrap();
+        let rows = Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+            .head(2 * HALF)
+            .commands;
+        let spec = SessionSpec::new(
+            ID,
+            SourceSpec::Gated {
+                initial: model.clamp(&rows[0]),
+                inbox_capacity: 2 * HALF,
+            },
+            ChannelSpec::Ideal,
+            RecoverySpec::FoReCo {
+                forecaster: SharedForecaster::new(Opaque(var)),
+                config: RecoveryConfig::for_model(&model),
+            },
+        );
+        // Feeds the rows in `range`, every seventh slot lost.
+        let feed = |handle: &ServiceHandle, range: std::ops::Range<usize>| {
+            for i in range {
+                if i % 7 == 6 {
+                    handle.inject_miss(ID).unwrap();
+                } else {
+                    handle.inject(ID, rows[i].clone()).unwrap();
+                }
+            }
+        };
+        let run = |migrate: bool| {
+            let service = Service::spawn(ServiceConfig::with_shards(2));
+            let handle = service.handle();
+            let home = shard_of(ID, 2);
+            handle.open(spec.clone()).unwrap();
+            feed(&handle, 0..HALF);
+            // Let the first half run out, so the move lands mid-run.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while handle.shard_loads()[home].ticks < HALF as u64 {
+                assert!(Instant::now() < deadline, "the first half never ran");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if migrate {
+                handle.migrate(ID, 1 - home).unwrap();
+                loop {
+                    match service.next_event().expect("service alive") {
+                        SessionEvent::Restored { shard, tick, .. } => {
+                            assert_eq!((shard, tick), (1 - home, HALF as u64));
+                            break;
+                        }
+                        SessionEvent::SnapshotFailed { reason, .. } => {
+                            panic!("the session stayed put: {reason}")
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            feed(&handle, HALF..2 * HALF);
+            handle.close(ID).unwrap();
+            let report = loop {
+                if let Some(SessionEvent::Completed { report, .. }) = service.next_event() {
+                    break report;
+                }
+            };
+            service.join();
+            (report, handle.shard_loads()[1 - home].migrated_in)
+        };
+        let (stayed, _) = run(false);
+        let (moved, migrated_in) = run(true);
+        assert_eq!(migrated_in, 1, "the session moved");
+        assert_eq!(moved.ticks, 2 * HALF as u64);
+        assert!(moved.misses > 0, "the forecaster must cover some slots");
+        assert_eq!(moved, stayed, "reports must be bit-identical");
+        assert_eq!(moved.rmse_mm.to_bits(), stayed.rmse_mm.to_bits());
+        assert_eq!(
+            moved.max_deviation_mm.to_bits(),
+            stayed.max_deviation_mm.to_bits()
         );
     }
 
@@ -1400,6 +1534,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         };
         assert_eq!(load.adoptions, FLEET);
+        assert_eq!(load.migrated_in, 0, "an adoption is no migration");
         assert_eq!(load.passes, 0, "parks on arrival need no pass");
         for id in 0..FLEET {
             handle.close(id).unwrap();
@@ -1543,6 +1678,7 @@ mod tests {
         let loads = handle.shard_loads();
         assert_eq!(loads[0].migrated_out, migrated);
         assert_eq!(loads[1].migrated_in, migrated);
+        assert_eq!(loads[1].adoptions, 0, "a migration is no adoption");
         service.join();
         // Out-of-range shards are rejected up front.
         assert!(matches!(

@@ -286,7 +286,8 @@ fn config_bits(cfg: &DriverConfig) -> [u64; 4] {
     [cfg.period, cfg.gains.kp, cfg.gains.ki, cfg.gains.kd].map(f64::to_bits)
 }
 
-/// A hosted recovery loop (see module docs).
+/// A hosted recovery loop (see module docs). `Send`: a migration moves
+/// the live session from one shard thread to another.
 pub struct Session {
     id: SessionId,
     source: Source,
@@ -305,6 +306,15 @@ pub struct Session {
     /// `trajectory_rmse_mm` order.
     acc_sq_mm: f64,
     worst_mm: f64,
+}
+
+impl std::fmt::Debug for Session {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Session")
+            .field("id", &self.id)
+            .field("tick", &self.tick())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Session {
@@ -787,25 +797,6 @@ impl Session {
                     Some((id, Arc::clone(&script.commands))),
                 ))
             }
-            _ => Ok((self.snapshot()?, None)),
-        }
-    }
-
-    /// What a migration ships: a session holding a stored-trace claim
-    /// travels in archive form ([`Session::snapshot_for_fleet`]) with a
-    /// clone of its claim, so the destination shares the resident trace
-    /// and the store never loses track of it; every other session
-    /// ships its self-contained snapshot.
-    pub(crate) fn snapshot_for_transfer(
-        &self,
-    ) -> Result<(SessionSnapshot, Option<TraceHandle>), SnapshotError> {
-        match &self.source {
-            Source::Scripted {
-                script: Script {
-                    trace: Some(trace), ..
-                },
-                ..
-            } => Ok((self.snapshot_for_fleet()?.0, Some(trace.clone()))),
             _ => Ok((self.snapshot()?, None)),
         }
     }
@@ -2115,13 +2106,15 @@ mod tests {
         let mut sessions = [&mut shared, &mut replayed];
         assert!(lockstep(&mut twin, rows, &mut sessions, 350).is_none());
 
-        // Migration: the transfer form with its claim, restored the way
-        // an adopting shard does.
-        let (snap, claim) = shared.snapshot_for_transfer().expect("transfer");
+        // Adoption: the archive form with a claim on its trace from the
+        // store, restored the way `adopt_fleet`'s shard does.
+        let (snap, payload) = shared.snapshot_for_fleet().expect("fleet part");
+        let (trace_id, _) = payload.expect("a scripted part names its trace");
+        let claim = store.get_trace(trace_id).expect("the trace is resident");
         drop(shared);
         let mut memo = ShardMemo::default();
-        let mut shared =
-            Session::restore_with(&snap, &model, claim, Some(&store), &mut memo).expect("adopts");
+        let mut shared = Session::restore_with(&snap, &model, Some(claim), Some(&store), &mut memo)
+            .expect("adopts");
         assert!(claims_a_trace(&shared));
         let mut sessions = [&mut shared, &mut replayed];
         assert!(lockstep(&mut twin, rows, &mut sessions, 500).is_none());

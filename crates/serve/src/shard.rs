@@ -39,14 +39,13 @@
 //!
 //! Migration preserves the ownership discipline: `Migrate` runs inside
 //! the control drain (so the session is between ticks), syncs a parked
-//! session's backlog, snapshots it, removes it, updates the shared
-//! `RoutingTable`, and hands the state to the destination shard's
-//! control channel as an `Adopt` — at no instant do two shards own the
-//! session, and the destination resumes it from the exact tick it left,
-//! so results are bit-identical to never having moved. A session that
-//! holds a stored-trace claim ships in archive form with the claim
-//! riding along, so the trace stays claimed (and resident) in flight
-//! and the destination shares it instead of holding a private copy.
+//! session's backlog, removes it, updates the shared `RoutingTable`,
+//! and hands the live session itself to the destination shard's
+//! control channel as a `Transfer` — at no instant do two shards own
+//! the session, and the destination resumes it from the exact tick it
+//! left, so results are bit-identical to never having moved. Nothing is
+//! snapshotted or rebuilt: the session's trace claim, memo pins and
+//! forecaster travel inside it. `Adopt` is the checkpoint path only.
 //! `Rebalance` (sent by the service's balancer) is the policy layer on
 //! the same mechanism: the shard picks its highest-id runnable sessions
 //! and migrates them out. Commands racing a migration can land on a
@@ -171,9 +170,8 @@ struct Runtime {
     /// take yet. Transfers never use a blocking send: two shards
     /// migrating toward each other with full control channels would
     /// deadlock the pool (neither can drain its own channel while
-    /// blocked in the other's). The `Adopt` parks here instead, with
-    /// the trace claim a stored-trace session ships, and is retried
-    /// each pass.
+    /// blocked in the other's). The `Transfer` parks here instead, the
+    /// session inside it, and is retried each pass.
     pending_transfers: Vec<(usize, SessionCommand)>,
     /// Shared storage for adopted sessions' engine weights.
     models: Storage,
@@ -251,7 +249,7 @@ impl Runtime {
         self.scratch.reference_builds += builds;
     }
 
-    /// Places a session that just entered this shard (open or adopt).
+    /// Places a session that just entered this shard (open, transfer or adopt).
     fn enqueue_new(&mut self, id: u64) {
         if self.scheduler.event_driven() && self.sessions[&id].wake_hint() == Wake::AwaitingInput {
             self.park(id, self.pass);
@@ -279,58 +277,64 @@ impl Runtime {
         let _ = self.events.send(SessionEvent::Completed { id, report });
     }
 
-    /// Drain→transfer leg of a migration (the caller validated `to` and
-    /// the session's existence). `quiet` suppresses per-session failure
-    /// events for balancer-initiated moves, which retry on the next
-    /// round anyway.
-    fn migrate_out(&mut self, id: u64, to: usize, quiet: bool) {
-        self.poke(id, false); // a parked session must ship its synced state
-        let session = self.sessions.get(&id).expect("caller checked existence");
-        match session.snapshot_for_transfer() {
-            Ok((snapshot, trace)) => {
-                // The session has finished its current tick (migrations
-                // run inside the control drain), so the snapshot is
-                // tick-aligned. Remove it *before* the hand-off: from
-                // here the destination owns the state.
-                self.sessions.remove(&id);
-                self.runnable.remove(&id);
-                self.routes.set(id, to);
-                self.scratch.migrated_out += 1;
-                let _ = self.events.send(SessionEvent::Migrated {
-                    id,
-                    from: self.index,
-                    to,
-                });
-                self.hand_off(
-                    to,
-                    SessionCommand::Adopt {
-                        snapshot: Box::new(snapshot),
-                        trace,
-                    },
-                );
-            }
-            Err(e) => {
-                // Unsnapshotable sessions stay put and keep running
-                // (or re-park, if they were idle).
-                if !quiet {
-                    let _ = self.events.send(SessionEvent::SnapshotFailed {
-                        id,
-                        reason: e.to_string(),
-                    });
-                }
-                self.settle(id);
-            }
+    /// Takes in a session that arrived whole (`Transfer`) or restored
+    /// from a snapshot (`Adopt`): routes its id here, queues or parks
+    /// it, and reports it `Restored`. The caller checked the id is free.
+    fn admit(&mut self, session: Session) {
+        let id = session.id();
+        let tick = session.tick();
+        self.sessions.insert(id, session);
+        if shard_of(id, self.peers.len()) != self.index {
+            self.routes.set(id, self.index);
+        } else {
+            self.routes.clear(id);
         }
+        self.enqueue_new(id);
+        let _ = self.events.send(SessionEvent::Restored {
+            id,
+            shard: self.index,
+            tick,
+        });
     }
 
-    /// Non-blocking transfer of an `Adopt` to a peer; a full channel
-    /// parks it (trace claim included) for retry, a dead one drops it
-    /// (pool tearing down).
-    fn hand_off(&mut self, to: usize, adopt: SessionCommand) {
-        match self.peers[to].try_send(adopt) {
+    /// True, with a `DuplicateSession` report, when `id` already lives
+    /// here: an arrival never replaces a live session.
+    fn refuse_duplicate(&self, id: u64) -> bool {
+        let taken = self.sessions.contains_key(&id);
+        if taken {
+            let _ = self.events.send(SessionEvent::DuplicateSession { id });
+        }
+        taken
+    }
+
+    /// Drain→transfer leg of a migration (the caller validated `to` and
+    /// the session's existence): the synced live session leaves whole.
+    fn migrate_out(&mut self, id: u64, to: usize) {
+        // A parked session must ship its synced state. The session has
+        // finished its current tick (migrations run inside the control
+        // drain). Remove it *before* the hand-off: from here the
+        // destination owns it.
+        self.poke(id, false);
+        let session = self.sessions.remove(&id).expect("caller checked existence");
+        self.runnable.remove(&id);
+        self.routes.set(id, to);
+        self.scratch.migrated_out += 1;
+        let _ = self.events.send(SessionEvent::Migrated {
+            id,
+            from: self.index,
+            to,
+        });
+        self.hand_off(to, SessionCommand::Transfer(Box::new(session)));
+    }
+
+    /// Non-blocking send of a `Transfer` to a peer; a full channel parks
+    /// it (session inside) for retry, a dead one drops it (pool tearing
+    /// down).
+    fn hand_off(&mut self, to: usize, transfer: SessionCommand) {
+        match self.peers[to].try_send(transfer) {
             Ok(()) => {}
-            Err(std::sync::mpsc::TrySendError::Full(adopt)) => {
-                self.pending_transfers.push((to, adopt));
+            Err(std::sync::mpsc::TrySendError::Full(transfer)) => {
+                self.pending_transfers.push((to, transfer));
             }
             Err(_) => {}
         }
@@ -364,8 +368,9 @@ impl Runtime {
         match command {
             SessionCommand::Open(spec) => {
                 let id = spec.id;
-                if let std::collections::btree_map::Entry::Vacant(slot) = self.sessions.entry(id) {
-                    slot.insert(Session::open_with(&spec, &self.model, &mut self.memo));
+                if !self.refuse_duplicate(id) {
+                    let session = Session::open_with(&spec, &self.model, &mut self.memo);
+                    self.sessions.insert(id, session);
                     self.scratch.opened += 1;
                     self.count_memo_work();
                     self.enqueue_new(id);
@@ -373,10 +378,6 @@ impl Runtime {
                         id,
                         shard: self.index,
                     });
-                } else {
-                    // Never destroy a live session: reject the
-                    // replacement and say so.
-                    let _ = self.events.send(SessionEvent::DuplicateSession { id });
                 }
             }
             SessionCommand::Inject { id, command } => {
@@ -466,14 +467,20 @@ impl Runtime {
                         to: self.index,
                     });
                 }
-                Some(_) => self.migrate_out(id, to, false),
+                Some(_) => self.migrate_out(id, to),
                 None => {
                     let _ = self.events.send(SessionEvent::UnknownSession { id });
                 }
             },
+            SessionCommand::Transfer(session) => {
+                if !self.refuse_duplicate(session.id()) {
+                    self.scratch.migrated_in += 1;
+                    self.admit(*session);
+                }
+            }
             SessionCommand::Adopt { snapshot, trace } => {
                 let id = snapshot.id;
-                if let std::collections::btree_map::Entry::Vacant(slot) = self.sessions.entry(id) {
+                if !self.refuse_duplicate(id) {
                     match Session::restore_with(
                         &snapshot,
                         &self.model,
@@ -482,21 +489,8 @@ impl Runtime {
                         &mut self.memo,
                     ) {
                         Ok(session) => {
-                            let tick = session.tick();
-                            slot.insert(session);
-                            if shard_of(id, self.peers.len()) != self.index {
-                                self.routes.set(id, self.index);
-                            } else {
-                                self.routes.clear(id);
-                            }
-                            self.scratch.migrated_in += 1;
                             self.scratch.adoptions += 1;
-                            self.enqueue_new(id);
-                            let _ = self.events.send(SessionEvent::Restored {
-                                id,
-                                shard: self.index,
-                                tick,
-                            });
+                            self.admit(session);
                         }
                         Err(e) => {
                             let _ = self.events.send(SessionEvent::RestoreFailed {
@@ -506,8 +500,6 @@ impl Runtime {
                         }
                     }
                     self.count_memo_work();
-                } else {
-                    let _ = self.events.send(SessionEvent::DuplicateSession { id });
                 }
             }
             SessionCommand::Rebalance { to, count } => {
@@ -518,7 +510,7 @@ impl Runtime {
                     // low ids settled in place.
                     let picks: Vec<u64> = self.runnable.iter().rev().take(count).copied().collect();
                     for id in picks {
-                        self.migrate_out(id, to, true);
+                        self.migrate_out(id, to);
                     }
                 }
             }
@@ -595,8 +587,8 @@ impl Runtime {
             return;
         }
         let pending = std::mem::take(&mut self.pending_transfers);
-        for (to, adopt) in pending {
-            self.hand_off(to, adopt);
+        for (to, transfer) in pending {
+            self.hand_off(to, transfer);
         }
     }
 }

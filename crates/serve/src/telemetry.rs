@@ -177,7 +177,7 @@ shard_metrics! {
     snapshots: Counter, "foreco_snapshots_total",
         "Sessions checkpointed (one fleet-archive part each).";
     adoptions: Counter, "foreco_adoptions_total",
-        "Snapshots rehydrated into live sessions (migrations included).";
+        "Snapshots rehydrated into live sessions.";
     archive_bytes: Counter, "foreco_archive_bytes_total",
         "Bytes of binary snapshot frames encoded for fleet archives.";
     sessions: Gauge, "foreco_shard_sessions",
@@ -195,7 +195,7 @@ shard_metrics! {
     migrated_out: Counter, "foreco_migrations_out_total",
         "Sessions migrated away from the shard.";
     migrated_in: Counter, "foreco_migrations_in_total",
-        "Sessions adopted by the shard.";
+        "Sessions migrated into the shard.";
     link_solves: Counter, "foreco_link_solves_total",
         "DCF link solves at open or restore (one per live link configuration).";
     reference_builds: Counter, "foreco_reference_builds_total",

@@ -35,7 +35,8 @@
 //! The v4 arms — a frame whose session reads a reference trajectory and
 //! so carries no reference driver state — get the layer 1 and 2
 //! treatment too: exact round trips, bit-identical restores (inline
-//! onto a private trajectory, by reference onto the store's), and
+//! onto a private trajectory, by reference onto the one the shard memo
+//! keys by the trace's store-owned rows), and
 //! single-byte mutants through decode → restore → run; an absent
 //! reference is a typed error on a streamed or gated source and on any
 //! v1–v3 snapshot, and a malformed one is a typed error on a scripted
@@ -352,7 +353,7 @@ fn restored_mutants_run_to_completion() {
 }
 
 /// The scripted donor's script and loss pattern on a stored trace, at
-/// tick 120: its session reads the store's reference trajectory, so
+/// tick 120: its session reads a memo reference trajectory, so
 /// both of its v4 frames — inline `snapshot()` and by-reference
 /// `snapshot_for_fleet()` — carry no reference driver state.
 fn stored_donor(store: &Storage) -> (SessionSnapshot, SessionSnapshot, TraceHandle) {
@@ -1282,7 +1283,7 @@ fn v4_golden_fixture_decodes_and_restores_bit_identically() {
     assert_reports_bit_identical(&twin, &resumed, "v4 inline part");
     assert_eq!(report_digest(&resumed), expected[0], "v4 inline digest");
 
-    // Part 1: the script by reference, onto the store's trajectory.
+    // Part 1: the script by reference, onto its trace's memo trajectory.
     let SourceState::ScriptedRef { trace, .. } = &parts[1].source else {
         panic!("second v4 part must be by reference");
     };

@@ -3,13 +3,13 @@
 //! `ĉ^k_{i+1} = b^k + Σ_{l≤d} Σ_{j=i−R+1..i} w^l_j · ĉ^l_j`
 //!
 //! trained by OLS over the experienced-operator dataset (eq. 9). The
-//! original prototype used `statsmodels` 0.12; here the design matrix is
-//! built from [`foreco_teleop::Dataset::windows`] and solved with
-//! `foreco-linalg`'s ridge-stabilised normal equations.
+//! original prototype used `statsmodels` 0.12; here each training window
+//! becomes one regressor row, streamed straight into `foreco-linalg`'s
+//! ridge-stabilised normal equations ([`foreco_linalg::ols_rows`]).
 
 use crate::state::require;
 use crate::{Forecaster, HistoryView};
-use foreco_linalg::{ols_ridge, Matrix, OlsError};
+use foreco_linalg::{ols_rows, Matrix, OlsError};
 use foreco_teleop::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -64,6 +64,13 @@ impl Var {
     /// `ridge` guards against collinear regressors (dwell phases make
     /// joints constant); `1e-6` is a good default at radian scale.
     ///
+    /// Each window's regressor row is built from `train` into one reused
+    /// `1 + d·R` buffer and streamed into the normal equations, so the
+    /// fit's memory does not grow with the dataset: no design matrix (and
+    /// no differenced copy of the series) exists, except when the Gram
+    /// matrix is not positive definite and the QR fallback rebuilds `X`
+    /// and `Y` from the same rows.
+    ///
     /// # Errors
     /// Returns the underlying [`OlsError`] when the dataset has fewer
     /// windows than regressors or contains non-finite values.
@@ -79,39 +86,42 @@ impl Var {
         assert!(r >= 1, "VAR: R must be ≥ 1");
         assert!(!train.is_empty(), "VAR: empty training dataset");
         let d = train.dof();
-        let series: Vec<Vec<f64>> = match mode {
-            VarMode::Levels => train.commands.clone(),
-            VarMode::Differences => train
-                .commands
-                .windows(2)
-                .map(|w| w[1].iter().zip(&w[0]).map(|(a, b)| a - b).collect())
-                .collect(),
+        let commands = &train.commands;
+        // Row `s` of the regressed series: command `s` (levels) or the
+        // step from command `s` to `s + 1` (differences).
+        let series_len = match mode {
+            VarMode::Levels => commands.len(),
+            VarMode::Differences => commands.len() - 1,
         };
-        let p = 1 + d * r;
-        let n = series.len().saturating_sub(r);
-        if n < p {
-            return Err(OlsError::Underdetermined { rows: n, cols: p });
-        }
-        let mut x = Matrix::zeros(n, p);
-        let mut y = Matrix::zeros(n, d);
-        for row in 0..n {
-            let xr = x.row_mut(row);
-            xr[0] = 1.0;
-            for lag in 0..r {
-                for (k, &v) in series[row + lag].iter().enumerate() {
-                    xr[1 + lag * d + k] = v;
+        let series = |s: usize, out: &mut [f64]| match mode {
+            VarMode::Levels => out.copy_from_slice(&commands[s]),
+            VarMode::Differences => {
+                for ((o, a), b) in out.iter_mut().zip(&commands[s + 1]).zip(&commands[s]) {
+                    *o = a - b;
                 }
             }
-            y.row_mut(row).copy_from_slice(&series[row + r]);
-        }
-        let beta = ols_ridge(&x, &y, ridge)?;
+        };
+        // Window `t` regresses series row `t + R` on rows `t..t + R`.
+        let p = 1 + d * r;
+        let beta = ols_rows(p, d, ridge, |push| {
+            let mut x = vec![0.0; p];
+            let mut y = vec![0.0; d];
+            x[0] = 1.0;
+            for t in 0..series_len.saturating_sub(r) {
+                for lag in 0..r {
+                    series(t + lag, &mut x[1 + lag * d..1 + (lag + 1) * d]);
+                }
+                series(t + r, &mut y);
+                push(&x, &y);
+            }
+        })?;
         let diff_clamp = match mode {
             VarMode::Levels => None,
             VarMode::Differences => Some(
-                series
-                    .iter()
-                    .flat_map(|v| v.iter())
-                    .fold(0.0f64, |m, &x| m.max(x.abs())),
+                commands
+                    .windows(2)
+                    .flat_map(|w| w[1].iter().zip(&w[0]).map(|(a, b)| a - b))
+                    .fold(0.0f64, |m, x| m.max(x.abs())),
             ),
         };
         Ok(Self {

@@ -16,7 +16,7 @@
 use crate::state::require;
 use crate::var::check_coefficients;
 use crate::{Forecaster, Var, VarMode};
-use foreco_linalg::{ols_ridge, Matrix, OlsError};
+use foreco_linalg::{ols_rows, Matrix, OlsError};
 use foreco_teleop::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -57,33 +57,24 @@ impl Varma {
             }
         }
 
-        // Stage 2: regress c_i on [1, lagged commands, lagged residuals].
+        // Stage 2: regress c_i on [1, lagged commands, lagged residuals],
+        // one row at a time (see `Var::fit_mode`).
         let start = r.max(q);
-        let n = train.len() - start;
         let p = 1 + d * r + d * q;
-        if n < p {
-            return Err(OlsError::Underdetermined { rows: n, cols: p });
-        }
-        let mut x = Matrix::zeros(n, p);
-        let mut y = Matrix::zeros(n, d);
-        for (row, i) in (start..train.len()).enumerate() {
-            let xr = x.row_mut(row);
-            xr[0] = 1.0;
-            for lag in 0..r {
-                let cmd = &train.commands[i - r + lag];
-                for (k, &v) in cmd.iter().enumerate() {
-                    xr[1 + lag * d + k] = v;
+        let beta = ols_rows(p, d, ridge, |push| {
+            let mut x = vec![0.0; p];
+            x[0] = 1.0;
+            for i in start..train.len() {
+                for lag in 0..r {
+                    x[1 + lag * d..1 + (lag + 1) * d].copy_from_slice(&train.commands[i - r + lag]);
                 }
-            }
-            for lag in 0..q {
-                let res = &residuals[i - q + lag];
-                for (k, &v) in res.iter().enumerate() {
-                    xr[1 + d * r + lag * d + k] = v;
+                for lag in 0..q {
+                    let at = 1 + d * r + lag * d;
+                    x[at..at + d].copy_from_slice(&residuals[i - q + lag]);
                 }
+                push(&x, &train.commands[i]);
             }
-            y.row_mut(row).copy_from_slice(&train.commands[i]);
-        }
-        let beta = ols_ridge(&x, &y, ridge)?;
+        })?;
         Ok(Self {
             r,
             q,

@@ -4,9 +4,11 @@
 //! (VAR) — with Ordinary Least Squares (paper eq. 9). The original prototype
 //! leaned on Python's `statsmodels`; this crate provides the minimal,
 //! self-contained replacement: a row-major [`Matrix`] type, Cholesky and
-//! Householder-QR decompositions, a multi-output [`ols`] solver with ridge
-//! fallback, and the descriptive statistics used across the workspace
-//! ([`stats`]).
+//! Householder-QR decompositions, a streaming multi-output least-squares
+//! solver ([`NormalEquations`], driven by [`ols_rows`], [`ols`] and
+//! [`ols_ridge`]) that never holds the design matrix unless its QR
+//! fallback needs it, and the descriptive statistics used across the
+//! workspace ([`stats`]).
 //!
 //! Design notes, following the workspace guides:
 //! - simplicity over type tricks: one concrete `f64` matrix type, no
@@ -39,4 +41,4 @@ pub mod vector;
 
 pub use decomp::{cholesky, solve_cholesky, solve_lower, solve_upper, Cholesky, Qr};
 pub use matrix::Matrix;
-pub use ols::{ols, ols_ridge, OlsError};
+pub use ols::{ols, ols_ridge, ols_rows, NormalEquations, OlsError};

@@ -210,33 +210,6 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ * self`, the Gram matrix, computed without forming the
-    /// transpose. The result is symmetric positive semi-definite.
-    pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let mut g = Matrix::zeros(n, n);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..n {
-                let xi = row[i];
-                if xi == 0.0 {
-                    continue;
-                }
-                let g_row = g.row_mut(i);
-                for (j, &xj) in row.iter().enumerate().skip(i) {
-                    g_row[j] += xi * xj;
-                }
-            }
-        }
-        // Mirror the upper triangle.
-        for i in 0..n {
-            for j in 0..i {
-                g[(i, j)] = g[(j, i)];
-            }
-        }
-        g
-    }
-
     /// Element-wise map.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
@@ -451,14 +424,6 @@ mod tests {
         for (x, y) in out.iter().zip(a.matvec(&v)) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn gram_equals_xtx() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, -1.0], &[0.5, -3.0, 2.0], &[2.0, 0.0, 1.0]]);
-        let g = x.gram();
-        let xtx = x.transpose().matmul(&x);
-        assert!((&g - &xtx).max_abs() < 1e-12);
     }
 
     #[test]

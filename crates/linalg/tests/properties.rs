@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use foreco_linalg::{cholesky, ols, ols_ridge, stats, vector, Matrix, Qr};
+use foreco_linalg::{cholesky, ols, ols_ridge, stats, vector, Matrix, NormalEquations, Qr};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with entries in [-10, 10].
@@ -38,7 +38,11 @@ proptest! {
 
     #[test]
     fn gram_is_symmetric_psd_diag(x in matrix(6, 4)) {
-        let g = x.gram();
+        let mut normal = NormalEquations::new(4, 0);
+        for i in 0..6 {
+            normal.push(x.row(i), &[]);
+        }
+        let g = normal.xtx();
         for i in 0..4 {
             for j in 0..4 {
                 prop_assert!((g[(i, j)] - g[(j, i)]).abs() < 1e-12);

@@ -120,31 +120,44 @@ impl Pacer {
         self.ticks = 0;
     }
 
-    /// Records one completed tick and, in real-time mode, sleeps until
-    /// the next tick's wall-clock slot.
-    pub fn tick_complete(&mut self) {
+    /// Records one completed tick and returns the wall instant of the
+    /// next tick's slot, when the caller should wait for it (a shard
+    /// waits on its control channel, so commands are heard meanwhile):
+    /// always `None` unpaced, and `None` in real time once the slot has
+    /// already begun. More than one period behind (stall, suspend, overloaded
+    /// host), the pacer drops the backlog and re-anchors at now rather
+    /// than free-running to catch up.
+    pub fn next_slot(&mut self) -> Option<Instant> {
         self.ticks += 1;
-        if self.pacing == Pacing::RealTime {
-            // f64 multiply, not `Duration * u32`: the tick counter
-            // outgrows u32 in ~994 days at 50 Hz and truncation would
-            // silently disable pacing from then on.
-            let due = self.epoch + self.period.mul_f64(self.ticks as f64);
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            } else if now - due > self.period {
-                // More than one period behind (stall, suspend,
-                // overloaded host): drop the backlog rather than
-                // free-running to catch up.
-                self.resync();
-            }
+        if self.pacing != Pacing::RealTime {
+            return None;
         }
+        // f64 multiply, not `Duration * u32`: the tick counter outgrows
+        // u32 in ~994 days at 50 Hz and truncation would silently disable
+        // pacing from then on.
+        let due = self.epoch + self.period.mul_f64(self.ticks as f64);
+        let now = Instant::now();
+        if due > now {
+            return Some(due);
+        }
+        if now - due > self.period {
+            self.resync();
+        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Completes a tick and sleeps out its slot, as a shard with no
+    /// control traffic does.
+    fn tick_complete(p: &mut Pacer) {
+        if let Some(due) = p.next_slot() {
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        }
+    }
 
     #[test]
     fn clock_advances_by_period() {
@@ -162,7 +175,7 @@ mod tests {
         let mut p = Pacer::new(Pacing::Unpaced, TICK_PERIOD);
         let start = Instant::now();
         for _ in 0..1000 {
-            p.tick_complete();
+            tick_complete(&mut p);
         }
         assert!(start.elapsed() < Duration::from_millis(100));
     }
@@ -172,7 +185,7 @@ mod tests {
         let mut p = Pacer::new(Pacing::RealTime, 0.002);
         let start = Instant::now();
         for _ in 0..10 {
-            p.tick_complete();
+            tick_complete(&mut p);
         }
         // Coarse lower bound only — upper bounds are flaky under load.
         assert!(
@@ -201,7 +214,7 @@ mod tests {
         p.resync();
         let start = Instant::now();
         for _ in 0..5 {
-            p.tick_complete();
+            tick_complete(&mut p);
         }
         let elapsed = start.elapsed();
         assert!(
@@ -217,7 +230,7 @@ mod tests {
         p.resync();
         let start = Instant::now();
         for _ in 0..1000 {
-            p.tick_complete();
+            tick_complete(&mut p);
         }
         assert!(start.elapsed() < Duration::from_millis(100));
     }
@@ -229,10 +242,10 @@ mod tests {
         // skip their sleeps (a catch-up burst).
         let mut p = Pacer::new(Pacing::RealTime, 0.002);
         std::thread::sleep(Duration::from_millis(50));
-        p.tick_complete(); // detects the stall and resyncs
+        tick_complete(&mut p); // detects the stall and resyncs
         let start = Instant::now();
         for _ in 0..5 {
-            p.tick_complete();
+            tick_complete(&mut p);
         }
         assert!(
             start.elapsed() >= Duration::from_millis(7),

@@ -82,18 +82,22 @@ impl ShardMemo {
     /// The reference trajectory of `script` under the arm and driver
     /// whose bits are given, built here by `build` unless a live session
     /// already holds it. Holding the returned pin keeps it shared.
-    pub(crate) fn trajectory(
+    ///
+    /// `build` may refuse the rows; then nothing is memoised. A pin
+    /// handed out from the memo skips `build` altogether, so rows that
+    /// `build` checks are checked once per shard, not once per session.
+    pub(crate) fn trajectory<E>(
         &mut self,
         script: &Arc<Vec<Vec<f64>>>,
         model_bits: Vec<u64>,
         config_bits: [u64; 4],
-        build: impl FnOnce(&[Vec<f64>]) -> Vec<[f64; 3]>,
-    ) -> Arc<Points> {
+        build: impl FnOnce(&[Vec<f64>]) -> Result<Vec<[f64; 3]>, E>,
+    ) -> Result<Arc<Points>, E> {
         let key = (Arc::as_ptr(script) as usize, model_bits, config_bits);
         if let Some(pin) = self.trajectories.get(&key).and_then(|e| e.pin.upgrade()) {
-            return pin;
+            return Ok(pin);
         }
-        let pin = Arc::new(Points::from(build(script)));
+        let pin = Arc::new(Points::from(build(script)?));
         self.reference_builds += 1;
         self.trajectories
             .retain(|_, entry| entry.pin.strong_count() > 0);
@@ -104,7 +108,7 @@ impl ShardMemo {
                 pin: Arc::downgrade(&pin),
             },
         );
-        pin
+        Ok(pin)
     }
 
     /// `(link_solves, reference_builds)` since the last call, reset.

@@ -28,7 +28,7 @@ use crate::snapshot::{SessionSnapshot, SourceState};
 use crate::spec::{SessionId, SessionSpec, SourceSpec};
 use crate::telemetry::{ShardSummary, Telemetry};
 use foreco_robot::{niryo_one, ArmModel};
-use foreco_store::{trace_object_id, ObjectId, Storage, TraceHandle};
+use foreco_store::{ObjectId, Storage, TraceHandle};
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -377,8 +377,8 @@ impl ServiceHandle {
     }
 
     /// Revives an archived fleet: files each trace-table entry into
-    /// `storage` under its content address (verifying the declared id
-    /// against a recomputed one; mismatched entries are skipped), then
+    /// `storage` under its content address (an entry whose rows hash to
+    /// another id than the declared one is dropped again), then
     /// adopts every session snapshot with its trace claim riding along
     /// the control channel — so the trace cannot be evicted between send
     /// and restore, and N adopted sessions share one resident copy.
@@ -399,10 +399,13 @@ impl ServiceHandle {
             })?;
         let mut claims: HashMap<ObjectId, TraceHandle> = HashMap::new();
         for entry in traces {
-            if trace_object_id(&entry.commands) != entry.id {
-                continue; // corrupt table entry; its sessions fail at restore
+            // The insert hashes the rows once; a claim filed under another
+            // id than the declared one is a corrupt table entry. Dropping
+            // it releases the rows, and its sessions fail at restore.
+            let claim = storage.insert_trace_owned(entry.commands);
+            if claim.id() == entry.id {
+                claims.insert(entry.id, claim);
             }
-            claims.insert(entry.id, storage.insert_trace_owned(entry.commands));
         }
         let mut sent = 0;
         for snapshot in sessions {
@@ -1549,6 +1552,49 @@ mod tests {
     }
 
     #[test]
+    fn realtime_shard_hears_control_while_it_waits_for_its_slot() {
+        // A real-time shard with live work waits for its next 50 Hz slot
+        // on its control channel, so a checkpoint is answered when it
+        // arrives, not after the slot. Back-to-back snapshots of the one
+        // runnable session then cost far fewer passes than calls; a
+        // shard that slept through its slot would spend about one pass
+        // (20 ms) per call.
+        use std::time::{Duration, Instant};
+
+        const CALLS: u64 = 20;
+        let mut spec = specs(1).remove(0);
+        spec.source = SourceSpec::Replayed(Arc::new(
+            Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+                .head(150)
+                .commands,
+        ));
+        let service = Service::spawn(ServiceConfig {
+            shards: 1,
+            pacing: Pacing::RealTime,
+            ..Default::default()
+        });
+        let handle = service.handle();
+        handle.open(spec).unwrap();
+        let passes = || handle.shard_loads().remove(0).passes;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while passes() == 0 {
+            assert!(Instant::now() < deadline, "the session never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let before = passes();
+        for _ in 0..CALLS {
+            let report = handle.snapshot_fleet(&[0]).unwrap();
+            assert!(report.missing.is_empty() && report.failed.is_empty());
+        }
+        let spent = passes() - before;
+        assert!(
+            spent <= CALLS / 2,
+            "{CALLS} snapshots waited out {spent} slots"
+        );
+        service.join();
+    }
+
+    #[test]
     fn idle_fleet_wakeups_track_the_hot_set_not_the_fleet() {
         // The event scheduler's scaling claim as a count: with most of
         // a parked fleet silent, each pass advances at most the hot
@@ -1882,6 +1928,57 @@ mod tests {
             }
         }
         assert_eq!(restored, 6, "every adoption must report Restored");
+        service.join();
+    }
+
+    #[test]
+    fn adopt_fleet_drops_a_trace_entry_whose_rows_mismatch_its_id() {
+        use crate::archive::FleetArchive;
+        use crate::session::Session;
+        use foreco_robot::niryo_one;
+        use foreco_store::Storage;
+
+        // Two parts on one trace; the table files it under its real id
+        // but with one row perturbed, so the rows hash elsewhere.
+        let model = niryo_one();
+        let mut parts = Vec::new();
+        for spec in specs(2) {
+            let mut session = Session::open(&spec, &model);
+            for _ in 0..10 {
+                session.advance();
+            }
+            parts.push(session.snapshot_for_fleet().expect("fleet part"));
+        }
+        let (id, rows) = parts[0].1.clone().expect("a scripted part names its trace");
+        let mut tampered = rows.to_vec();
+        tampered[3][0] += 1e-9;
+        let mut archive = FleetArchive::new();
+        archive.push_trace(id, &tampered);
+        for (snapshot, _) in &parts {
+            archive.push_part(snapshot);
+        }
+
+        let service = Service::spawn(ServiceConfig::with_shards(1));
+        let storage = Storage::new();
+        assert_eq!(service.handle().adopt_fleet(archive, &storage).unwrap(), 2);
+        assert_eq!(
+            storage.stats().traces.objects,
+            0,
+            "the mismatched rows must not stay resident"
+        );
+        let mut failed = Vec::new();
+        while failed.len() < 2 {
+            match service.next_event().expect("service alive") {
+                SessionEvent::RestoreFailed { id, .. } => failed.push(id),
+                SessionEvent::Restored { id, .. } => {
+                    panic!("session {id} restored without its trace")
+                }
+                _ => {}
+            }
+        }
+        failed.sort_unstable();
+        assert_eq!(failed, [0, 1]);
+        assert_eq!(storage.stats().traces.objects, 0);
         service.join();
     }
 

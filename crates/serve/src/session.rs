@@ -50,6 +50,7 @@ use foreco_wifi::DcfSolution;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// How many fates a streamed session draws from its channel per batch.
@@ -168,24 +169,32 @@ impl Script {
     /// `commands` with their trajectory on `model` under `cfg`, shared
     /// through `memo`. A stored trace's rows come with `trace`, its claim
     /// on them.
-    fn new(
+    ///
+    /// `check` vets the rows before a trajectory is built from them. When
+    /// the memo already holds one, a session on this shard runs the very
+    /// same rows (same `Arc`, same arm and driver bits), so `check` does
+    /// not run again.
+    fn new<E>(
         commands: Arc<Vec<Vec<f64>>>,
         trace: Option<TraceHandle>,
         model: &ArmModel,
         cfg: DriverConfig,
         memo: &mut ShardMemo,
-    ) -> Self {
+        check: impl FnOnce(&[Vec<f64>]) -> Result<(), E>,
+    ) -> Result<Self, E> {
         debug_assert!(trace
             .as_ref()
             .is_none_or(|trace| Arc::ptr_eq(trace.commands(), &commands)));
-        let trajectory = memo.trajectory(&commands, model_bits(model), config_bits(&cfg), |rows| {
-            reference_trajectory(rows, model, cfg)
-        });
-        Self {
+        let trajectory =
+            memo.trajectory(&commands, model_bits(model), config_bits(&cfg), |rows| {
+                check(rows)?;
+                Ok(reference_trajectory(rows, model, cfg))
+            })?;
+        Ok(Self {
             commands,
             trace,
             trajectory,
-        }
+        })
     }
 }
 
@@ -333,12 +342,26 @@ impl Session {
         let omega = spec.driver.period;
         let (source, start) = match &spec.source {
             SourceSpec::Replayed(commands) => {
-                let script = Script::new(Arc::clone(commands), None, model, spec.driver, memo);
+                let Ok(script) = Script::new(
+                    Arc::clone(commands),
+                    None,
+                    model,
+                    spec.driver,
+                    memo,
+                    trusted,
+                );
                 Self::scripted_source(script, spec, model, memo)
             }
             SourceSpec::Stored(handle) => {
                 let commands = Arc::clone(handle.commands());
-                let script = Script::new(commands, Some(handle.clone()), model, spec.driver, memo);
+                let Ok(script) = Script::new(
+                    commands,
+                    Some(handle.clone()),
+                    model,
+                    spec.driver,
+                    memo,
+                    trusted,
+                );
                 Self::scripted_source(script, spec, model, memo)
             }
             SourceSpec::Streamed {
@@ -976,9 +999,17 @@ impl Session {
         };
         let source = match &snap.source {
             SourceState::Scripted { commands, fates } => {
-                validate_script(commands, fates.len(), snap.tick, model)?;
+                let script = Script::new(
+                    Arc::new(commands.clone()),
+                    None,
+                    model,
+                    snap.driver,
+                    memo,
+                    |rows| validate_rows(rows, model),
+                )?;
+                validate_progress(commands.len(), fates.len(), snap.tick)?;
                 Source::Scripted {
-                    script: Script::new(Arc::new(commands.clone()), None, model, snap.driver, memo),
+                    script,
                     fates: fates.clone(),
                     _link: None,
                 }
@@ -1000,15 +1031,17 @@ impl Session {
                     )));
                 }
                 let fates = expand_fates(fates, handle.commands().len())?;
-                validate_script(handle.commands(), fates.len(), snap.tick, model)?;
+                let script = Script::new(
+                    Arc::clone(handle.commands()),
+                    Some(handle),
+                    model,
+                    snap.driver,
+                    memo,
+                    |rows| validate_rows(rows, model),
+                )?;
+                validate_progress(script.commands.len(), fates.len(), snap.tick)?;
                 Source::Scripted {
-                    script: Script::new(
-                        Arc::clone(handle.commands()),
-                        Some(handle),
-                        model,
-                        snap.driver,
-                        memo,
-                    ),
+                    script,
                     fates,
                     _link: None,
                 }
@@ -1085,16 +1118,17 @@ impl Session {
     }
 }
 
-/// Validates a scripted source at restore time — shared by the inline
-/// `Scripted` and by-reference `ScriptedRef` decode paths, so both
-/// enforce identical invariants before the trajectory build ticks a
-/// driver over every row.
-fn validate_script(
-    commands: &[Vec<f64>],
-    fates: usize,
-    tick: u64,
-    model: &ArmModel,
-) -> Result<(), RestoreError> {
+/// A spec's rows, which its owner vouches for: opening never vets them.
+fn trusted(_: &[Vec<f64>]) -> Result<(), Infallible> {
+    Ok(())
+}
+
+/// Vets a restored script's rows before a trajectory is built from them
+/// (the driver asserts on their shape): non-empty, one value per joint,
+/// all finite. Shared by the inline `Scripted` and by-reference
+/// `ScriptedRef` decode paths, and run only when the shard's memo holds
+/// no trajectory for the rows yet.
+fn validate_rows(commands: &[Vec<f64>], model: &ArmModel) -> Result<(), RestoreError> {
     if commands.is_empty() {
         return Err(RestoreError::Invalid(
             "scripted source without commands".into(),
@@ -1107,17 +1141,20 @@ fn validate_script(
             model.dof()
         )));
     }
-    require_finite("scripted command", commands.iter())?;
-    if fates != commands.len() {
+    require_finite("scripted command", commands.iter())
+}
+
+/// Checks a restored scripted part against its script's length: one
+/// fate per command and a tick within the script. Runs for every part.
+fn validate_progress(commands: usize, fates: usize, tick: u64) -> Result<(), RestoreError> {
+    if fates != commands {
         return Err(RestoreError::Invalid(format!(
-            "{fates} fates for {} commands",
-            commands.len()
+            "{fates} fates for {commands} commands"
         )));
     }
-    if tick as usize > commands.len() {
+    if tick as usize > commands {
         return Err(RestoreError::Invalid(format!(
-            "tick {tick} beyond the {}-command script",
-            commands.len()
+            "tick {tick} beyond the {commands}-command script"
         )));
     }
     Ok(())

@@ -54,8 +54,10 @@
 //! loss event of the kind the recovery engine exists to absorb.
 //!
 //! Control flow per loop iteration: retry parked migration hand-offs,
-//! drain the control inbox (blocking when quiescent), advance the run
-//! queue, publish telemetry, pace.
+//! drain the control inbox (blocking when quiescent; on a real-time
+//! shard, waiting on it until the next slot, so commands are handled as
+//! they arrive instead of after a sleep), advance the run queue, publish
+//! telemetry, ask the pacer for the next slot.
 //!
 //! # Checkpoints
 //!
@@ -77,6 +79,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, RwLock};
+use std::time::{Duration, Instant};
 
 /// Shared session→shard routing overrides, maintained by the shards and
 /// consulted by every `ServiceHandle`. A session absent from the map
@@ -635,17 +638,23 @@ impl ShardWorker {
         // across interleaved control commands — restarting the period
         // per command would let sub-period control traffic stall the
         // parked sessions' virtual time indefinitely.
-        let mut slot_deadline: Option<std::time::Instant> = None;
+        let mut slot_deadline: Option<Instant> = None;
+        // Wall instant of the next pass while a real-time shard has live
+        // work, set by the pacer after each pass. The shard waits for it
+        // on its control channel, handling commands as they arrive
+        // without moving the slot.
+        let mut next_pass: Option<Instant> = None;
         'run: loop {
             rt.retry_transfers();
             // Drain control; block when quiescent (nothing runnable, no
-            // parked hand-off).
+            // parked hand-off), wait on it until the next slot when paced.
             let mut slot_elapsed = false;
             loop {
                 let quiescent =
                     rt.runnable.is_empty() && rt.pending_transfers.is_empty() && !shutdown;
                 let command = if quiescent {
                     idle = true;
+                    next_pass = None;
                     // Control-only work (adoptions, parks on arrival)
                     // runs no pass: surface it before blocking. Every
                     // gauge move comes with a counter delta.
@@ -657,28 +666,37 @@ impl ShardWorker {
                         // idle spans track wall time; traffic interrupts
                         // the wait mid-slot but never extends the slot.
                         let deadline = *slot_deadline.get_or_insert_with(|| {
-                            std::time::Instant::now()
-                                + std::time::Duration::from_secs_f64(TICK_PERIOD)
+                            Instant::now() + Duration::from_secs_f64(TICK_PERIOD)
                         });
-                        let now = std::time::Instant::now();
-                        if now >= deadline {
-                            slot_deadline = None;
-                            slot_elapsed = true;
-                            break;
-                        }
-                        match control.recv_timeout(deadline - now) {
-                            Ok(c) => c,
-                            Err(RecvTimeoutError::Timeout) => {
+                        match wait_for_slot(&control, deadline) {
+                            SlotWait::Command(c) => c,
+                            SlotWait::Due => {
                                 slot_deadline = None;
                                 slot_elapsed = true;
                                 break;
                             }
-                            Err(RecvTimeoutError::Disconnected) => break 'run,
+                            SlotWait::Disconnected => break 'run,
                         }
                     } else {
                         match control.recv() {
                             Ok(c) => c,
                             Err(_) => break 'run, // all handles dropped
+                        }
+                    }
+                } else if let Some(due) = next_pass {
+                    match wait_for_slot(&control, due) {
+                        SlotWait::Command(c) => c,
+                        // Drain what queued meanwhile, then run.
+                        SlotWait::Due => {
+                            next_pass = None;
+                            continue;
+                        }
+                        // Finish the slot, so draining passes stay paced;
+                        // the drain then sees the disconnect.
+                        SlotWait::Disconnected => {
+                            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                            next_pass = None;
+                            continue;
                         }
                     }
                 } else {
@@ -721,7 +739,7 @@ impl ShardWorker {
                 if !rt.pending_transfers.is_empty() {
                     // Nothing to advance, destination still full: yield
                     // briefly instead of spinning on try_send.
-                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    std::thread::sleep(Duration::from_micros(200));
                 }
                 // Command-only iterations (e.g. a miss marker that left
                 // everything parked) still surface their counters
@@ -739,7 +757,7 @@ impl ShardWorker {
             slot_deadline = None;
             rt.run_pass();
             rt.publish();
-            pacer.tick_complete();
+            next_pass = pacer.next_slot();
         }
         // Commands drained on the way out (the last migrations, the
         // shutdown's syncs) still reach the counters.
@@ -749,6 +767,31 @@ impl ShardWorker {
             ticks_advanced: rt.ticks_advanced,
         });
         rt.ticks_advanced
+    }
+}
+
+/// How a wait on the control channel for a slot ended.
+enum SlotWait {
+    /// A command arrived before the slot.
+    Command(SessionCommand),
+    /// The slot has come.
+    Due,
+    /// Every handle is gone.
+    Disconnected,
+}
+
+/// Waits on `control` until `due`, returning early with the first
+/// command. A slot already due is reported without reading the channel,
+/// so a stream of commands cannot hold it open.
+fn wait_for_slot(control: &Receiver<SessionCommand>, due: Instant) -> SlotWait {
+    let now = Instant::now();
+    if now >= due {
+        return SlotWait::Due;
+    }
+    match control.recv_timeout(due - now) {
+        Ok(command) => SlotWait::Command(command),
+        Err(RecvTimeoutError::Timeout) => SlotWait::Due,
+        Err(RecvTimeoutError::Disconnected) => SlotWait::Disconnected,
     }
 }
 

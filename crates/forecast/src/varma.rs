@@ -15,7 +15,7 @@
 
 use crate::state::require;
 use crate::var::check_coefficients;
-use crate::{Forecaster, Var, VarMode};
+use crate::{ForecastScratch, Forecaster, HistoryView, Var, VarMode};
 use foreco_linalg::{ols_rows, Matrix, OlsError};
 use foreco_teleop::Dataset;
 use serde::{Deserialize, Serialize};
@@ -45,15 +45,27 @@ impl Varma {
         assert!(!train.is_empty(), "VARMA: empty training dataset");
         let d = train.dof();
 
-        // Stage 1: long VAR and its residual series. Residual ε_i is the
-        // one-step error at command i (0 for the first r commands).
+        // Stage 1: long VAR and its residual series, row-major in one
+        // buffer. Residual ε_i is the one-step error at command i (0 for
+        // the first r commands). Each window is flattened into one reused
+        // buffer (the contiguous view `Forecaster::forecast` builds) and
+        // forecast into one reused output.
         let stage1 = Var::fit(train, r, ridge)?;
-        let mut residuals = vec![vec![0.0; d]; train.len()];
+        let mut residuals = vec![0.0; train.len() * d];
+        let (mut window, mut pred) = (vec![0.0; r * d], vec![0.0; d]);
+        let mut scratch = ForecastScratch::new();
         for (i, (hist, target)) in train.windows(r).enumerate() {
-            let pred = stage1.forecast(hist);
-            let idx = i + r;
+            for (row, command) in window.chunks_exact_mut(d).zip(hist) {
+                row.copy_from_slice(command);
+            }
+            stage1.forecast_into(
+                &HistoryView::contiguous(&window, d),
+                &mut scratch,
+                &mut pred,
+            );
+            let idx = (i + r) * d;
             for k in 0..d {
-                residuals[idx][k] = target[k] - pred[k];
+                residuals[idx + k] = target[k] - pred[k];
             }
         }
 
@@ -70,7 +82,8 @@ impl Varma {
                 }
                 for lag in 0..q {
                     let at = 1 + d * r + lag * d;
-                    x[at..at + d].copy_from_slice(&residuals[i - q + lag]);
+                    let from = (i - q + lag) * d;
+                    x[at..at + d].copy_from_slice(&residuals[from..from + d]);
                 }
                 push(&x, &train.commands[i]);
             }

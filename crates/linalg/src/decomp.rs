@@ -70,24 +70,31 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
 /// # Panics
 /// Panics on shape mismatch or a zero diagonal element.
 pub fn solve_upper(u: &Matrix, b: &[f64]) -> Vec<f64> {
-    let n = u.rows();
+    back_substitute(u.rows(), b, |i, j| u[(i, j)])
+}
+
+/// Back substitution on the `n × n` upper-triangular matrix whose `(i, j)`
+/// entry is `u(i, j)`: the one body behind [`solve_upper`] and the `Lᵀ`
+/// solve of [`solve_cholesky`], which reads `L` in place.
+fn back_substitute(n: usize, b: &[f64], u: impl Fn(usize, usize) -> f64) -> Vec<f64> {
     assert_eq!(b.len(), n, "solve_upper: shape mismatch");
     let mut x = vec![0.0; n];
     for i in (0..n).rev() {
         let mut v = b[i];
-        for j in i + 1..n {
-            v -= u[(i, j)] * x[j];
+        for (j, xj) in x.iter().enumerate().skip(i + 1) {
+            v -= u(i, j) * xj;
         }
-        assert!(u[(i, i)] != 0.0, "solve_upper: zero pivot at {i}");
-        x[i] = v / u[(i, i)];
+        assert!(u(i, i) != 0.0, "solve_upper: zero pivot at {i}");
+        x[i] = v / u(i, i);
     }
     x
 }
 
-/// Solves `A x = b` given the Cholesky factor of `A` (two triangular solves).
+/// Solves `A x = b` given the Cholesky factor of `A` (two triangular
+/// solves; the `Lᵀ` one reads `L` transposed in place, copying nothing).
 pub fn solve_cholesky(ch: &Cholesky, b: &[f64]) -> Vec<f64> {
     let y = solve_lower(&ch.l, b);
-    solve_upper(&ch.l.transpose(), &y)
+    back_substitute(ch.l.rows(), &y, |i, j| ch.l[(j, i)])
 }
 
 /// Thin Householder QR factorisation of a tall matrix (`rows >= cols`).
@@ -237,6 +244,33 @@ mod tests {
         // Verify A x = b.
         let back = a.matvec(&x);
         assert!(approx(back[0], 8.0, 1e-10) && approx(back[1], 7.0, 1e-10));
+    }
+
+    #[test]
+    fn cholesky_solve_is_bit_identical_to_the_transpose_path() {
+        // A deterministic spread of magnitudes and signs (signed zeros in
+        // the right-hand sides included) over several sizes.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 10f64.powi((state % 7) as i32 - 3)
+        };
+        for n in [1, 2, 3, 7, 31] {
+            let b = Matrix::from_fn(n + 2, n, |_, _| next());
+            let a = &b.transpose().matmul(&b) + &Matrix::identity(n);
+            let ch = cholesky(&a).expect("SPD");
+            for k in 0..4 {
+                let rhs: Vec<f64> = (0..n)
+                    .map(|i| if (i + k) % 5 == 0 { -0.0 } else { next() })
+                    .collect();
+                let expected = solve_upper(&ch.l.transpose(), &solve_lower(&ch.l, &rhs));
+                let got = solve_cholesky(&ch, &rhs);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expected), "n = {n}, rhs {k}");
+            }
+        }
     }
 
     #[test]

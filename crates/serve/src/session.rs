@@ -37,8 +37,8 @@ use crate::clock::VirtualClock;
 use crate::inbox::{BoundedInbox, GatedInbox, GatedSlot, Offer};
 use crate::memo::{Points, ShardMemo};
 use crate::snapshot::{
-    compress_fates, expand_fates, require_finite, RestoreError, SessionSnapshot, SnapshotError,
-    SourceState, SNAPSHOT_VERSION,
+    check_fate_coverage, compress_fates, expand_fates, merge_runs, require_finite, FateRun,
+    RestoreError, SessionSnapshot, SnapshotError, SourceState, SNAPSHOT_VERSION,
 };
 use crate::spec::SharedForecaster;
 use crate::spec::{ChannelSpec, SessionId, SessionSpec, SourceSpec};
@@ -126,7 +126,9 @@ enum Source {
     Scripted {
         /// The rows and their reference trajectory.
         script: Script,
-        fates: Vec<Arrival>,
+        /// The pre-drawn fate of every row, as runs read by a cursor (a
+        /// fleet part copies the runs).
+        fates: ScriptFates,
         /// The DCF solution a jammed script's fates were drawn from,
         /// held so the shard memo shares it with later opens on the
         /// same link while this session lives. `None` otherwise.
@@ -147,6 +149,67 @@ enum Source {
         /// As for `Streamed`.
         reference: RobotDriver,
     },
+}
+
+/// A scripted session's pre-drawn fates in their one in-memory form,
+/// canonical [`FateRun`]s (no zero-count run, no two bit-equal
+/// neighbours), with a cursor on the run that holds the next tick's fate.
+/// Memory is O(runs): a bursty channel's few long `OnTime` runs, however
+/// long the script.
+struct ScriptFates {
+    runs: Vec<FateRun>,
+    /// Index of the run holding the next tick's fate; `runs.len()` once
+    /// every fate is read.
+    run: usize,
+    /// The tick at which `runs[run]` ends (exclusive): the script length
+    /// once every fate is read.
+    end: u64,
+}
+
+impl ScriptFates {
+    /// A per-slot stream (freshly drawn, or an inline snapshot's),
+    /// compressed once and positioned at `tick`.
+    fn from_slots(fates: &[Arrival], tick: u64) -> Self {
+        Self::at(compress_fates(fates), tick)
+    }
+
+    /// A checkpoint part's runs, restored at `tick`: checked to cover the
+    /// `commands`-row script first, then canonicalised, so a re-snapshot
+    /// emits the runs a fresh compress of the stream would.
+    ///
+    /// # Errors
+    /// As [`check_fate_coverage`].
+    fn restore(runs: &[FateRun], commands: usize, tick: u64) -> Result<Self, RestoreError> {
+        check_fate_coverage(runs, commands)?;
+        Ok(Self::at(merge_runs(runs.iter().cloned()), tick))
+    }
+
+    /// Canonical `runs` with the cursor on `tick`, found in O(runs). A
+    /// tick at or past the end leaves the cursor past the last run.
+    fn at(runs: Vec<FateRun>, tick: u64) -> Self {
+        let (mut run, mut end) = (0, 0);
+        while run < runs.len() {
+            end += runs[run].count;
+            if tick < end {
+                break;
+            }
+            run += 1;
+        }
+        Self { runs, run, end }
+    }
+
+    /// The fate of `tick`, the tick after the one read last (or the
+    /// restore tick). One compare against the current run's end; the
+    /// cursor moves only at a run boundary, and nothing allocates.
+    fn next(&mut self, tick: u64) -> Arrival {
+        if tick >= self.end {
+            // Canonical runs are never empty, so the next run holds it.
+            self.run += 1;
+            self.end += self.runs[self.run].count;
+        }
+        debug_assert!(tick < self.end, "fates read out of order");
+        self.runs[self.run].fate
+    }
 }
 
 /// A scripted session's rows and their reference trajectory, held
@@ -416,7 +479,7 @@ impl Session {
     ) -> (Source, Vec<f64>) {
         let commands = &script.commands;
         let (mut channel, link) = spec.channel.build(memo);
-        let fates = channel.fates(commands.len());
+        let fates = ScriptFates::from_slots(&channel.fates(commands.len()), 0);
         let start = model.clamp(&commands[0]);
         (
             Source::Scripted {
@@ -489,7 +552,9 @@ impl Session {
     /// This is the service's hot path: in steady state (scripted replay
     /// or a live command already queued) it performs **zero heap
     /// allocations** — scripted commands are borrowed straight from the
-    /// shared script, the engine ticks through
+    /// shared script, a scripted fate is read off the current run (one
+    /// compare against its end tick; the cursor moves only at a run
+    /// boundary), the engine ticks through
     /// [`RecoveryEngine::tick_into`] into the session-owned `injected`
     /// buffer, and the drivers update in place (a session reading a
     /// shared reference trajectory ticks one). The remaining
@@ -515,7 +580,7 @@ impl Session {
                         return Advance::Completed(Box::new(self.report()));
                     }
                     let command = Cow::Borrowed(commands[i].as_slice());
-                    (Some(command), fates[i], script.trajectory[i])
+                    (Some(command), fates.next(i as u64), script.trajectory[i])
                 }
                 Source::Streamed {
                     inbox,
@@ -772,7 +837,8 @@ impl Session {
         let source = match &self.source {
             Source::Scripted { script, fates, .. } => SourceState::Scripted {
                 commands: (*script.commands).clone(),
-                fates: fates.clone(),
+                fates: expand_fates(&fates.runs, script.commands.len())
+                    .expect("a session's runs cover its script"),
             },
             Source::Streamed { inbox, link, .. } => SourceState::Streamed {
                 inbox: inbox.snapshot(),
@@ -794,7 +860,8 @@ impl Session {
 
     /// Checkpoints for a bulk fleet archive: a scripted source is
     /// captured as [`SourceState::ScriptedRef`] — the trace's content
-    /// address plus run-length-encoded fates — and the trace payload is
+    /// address plus a copy of the session's fate runs (already run-length
+    /// encoded: nothing is compressed here) — and the trace payload is
     /// returned alongside as a cheap `Arc` clone, so assembling an
     /// archive of N sessions over one trace costs O(traces), not
     /// O(sessions × trace), in both time and bytes. Non-scripted
@@ -813,7 +880,7 @@ impl Session {
                 };
                 let source = SourceState::ScriptedRef {
                     trace: id,
-                    fates: compress_fates(fates),
+                    fates: fates.runs.clone(),
                 };
                 Ok((
                     self.snapshot_shell(source, engine),
@@ -1010,7 +1077,7 @@ impl Session {
                 validate_progress(commands.len(), fates.len(), snap.tick)?;
                 Source::Scripted {
                     script,
-                    fates: fates.clone(),
+                    fates: ScriptFates::from_slots(fates, snap.tick),
                     _link: None,
                 }
             }
@@ -1030,7 +1097,8 @@ impl Session {
                         handle.id()
                     )));
                 }
-                let fates = expand_fates(fates, handle.commands().len())?;
+                let commands = handle.commands().len();
+                let fates = ScriptFates::restore(fates, commands, snap.tick)?;
                 let script = Script::new(
                     Arc::clone(handle.commands()),
                     Some(handle),
@@ -1039,7 +1107,8 @@ impl Session {
                     memo,
                     |rows| validate_rows(rows, model),
                 )?;
-                validate_progress(script.commands.len(), fates.len(), snap.tick)?;
+                // The runs cover the script: one fate per command.
+                validate_progress(commands, commands, snap.tick)?;
                 Source::Scripted {
                     script,
                     fates,
@@ -2216,5 +2285,150 @@ mod tests {
             "five opens, four (arm, driver) inputs: `again` reuses `base`'s"
         );
         drop((base, pos_kd, neg_kd, slow, again));
+    }
+
+    /// A fate as comparable bits: `Late(-0.0)` and `Late(0.0)` differ.
+    fn fate_bits(fate: Arrival) -> (u8, u64) {
+        match fate {
+            Arrival::OnTime => (0, 0),
+            Arrival::Lost => (1, 0),
+            Arrival::Late(delay) => (2, delay.to_bits()),
+        }
+    }
+
+    fn run_bits(runs: &[FateRun]) -> Vec<((u8, u64), u64)> {
+        runs.iter()
+            .map(|run| (fate_bits(run.fate), run.count))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::env_or(64))]
+
+        /// From any restore tick (0, every run boundary, the script's
+        /// end and a random one), the cursor reads exactly the expanded
+        /// stream's tail, bit for bit, and the restored runs are
+        /// canonical: no zero-count run, no bit-equal neighbours, and
+        /// the runs a fresh compress of the stream gives.
+        #[test]
+        fn fate_cursor_reads_the_expanded_stream_from_any_tick(
+            raw in proptest::collection::vec(0u64..30, 0..24),
+            delay in 0.0f64..0.1,
+            pick in 0u64..1_000,
+        ) {
+            // Each draw is one run: a fate kind and a count of 0 to 4.
+            let runs: Vec<FateRun> = raw
+                .iter()
+                .map(|&draw| FateRun {
+                    fate: match draw / 5 {
+                        0 | 1 => Arrival::OnTime,
+                        2 => Arrival::Lost,
+                        3 => Arrival::Late(0.0),
+                        4 => Arrival::Late(-0.0),
+                        _ => Arrival::Late(delay),
+                    },
+                    count: draw % 5,
+                })
+                .collect();
+            let len = runs.iter().map(|run| run.count).sum::<u64>();
+            let expanded = expand_fates(&runs, len as usize).expect("runs cover their sum");
+            let expected: Vec<_> = expanded.iter().copied().map(fate_bits).collect();
+
+            let mut ticks = vec![0, len, pick % (len + 1)];
+            ticks.extend(runs.iter().scan(0, |end, run| {
+                *end += run.count;
+                Some(*end)
+            }));
+            for tick in ticks {
+                let mut fates = ScriptFates::restore(&runs, len as usize, tick).expect("covered");
+                let read: Vec<_> = (tick..len).map(|t| fate_bits(fates.next(t))).collect();
+                proptest::prop_assert_eq!(&read[..], &expected[tick as usize..], "from tick {}", tick);
+
+                let canonical = &fates.runs;
+                proptest::prop_assert!(canonical.iter().all(|run| run.count > 0));
+                proptest::prop_assert!(canonical
+                    .windows(2)
+                    .all(|pair| fate_bits(pair[0].fate) != fate_bits(pair[1].fate)));
+                proptest::prop_assert_eq!(run_bits(canonical), run_bits(&compress_fates(&expanded)));
+                let back = expand_fates(canonical, len as usize).expect("canonical runs cover");
+                proptest::prop_assert_eq!(
+                    back.into_iter().map(fate_bits).collect::<Vec<_>>(),
+                    expected.clone()
+                );
+            }
+            let mut opened = ScriptFates::from_slots(&expanded, 0);
+            let read: Vec<_> = (0..len).map(|t| fate_bits(opened.next(t))).collect();
+            proptest::prop_assert_eq!(read, expected);
+            for short in [len + 1, len.saturating_sub(1)] {
+                if short != len {
+                    let err = ScriptFates::restore(&runs, short as usize, 0).err();
+                    proptest::prop_assert_eq!(
+                        err,
+                        Some(RestoreError::Invalid(format!(
+                            "fate runs do not cover the {short}-command script"
+                        )))
+                    );
+                }
+            }
+        }
+    }
+
+    /// A by-reference part whose runs are split, padded with zero-count
+    /// runs or reordered into bit-equal neighbours restores onto the
+    /// canonical runs: its re-snapshot is byte for byte the donor's part,
+    /// and it ticks on bit-identically.
+    #[test]
+    fn fate_cursor_restore_canonicalises_part_runs() {
+        let model = niryo_one();
+        let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 77);
+        let store = Storage::new();
+        let spec = replay_spec(1, SourceSpec::stored(&store, &test), &trained_var());
+        let mut donor = Session::open(&spec, &model);
+        for _ in 0..150 {
+            donor.advance();
+        }
+        let (part, _) = donor.snapshot_for_fleet().expect("fleet part");
+        let SourceState::ScriptedRef { trace, fates } = &part.source else {
+            panic!("a stored session's part is by reference");
+        };
+        assert!(fates.len() > 2, "a lossy channel: {} runs", fates.len());
+        // Every run split into a one-slot head and the rest, with a
+        // zero-count run of the next fate between them.
+        let mut split = Vec::new();
+        for (at, run) in fates.iter().enumerate() {
+            let other = fates[(at + 1) % fates.len()].fate;
+            split.push(FateRun {
+                fate: run.fate,
+                count: 1,
+            });
+            split.push(FateRun {
+                fate: other,
+                count: 0,
+            });
+            split.push(FateRun {
+                fate: run.fate,
+                count: run.count - 1,
+            });
+        }
+        let mut odd = part.clone();
+        odd.source = SourceState::ScriptedRef {
+            trace: *trace,
+            fates: split,
+        };
+        let handle = store.get_trace(*trace).expect("resident");
+        let mut restored = Session::restore_stored(&odd, &model, handle).expect("restores");
+        let (again, _) = restored.snapshot_for_fleet().expect("fleet part");
+        assert_eq!(again.to_bytes(), part.to_bytes());
+        loop {
+            match (donor.advance(), restored.advance()) {
+                (Advance::Ticked(_), Advance::Ticked(_)) => {}
+                (Advance::Completed(a), Advance::Completed(b)) => {
+                    assert_eq!(a.rmse_mm.to_bits(), b.rmse_mm.to_bits());
+                    assert_eq!(a.misses, b.misses);
+                    break;
+                }
+                other => panic!("diverged: {other:?}"),
+            }
+        }
     }
 }

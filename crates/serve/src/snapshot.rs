@@ -112,10 +112,14 @@ pub const SNAPSHOT_VERSION: u32 = 5;
 /// `{`: the decoder dispatches legacy JSON documents on that byte.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FSNP";
 
-/// One run of identical channel fates in a [`SourceState::ScriptedRef`]
-/// source — the run-length encoding that keeps per-session archive
-/// entries small (a fate stream is overwhelmingly `OnTime` runs broken
-/// by short loss bursts).
+/// One run of identical channel fates: the one form of a scripted
+/// session's pre-drawn fates, both in memory (the live session reads them
+/// through a cursor on its current run) and in a
+/// [`SourceState::ScriptedRef`] archive entry, where it keeps
+/// per-session parts small (a fate stream is overwhelmingly `OnTime`
+/// runs broken by short loss bursts). A fleet part copies the session's
+/// runs, so neither a fleet checkpoint nor its restore compresses or
+/// expands a stream.
 ///
 /// The encoding is lossless at the bit level: runs are grouped by fate
 /// *bit pattern* (`Late` delays compare via [`f64::to_bits`]), so
@@ -138,29 +142,32 @@ fn same_fate(a: Arrival, b: Arrival) -> bool {
     }
 }
 
-/// Run-length-encodes a fate stream (see [`FateRun`]).
-pub(crate) fn compress_fates(fates: &[Arrival]) -> Vec<FateRun> {
-    let mut runs: Vec<FateRun> = Vec::new();
-    for &fate in fates {
-        match runs.last_mut() {
-            Some(run) if same_fate(run.fate, fate) => run.count += 1,
-            _ => runs.push(FateRun { fate, count: 1 }),
+/// The canonical form of a run stream: zero-count runs dropped and
+/// bit-equal neighbours merged, so equal per-slot streams have equal
+/// runs. The caller has checked that the counts sum without overflow.
+pub(crate) fn merge_runs(runs: impl IntoIterator<Item = FateRun>) -> Vec<FateRun> {
+    let mut merged: Vec<FateRun> = Vec::new();
+    for run in runs.into_iter().filter(|run| run.count > 0) {
+        match merged.last_mut() {
+            Some(last) if same_fate(last.fate, run.fate) => last.count += run.count,
+            _ => merged.push(run),
         }
     }
-    runs
+    merged
 }
 
-/// Expands run-length-encoded fates back to the per-slot stream of a
-/// `commands`-row script.
+/// Run-length-encodes a fate stream (see [`FateRun`]).
+pub(crate) fn compress_fates(fates: &[Arrival]) -> Vec<FateRun> {
+    merge_runs(fates.iter().map(|&fate| FateRun { fate, count: 1 }))
+}
+
+/// Checks that `runs` cover exactly a `commands`-row script.
 ///
 /// # Errors
-/// [`RestoreError::Invalid`] unless the runs cover exactly `commands`
-/// slots — checked before anything is allocated, so a corrupt count
-/// word cannot become a huge allocation.
-pub(crate) fn expand_fates(
-    runs: &[FateRun],
-    commands: usize,
-) -> Result<Vec<Arrival>, RestoreError> {
+/// [`RestoreError::Invalid`] otherwise — checked before anything is
+/// built from the runs, so a corrupt count word cannot become a huge
+/// allocation.
+pub(crate) fn check_fate_coverage(runs: &[FateRun], commands: usize) -> Result<(), RestoreError> {
     let total = runs
         .iter()
         .try_fold(0u64, |total, run| total.checked_add(run.count));
@@ -169,6 +176,19 @@ pub(crate) fn expand_fates(
             "fate runs do not cover the {commands}-command script"
         )));
     }
+    Ok(())
+}
+
+/// Expands run-length-encoded fates back to the per-slot stream of a
+/// `commands`-row script: the inline [`SourceState::Scripted`] form.
+///
+/// # Errors
+/// As [`check_fate_coverage`], checked before anything is allocated.
+pub(crate) fn expand_fates(
+    runs: &[FateRun],
+    commands: usize,
+) -> Result<Vec<Arrival>, RestoreError> {
+    check_fate_coverage(runs, commands)?;
     let mut fates = Vec::with_capacity(commands);
     for run in runs {
         for _ in 0..run.count {
@@ -183,7 +203,12 @@ pub(crate) fn expand_fates(
 pub enum SourceState {
     /// A scripted (recorded/replayed) source: the full script and its
     /// pre-drawn per-command fates. The virtual tick indexes into both,
-    /// so no separate cursor is needed.
+    /// so no separate cursor is needed. This self-contained form is the
+    /// only per-slot fate stream left: a live session holds its fates as
+    /// [`FateRun`]s, expanded here on [`Session::snapshot`] and
+    /// compressed again on restore.
+    ///
+    /// [`Session::snapshot`]: crate::Session::snapshot
     Scripted {
         /// The command script, materialised (recorded sources are
         /// rendered to commands at open time, so the snapshot does not
@@ -201,7 +226,8 @@ pub enum SourceState {
     ScriptedRef {
         /// Content address of the command script.
         trace: ObjectId,
-        /// Pre-drawn channel outcomes, run-length encoded.
+        /// Pre-drawn channel outcomes, run-length encoded: a copy of
+        /// the live session's runs.
         fates: Vec<FateRun>,
     },
     /// A flow-controlled socket-ingress source (`SourceSpec::Gated`):

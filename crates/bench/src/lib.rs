@@ -3,9 +3,12 @@
 //! Every target prints the same rows/series the paper reports. Scale
 //! knobs come from the environment so CI can run reduced versions:
 //!
-//! - `FORECO_CYCLES` — pick-and-place repetitions per dataset
-//!   (default 20; the paper's H = 187 109 commands ≈ 100 cycles ×
-//!   two operators; 20 keeps a laptop run under a minute per figure).
+//! - `FORECO_CYCLES` — pick-and-place repetitions per dataset. The
+//!   bins built on [`Fixture::build`] read it through [`cycles`]
+//!   (default 20; the paper's H = 187 109 commands ≈ 100 cycles × two
+//!   operators; 20 keeps a laptop run under a minute per figure).
+//!   `table1_training_profile` and `table2_train_infer` read it through
+//!   [`env_knob`] with a default of 100, the paper-scale dataset.
 //! - `FORECO_REPS` — seeded repetitions per Fig.-8 cell (default 10;
 //!   paper: 40).
 

@@ -6,6 +6,11 @@
 //! solution" and loses to both VAR and MA (Fig. 7) — reproduced here: the
 //! default paper-scale architecture under a realistic training budget
 //! underfits relative to VAR.
+//!
+//! Its `forecast_into` allocates on every call (the network consumes
+//! owned rows and builds its activations afresh), the one family that
+//! does. It is never served; `hot_path_allocs` and this crate's
+//! `kernel_allocs` test hold the served families to zero.
 
 use crate::Forecaster;
 use foreco_nn::{Seq2Seq, Seq2SeqConfig, TrainReport};

@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod codec;
 pub mod history;
 mod holt;
 mod kalman;
@@ -35,12 +36,13 @@ mod var;
 mod varma;
 
 pub use batch::{plan_layout, BatchLane};
+pub use codec::StateCodecError;
 pub use history::{ForecastScratch, HistoryView};
 pub use holt::Holt;
 pub use kalman::KalmanCv;
 pub use ma::MovingAverage;
 pub use seq2seq::{Seq2SeqForecaster, Seq2SeqTrainConfig};
-pub use state::{ForecasterState, StateCodecError};
+pub use state::ForecasterState;
 pub use var::{Var, VarMode};
 pub use varma::Varma;
 

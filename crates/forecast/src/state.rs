@@ -24,10 +24,12 @@
 //! # Canonical binary form
 //!
 //! [`ForecasterState::encode_into`] writes the one binary encoding of a
-//! state: a family tag byte, then the family's dimensions as `u64`
-//! words and every `f64` as its raw [`f64::to_bits`] word, all little
-//! endian. It is bit-lossless by construction (`-0.0` and NaN payloads
-//! included) and runs no float formatter. The same bytes are the
+//! state through the shared [`crate::codec`] primitives (the same ones
+//! session frames and fleet archives use): a family tag byte, then the
+//! family's dimensions as `u64` words and every `f64` as its raw
+//! [`f64::to_bits`] word, all little endian. It is bit-lossless by
+//! construction (`-0.0` and NaN payloads included) and runs no float
+//! formatter. The same bytes are the
 //! store's content address ([`ForecasterState::canonical_bytes`]) and
 //! the forecaster field of a session snapshot frame.
 //!
@@ -44,10 +46,11 @@
 //! ([`ForecasterState::from_canonical_bytes`]) never panics: counts are
 //! overflow-checked and capped against the remaining bytes before they
 //! allocate, trailing bytes are rejected, and every malformed shape is a
-//! typed [`StateCodecError`]. Decoding checks structure only;
-//! [`ForecasterState::validate`] checks what each family's constructor
-//! guarantees.
+//! typed [`StateCodecError`], the shared cursor's one error type.
+//! Decoding checks structure only; [`ForecasterState::validate`] checks
+//! what each family's constructor guarantees.
 
+use crate::codec::{put_f64, put_opt_f64, put_u8, put_usize, Reader, StateCodecError};
 use crate::{Forecaster, Holt, KalmanCv, MovingAverage, Var, VarMode, Varma};
 use foreco_linalg::Matrix;
 use serde::{Deserialize, Serialize};
@@ -118,19 +121,19 @@ impl ForecasterState {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             ForecasterState::Ma(f) => {
-                buf.push(TAG_MA);
+                put_u8(buf, TAG_MA);
                 put_usize(buf, f.r);
                 put_usize(buf, f.dims);
             }
             ForecasterState::Holt(f) => {
-                buf.push(TAG_HOLT);
+                put_u8(buf, TAG_HOLT);
                 put_usize(buf, f.r);
                 put_usize(buf, f.dims);
                 put_f64(buf, f.alpha);
                 put_f64(buf, f.beta);
             }
             ForecasterState::Kalman(f) => {
-                buf.push(TAG_KALMAN);
+                put_u8(buf, TAG_KALMAN);
                 put_usize(buf, f.r);
                 put_usize(buf, f.dims);
                 put_f64(buf, f.period);
@@ -138,11 +141,11 @@ impl ForecasterState {
                 put_f64(buf, f.measurement_noise);
             }
             ForecasterState::Var(f) => {
-                buf.push(TAG_VAR);
+                put_u8(buf, TAG_VAR);
                 put_var(buf, f);
             }
             ForecasterState::Varma(f) => {
-                buf.push(TAG_VARMA);
+                put_u8(buf, TAG_VARMA);
                 put_usize(buf, f.r);
                 put_usize(buf, f.q);
                 put_usize(buf, f.dims);
@@ -161,7 +164,7 @@ impl ForecasterState {
     /// A typed [`StateCodecError`] for every malformed shape — never a
     /// panic.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Result<Self, StateCodecError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         let state = match r.u8()? {
             TAG_MA => ForecasterState::Ma(MovingAverage {
                 r: r.usize("MA window")?,
@@ -180,13 +183,13 @@ impl ForecasterState {
                 process_noise: r.f64()?,
                 measurement_noise: r.f64()?,
             }),
-            TAG_VAR => ForecasterState::Var(r.var()?),
+            TAG_VAR => ForecasterState::Var(read_var(&mut r)?),
             TAG_VARMA => ForecasterState::Varma(Varma {
                 r: r.usize("VARMA AR order")?,
                 q: r.usize("VARMA MA order")?,
                 dims: r.usize("VARMA dims")?,
-                stage1: r.var()?,
-                beta: r.matrix()?,
+                stage1: read_var(&mut r)?,
+                beta: read_matrix(&mut r)?,
             }),
             found => {
                 return Err(StateCodecError::BadTag {
@@ -195,9 +198,9 @@ impl ForecasterState {
                 })
             }
         };
-        if r.pos != bytes.len() {
+        if r.remaining() != 0 {
             return Err(StateCodecError::TrailingBytes {
-                expect: r.pos,
+                expect: r.pos(),
                 got: bytes.len(),
             });
         }
@@ -229,18 +232,6 @@ const TAG_KALMAN: u8 = 2;
 const TAG_VAR: u8 = 3;
 const TAG_VARMA: u8 = 4;
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
 fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {
     put_usize(buf, m.rows());
     put_usize(buf, m.cols());
@@ -253,179 +244,57 @@ fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {
 fn put_var(buf: &mut Vec<u8>, var: &Var) {
     put_usize(buf, var.r);
     put_usize(buf, var.dims);
-    buf.push(match var.mode {
-        VarMode::Levels => 0,
-        VarMode::Differences => 1,
-    });
+    put_u8(
+        buf,
+        match var.mode {
+            VarMode::Levels => 0,
+            VarMode::Differences => 1,
+        },
+    );
     put_matrix(buf, &var.beta);
-    match var.diff_clamp {
-        None => buf.push(0),
-        Some(clamp) => {
-            buf.push(1);
-            put_f64(buf, clamp);
-        }
-    }
+    put_opt_f64(buf, var.diff_clamp);
 }
 
-/// Why a canonical forecaster state failed to decode. Every malformed
-/// input maps to exactly one variant; decoding never panics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StateCodecError {
-    /// Fewer bytes than the layout requires.
-    Truncated {
-        /// Bytes required to read the next field.
-        need: usize,
-        /// Bytes present.
-        got: usize,
-    },
-    /// An unassigned tag byte where a discriminant or flag was expected.
-    BadTag {
-        /// Which field carried the tag.
-        what: &'static str,
-        /// The byte found.
-        found: u8,
-    },
-    /// A count larger than the remaining bytes could hold (or than
-    /// `usize` can express), rejected before it becomes an allocation.
-    Oversized {
-        /// Which field declared it.
-        what: &'static str,
-        /// The declared count.
-        declared: u64,
-        /// The most the remaining bytes could hold.
-        limit: u64,
-    },
-    /// Bytes left over after one complete state.
-    TrailingBytes {
-        /// Length of the decoded state.
-        expect: usize,
-        /// Bytes present.
-        got: usize,
-    },
+/// `rows × cols` words, the product overflow-checked and capped against
+/// the remaining bytes before anything is allocated, so the matrix built
+/// always holds exactly its shape.
+fn read_matrix(r: &mut Reader<'_>) -> Result<Matrix, StateCodecError> {
+    let rows = r.usize("matrix rows")?;
+    let cols = r.usize("matrix cols")?;
+    let limit = (r.remaining() / 8) as u64;
+    let n = rows
+        .checked_mul(cols)
+        .filter(|&n| n as u64 <= limit)
+        .ok_or(StateCodecError::Oversized {
+            what: "matrix data",
+            declared: (rows as u64).saturating_mul(cols as u64),
+            limit,
+        })?;
+    let data = r
+        .take(n * 8)?
+        .chunks_exact(8)
+        .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8"))))
+        .collect();
+    Ok(Matrix::from_vec(rows, cols, data))
 }
 
-impl std::fmt::Display for StateCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StateCodecError::Truncated { need, got } => {
-                write!(
-                    f,
-                    "forecaster state truncated: need {need} bytes, got {got}"
-                )
+fn read_var(r: &mut Reader<'_>) -> Result<Var, StateCodecError> {
+    Ok(Var {
+        r: r.usize("VAR order")?,
+        dims: r.usize("VAR dims")?,
+        mode: match r.u8()? {
+            0 => VarMode::Levels,
+            1 => VarMode::Differences,
+            found => {
+                return Err(StateCodecError::BadTag {
+                    what: "VAR mode",
+                    found,
+                })
             }
-            StateCodecError::BadTag { what, found } => {
-                write!(f, "forecaster state: bad tag {found:#04x} for {what}")
-            }
-            StateCodecError::Oversized {
-                what,
-                declared,
-                limit,
-            } => write!(
-                f,
-                "forecaster state: oversized {what}: {declared} declared, at most {limit} possible"
-            ),
-            StateCodecError::TrailingBytes { expect, got } => write!(
-                f,
-                "forecaster state: trailing bytes: state is {expect}, buffer holds {got}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StateCodecError {}
-
-/// Bounds-checked cursor over one canonical state.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StateCodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or(StateCodecError::Truncated {
-                need: self.pos.saturating_add(n),
-                got: self.buf.len(),
-            })?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StateCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, StateCodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, StateCodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self, what: &'static str) -> Result<usize, StateCodecError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| StateCodecError::Oversized {
-            what,
-            declared: v,
-            limit: usize::MAX as u64,
-        })
-    }
-
-    /// `rows × cols` words, the product overflow-checked and capped
-    /// against the remaining bytes before anything is allocated, so the
-    /// matrix built always holds exactly its shape.
-    fn matrix(&mut self) -> Result<Matrix, StateCodecError> {
-        let rows = self.usize("matrix rows")?;
-        let cols = self.usize("matrix cols")?;
-        let limit = ((self.buf.len() - self.pos) / 8) as u64;
-        let n = rows
-            .checked_mul(cols)
-            .filter(|&n| n as u64 <= limit)
-            .ok_or(StateCodecError::Oversized {
-                what: "matrix data",
-                declared: (rows as u64).saturating_mul(cols as u64),
-                limit,
-            })?;
-        let data = self
-            .take(n * 8)?
-            .chunks_exact(8)
-            .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8"))))
-            .collect();
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    fn var(&mut self) -> Result<Var, StateCodecError> {
-        Ok(Var {
-            r: self.usize("VAR order")?,
-            dims: self.usize("VAR dims")?,
-            mode: match self.u8()? {
-                0 => VarMode::Levels,
-                1 => VarMode::Differences,
-                found => {
-                    return Err(StateCodecError::BadTag {
-                        what: "VAR mode",
-                        found,
-                    })
-                }
-            },
-            beta: self.matrix()?,
-            diff_clamp: match self.u8()? {
-                0 => None,
-                1 => Some(self.f64()?),
-                found => {
-                    return Err(StateCodecError::BadTag {
-                        what: "VAR diff clamp",
-                        found,
-                    })
-                }
-            },
-        })
-    }
+        },
+        beta: read_matrix(r)?,
+        diff_clamp: r.opt("VAR diff clamp", Reader::f64)?,
+    })
 }
 
 /// `Ok` when `ok`, otherwise `what` as the error.

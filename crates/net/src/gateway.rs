@@ -28,8 +28,8 @@ use crate::control::{self, ControlCore, ControlRequest, FleetEvent, Reject, Reje
 use crate::ingress::{IngressConfig, IngressState};
 use crate::wire::MAX_FRAME;
 use foreco_serve::{
-    ChannelSpec, IngressSummary, MetricsRegistry, PercentileSummary, RecoverySpec, Service,
-    ServiceConfig, SessionEvent, SessionId, SessionReport,
+    ChannelSpec, PercentileSummary, RecoverySpec, Service, ServiceConfig, SessionEvent, SessionId,
+    SessionReport,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -96,8 +96,6 @@ struct HubState {
     restored: HashMap<SessionId, Result<u64, Reject>>,
     /// `UnknownSession` answers, claimable by whichever request raced it.
     unknown: HashMap<SessionId, u64>,
-    /// Engine-side overflow drops observed per session.
-    engine_drops: HashMap<SessionId, u64>,
     /// Live event subscriptions, keyed by subscription id.
     subscribers: HashMap<u64, SubscriberQueue>,
     next_subscriber: u64,
@@ -186,7 +184,6 @@ impl EventHub {
             }
             SessionEvent::CommandDropped { id, tick } => {
                 state.publish(FleetEvent::Dropped { id, tick });
-                *state.engine_drops.entry(id).or_insert(0) += 1;
             }
             SessionEvent::Migrated { id, from, to } => {
                 state.publish(FleetEvent::Migrated { id, from, to });
@@ -363,16 +360,6 @@ impl EventHub {
         self.wait(id, timeout, false, |s| s.restored.remove(&id))?
     }
 
-    pub(crate) fn engine_drops(&self, id: SessionId) -> u64 {
-        self.state
-            .lock()
-            .expect("hub")
-            .engine_drops
-            .get(&id)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Forgets everything recorded for a finished session, so a
     /// long-lived gateway's hub stays O(live sessions) instead of
     /// accreting an entry per session ever served.
@@ -382,7 +369,6 @@ impl EventHub {
         state.reports.remove(&id);
         state.restored.remove(&id);
         state.unknown.remove(&id);
-        state.engine_drops.remove(&id);
     }
 }
 
@@ -495,30 +481,12 @@ impl Gateway {
         )
     }
 
-    /// Every attached session's ingress counters, id-ordered.
-    pub fn ingress_summaries(&self) -> Vec<IngressSummary> {
-        self.core.ingress.lock().expect("ingress").summaries()
-    }
-
     /// Datagrams that failed to decode, and well-formed frames for
     /// unattached sessions — the gateway-level reject counters no
     /// session can own.
     pub fn reject_counters(&self) -> (u64, u64) {
         let state = self.core.ingress.lock().expect("ingress");
         (state.undecodable, state.unknown)
-    }
-
-    /// Records the gateway's ingress picture into a metrics registry
-    /// (next to the session reports the wire produced).
-    pub fn record_ingress(&self, registry: &mut MetricsRegistry) {
-        registry.record_ingress(self.ingress_summaries());
-    }
-
-    /// Engine-side drops (gated-inbox overflow, refused late patches)
-    /// the event stream reported for `id` — the admission-control half
-    /// of the loss picture, next to the wire-side counters.
-    pub fn engine_drops(&self, id: SessionId) -> u64 {
-        self.core.hub.engine_drops(id)
     }
 
     /// Stops every thread and tears the fronted service down.

@@ -163,13 +163,6 @@ impl IngressState {
         self.sessions.get(&id).map(|s| s.counters)
     }
 
-    /// Every attached session's counters, id-ordered.
-    pub(crate) fn summaries(&self) -> Vec<IngressSummary> {
-        let mut ids: Vec<SessionId> = self.sessions.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter().filter_map(|&id| self.summary(id)).collect()
-    }
-
     /// Processes one datagram; on a data frame, writes the telemetry ack
     /// into `ack` and returns its length. This is the entire per-frame
     /// code path — the UDP thread and the loopback transport both call

@@ -25,9 +25,7 @@
 //! calls [`FleetArchive::push_part_bytes`] as each shard's reply
 //! arrives — frames produced in shard-local scratch splice straight
 //! into the archive with one `memcpy`, while the drain is still in
-//! flight. [`FleetArchive::merge`] splices two archives the same way:
-//! trace tables dedup by content address, part bytes concatenate, and
-//! no session is re-decoded in between. Decoding is lazy —
+//! flight. Decoding is lazy —
 //! [`FleetArchive::sessions`] parses frames only when a consumer
 //! actually wants the snapshots back.
 //!
@@ -45,8 +43,9 @@
 //! way in, stamped with the current snapshot version).
 
 use crate::snapshot::{
-    put_rows, put_u32, put_u64, Reader, RestoreError, SessionSnapshot, SNAPSHOT_VERSION,
+    put_object_id, read_object_id, RestoreError, SessionSnapshot, SNAPSHOT_VERSION,
 };
+use foreco_forecast::codec::{put_bytes, put_prefixed, put_rows, put_u32, put_usize, Reader};
 use foreco_store::{BlobHandle, ObjectId, Storage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -138,11 +137,7 @@ impl FleetArchive {
 
     /// Appends one session by encoding it into the archive body.
     pub fn push_part(&mut self, snapshot: &SessionSnapshot) {
-        let at = self.parts.len();
-        put_u64(&mut self.parts, 0); // length back-patched below
-        snapshot.encode_into(&mut self.parts);
-        let frame_len = (self.parts.len() - at - 8) as u64;
-        self.parts[at..at + 8].copy_from_slice(&frame_len.to_le_bytes());
+        put_prefixed(&mut self.parts, |buf| snapshot.encode_into(buf));
         self.count += 1;
     }
 
@@ -151,8 +146,7 @@ impl FleetArchive {
     /// local scratch, the collector splices the bytes here without
     /// decoding them.
     pub fn push_part_bytes(&mut self, frame: &[u8]) {
-        put_u64(&mut self.parts, frame.len() as u64);
-        self.parts.extend_from_slice(frame);
+        put_bytes(&mut self.parts, frame);
         self.count += 1;
     }
 
@@ -201,36 +195,18 @@ impl FleetArchive {
         archive
     }
 
-    /// Folds another archive into this one — trace tables dedup by
-    /// content address, session frames splice without re-decoding.
-    /// Incremental assembly for callers that checkpoint a fleet in
-    /// waves (e.g. snapshotting each batch of sessions right after
-    /// opening it, so none can complete before its checkpoint lands).
-    pub fn merge(&mut self, other: FleetArchive) {
-        for entry in other.traces {
-            if self.trace(entry.id).is_none() {
-                self.traces.push(entry);
-            }
-        }
-        self.parts.extend_from_slice(&other.parts);
-        self.count += other.count;
-    }
-
     /// Appends the binary v2 archive frame to `buf` (not cleared —
     /// same appending contract as [`SessionSnapshot::encode_into`]).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&ARCHIVE_MAGIC);
         put_u32(buf, FLEET_ARCHIVE_VERSION);
-        put_u64(buf, self.traces.len() as u64);
+        put_usize(buf, self.traces.len());
         for entry in &self.traces {
-            let id = entry.id.as_u128();
-            put_u64(buf, (id >> 64) as u64);
-            put_u64(buf, id as u64);
+            put_object_id(buf, entry.id);
             put_rows(buf, &entry.commands);
         }
-        put_u64(buf, self.count as u64);
-        put_u64(buf, self.parts.len() as u64);
-        buf.extend_from_slice(&self.parts);
+        put_usize(buf, self.count);
+        put_bytes(buf, &self.parts);
     }
 
     /// Serialises the archive to its portable byte form (the binary v2
@@ -295,19 +271,16 @@ impl FleetArchive {
         let n = r.len("archive trace table", 16)?;
         let mut traces = Vec::with_capacity(n);
         for _ in 0..n {
-            let hi = r.u64()?;
-            let lo = r.u64()?;
             traces.push(TraceEntry {
-                id: ObjectId::from_u128(((hi as u128) << 64) | lo as u128),
+                id: read_object_id(&mut r)?,
                 commands: r.rows()?,
             });
         }
         let count = r.usize("archive session count")?;
-        let body_len = r.len("archive session body", 1)?;
-        let parts = r.take(body_len)?.to_vec();
+        let parts = r.bytes("archive session body")?.to_vec();
         if r.remaining() != 0 {
             return Err(RestoreError::TrailingBytes {
-                expect: bytes.len() - r.remaining(),
+                expect: r.pos(),
                 got: bytes.len(),
             });
         }
@@ -316,12 +289,11 @@ impl FleetArchive {
         // to `sessions()`.
         let mut walker = Reader::new(&parts);
         for _ in 0..count {
-            let frame_len = walker.len("archive session frame", 1)?;
-            walker.take(frame_len)?;
+            walker.bytes("archive session frame")?;
         }
         if walker.remaining() != 0 {
             return Err(RestoreError::TrailingBytes {
-                expect: parts.len() - walker.remaining(),
+                expect: walker.pos(),
                 got: parts.len(),
             });
         }
@@ -360,19 +332,15 @@ impl<'a> Iterator for PartFrames<'a> {
     type Item = &'a [u8];
 
     fn next(&mut self) -> Option<&'a [u8]> {
-        if self.buf.len() < 8 {
-            return None;
-        }
-        let (len_bytes, rest) = self.buf.split_at(8);
-        let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes")) as usize;
-        if rest.len() < len {
-            // Unreachable for archives built through this API or
-            // validated by `from_bytes`; stop rather than panic.
-            self.buf = &[];
-            return None;
-        }
-        let (frame, rest) = rest.split_at(len);
-        self.buf = rest;
-        Some(frame)
+        let mut r = Reader::new(self.buf);
+        let frame = r.bytes("archive session frame").ok();
+        // At the end, or at a torn frame (unreachable for archives built
+        // through this API or validated by `from_bytes`), stop.
+        self.buf = if frame.is_some() {
+            &self.buf[r.pos()..]
+        } else {
+            &[]
+        };
+        frame
     }
 }

@@ -24,9 +24,14 @@
 //! `u32` format version, then every field in a fixed order with `f64`s
 //! carried as raw [`f64::to_bits`] words (bit-lossless by construction,
 //! `-0.0` and NaN payloads included) and fate streams kept in their
-//! run-length-encoded form. Decoding never panics: every malformed
-//! shape maps to a typed [`RestoreError`], pinned by the
-//! `tests/snapshot_codec.rs` property suite.
+//! run-length-encoded form. The primitives (integers, words, flags,
+//! rows, counts) are `foreco_forecast::codec`'s, the same writers and
+//! the one bounds-checked `Reader` the forecaster state and the fleet
+//! archive use; this module adds only the domain fields on top of them.
+//! Decoding never panics: every malformed shape maps to a typed
+//! [`RestoreError`] (a cursor error through `From<StateCodecError>`),
+//! pinned by the `tests/snapshot_codec.rs` property suite and the
+//! frozen v3–v5 goldens.
 //!
 //! Every frame carries its format version; [`SessionSnapshot::from_bytes`]
 //! rejects versions this build does not write with
@@ -94,6 +99,10 @@ use crate::inbox::{GatedInboxState, GatedSlot, InboxState};
 use crate::spec::{ChannelSpec, SessionId};
 use foreco_core::channel::Arrival;
 use foreco_core::{EngineSnapshot, RecoveryConfig, RecoveryStats};
+use foreco_forecast::codec::{
+    put_bool, put_f64, put_opt, put_opt_f64, put_prefixed, put_row, put_rows, put_u32, put_u64,
+    put_u8, put_usize, Reader,
+};
 use foreco_forecast::{ForecasterState, StateCodecError};
 use foreco_robot::{DriverConfig, DriverState, PidGains, PidState};
 use foreco_store::ObjectId;
@@ -303,44 +312,10 @@ pub struct SessionSnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Binary primitives (v3+ frame)
+// Domain fields of the binary (v3+) frame, over `foreco_forecast::codec`
 // ---------------------------------------------------------------------
 
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-pub(crate) fn put_row(buf: &mut Vec<u8>, row: &[f64]) {
-    put_u64(buf, row.len() as u64);
-    for &v in row {
-        put_f64(buf, v);
-    }
-}
-
-pub(crate) fn put_rows(buf: &mut Vec<u8>, rows: &[Vec<f64>]) {
-    put_u64(buf, rows.len() as u64);
-    for row in rows {
-        put_row(buf, row);
-    }
-}
-
-pub(crate) fn put_arrival(buf: &mut Vec<u8>, fate: Arrival) {
+fn put_arrival(buf: &mut Vec<u8>, fate: Arrival) {
     match fate {
         Arrival::OnTime => put_u8(buf, 0),
         Arrival::Late(delay) => {
@@ -351,171 +326,63 @@ pub(crate) fn put_arrival(buf: &mut Vec<u8>, fate: Arrival) {
     }
 }
 
-pub(crate) fn put_fates(buf: &mut Vec<u8>, fates: &[Arrival]) {
-    put_u64(buf, fates.len() as u64);
+fn read_arrival(r: &mut Reader<'_>) -> Result<Arrival, RestoreError> {
+    match r.u8()? {
+        0 => Ok(Arrival::OnTime),
+        1 => Ok(Arrival::Late(r.f64()?)),
+        2 => Ok(Arrival::Lost),
+        found => Err(RestoreError::BadTag {
+            what: "arrival fate",
+            found,
+        }),
+    }
+}
+
+fn put_fates(buf: &mut Vec<u8>, fates: &[Arrival]) {
+    put_usize(buf, fates.len());
     for &fate in fates {
         put_arrival(buf, fate);
     }
 }
 
-pub(crate) fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => put_u8(buf, 0),
-        Some(v) => {
-            put_u8(buf, 1);
-            put_f64(buf, v);
-        }
+fn read_fates(r: &mut Reader<'_>) -> Result<Vec<Arrival>, RestoreError> {
+    let n = r.len("fate stream", 1)?;
+    let mut fates = Vec::with_capacity(n);
+    for _ in 0..n {
+        fates.push(read_arrival(r)?);
     }
+    Ok(fates)
 }
 
-/// Cursor over a binary frame. Every read is bounds-checked into a
-/// typed [`RestoreError`]; malformed input never panics.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A content address as two words, high first.
+pub(crate) fn put_object_id(buf: &mut Vec<u8>, id: ObjectId) {
+    let id = id.as_u128();
+    put_u64(buf, (id >> 64) as u64);
+    put_u64(buf, id as u64);
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+pub(crate) fn read_object_id(r: &mut Reader<'_>) -> Result<ObjectId, RestoreError> {
+    let hi = r.u64()?;
+    let lo = r.u64()?;
+    Ok(ObjectId::from_u128(((hi as u128) << 64) | lo as u128))
+}
 
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], RestoreError> {
-        if self.remaining() < n {
-            return Err(RestoreError::Truncated {
-                need: self.pos + n,
-                got: self.buf.len(),
-            });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, RestoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, RestoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, RestoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, RestoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn bool(&mut self, what: &'static str) -> Result<bool, RestoreError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            found => Err(RestoreError::BadTag { what, found }),
-        }
-    }
-
-    /// A `u64` count whose elements each occupy at least `elem_min`
-    /// bytes of the remaining frame — the sanity cap that turns a
-    /// corrupted length word into [`RestoreError::Oversized`] instead of
-    /// a multi-gigabyte allocation.
-    pub(crate) fn len(
-        &mut self,
-        what: &'static str,
-        elem_min: usize,
-    ) -> Result<usize, RestoreError> {
-        let declared = self.u64()?;
-        let limit = (self.remaining() / elem_min.max(1)) as u64;
-        if declared > limit {
-            return Err(RestoreError::Oversized {
-                what,
-                declared,
-                limit,
-            });
-        }
-        Ok(declared as usize)
-    }
-
-    pub(crate) fn usize(&mut self, what: &'static str) -> Result<usize, RestoreError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| RestoreError::Oversized {
-            what,
-            declared: v,
-            limit: usize::MAX as u64,
-        })
-    }
-
-    pub(crate) fn row(&mut self) -> Result<Vec<f64>, RestoreError> {
-        let n = self.len("joint row", 8)?;
-        let mut row = Vec::with_capacity(n);
-        for _ in 0..n {
-            row.push(self.f64()?);
-        }
-        Ok(row)
-    }
-
-    pub(crate) fn rows(&mut self) -> Result<Vec<Vec<f64>>, RestoreError> {
-        let n = self.len("command rows", 8)?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            rows.push(self.row()?);
-        }
-        Ok(rows)
-    }
-
-    pub(crate) fn arrival(&mut self) -> Result<Arrival, RestoreError> {
-        match self.u8()? {
-            0 => Ok(Arrival::OnTime),
-            1 => Ok(Arrival::Late(self.f64()?)),
-            2 => Ok(Arrival::Lost),
-            found => Err(RestoreError::BadTag {
-                what: "arrival fate",
-                found,
-            }),
-        }
-    }
-
-    pub(crate) fn fates(&mut self) -> Result<Vec<Arrival>, RestoreError> {
-        let n = self.len("fate stream", 1)?;
-        let mut fates = Vec::with_capacity(n);
-        for _ in 0..n {
-            fates.push(self.arrival()?);
-        }
-        Ok(fates)
-    }
-
-    pub(crate) fn opt_f64(&mut self) -> Result<Option<f64>, RestoreError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            found => Err(RestoreError::BadTag {
-                what: "optional f64",
-                found,
-            }),
-        }
-    }
-
-    /// A length-prefixed canonical-JSON sub-blob: how v3/v4 frames
-    /// carried the forecaster state and a jammed channel spec.
-    fn json_blob<T: Deserialize>(&mut self, what: &'static str) -> Result<T, RestoreError> {
-        let n = self.len(what, 1)?;
-        let bytes = self.take(n)?;
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| RestoreError::Decode(format!("{what}: sub-blob is not UTF-8")))?;
-        serde_json::from_str(text).map_err(|e| RestoreError::Decode(format!("{what}: {e}")))
-    }
+/// A length-prefixed canonical-JSON sub-blob: how v3/v4 frames carried
+/// the forecaster state and a jammed channel spec.
+fn read_json_blob<T: Deserialize>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+) -> Result<T, RestoreError> {
+    let text = std::str::from_utf8(r.bytes(what)?)
+        .map_err(|_| RestoreError::Decode(format!("{what}: sub-blob is not UTF-8")))?;
+    serde_json::from_str(text).map_err(|e| RestoreError::Decode(format!("{what}: {e}")))
 }
 
 fn put_driver_state(buf: &mut Vec<u8>, state: &DriverState) {
     put_row(buf, &state.joints);
     put_row(buf, &state.last_command);
     put_f64(buf, state.t);
-    put_u64(buf, state.pids.len() as u64);
+    put_usize(buf, state.pids.len());
     for pid in &state.pids {
         put_f64(buf, pid.integral);
         put_opt_f64(buf, pid.prev_error);
@@ -551,7 +418,7 @@ fn put_channel(buf: &mut Vec<u8>, channel: &ChannelSpec) {
             seed,
         } => {
             put_u8(buf, 1);
-            put_u64(buf, *burst_len as u64);
+            put_usize(buf, *burst_len);
             put_f64(buf, *burst_prob);
             put_u64(buf, *seed);
         }
@@ -572,7 +439,7 @@ fn put_channel(buf: &mut Vec<u8>, channel: &ChannelSpec) {
 pub(crate) fn put_link(buf: &mut Vec<u8>, link: &LinkConfig) {
     let p = &link.params;
     put_f64(buf, link.period);
-    put_u64(buf, link.queue_capacity as u64);
+    put_usize(buf, link.queue_capacity);
     put_f64(buf, p.slot);
     put_f64(buf, p.sifs);
     put_f64(buf, p.difs);
@@ -585,7 +452,7 @@ pub(crate) fn put_link(buf: &mut Vec<u8>, link: &LinkConfig) {
     }
     put_f64(buf, p.data_rate);
     put_f64(buf, p.basic_rate);
-    put_u64(buf, link.stations as u64);
+    put_usize(buf, link.stations);
     put_f64(buf, link.interference.prob);
     put_u32(buf, link.interference.duration_slots);
 }
@@ -626,7 +493,7 @@ fn read_channel(r: &mut Reader<'_>, version: u32) -> Result<ChannelSpec, Restore
         }),
         2 => match version {
             // v3/v4 carried the jammed spec as a canonical-JSON sub-blob.
-            3 | 4 => r.json_blob::<ChannelSpec>("channel spec"),
+            3 | 4 => read_json_blob::<ChannelSpec>(r, "channel spec"),
             _ => Ok(ChannelSpec::Jammed {
                 link: read_link(r)?,
                 tolerance: r.f64()?,
@@ -635,29 +502,6 @@ fn read_channel(r: &mut Reader<'_>, version: u32) -> Result<ChannelSpec, Restore
         },
         found => Err(RestoreError::BadTag {
             what: "channel spec",
-            found,
-        }),
-    }
-}
-
-fn put_rng(buf: &mut Vec<u8>, rng: &Option<[u64; 4]>) {
-    match rng {
-        None => put_u8(buf, 0),
-        Some(words) => {
-            put_u8(buf, 1);
-            for &w in words {
-                put_u64(buf, w);
-            }
-        }
-    }
-}
-
-fn read_rng(r: &mut Reader<'_>) -> Result<Option<[u64; 4]>, RestoreError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some([r.u64()?, r.u64()?, r.u64()?, r.u64()?])),
-        found => Err(RestoreError::BadTag {
-            what: "channel rng",
             found,
         }),
     }
@@ -676,7 +520,7 @@ fn put_gated_slot(buf: &mut Vec<u8>, slot: &GatedSlot) {
         GatedSlot::Late { command, age } => {
             put_u8(buf, 2);
             put_row(buf, command);
-            put_u64(buf, *age as u64);
+            put_usize(buf, *age);
         }
     }
 }
@@ -696,6 +540,42 @@ fn read_gated_slot(r: &mut Reader<'_>) -> Result<GatedSlot, RestoreError> {
     }
 }
 
+/// The live-link fields a streamed and a gated source share, in frame
+/// order: channel spec, RNG words, buffered fates, closing flag.
+type LiveLink = (Box<ChannelSpec>, Option<[u64; 4]>, Vec<Arrival>, bool);
+
+fn put_live_link(
+    buf: &mut Vec<u8>,
+    channel: &ChannelSpec,
+    channel_rng: &Option<[u64; 4]>,
+    fate_buf: &[Arrival],
+    closing: bool,
+) {
+    put_channel(buf, channel);
+    put_opt(buf, *channel_rng, |buf, words| {
+        for w in words {
+            put_u64(buf, w);
+        }
+    });
+    put_fates(buf, fate_buf);
+    put_bool(buf, closing);
+}
+
+fn read_live_link(
+    r: &mut Reader<'_>,
+    version: u32,
+    closing: &'static str,
+) -> Result<LiveLink, RestoreError> {
+    Ok((
+        Box::new(read_channel(r, version)?),
+        r.opt("channel rng", |r| {
+            Ok::<_, StateCodecError>([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
+        })?,
+        read_fates(r)?,
+        r.bool(closing)?,
+    ))
+}
+
 fn put_source(buf: &mut Vec<u8>, source: &SourceState) {
     match source {
         SourceState::Scripted { commands, fates } => {
@@ -705,9 +585,8 @@ fn put_source(buf: &mut Vec<u8>, source: &SourceState) {
         }
         SourceState::ScriptedRef { trace, fates } => {
             put_u8(buf, 1);
-            put_u64(buf, (trace.as_u128() >> 64) as u64);
-            put_u64(buf, trace.as_u128() as u64);
-            put_u64(buf, fates.len() as u64);
+            put_object_id(buf, *trace);
+            put_usize(buf, fates.len());
             for run in fates {
                 put_arrival(buf, run.fate);
                 put_u64(buf, run.count);
@@ -721,17 +600,14 @@ fn put_source(buf: &mut Vec<u8>, source: &SourceState) {
             closing,
         } => {
             put_u8(buf, 2);
-            put_u64(buf, inbox.capacity as u64);
-            put_u64(buf, inbox.queue.len() as u64);
+            put_usize(buf, inbox.capacity);
+            put_usize(buf, inbox.queue.len());
             for slot in &inbox.queue {
                 put_gated_slot(buf, slot);
             }
             put_u64(buf, inbox.accepted);
             put_u64(buf, inbox.dropped);
-            put_channel(buf, channel);
-            put_rng(buf, channel_rng);
-            put_fates(buf, fate_buf);
-            put_bool(buf, *closing);
+            put_live_link(buf, channel, channel_rng, fate_buf, *closing);
         }
         SourceState::Streamed {
             inbox,
@@ -741,14 +617,11 @@ fn put_source(buf: &mut Vec<u8>, source: &SourceState) {
             closing,
         } => {
             put_u8(buf, 3);
-            put_u64(buf, inbox.capacity as u64);
+            put_usize(buf, inbox.capacity);
             put_rows(buf, &inbox.queue);
             put_u64(buf, inbox.accepted);
             put_u64(buf, inbox.dropped);
-            put_channel(buf, channel);
-            put_rng(buf, channel_rng);
-            put_fates(buf, fate_buf);
-            put_bool(buf, *closing);
+            put_live_link(buf, channel, channel_rng, fate_buf, *closing);
         }
     }
 }
@@ -757,17 +630,15 @@ fn read_source(r: &mut Reader<'_>, version: u32) -> Result<SourceState, RestoreE
     match r.u8()? {
         0 => Ok(SourceState::Scripted {
             commands: r.rows()?,
-            fates: r.fates()?,
+            fates: read_fates(r)?,
         }),
         1 => {
-            let hi = r.u64()?;
-            let lo = r.u64()?;
-            let trace = ObjectId::from_u128(((hi as u128) << 64) | lo as u128);
+            let trace = read_object_id(r)?;
             let n = r.len("fate runs", 9)?;
             let mut fates = Vec::with_capacity(n);
             for _ in 0..n {
                 fates.push(FateRun {
-                    fate: r.arrival()?,
+                    fate: read_arrival(r)?,
                     count: r.u64()?,
                 });
             }
@@ -780,37 +651,37 @@ fn read_source(r: &mut Reader<'_>, version: u32) -> Result<SourceState, RestoreE
             for _ in 0..n {
                 queue.push(read_gated_slot(r)?);
             }
-            let accepted = r.u64()?;
-            let dropped = r.u64()?;
+            let inbox = GatedInboxState {
+                capacity,
+                queue,
+                accepted: r.u64()?,
+                dropped: r.u64()?,
+            };
+            let (channel, channel_rng, fate_buf, closing) =
+                read_live_link(r, version, "gated closing flag")?;
             Ok(SourceState::Gated {
-                inbox: GatedInboxState {
-                    capacity,
-                    queue,
-                    accepted,
-                    dropped,
-                },
-                channel: Box::new(read_channel(r, version)?),
-                channel_rng: read_rng(r)?,
-                fate_buf: r.fates()?,
-                closing: r.bool("gated closing flag")?,
+                inbox,
+                channel,
+                channel_rng,
+                fate_buf,
+                closing,
             })
         }
         3 => {
-            let capacity = r.usize("inbox capacity")?;
-            let queue = r.rows()?;
-            let accepted = r.u64()?;
-            let dropped = r.u64()?;
+            let inbox = InboxState {
+                capacity: r.usize("inbox capacity")?,
+                queue: r.rows()?,
+                accepted: r.u64()?,
+                dropped: r.u64()?,
+            };
+            let (channel, channel_rng, fate_buf, closing) =
+                read_live_link(r, version, "streamed closing flag")?;
             Ok(SourceState::Streamed {
-                inbox: InboxState {
-                    capacity,
-                    queue,
-                    accepted,
-                    dropped,
-                },
-                channel: Box::new(read_channel(r, version)?),
-                channel_rng: read_rng(r)?,
-                fate_buf: r.fates()?,
-                closing: r.bool("streamed closing flag")?,
+                inbox,
+                channel,
+                channel_rng,
+                fate_buf,
+                closing,
             })
         }
         found => Err(RestoreError::BadTag {
@@ -821,43 +692,28 @@ fn read_source(r: &mut Reader<'_>, version: u32) -> Result<SourceState, RestoreE
 }
 
 fn put_engine(buf: &mut Vec<u8>, engine: &EngineSnapshot) {
-    // Length-prefixed canonical binary state (v5+): the length word is
-    // back-patched once the state is written.
-    let at = buf.len();
-    put_u64(buf, 0);
-    engine.forecaster.encode_into(buf);
-    let len = (buf.len() - at - 8) as u64;
-    buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    // Length-prefixed canonical binary state (v5+).
+    put_prefixed(buf, |buf| engine.forecaster.encode_into(buf));
     let config = &engine.config;
     put_f64(buf, config.period);
     put_bool(buf, config.use_late_commands);
-    match &config.limits {
-        None => put_u8(buf, 0),
-        Some(limits) => {
-            put_u8(buf, 1);
-            put_u64(buf, limits.len() as u64);
-            for &(lo, hi) in limits {
-                put_f64(buf, lo);
-                put_f64(buf, hi);
-            }
+    put_opt(buf, config.limits.as_deref(), |buf, limits| {
+        put_usize(buf, limits.len());
+        for &(lo, hi) in limits {
+            put_f64(buf, lo);
+            put_f64(buf, hi);
         }
-    }
-    match config.max_consecutive_forecasts {
-        None => put_u8(buf, 0),
-        Some(n) => {
-            put_u8(buf, 1);
-            put_u64(buf, n as u64);
-        }
-    }
+    });
+    put_opt(buf, config.max_consecutive_forecasts, put_usize);
     put_opt_f64(buf, config.max_step);
     put_bool(buf, config.history_rebase);
     put_opt_f64(buf, config.trend_damping);
     put_rows(buf, &engine.history);
-    put_u64(buf, engine.forecast_slots.len() as u64);
+    put_usize(buf, engine.forecast_slots.len());
     for &slot in &engine.forecast_slots {
         put_bool(buf, slot);
     }
-    put_u64(buf, engine.consecutive_forecasts as u64);
+    put_usize(buf, engine.consecutive_forecasts);
     put_f64(buf, engine.burst_quality);
     let stats = &engine.stats;
     for v in [
@@ -875,41 +731,21 @@ fn put_engine(buf: &mut Vec<u8>, engine: &EngineSnapshot) {
 fn read_engine(r: &mut Reader<'_>, version: u32) -> Result<EngineSnapshot, RestoreError> {
     let forecaster = match version {
         // v3/v4 carried the state as a canonical-JSON sub-blob.
-        3 | 4 => r.json_blob::<ForecasterState>("forecaster state")?,
-        _ => {
-            let n = r.len("forecaster state", 1)?;
-            ForecasterState::from_canonical_bytes(r.take(n)?)?
-        }
+        3 | 4 => read_json_blob::<ForecasterState>(r, "forecaster state")?,
+        _ => ForecasterState::from_canonical_bytes(r.bytes("forecaster state")?)?,
     };
     let period = r.f64()?;
     let use_late_commands = r.bool("use_late_commands")?;
-    let limits = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.len("joint limits", 16)?;
-            let mut limits = Vec::with_capacity(n);
-            for _ in 0..n {
-                limits.push((r.f64()?, r.f64()?));
-            }
-            Some(limits)
+    let limits = r.opt("joint limits", |r| {
+        let n = r.len("joint limits", 16)?;
+        let mut limits = Vec::with_capacity(n);
+        for _ in 0..n {
+            limits.push((r.f64()?, r.f64()?));
         }
-        found => {
-            return Err(RestoreError::BadTag {
-                what: "joint limits",
-                found,
-            })
-        }
-    };
-    let max_consecutive_forecasts = match r.u8()? {
-        0 => None,
-        1 => Some(r.usize("max_consecutive_forecasts")?),
-        found => {
-            return Err(RestoreError::BadTag {
-                what: "forecast horizon",
-                found,
-            })
-        }
-    };
+        Ok::<_, StateCodecError>(limits)
+    })?;
+    let max_consecutive_forecasts =
+        r.opt("forecast horizon", |r| r.usize("max_consecutive_forecasts"))?;
     let max_step = r.opt_f64()?;
     let history_rebase = r.bool("history_rebase")?;
     let trend_damping = r.opt_f64()?;
@@ -967,30 +803,18 @@ impl SessionSnapshot {
         put_f64(buf, self.driver.gains.kp);
         put_f64(buf, self.driver.gains.ki);
         put_f64(buf, self.driver.gains.kd);
-        put_u64(buf, self.misses as u64);
+        put_usize(buf, self.misses);
         put_f64(buf, self.acc_sq_mm);
         put_f64(buf, self.worst_mm);
         put_source(buf, &self.source);
-        match &self.engine {
-            None => put_u8(buf, 0),
-            Some(engine) => {
-                put_u8(buf, 1);
-                put_engine(buf, engine);
-            }
-        }
-        put_u64(buf, self.pending_late.len() as u64);
+        put_opt(buf, self.engine.as_ref(), put_engine);
+        put_usize(buf, self.pending_late.len());
         for (t, idx, row) in &self.pending_late {
             put_f64(buf, *t);
-            put_u64(buf, *idx as u64);
+            put_usize(buf, *idx);
             put_row(buf, row);
         }
-        match &self.reference {
-            None => put_u8(buf, 0),
-            Some(state) => {
-                put_u8(buf, 1);
-                put_driver_state(buf, state);
-            }
-        }
+        put_opt(buf, self.reference.as_ref(), put_driver_state);
         put_driver_state(buf, &self.executed);
     }
 
@@ -1073,16 +897,7 @@ impl SessionSnapshot {
         let acc_sq_mm = r.f64()?;
         let worst_mm = r.f64()?;
         let source = read_source(&mut r, version)?;
-        let engine = match r.u8()? {
-            0 => None,
-            1 => Some(read_engine(&mut r, version)?),
-            found => {
-                return Err(RestoreError::BadTag {
-                    what: "engine presence",
-                    found,
-                })
-            }
-        };
+        let engine = r.opt("engine presence", |r| read_engine(r, version))?;
         let n = r.len("pending late commands", 24)?;
         let mut pending_late = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1094,21 +909,12 @@ impl SessionSnapshot {
         let reference = match version {
             // v3 always carries the state, with no presence byte.
             3 => Some(read_driver_state(&mut r)?),
-            _ => match r.u8()? {
-                0 => None,
-                1 => Some(read_driver_state(&mut r)?),
-                found => {
-                    return Err(RestoreError::BadTag {
-                        what: "reference presence",
-                        found,
-                    })
-                }
-            },
+            _ => r.opt("reference presence", read_driver_state)?,
         };
         let executed = read_driver_state(&mut r)?;
         if r.remaining() != 0 {
             return Err(RestoreError::TrailingBytes {
-                expect: r.pos,
+                expect: r.pos(),
                 got: bytes.len(),
             });
         }

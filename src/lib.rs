@@ -234,21 +234,24 @@
 //!
 //! # Binary fleet checkpoints
 //!
-//! Snapshot versions 3 and 4 are a length-prefixed **binary frame**
+//! Snapshot versions 3 to 5 are a length-prefixed **binary frame**
 //! (magic `FSNP`, f64s as raw [`f64::to_bits`] words — bit-lossless by
 //! construction; v4 lets a session on a stored trace omit its reference
-//! driver state), with versions 1 and 2 kept decodable forever as
-//! explicit JSON match arms: `SessionSnapshot::from_bytes` accepts all
-//! four (the library writes only v4), and every malformed shape maps
-//! to a typed [`serve::RestoreError`], never a panic (fuzzed by
-//! `tests/snapshot_codec.rs`). At fleet scale, shards encode each part
+//! driver state; v5 carries the forecaster in its canonical binary
+//! form), with versions 1 and 2 kept decodable forever as explicit JSON
+//! match arms: `SessionSnapshot::from_bytes` accepts v1–v5 (the library
+//! writes only v5), and every malformed shape maps to a typed
+//! [`serve::RestoreError`], never a panic (fuzzed by
+//! `tests/snapshot_codec.rs`). Frames, archives and forecaster state
+//! all read through one bounds-checked cursor,
+//! [`forecast::codec::Reader`]. At fleet scale, shards encode each part
 //! straight into a reusable scratch buffer and
 //! `ServiceHandle::snapshot_fleet` splices the frames into a streaming
 //! [`serve::FleetArchive`] *while the drain is in flight* — no
 //! intermediate decode, traces deduplicated by content address — and
 //! reports unknown ids instead of dropping them silently
-//! ([`serve::FleetSnapshotReport`]). Archives merge without re-decoding
-//! and file into shared storage under their content address:
+//! ([`serve::FleetSnapshotReport`]). Archives file into shared storage
+//! under their content address:
 //!
 //! ```
 //! use foreco::prelude::*;

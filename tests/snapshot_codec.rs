@@ -23,14 +23,15 @@
 //!    binary-only), and state the tick path would panic on (driver
 //!    period, joint limits, `max_step`, damping, non-finite history or
 //!    commands, invalid forecaster state) → `Invalid` at restore;
-//! 4. golden fixtures: committed v1 and v2 JSON snapshots and v3 and
-//!    v4 binary archives that must decode and restore **bit-identically**
+//! 4. golden fixtures: committed v1 and v2 JSON snapshots and v3, v4
+//!    and v5 binary archives that must decode and restore **bit-identically**
 //!    against a freshly run twin in every future build (the binary
 //!    parts also against the reports their build recorded). Regenerate
 //!    the JSON ones (after an intentional donor change) with
 //!    `cargo test -q --test snapshot_codec -- --ignored regenerate`;
 //!    the v3 and v4 goldens are frozen, since no current build writes
-//!    either version.
+//!    either version, and so is the v5 golden, whose frames must also
+//!    re-encode to their exact bytes.
 //!
 //! The v4 arms — a frame whose session reads a reference trajectory and
 //! so carries no reference driver state — get the layer 1 and 2
@@ -1330,4 +1331,94 @@ fn regenerate() {
     let mut v2 = donor;
     v2.version = 2;
     std::fs::write(V2_FIXTURE, legacy_json::render(&v2)).expect("write v2 fixture");
+}
+
+/// The v5 golden: a fleet archive (format v2, its parts v5 binary
+/// frames) written by the last build before the forecaster state and the
+/// session frames shared one codec, so an encoder and decoder that
+/// drift in step still fail here. Part order: the inline `Scripted` VAR
+/// donor, a `ScriptedRef` VAR part, a closed gated VAR part (a miss, a
+/// late patch and a command still queued), the closed jammed streamed
+/// VAR part, then one `ScriptedRef` FoReCo part each for MA,
+/// Holt, Kalman-CV and VARMA. Frozen like the v3 and v4 goldens: a
+/// later encoder must reproduce these bytes, never rewrite them.
+const V5_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/snapshot_v5.bin"
+);
+
+/// One [`report_digest`] line per v5 fixture part, in part order, then
+/// one `model <family> <store id>` line per part that carries an
+/// engine: the content address the writing build gave its forecaster.
+const V5_DIGESTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/snapshot_v5.digests"
+);
+
+#[test]
+fn v5_golden_fixture_reencodes_exactly_and_restores_bit_identically() {
+    use foreco::serve::snapshot::SourceState;
+    use foreco::serve::FleetArchive;
+    use foreco::store::model_object_id;
+    let bytes = std::fs::read(V5_FIXTURE).expect("committed v5 golden fixture");
+    let digests = std::fs::read_to_string(V5_DIGESTS).expect("committed v5 digests");
+    let (models, reports): (Vec<&str>, Vec<&str>) =
+        digests.lines().partition(|l| l.starts_with("model "));
+    let archive = FleetArchive::from_bytes(&bytes).expect("v5 golden archive decodes");
+    assert_eq!(archive.to_bytes(), bytes, "archive re-encodes to its bytes");
+    let frames: Vec<&[u8]> = archive.part_frames().collect();
+    assert_eq!(frames.len(), 8, "eight fixture parts");
+    assert_eq!(reports.len(), frames.len(), "one digest per part");
+
+    let model = niryo_one();
+    let store = Storage::new();
+    let mut families = Vec::new();
+    for (i, frame) in frames.iter().enumerate() {
+        let part = SessionSnapshot::from_bytes(frame).expect("v5 frame decodes");
+        assert_eq!(part.version, 5, "part {i}: stamped v5");
+        assert_eq!(&part.to_bytes(), frame, "part {i}: re-encodes to its bytes");
+        let kind = match &part.source {
+            SourceState::Scripted { .. } => "inline",
+            SourceState::ScriptedRef { .. } => "by-reference",
+            SourceState::Gated { .. } => "gated",
+            SourceState::Streamed { channel, .. } => {
+                assert!(matches!(**channel, ChannelSpec::Jammed { .. }));
+                "jammed"
+            }
+        };
+        let expected_kind = match i {
+            0 => "inline",
+            2 => "gated",
+            3 => "jammed",
+            _ => "by-reference",
+        };
+        assert_eq!(kind, expected_kind, "part {i}: source");
+        let mut session = match &part.source {
+            SourceState::ScriptedRef { trace, .. } => {
+                let entry = archive
+                    .trace(*trace)
+                    .expect("referenced trace in the table");
+                let claim = store.insert_trace(&entry.commands);
+                assert_eq!(claim.id(), *trace, "part {i}: table entry");
+                Session::restore_stored(&part, &model, claim)
+            }
+            _ => Session::restore(&part, &model),
+        }
+        .unwrap_or_else(|e| panic!("part {i} restores: {e}"));
+        let report = run_out(&mut session);
+        assert_eq!(report_digest(&report), reports[i], "part {i}: digest");
+        let engine = part.engine.as_ref().expect("every v5 part is FoReCo");
+        let state = &engine.forecaster;
+        let line = format!("model {} {}", state.name(), model_object_id(state));
+        assert_eq!(
+            models.get(families.len()),
+            Some(&line.as_str()),
+            "part {i}: store id"
+        );
+        families.push(state.name());
+    }
+    for family in ["VAR", "VARMA", "Kalman-CV", "MA", "Holt"] {
+        assert!(families.contains(&family), "a {family} part");
+    }
+    assert_eq!(models.len(), families.len(), "one store id per engine part");
 }

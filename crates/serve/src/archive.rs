@@ -29,10 +29,23 @@
 //! [`FleetArchive::sessions`] parses frames only when a consumer
 //! actually wants the snapshots back.
 //!
+//! # Shared rows
+//!
+//! A table entry's rows are an `Arc` ([`TraceEntry::commands`]), never a
+//! private copy: `snapshot_fleet` and [`FleetArchive::build`] share the
+//! `Arc` each part carries (the live session's, which its store owns),
+//! [`FleetArchive::from_bytes`] wraps each decoded table entry once, and
+//! `adopt_fleet` files that same `Arc` into the standby's store. A trace
+//! is copied only where bytes are written or read. The table is indexed
+//! by id, so assembling N parts over T traces costs O(N + T) lookups,
+//! not O(N × T).
+//!
 //! Assembled by `ServiceHandle::snapshot_fleet`, revived by
-//! `ServiceHandle::adopt_fleet` (which files the trace table into a
-//! `foreco-store` [`Storage`] and sends each
-//! session its claim). Whole archives also file into shared storage as
+//! `ServiceHandle::adopt_fleet`, which decodes every part first, then
+//! files each table entry into a `foreco-store` [`Storage`] just before
+//! sending the first part that references it, with its claim riding
+//! along; unreferenced and duplicate entries are filed after the last
+//! send. Whole archives also file into shared storage as
 //! content-addressed blobs ([`FleetArchive::file_blob`]): two identical
 //! fleet checkpoints dedup to one stored payload.
 //!
@@ -47,7 +60,9 @@ use crate::snapshot::{
 };
 use foreco_forecast::codec::{put_bytes, put_prefixed, put_rows, put_u32, put_usize, Reader};
 use foreco_store::{BlobHandle, ObjectId, Storage};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Current fleet-archive format version. v2 moved the session body from
@@ -67,20 +82,29 @@ pub const ARCHIVE_MAGIC: [u8; 4] = *b"FARC";
 pub type FleetSnapshotPart = (SessionSnapshot, Option<(ObjectId, Arc<Vec<Vec<f64>>>)>);
 
 /// One distinct trace in an archive's table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEntry {
     /// The trace's content address — what session snapshots reference.
     pub id: ObjectId,
-    /// The command rows.
-    pub commands: Vec<Vec<f64>>,
+    /// The command rows, shared: the live session's `Arc` in an archive
+    /// assembled from parts, one `Arc` per entry in a decoded one, and
+    /// the `Arc` a standby's store keeps once `adopt_fleet` files it.
+    pub commands: Arc<Vec<Vec<f64>>>,
 }
 
 /// Mirror of the v1 JSON archive document — the legacy decode arm.
 #[derive(Deserialize)]
 struct ArchiveV1 {
     version: u32,
-    traces: Vec<TraceEntry>,
+    traces: Vec<TraceEntryV1>,
     sessions: Vec<SessionSnapshot>,
+}
+
+/// A v1 JSON trace-table entry.
+#[derive(Deserialize)]
+struct TraceEntryV1 {
+    id: ObjectId,
+    commands: Vec<Vec<f64>>,
 }
 
 /// A deduplicated bulk checkpoint (see module docs).
@@ -88,6 +112,8 @@ struct ArchiveV1 {
 pub struct FleetArchive {
     /// Each distinct scripted trace, exactly once, first-seen order.
     traces: Vec<TraceEntry>,
+    /// Position in `traces` of each id's first entry.
+    index: HashMap<ObjectId, usize>,
     /// Number of session frames in `parts`.
     count: usize,
     /// Length-prefixed binary snapshot frames, back to back: for
@@ -119,20 +145,38 @@ impl FleetArchive {
 
     /// The table entry for `id`, if present.
     pub fn trace(&self, id: ObjectId) -> Option<&TraceEntry> {
-        self.traces.iter().find(|t| t.id == id)
+        self.index.get(&id).map(|&at| &self.traces[at])
     }
 
     /// Adds a trace to the table unless its content address is already
-    /// present. Returns whether the table grew.
+    /// present, copying the rows only when it grows. Returns whether the
+    /// table grew.
     pub fn push_trace(&mut self, id: ObjectId, commands: &[Vec<f64>]) -> bool {
-        if self.trace(id).is_some() {
-            return false;
+        self.push_trace_with(id, || Arc::new(commands.to_vec()))
+    }
+
+    /// [`FleetArchive::push_trace`] for rows already behind an `Arc`:
+    /// the table shares them, so nothing is copied.
+    pub fn push_shared_trace(&mut self, id: ObjectId, commands: &Arc<Vec<Vec<f64>>>) -> bool {
+        self.push_trace_with(id, || Arc::clone(commands))
+    }
+
+    fn push_trace_with(
+        &mut self,
+        id: ObjectId,
+        commands: impl FnOnce() -> Arc<Vec<Vec<f64>>>,
+    ) -> bool {
+        match self.index.entry(id) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(self.traces.len());
+                self.traces.push(TraceEntry {
+                    id,
+                    commands: commands(),
+                });
+                true
+            }
         }
-        self.traces.push(TraceEntry {
-            id,
-            commands: commands.to_vec(),
-        });
-        true
     }
 
     /// Appends one session by encoding it into the archive body.
@@ -169,9 +213,9 @@ impl FleetArchive {
             .collect()
     }
 
-    /// Consumes the archive into its owned trace table and decoded
-    /// sessions — the shape `adopt_fleet` wants: traces file into
-    /// storage without a copy, sessions fan out to their shards.
+    /// Consumes the archive into its trace table and decoded sessions —
+    /// the shape `adopt_fleet` wants: every part is decoded before any is
+    /// sent, and the entries' `Arc`s file into storage without a copy.
     ///
     /// # Errors
     /// Same as [`FleetArchive::sessions`].
@@ -188,7 +232,7 @@ impl FleetArchive {
         let mut archive = Self::new();
         for (snapshot, trace) in parts {
             if let Some((id, commands)) = trace {
-                archive.push_trace(id, &commands);
+                archive.push_shared_trace(id, &commands);
             }
             archive.push_part(&snapshot);
         }
@@ -236,7 +280,15 @@ impl FleetArchive {
             return match doc.version {
                 1 => {
                     let mut archive = Self::new();
-                    archive.traces = doc.traces;
+                    archive.set_traces(
+                        doc.traces
+                            .into_iter()
+                            .map(|entry| TraceEntry {
+                                id: entry.id,
+                                commands: Arc::new(entry.commands),
+                            })
+                            .collect(),
+                    );
                     for mut snapshot in doc.sessions {
                         snapshot.version = SNAPSHOT_VERSION;
                         archive.push_part(&snapshot);
@@ -273,7 +325,7 @@ impl FleetArchive {
         for _ in 0..n {
             traces.push(TraceEntry {
                 id: read_object_id(&mut r)?,
-                commands: r.rows()?,
+                commands: Arc::new(r.rows()?),
             });
         }
         let count = r.usize("archive session count")?;
@@ -297,11 +349,24 @@ impl FleetArchive {
                 got: parts.len(),
             });
         }
-        Ok(Self {
-            traces,
+        let mut archive = Self {
             count,
             parts,
-        })
+            ..Self::default()
+        };
+        archive.set_traces(traces);
+        Ok(archive)
+    }
+
+    /// Installs a decoded table as it stands (a foreign archive may list
+    /// an id twice; both entries are kept and re-encoded) and indexes
+    /// each id's first entry.
+    fn set_traces(&mut self, traces: Vec<TraceEntry>) {
+        self.index.clear();
+        for (at, entry) in traces.iter().enumerate() {
+            self.index.entry(entry.id).or_insert(at);
+        }
+        self.traces = traces;
     }
 
     /// Files the encoded archive into shared storage as a
@@ -342,5 +407,83 @@ impl<'a> Iterator for PartFrames<'a> {
             &[]
         };
         frame
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The indexed table behaves as the first-seen list it indexes:
+    /// repeated pushes, with rows shared or copied, never move or change
+    /// an entry, and the bytes equal those of one pass of fresh pushes.
+    #[test]
+    fn indexed_trace_table_keeps_first_seen_order_and_bytes() {
+        const TRACES: usize = 2_000;
+        let rows = |k: usize| vec![vec![k as f64, -(k as f64)], vec![0.5 * k as f64]];
+        let id = |k: usize| ObjectId::from_u128(0x9e37_79b9_7f4a_7c15 * (k as u128 + 1));
+        let mut fresh = FleetArchive::new();
+        for k in 0..TRACES {
+            assert!(fresh.push_trace(id(k), &rows(k)));
+        }
+        let mut repeated = FleetArchive::new();
+        for k in 0..TRACES {
+            assert!(repeated.push_shared_trace(id(k), &Arc::new(rows(k))));
+            // Pushes of ids already present, with other rows, are no-ops.
+            assert!(!repeated.push_trace(id(k / 2), &rows(k + TRACES)));
+            assert!(!repeated.push_shared_trace(id(0), &Arc::new(Vec::new())));
+        }
+        assert_eq!(repeated.traces(), fresh.traces());
+        assert_eq!(repeated.to_bytes(), fresh.to_bytes());
+        for k in 0..TRACES {
+            assert_eq!(*repeated.trace(id(k)).expect("present").commands, rows(k));
+        }
+        assert!(repeated.trace(id(TRACES)).is_none());
+        let decoded = FleetArchive::from_bytes(&fresh.to_bytes()).expect("decodes");
+        assert_eq!(decoded, fresh, "a decoded table is indexed alike");
+    }
+
+    /// The legacy v1 JSON document still decodes: its table entries are
+    /// wrapped once and indexed, its sessions re-encoded as binary
+    /// frames stamped with the current snapshot version.
+    #[test]
+    fn v1_json_archive_decodes_into_shared_rows() {
+        use crate::session::Session;
+        use crate::spec::{ChannelSpec, RecoverySpec, SessionSpec, SourceSpec};
+
+        let rows = foreco_teleop::Dataset::record(foreco_teleop::Skill::Inexperienced, 1, 0.02, 4)
+            .head(30)
+            .commands;
+        let spec = SessionSpec::new(
+            7,
+            SourceSpec::Replayed(Arc::new(rows.clone())),
+            ChannelSpec::Ideal,
+            RecoverySpec::Baseline,
+        );
+        let mut session = Session::open(&spec, &foreco_robot::niryo_one());
+        session.advance();
+        let (mut snapshot, trace) = session.snapshot_for_fleet().expect("fleet part");
+        let id = trace.expect("a scripted part names its trace").0;
+        snapshot.version = 2;
+        let doc = format!(
+            r#"{{"version":1,"traces":[{{"id":{},"commands":{}}}],"sessions":[{}]}}"#,
+            serde_json::to_string(&id).expect("id encodes"),
+            serde_json::to_string(&rows).expect("rows encode"),
+            serde_json::to_string(&snapshot).expect("snapshot encodes"),
+        );
+        let archive = FleetArchive::from_bytes(doc.as_bytes()).expect("v1 decodes");
+        assert_eq!(*archive.trace(id).expect("indexed").commands, rows);
+        snapshot.version = SNAPSHOT_VERSION;
+        assert_eq!(archive.sessions().expect("frames decode"), [snapshot]);
+    }
+
+    /// A shared push keeps the caller's `Arc`: no row is copied.
+    #[test]
+    fn shared_pushes_keep_the_callers_rows() {
+        let rows = Arc::new(vec![vec![1.0, 2.0]]);
+        let id = foreco_store::trace_object_id(&rows);
+        let mut archive = FleetArchive::new();
+        assert!(archive.push_shared_trace(id, &rows));
+        assert!(Arc::ptr_eq(&archive.traces()[0].commands, &rows));
     }
 }

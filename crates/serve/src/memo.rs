@@ -1,14 +1,16 @@
 //! One shard's memo of what sessions derive from shared inputs alone.
 //!
-//! Two things a session computes at open are pure functions of data a
-//! whole fleet shares. A jammed link's DCF solution depends only on its
-//! [`LinkConfig`] (the seed only seeds the sampler), and a scripted
+//! Three things a session computes at open or restore are pure functions
+//! of data a whole fleet shares. A jammed link's DCF solution depends only
+//! on its [`LinkConfig`] (the seed only seeds the sampler), a scripted
 //! session's perfect-channel reference trajectory only on the script, the
-//! arm model and the driver configuration. A batch of 64 sessions on one
-//! link cell and one script would otherwise solve the chain 64 times and
-//! tick a second driver in every session. [`ShardMemo`] hands each result
-//! out once per shard for as long as a session uses it, and it is the
-//! only cache of either:
+//! arm model and the driver configuration, and which stored model a
+//! restored forecaster state resolves to only on that state. A batch of
+//! 64 sessions on one link cell and one script would otherwise solve the
+//! chain 64 times and tick a second driver in every session, and an
+//! adopted fleet on one model would build, export and hash the weights
+//! once per part. [`ShardMemo`] hands each result out once per shard for
+//! as long as a session uses it, and it is the only cache of any of them:
 //!
 //! - sessions hold the strong `Arc`s and the memo only `Weak`s, pruned on
 //!   insert, so nothing stays resident after the last session that uses
@@ -22,14 +24,24 @@
 //!   while any claim on the trace lives, so every session on one resident
 //!   trace shares one key. The entry keeps a `Weak` of the script, so the
 //!   address cannot be reused while the key names it, and no row is ever
-//!   hashed.
+//!   hashed;
+//! - a model is keyed by the restored state's exact canonical bytes,
+//!   encoded into one reusable buffer and never normalised (`-0.0` and
+//!   `+0.0` weights are different models). The entry holds the store id
+//!   the state resolved to and a `Weak` of the resident forecaster. It is
+//!   consulted only at restore (an open's forecaster is already shared):
+//!   a hit claims the model from the store by id and skips validation,
+//!   the build, the export and the hash, because the bytes equal a state
+//!   this shard already validated.
 //!
 //! A memo belongs to one shard's runtime: no lock, no process-global
 //! state. Entries that open or restore a session outside a shard run with
 //! a throwaway one. The memo counts what it computes, so the shard can
-//! publish its `link_solves` and `reference_builds` rows.
+//! publish its `link_solves`, `reference_builds` and `model_builds` rows.
 
 use crate::snapshot::put_link;
+use foreco_forecast::{Forecaster, ForecasterState};
+use foreco_store::{ModelHandle, ObjectId, Storage};
 use foreco_wifi::{DcfSolution, LinkConfig, WirelessLink};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
@@ -49,15 +61,35 @@ struct TrajectoryEntry {
     pin: Weak<Points>,
 }
 
+/// A memoised model resolve, alive while some session holds the model.
+struct ModelEntry {
+    /// The store object the state resolved to.
+    id: ObjectId,
+    /// The resident forecaster, so a dead entry is known without asking
+    /// the store.
+    forecaster: Weak<dyn Forecaster>,
+}
+
+/// What the memo computed since the last [`ShardMemo::take_counts`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoCounts {
+    /// DCF solves.
+    pub(crate) link_solves: u64,
+    /// Trajectory builds.
+    pub(crate) reference_builds: u64,
+    /// Forecaster builds to resolve a restored model.
+    pub(crate) model_builds: u64,
+}
+
 /// See the module docs.
 #[derive(Default)]
 pub(crate) struct ShardMemo {
     solutions: HashMap<Vec<u8>, Weak<DcfSolution>>,
     trajectories: HashMap<TrajectoryKey, TrajectoryEntry>,
-    /// DCF solves since the last [`ShardMemo::take_counts`].
-    link_solves: u64,
-    /// Trajectory builds since the last [`ShardMemo::take_counts`].
-    reference_builds: u64,
+    models: HashMap<Vec<u8>, ModelEntry>,
+    /// Reusable key buffer for [`ShardMemo::model`].
+    model_key: Vec<u8>,
+    counts: MemoCounts,
 }
 
 impl ShardMemo {
@@ -73,7 +105,7 @@ impl ShardMemo {
             return solution;
         }
         let solution = Arc::new(WirelessLink::solve(cfg));
-        self.link_solves += 1;
+        self.counts.link_solves += 1;
         self.solutions.retain(|_, entry| entry.strong_count() > 0);
         self.solutions.insert(key, Arc::downgrade(&solution));
         solution
@@ -98,7 +130,7 @@ impl ShardMemo {
             return Ok(pin);
         }
         let pin = Arc::new(Points::from(build(script)?));
-        self.reference_builds += 1;
+        self.counts.reference_builds += 1;
         self.trajectories
             .retain(|_, entry| entry.pin.strong_count() > 0);
         self.trajectories.insert(
@@ -111,11 +143,50 @@ impl ShardMemo {
         Ok(pin)
     }
 
-    /// `(link_solves, reference_builds)` since the last call, reset.
-    pub(crate) fn take_counts(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.link_solves),
-            std::mem::take(&mut self.reference_builds),
-        )
+    /// A claim on the stored model `state` describes. Unless a live
+    /// session already holds the model these exact bytes resolved to,
+    /// the state is validated, built and registered in `store` here,
+    /// and the resolve remembered.
+    ///
+    /// `Ok(None)` when the store cannot address the built forecaster;
+    /// nothing is memoised then.
+    ///
+    /// # Errors
+    /// The first precondition [`ForecasterState::validate`] finds
+    /// violated.
+    pub(crate) fn model(
+        &mut self,
+        state: &ForecasterState,
+        store: &Storage,
+    ) -> Result<Option<ModelHandle>, String> {
+        self.model_key.clear();
+        state.encode_into(&mut self.model_key);
+        if let Some(entry) = self.models.get(self.model_key.as_slice()) {
+            if entry.forecaster.strong_count() > 0 {
+                if let Some(claim) = store.get_model(entry.id) {
+                    return Ok(Some(claim));
+                }
+            }
+        }
+        state.validate()?;
+        self.counts.model_builds += 1;
+        let Ok(claim) = store.insert_model(Arc::from(state.build())) else {
+            return Ok(None);
+        };
+        self.models
+            .retain(|_, entry| entry.forecaster.strong_count() > 0);
+        self.models.insert(
+            self.model_key.clone(),
+            ModelEntry {
+                id: claim.id(),
+                forecaster: Arc::downgrade(claim.forecaster()),
+            },
+        );
+        Ok(Some(claim))
+    }
+
+    /// What the memo computed since the last call, reset.
+    pub(crate) fn take_counts(&mut self) -> MemoCounts {
+        std::mem::take(&mut self.counts)
     }
 }

@@ -18,7 +18,7 @@
 //! policy moves *runnable* sessions only: parked sessions cost nothing
 //! where they are, so balancing chases active work, not session counts.
 
-use crate::archive::FleetArchive;
+use crate::archive::{FleetArchive, TraceEntry};
 use crate::clock::Pacing;
 use crate::metrics::MetricsRegistry;
 use crate::protocol::{FleetPart, ServiceError, SessionCommand, SessionEvent};
@@ -364,7 +364,7 @@ impl ServiceHandle {
             match rx.recv() {
                 Ok(FleetPart::Snapshot { frame, trace, .. }) => {
                     if let Some((id, commands)) = trace {
-                        report.archive.push_trace(id, &commands);
+                        report.archive.push_shared_trace(id, &commands);
                     }
                     report.archive.push_part_bytes(&frame);
                 }
@@ -376,12 +376,21 @@ impl ServiceHandle {
         Ok(report)
     }
 
-    /// Revives an archived fleet: files each trace-table entry into
-    /// `storage` under its content address (an entry whose rows hash to
-    /// another id than the declared one is dropped again), then
-    /// adopts every session snapshot with its trace claim riding along
-    /// the control channel — so the trace cannot be evicted between send
-    /// and restore, and N adopted sessions share one resident copy.
+    /// Revives an archived fleet: adopts every session snapshot with its
+    /// trace claim riding along the control channel — so the trace
+    /// cannot be evicted between send and restore, and N adopted
+    /// sessions share one resident copy.
+    ///
+    /// Every part is decoded before anything is sent, so a corrupt
+    /// archive fails here as a whole. Then each trace-table entry files
+    /// into `storage` under its content address just before the first
+    /// part that references it is sent: the entry's shared rows move in
+    /// without a copy, and the shard restores those parts while this
+    /// thread hashes the next trace. An entry whose rows hash to another
+    /// id than the declared one is dropped again, failing only its own
+    /// sessions. Entries no part references, and later duplicates of an
+    /// id, are filed after the last send and released on return, so the
+    /// store's counters end as if the whole table had been filed first.
     ///
     /// Returns how many adoptions were sent. Watch the event stream for
     /// the matching [`SessionEvent::Restored`] / `RestoreFailed` pairs
@@ -397,20 +406,33 @@ impl ServiceHandle {
             .map_err(|e| ServiceError::CorruptArchive {
                 reason: e.to_string(),
             })?;
-        let mut claims: HashMap<ObjectId, TraceHandle> = HashMap::new();
-        for entry in traces {
-            // The insert hashes the rows once; a claim filed under another
-            // id than the declared one is a corrupt table entry. Dropping
-            // it releases the rows, and its sessions fail at restore.
-            let claim = storage.insert_trace_owned(entry.commands);
-            if claim.id() == entry.id {
-                claims.insert(entry.id, claim);
-            }
+        let mut first: HashMap<ObjectId, usize> = HashMap::new();
+        for (at, entry) in traces.iter().enumerate() {
+            first.entry(entry.id).or_insert(at);
         }
+        let mut table: Vec<Option<TraceEntry>> = traces.into_iter().map(Some).collect();
+        // The insert hashes the rows once; a claim filed under another id
+        // than the declared one is a corrupt table entry. Dropping it
+        // releases the rows, and the next entry declaring the id is tried.
+        let file = |entry: TraceEntry| {
+            let claim = storage.insert_trace_shared(entry.commands);
+            (claim.id() == entry.id).then_some(claim)
+        };
+        // `None` once an id's entries are all corrupt, or it has none.
+        let mut claims: HashMap<ObjectId, Option<TraceHandle>> = HashMap::new();
         let mut sent = 0;
         for snapshot in sessions {
             let trace = match &snapshot.source {
-                SourceState::ScriptedRef { trace, .. } => claims.get(trace).cloned(),
+                SourceState::ScriptedRef { trace: id, .. } => claims
+                    .entry(*id)
+                    .or_insert_with(|| {
+                        let from = first.get(id).copied()?;
+                        table[from..]
+                            .iter_mut()
+                            .filter(|slot| slot.as_ref().is_some_and(|entry| entry.id == *id))
+                            .find_map(|slot| file(slot.take().expect("filtered")))
+                    })
+                    .clone(),
                 _ => None,
             };
             self.route(snapshot.id)
@@ -420,6 +442,9 @@ impl ServiceHandle {
                 })
                 .map_err(|_| ServiceError::Disconnected)?;
             sent += 1;
+        }
+        for entry in table.into_iter().flatten() {
+            drop(file(entry));
         }
         Ok(sent)
     }
@@ -471,6 +496,9 @@ pub struct Service {
     workers: Vec<JoinHandle<u64>>,
     /// The balancer thread and the sender whose drop stops it.
     balancer: Option<(JoinHandle<()>, SyncSender<()>)>,
+    /// The shards' shared model store, kept for the count gates to read.
+    #[cfg(test)]
+    models: Storage,
 }
 
 impl Service {
@@ -534,6 +562,8 @@ impl Service {
             events: event_rx,
             workers,
             balancer,
+            #[cfg(test)]
+            models,
         }
     }
 
@@ -727,6 +757,7 @@ mod tests {
     use super::*;
     use crate::shard::shard_of;
     use crate::spec::{ChannelSpec, RecoverySpec, SourceSpec};
+    use foreco_forecast::ForecasterState;
     use foreco_store::Storage;
     use foreco_teleop::{Dataset, Skill};
     use std::sync::Arc;
@@ -1980,6 +2011,333 @@ mod tests {
         assert_eq!(failed, [0, 1]);
         assert_eq!(storage.stats().traces.objects, 0);
         service.join();
+    }
+
+    /// By-reference parts of sessions `ids` replaying `rows`, each ten
+    /// ticks in, and the rows' content address.
+    fn replayed_parts(
+        rows: &[Vec<f64>],
+        ids: std::ops::Range<u64>,
+    ) -> (ObjectId, Vec<SessionSnapshot>) {
+        use crate::session::Session;
+
+        let script = Arc::new(rows.to_vec());
+        let model = niryo_one();
+        let parts = ids
+            .map(|id| {
+                let spec = SessionSpec::new(
+                    id,
+                    SourceSpec::Replayed(Arc::clone(&script)),
+                    ChannelSpec::ControlledLoss {
+                        burst_len: 5,
+                        burst_prob: 0.01,
+                        seed: id,
+                    },
+                    RecoverySpec::Baseline,
+                );
+                let mut session = Session::open(&spec, &model);
+                for _ in 0..10 {
+                    session.advance();
+                }
+                session.snapshot_for_fleet().expect("fleet part").0
+            })
+            .collect();
+        (foreco_store::trace_object_id(rows), parts)
+    }
+
+    /// Waits for one `Restored` or `RestoreFailed` per adopted part;
+    /// returns the restored ids and the failures, sorted.
+    fn restore_outcomes(service: &Service, parts: usize) -> (Vec<u64>, Vec<(u64, String)>) {
+        let (mut restored, mut failed) = (Vec::new(), Vec::new());
+        while restored.len() + failed.len() < parts {
+            match service.next_event().expect("service alive") {
+                SessionEvent::Restored { id, .. } => restored.push(id),
+                SessionEvent::RestoreFailed { id, reason } => failed.push((id, reason)),
+                _ => {}
+            }
+        }
+        restored.sort_unstable();
+        failed.sort_unstable();
+        (restored, failed)
+    }
+
+    #[test]
+    fn adopt_fleet_fails_only_the_sessions_of_a_corrupt_entry() {
+        use crate::archive::FleetArchive;
+        use crate::session::Session;
+
+        let good = Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+            .head(60)
+            .commands;
+        let bad = Dataset::record(Skill::Experienced, 1, 0.02, 5)
+            .head(60)
+            .commands;
+        let (good_id, good_parts) = replayed_parts(&good, 0..2);
+        let (bad_id, bad_parts) = replayed_parts(&bad, 2..4);
+        let mut tampered = bad.clone();
+        tampered[3][0] += 1e-9;
+        // The corrupt entry comes first in the table and in the parts.
+        let mut archive = FleetArchive::new();
+        archive.push_trace(bad_id, &tampered);
+        archive.push_trace(good_id, &good);
+        for (bad, good) in bad_parts.iter().zip(&good_parts) {
+            archive.push_part(bad);
+            archive.push_part(good);
+        }
+        // What a by-reference part says when restored without its trace.
+        let reasons: Vec<(u64, String)> = bad_parts
+            .iter()
+            .map(|part| {
+                let err = Session::restore(part, &niryo_one()).expect_err("needs its trace");
+                (part.id, err.to_string())
+            })
+            .collect();
+        assert!(reasons[0]
+            .1
+            .contains(&format!("scripted-ref snapshot needs trace {bad_id}")));
+
+        let service = Service::spawn(ServiceConfig::with_shards(1));
+        let storage = Storage::new();
+        assert_eq!(service.handle().adopt_fleet(archive, &storage).unwrap(), 4);
+        let (restored, failed) = restore_outcomes(&service, 4);
+        assert_eq!(restored, [0, 1], "the good trace's sessions restore");
+        assert_eq!(failed, reasons, "only the corrupt entry's sessions fail");
+        service.join();
+        let traces = storage.stats().traces;
+        assert_eq!(
+            (traces.objects, traces.inserts, traces.evictions),
+            (0, 2, 2)
+        );
+    }
+
+    /// Entries no part references, and later entries under an id already
+    /// filed, are still filed — after the last send — so the store's
+    /// counters end as if the whole table had been filed in order first.
+    #[test]
+    fn adopt_fleet_files_unreferenced_and_duplicate_entries_like_the_whole_table() {
+        use crate::archive::{FleetArchive, ARCHIVE_MAGIC, FLEET_ARCHIVE_VERSION};
+        use crate::snapshot::put_object_id;
+        use foreco_forecast::codec::{put_bytes, put_rows, put_u32, put_usize};
+
+        let rows = |seed: u64| {
+            Dataset::record(Skill::Inexperienced, 1, 0.02, seed)
+                .head(60)
+                .commands
+        };
+        let (first, unreferenced, third) = (rows(1), rows(2), rows(3));
+        let (first_id, first_parts) = replayed_parts(&first, 0..2);
+        let (third_id, third_parts) = replayed_parts(&third, 2..4);
+        let mut corrupt = third.clone();
+        corrupt[0][0] += 1e-9;
+        // `push_trace` dedups by id, so a table listing an id twice is
+        // only ever read from foreign bytes: write them here.
+        let table = [
+            (first_id, &first),
+            (foreco_store::trace_object_id(&unreferenced), &unreferenced),
+            (first_id, &first),
+            (third_id, &corrupt),
+            (third_id, &third),
+        ];
+        let mut body = Vec::new();
+        for part in first_parts.iter().chain(&third_parts) {
+            put_bytes(&mut body, &part.to_bytes());
+        }
+        let mut bytes = ARCHIVE_MAGIC.to_vec();
+        put_u32(&mut bytes, FLEET_ARCHIVE_VERSION);
+        put_usize(&mut bytes, table.len());
+        for (id, rows) in table {
+            put_object_id(&mut bytes, id);
+            put_rows(&mut bytes, rows);
+        }
+        put_usize(&mut bytes, 4);
+        put_bytes(&mut bytes, &body);
+        let archive = FleetArchive::from_bytes(&bytes).expect("decodes");
+        assert_eq!(archive.traces().len(), 5, "the table is kept as written");
+        assert_eq!(archive.trace(third_id), Some(&archive.traces()[3]));
+        assert_eq!(archive.to_bytes(), bytes);
+
+        // The whole table filed in order first, every claim held to the
+        // end, as an older `adopt_fleet` did.
+        let whole = Storage::new();
+        let held: Vec<_> = archive
+            .traces()
+            .iter()
+            .map(|entry| whole.insert_trace(&entry.commands))
+            .collect();
+        drop(held);
+
+        let service = Service::spawn(ServiceConfig::with_shards(1));
+        let storage = Storage::new();
+        assert_eq!(service.handle().adopt_fleet(archive, &storage).unwrap(), 4);
+        let (restored, failed) = restore_outcomes(&service, 4);
+        assert_eq!(failed, [], "the valid entry after a corrupt one serves");
+        assert_eq!(restored, [0, 1, 2, 3]);
+        service.join();
+        let traces = storage.stats().traces;
+        assert_eq!(traces, whole.stats().traces);
+        assert_eq!(
+            (
+                traces.objects,
+                traces.inserts,
+                traces.dedup_hits,
+                traces.evictions
+            ),
+            (0, 4, 1, 4),
+            "the duplicate files once, as a dedup hit"
+        );
+    }
+
+    /// The canonical state of `var` with its first coefficient's bits
+    /// replaced: tag byte, `R` and `d` words, mode byte, then the
+    /// coefficient matrix's rows and cols words precede it.
+    fn var_with_first_coefficient(var: &foreco_forecast::Var, bits: u64) -> ForecasterState {
+        const FIRST: usize = 1 + 8 + 8 + 1 + 8 + 8;
+        let mut bytes = ForecasterState::Var(var.clone()).canonical_bytes();
+        bytes[FIRST..FIRST + 8].copy_from_slice(&bits.to_le_bytes());
+        ForecasterState::from_canonical_bytes(&bytes).expect("edited VAR decodes")
+    }
+
+    /// Count gate (CI store job): an adopted fleet resolves each model
+    /// once per shard. The shard memo keys a restored forecaster by its
+    /// exact canonical bytes (a `-0.0` weight is another model), claims
+    /// the stored model by id for every later part, and forgets it once
+    /// the last session holding it drops. Counts, never a clock, read
+    /// through the `model_builds` telemetry row.
+    #[test]
+    fn adopted_fleet_resolves_each_model_once() {
+        use crate::archive::FleetArchive;
+        use crate::session::{Advance, Session, SessionReport};
+        use crate::spec::SharedForecaster;
+        use foreco_core::RecoveryConfig;
+        use foreco_forecast::Var;
+
+        const PARTS: u64 = 96;
+        let model = niryo_one();
+        let fit = |skill, seed| {
+            Var::fit_differenced(&Dataset::record(skill, 2, 0.02, seed), 5, 1e-6).expect("fit VAR")
+        };
+        let var = fit(Skill::Experienced, 7);
+        let models = [
+            var_with_first_coefficient(&var, 0.0f64.to_bits()),
+            ForecasterState::Var(fit(Skill::Inexperienced, 8)),
+            var_with_first_coefficient(&var, (-0.0f64).to_bits()),
+        ];
+        let storage = Storage::new();
+        let trace = storage.insert_trace(
+            &Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+                .head(120)
+                .commands,
+        );
+        let spec = SessionSpec::new(
+            0,
+            SourceSpec::Stored(trace.clone()),
+            ChannelSpec::ControlledLoss {
+                burst_len: 6,
+                burst_prob: 0.05,
+                seed: 3,
+            },
+            RecoverySpec::FoReCo {
+                forecaster: SharedForecaster::new(var),
+                config: RecoveryConfig::for_model(&model),
+            },
+        );
+        let mut donor = Session::open(&spec, &model);
+        for _ in 0..40 {
+            donor.advance();
+        }
+        let (donor_part, payload) = donor.snapshot_for_fleet().expect("fleet part");
+        drop(donor);
+        // One donor state per id, its forecaster cycling over the models.
+        let parts: Vec<SessionSnapshot> = (0..PARTS)
+            .map(|id| {
+                let mut part = donor_part.clone();
+                part.id = id;
+                part.engine.as_mut().expect("an engine part").forecaster =
+                    models[id as usize % models.len()].clone();
+                part
+            })
+            .collect();
+        let bytes = FleetArchive::build(
+            parts
+                .iter()
+                .map(|part| (part.clone(), payload.clone()))
+                .collect(),
+        )
+        .to_bytes();
+        // Every part's standalone twin: a private deep-built model.
+        let twins: HashMap<SessionId, SessionReport> = parts
+            .iter()
+            .map(|part| {
+                let mut session =
+                    Session::restore_stored(part, &model, trace.clone()).expect("restores");
+                let report = loop {
+                    if let Advance::Completed(report) = session.advance() {
+                        break *report;
+                    }
+                };
+                (part.id, report)
+            })
+            .collect();
+
+        // Real-time pacing keeps every session alive until the last
+        // adoption has landed.
+        let service = Service::spawn(ServiceConfig {
+            shards: 1,
+            pacing: Pacing::RealTime,
+            ..Default::default()
+        });
+        let handle = service.handle();
+        let adopt_and_run_out = || {
+            let archive = FleetArchive::from_bytes(&bytes).expect("decodes");
+            assert_eq!(
+                handle.adopt_fleet(archive, &storage).unwrap(),
+                PARTS as usize
+            );
+            let (mut restored, mut completed) = (0, 0);
+            while completed < PARTS {
+                match service.next_event().expect("service alive") {
+                    SessionEvent::Restored { .. } => {
+                        restored += 1;
+                        if restored == PARTS {
+                            let stats = service.models.stats().models;
+                            assert_eq!(
+                                (stats.objects, stats.claims),
+                                (3, PARTS),
+                                "three models, one claim per session"
+                            );
+                        }
+                    }
+                    SessionEvent::Completed { id, report } => {
+                        completed += 1;
+                        assert_eq!(report, twins[&id], "session {id}");
+                        assert_eq!(report.rmse_mm.to_bits(), twins[&id].rmse_mm.to_bits());
+                    }
+                    SessionEvent::RestoreFailed { id, reason } => {
+                        panic!("session {id} failed to restore: {reason}")
+                    }
+                    other => panic!("unexpected event {other:?}"),
+                }
+            }
+            assert_eq!(restored, PARTS);
+            assert_eq!(
+                service.models.stats().models.objects,
+                0,
+                "the last session's drop evicts every model"
+            );
+            // The shard publishes after each pass: wait for the last one.
+            while handle.shard_loads()[0].completed < completed {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            handle.shard_loads().remove(0)
+        };
+        let load = adopt_and_run_out();
+        assert_eq!(load.model_builds, 3, "{PARTS} parts over three models");
+        assert_eq!(load.reference_builds, 1);
+        // Nothing outlives the sessions: the next adoption builds again.
+        let load = adopt_and_run_out();
+        assert_eq!(load.model_builds, 6);
+        service.join();
+        assert_eq!(storage.stats().models.objects, 0);
     }
 
     /// Count gate (CI store job): scripted sessions on one script share

@@ -962,7 +962,7 @@ impl Session {
     /// invariants (dimension mismatches against `model`, inconsistent
     /// script/fate lengths, out-of-range restore points, …).
     pub fn restore(snap: &SessionSnapshot, model: &ArmModel) -> Result<Self, RestoreError> {
-        Self::restore_with(snap, model, None, None, &mut ShardMemo::default())
+        Self::restore_with(snap.clone(), model, None, None, &mut ShardMemo::default())
     }
 
     /// [`Session::restore`] with engine model weights resolved through
@@ -979,7 +979,13 @@ impl Session {
         model: &ArmModel,
         models: &Storage,
     ) -> Result<Self, RestoreError> {
-        Self::restore_with(snap, model, None, Some(models), &mut ShardMemo::default())
+        Self::restore_with(
+            snap.clone(),
+            model,
+            None,
+            Some(models),
+            &mut ShardMemo::default(),
+        )
     }
 
     /// Rehydrates a [`SourceState::ScriptedRef`] snapshot, resolving the
@@ -995,16 +1001,25 @@ impl Session {
         model: &ArmModel,
         trace: TraceHandle,
     ) -> Result<Self, RestoreError> {
-        Self::restore_with(snap, model, Some(trace), None, &mut ShardMemo::default())
+        Self::restore_with(
+            snap.clone(),
+            model,
+            Some(trace),
+            None,
+            &mut ShardMemo::default(),
+        )
     }
 
-    /// Shared body of the restore entries. `models` is the optional
-    /// shared-storage route for engine weights (see
-    /// [`Session::restore_shared`]); `memo` shares a jammed link's DCF
-    /// solution and a script's trajectory with the shard's other
-    /// sessions. A channel spec is validated before the memo sees it.
+    /// Shared body of the restore entries, which consumes the snapshot:
+    /// its engine state, late commands and inline rows move into the
+    /// session (the public entries clone once, at their boundary).
+    /// `models` is the optional shared-storage route for engine weights
+    /// (see [`Session::restore_shared`]); `memo` shares a jammed link's
+    /// DCF solution, a script's trajectory and a restored model's store
+    /// claim with the shard's other sessions. A channel spec is
+    /// validated before the memo sees it.
     pub(crate) fn restore_with(
-        snap: &SessionSnapshot,
+        snap: SessionSnapshot,
         model: &ArmModel,
         trace: Option<TraceHandle>,
         models: Option<&Storage>,
@@ -1064,20 +1079,17 @@ impl Session {
                 "only a scripted source may omit the reference driver state".into(),
             )),
         };
-        let source = match &snap.source {
+        let source = match snap.source {
             SourceState::Scripted { commands, fates } => {
-                let script = Script::new(
-                    Arc::new(commands.clone()),
-                    None,
-                    model,
-                    snap.driver,
-                    memo,
-                    |rows| validate_rows(rows, model),
-                )?;
-                validate_progress(commands.len(), fates.len(), snap.tick)?;
+                let rows = commands.len();
+                let script =
+                    Script::new(Arc::new(commands), None, model, snap.driver, memo, |rows| {
+                        validate_rows(rows, model)
+                    })?;
+                validate_progress(rows, fates.len(), snap.tick)?;
                 Source::Scripted {
                     script,
-                    fates: ScriptFates::from_slots(fates, snap.tick),
+                    fates: ScriptFates::from_slots(&fates, snap.tick),
                     _link: None,
                 }
             }
@@ -1091,14 +1103,14 @@ impl Session {
                          (restore_stored / adopt_fleet)"
                     ))
                 })?;
-                if handle.id() != *trace_id {
+                if handle.id() != trace_id {
                     return Err(RestoreError::Invalid(format!(
                         "trace {} is not the script this snapshot references ({trace_id})",
                         handle.id()
                     )));
                 }
                 let commands = handle.commands().len();
-                let fates = ScriptFates::restore(fates, commands, snap.tick)?;
+                let fates = ScriptFates::restore(&fates, commands, snap.tick)?;
                 let script = Script::new(
                     Arc::clone(handle.commands()),
                     Some(handle),
@@ -1122,8 +1134,8 @@ impl Session {
                 fate_buf,
                 closing,
             } => Source::Streamed {
-                inbox: BoundedInbox::from_state(inbox, model.dof())?,
-                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing, memo)?,
+                inbox: BoundedInbox::from_state(&inbox, model.dof())?,
+                link: LiveLink::restore(&channel, channel_rng, &fate_buf, closing, memo)?,
                 reference: live_reference()?,
             },
             SourceState::Gated {
@@ -1133,12 +1145,12 @@ impl Session {
                 fate_buf,
                 closing,
             } => Source::Gated {
-                inbox: GatedInbox::from_state(inbox, model.dof())?,
-                link: LiveLink::restore(channel, *channel_rng, fate_buf, *closing, memo)?,
+                inbox: GatedInbox::from_state(&inbox, model.dof())?,
+                link: LiveLink::restore(&channel, channel_rng, &fate_buf, closing, memo)?,
                 reference: live_reference()?,
             },
         };
-        let engine = match &snap.engine {
+        let engine = match snap.engine {
             None => None,
             Some(engine_snap) => {
                 if engine_snap.history.first().map(Vec::len) != Some(model.dof()) {
@@ -1147,27 +1159,29 @@ impl Session {
                     ));
                 }
                 // The forecaster sub-blob skipped its constructor's
-                // checks; `build` and the tick path rely on them.
-                engine_snap
-                    .forecaster
-                    .validate()
-                    .map_err(RestoreError::Invalid)?;
-                match models.and_then(|store| {
-                    // Content-address the snapshotted weights: same
-                    // model ⇒ same resident copy, claimed not cloned.
-                    // One transient build pays for the address; the
-                    // resident Arc is what the engine keeps.
-                    store
-                        .insert_model(Arc::from(engine_snap.forecaster.build()))
-                        .ok()
-                }) {
+                // checks; `build` and the tick path rely on them. With a
+                // store, the memo runs them (once per model per shard):
+                // same model ⇒ same resident copy, claimed not cloned.
+                let claim = match models {
+                    Some(store) => memo
+                        .model(&engine_snap.forecaster, store)
+                        .map_err(RestoreError::Invalid)?,
+                    None => {
+                        engine_snap
+                            .forecaster
+                            .validate()
+                            .map_err(RestoreError::Invalid)?;
+                        None
+                    }
+                };
+                match claim {
                     // The engine's boxed wrapper holds the claim for the
                     // session's lifetime.
                     Some(claim) => Some(RecoveryEngine::from_snapshot_with(
-                        engine_snap.clone(),
+                        engine_snap,
                         Box::new(SharedForecaster::from_handle(claim)),
                     )?),
-                    None => Some(RecoveryEngine::from_snapshot(engine_snap.clone())?),
+                    None => Some(RecoveryEngine::from_snapshot(engine_snap)?),
                 }
             }
         };
@@ -1177,7 +1191,7 @@ impl Session {
             engine,
             injected: vec![0.0; model.dof()],
             executed: RobotDriver::from_state(model.clone(), snap.driver, &snap.executed),
-            pending_late: snap.pending_late.clone(),
+            pending_late: snap.pending_late,
             clock: VirtualClock::at_tick(snap.period, snap.tick),
             omega: snap.period,
             misses: snap.misses,
@@ -2219,7 +2233,7 @@ mod tests {
         let claim = store.get_trace(trace_id).expect("the trace is resident");
         drop(shared);
         let mut memo = ShardMemo::default();
-        let mut shared = Session::restore_with(&snap, &model, Some(claim), Some(&store), &mut memo)
+        let mut shared = Session::restore_with(snap, &model, Some(claim), Some(&store), &mut memo)
             .expect("adopts");
         assert!(claims_a_trace(&shared));
         let mut sessions = [&mut shared, &mut replayed];
@@ -2252,6 +2266,7 @@ mod tests {
 
     #[test]
     fn trajectory_id_tracks_the_arm_and_the_driver_config() {
+        use crate::memo::MemoCounts;
         let model = niryo_one();
         let store = Storage::new();
         let trace = store.insert_trace(&Dataset::record(Skill::Experienced, 1, 0.02, 5).commands);
@@ -2281,7 +2296,10 @@ mod tests {
         let again = open(&model, DriverConfig::default());
         assert_eq!(
             memo.take_counts(),
-            (0, 4),
+            MemoCounts {
+                reference_builds: 4,
+                ..MemoCounts::default()
+            },
             "five opens, four (arm, driver) inputs: `again` reuses `base`'s"
         );
         drop((base, pos_kd, neg_kd, slow, again));

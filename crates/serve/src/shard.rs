@@ -247,9 +247,10 @@ impl Runtime {
     /// Moves what the memo computed for an open or adoption into this
     /// pass's telemetry.
     fn count_memo_work(&mut self) {
-        let (solves, builds) = self.memo.take_counts();
-        self.scratch.link_solves += solves;
-        self.scratch.reference_builds += builds;
+        let counts = self.memo.take_counts();
+        self.scratch.link_solves += counts.link_solves;
+        self.scratch.reference_builds += counts.reference_builds;
+        self.scratch.model_builds += counts.model_builds;
     }
 
     /// Places a session that just entered this shard (open, transfer or adopt).
@@ -485,7 +486,7 @@ impl Runtime {
                 let id = snapshot.id;
                 if !self.refuse_duplicate(id) {
                     match Session::restore_with(
-                        &snapshot,
+                        *snapshot,
                         &self.model,
                         trace,
                         Some(&self.models),

@@ -200,6 +200,8 @@ shard_metrics! {
         "DCF link solves at open or restore (one per live link configuration).";
     reference_builds: Counter, "foreco_reference_builds_total",
         "Reference trajectories built at open or restore (one per live script and arm per shard).";
+    model_builds: Counter, "foreco_model_builds_total",
+        "Forecaster states built at restore to resolve a stored model (one per live model per shard).";
 }
 
 impl ShardSummary {

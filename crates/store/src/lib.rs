@@ -213,7 +213,10 @@ pub struct KindStats {
     pub resident_bytes: usize,
     /// Inserts that stored a new object.
     pub inserts: u64,
-    /// Inserts deduplicated against an already-resident object.
+    /// Inserts deduplicated against an already-resident object. A claim
+    /// by id (`get_trace`, `get_model`, `get_blob`) is not an insert and
+    /// is not counted here — a serve shard that resolves a restored
+    /// model from its memo claims it by id.
     pub dedup_hits: u64,
     /// Objects evicted because their last claim dropped.
     pub evictions: u64,
@@ -419,13 +422,20 @@ impl Storage {
     /// Like [`Storage::insert_trace`], but takes ownership of the rows
     /// so a fresh insert performs no copy at all.
     pub fn insert_trace_owned(&self, commands: Vec<Vec<f64>>) -> TraceHandle {
+        self.insert_trace_shared(Arc::new(commands))
+    }
+
+    /// Like [`Storage::insert_trace_owned`], but files rows that are
+    /// already shared: a fresh insert keeps this very `Arc` resident, so
+    /// nothing is copied, and a dedup hit drops it for the resident one.
+    pub fn insert_trace_shared(&self, commands: Arc<Vec<Vec<f64>>>) -> TraceHandle {
         let id = trace_object_id(&commands);
         let mut index = lock(&self.inner.traces);
         let payload = match index.claim_dedup(id, |resident| trace_bits_eq(resident, &commands)) {
             Some(resident) => resident,
             None => {
                 let bytes = trace_resident_bytes(&commands);
-                index.insert_new(id, Arc::new(commands), bytes)
+                index.insert_new(id, commands, bytes)
             }
         };
         drop(index);
@@ -483,6 +493,16 @@ impl Storage {
         };
         drop(index);
         Ok(ModelHandle {
+            store: Arc::clone(&self.inner),
+            id,
+            payload: slot.forecaster,
+        })
+    }
+
+    /// Claims an already-resident model by id — the route for a caller
+    /// that already knows which registered model a state resolves to.
+    pub fn get_model(&self, id: ObjectId) -> Option<ModelHandle> {
+        lock(&self.inner.models).claim(id).map(|slot| ModelHandle {
             store: Arc::clone(&self.inner),
             id,
             payload: slot.forecaster,
@@ -726,6 +746,41 @@ mod tests {
             .expect("register");
         assert_ne!(a.id(), c.id());
         assert_eq!(store.stats().models.objects, 2);
+    }
+
+    #[test]
+    fn models_claim_by_id_without_an_insert() {
+        let store = Storage::new();
+        let a = store
+            .insert_model(Arc::new(MovingAverage::new(5, 6)))
+            .expect("register");
+        let b = store.get_model(a.id()).expect("resident");
+        assert!(Arc::ptr_eq(a.forecaster(), b.forecaster()));
+        let s = store.stats().models;
+        assert_eq!((s.objects, s.claims, s.inserts, s.dedup_hits), (1, 2, 1, 0));
+        let id = a.id();
+        drop((a, b));
+        assert!(store.get_model(id).is_none(), "evicted model is gone");
+        assert_eq!(store.stats().models.evictions, 1);
+    }
+
+    #[test]
+    fn shared_rows_file_without_a_copy() {
+        let store = Storage::new();
+        let rows = Arc::new(trace(6.0));
+        let a = store.insert_trace_shared(Arc::clone(&rows));
+        assert!(
+            Arc::ptr_eq(a.commands(), &rows),
+            "a fresh insert keeps the Arc"
+        );
+        assert_eq!(a.id(), trace_object_id(&rows));
+        let b = store.insert_trace_shared(Arc::new(trace(6.0)));
+        assert!(
+            Arc::ptr_eq(b.commands(), &rows),
+            "a dedup hit shares the resident Arc"
+        );
+        let s = store.stats().traces;
+        assert_eq!((s.objects, s.claims, s.inserts, s.dedup_hits), (1, 2, 1, 1));
     }
 
     #[test]

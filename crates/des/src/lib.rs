@@ -16,6 +16,12 @@
 //!   simulator in tests ([`theory`]),
 //! - record summaries — waits, sojourns, losses, utilisation ([`stats`]).
 //!
+//! In this reproduction the engine is the test oracle of
+//! `foreco_wifi::link`'s D/HEXP/1 queue. The link simulates its queue
+//! directly, because each command's retransmission phase decides its
+//! fate, and its unit tests check the delays against a [`Network`] node
+//! fed the same phases. No served path or paper binary runs the engine.
+//!
 //! Everything is seeded and reproducible; there is no global state, no
 //! threads, no `unsafe`.
 //!

@@ -224,45 +224,9 @@ impl Matrix {
         self.map(|x| x * s)
     }
 
-    /// Frobenius norm, `sqrt(Σ x²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element; 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Extracts rows `[start, end)` into a new matrix.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or reversed.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Matrix {
-        assert!(
-            start <= end && end <= self.rows,
-            "slice_rows: bad range {start}..{end}"
-        );
-        Matrix {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        }
-    }
-
-    /// Stacks `other` below `self`.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vstack: column mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
     }
 
     /// True when all elements are finite (no NaN/inf).
@@ -427,14 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_vstack_roundtrip() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let top = m.slice_rows(0, 1);
-        let bottom = m.slice_rows(1, 3);
-        assert_eq!(top.vstack(&bottom), m);
-    }
-
-    #[test]
     fn add_sub_scale() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, -2.0]]);
@@ -446,7 +402,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
     }
 

@@ -26,14 +26,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Root mean square of a slice of error samples; 0 for an empty slice.
-pub fn rms(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Root-mean-square error between two equal-length series.
 ///
 /// # Panics
@@ -153,7 +145,6 @@ mod tests {
     fn empty_and_short_slices() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
-        assert_eq!(rms(&[]), 0.0);
         assert_eq!(autocorrelation(&[1.0], 1), 0.0);
     }
 

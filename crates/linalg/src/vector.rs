@@ -41,18 +41,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// `y += alpha * x` in place.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Element-wise linear interpolation `a + t (b − a)`.
 ///
 /// # Panics
@@ -93,13 +81,6 @@ mod tests {
     fn distances() {
         assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(squared_distance(&[1.0, 1.0], &[2.0, 3.0]), 5.0);
-    }
-
-    #[test]
-    fn axpy_in_place() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //! - [`RobotDriver`]: the 50 Hz driver loop: accepts a command (or `None`
 //!   when the network delivered nothing in time), holds the last command
 //!   on a miss, steps the PIDs, enforces limits, and records the
-//!   trajectory samples the experiments analyse;
-//! - [`ik`]: damped-least-squares inverse kinematics for designing
-//!   Cartesian pick/place targets in joint space.
+//!   trajectory samples the experiments analyse.
 //!
 //! The substitution argument (DESIGN.md §3): FoReCo never touches motor
 //! dynamics — it interacts with the *driver loop* (command in, joint state
@@ -30,13 +28,11 @@
 #![warn(missing_docs)]
 
 mod driver;
-pub mod ik;
 mod kinematics;
 mod model;
 mod pid;
 
 pub use driver::{DriverConfig, DriverState, RobotDriver, Sample};
-pub use ik::{solve_position, IkConfig, IkSolution};
 pub use kinematics::{DhChain, DhLink};
 pub use model::{niryo_one, ArmModel, JointLimit};
 pub use pid::{Pid, PidGains, PidState};

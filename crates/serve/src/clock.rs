@@ -34,11 +34,6 @@ impl VirtualClock {
         Self { tick: 0, period }
     }
 
-    /// The 50 Hz clock of the paper.
-    pub fn at_50hz() -> Self {
-        Self::new(TICK_PERIOD)
-    }
-
     /// A clock resumed at `tick` (session snapshot restore).
     ///
     /// # Panics
@@ -161,7 +156,7 @@ mod tests {
 
     #[test]
     fn clock_advances_by_period() {
-        let mut c = VirtualClock::at_50hz();
+        let mut c = VirtualClock::new(TICK_PERIOD);
         assert_eq!(c.tick(), 0);
         assert_eq!(c.now(), 0.0);
         c.advance();

@@ -147,7 +147,7 @@ impl BoundedInbox {
                 bad.len()
             )));
         }
-        require_finite("queued command", state.queue.iter())?;
+        require_finite("queued command", state.queue.iter().flatten())?;
         Ok(Self {
             queue: state.queue.iter().cloned().collect(),
             capacity: state.capacity,
@@ -370,7 +370,7 @@ impl GatedInbox {
                 bad.len()
             )));
         }
-        require_finite("queued slot", payloads())?;
+        require_finite("queued slot", payloads().flatten())?;
         if state
             .queue
             .iter()

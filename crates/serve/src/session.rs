@@ -1054,10 +1054,16 @@ impl Session {
                 "driver period must be positive".into(),
             ));
         }
+        let gains = &snap.driver.gains;
+        require_finite("PID gains", [&gains.kp, &gains.ki, &gains.kd])?;
         if let Some(reference) = &snap.reference {
             validate_driver_state(reference, model, "reference")?;
         }
         validate_driver_state(&snap.executed, model, "executed")?;
+        require_finite("error accumulator", [&snap.acc_sq_mm, &snap.worst_mm])?;
+        if snap.acc_sq_mm < 0.0 || snap.worst_mm < 0.0 {
+            return Err(RestoreError::Invalid("negative error accumulator".into()));
+        }
         if let Some(bad) = snap
             .pending_late
             .iter()
@@ -1071,7 +1077,9 @@ impl Session {
         }
         require_finite(
             "pending late command",
-            snap.pending_late.iter().map(|(_, _, payload)| payload),
+            snap.pending_late
+                .iter()
+                .flat_map(|(arrives, _, payload)| std::iter::once(arrives).chain(payload)),
         )?;
         let live_reference = || match &snap.reference {
             Some(state) => Ok(RobotDriver::from_state(model.clone(), snap.driver, state)),
@@ -1224,7 +1232,7 @@ fn validate_rows(commands: &[Vec<f64>], model: &ArmModel) -> Result<(), RestoreE
             model.dof()
         )));
     }
-    require_finite("scripted command", commands.iter())
+    require_finite("scripted command", commands.iter().flatten())
 }
 
 /// Checks a restored scripted part against its script's length: one
@@ -1244,7 +1252,8 @@ fn validate_progress(commands: usize, fates: usize, tick: u64) -> Result<(), Res
 }
 
 /// Pre-checks a driver state against the target arm so restore returns
-/// an error instead of tripping `RobotDriver::from_state`'s panics.
+/// an error instead of tripping `RobotDriver::from_state`'s panics or
+/// ticking a non-finite command, clock or PID term into the joints.
 fn validate_driver_state(
     state: &DriverState,
     model: &ArmModel,
@@ -1259,6 +1268,14 @@ fn validate_driver_state(
             state.pids.len()
         )));
     }
+    let pid_terms = state
+        .pids
+        .iter()
+        .flat_map(|p| std::iter::once(&p.integral).chain(&p.prev_error));
+    require_finite(
+        format_args!("{which} driver state"),
+        state.last_command.iter().chain([&state.t]).chain(pid_terms),
+    )?;
     if !model.within_limits(&state.joints) {
         return Err(RestoreError::Invalid(format!(
             "{which} driver pose violates joint limits"
@@ -1590,6 +1607,62 @@ mod tests {
         bad_late.pending_late.push((0.1, 2, vec![0.0; 3]));
         let err = restore_err(&bad_late, &model);
         assert!(matches!(err, RestoreError::Invalid(_)), "{err}");
+
+        // Non-finite plant state would tick NaN into the joints (and the
+        // RMSE) and make the next checkpoint unrestorable: reject it on
+        // the executed driver and on a streamed donor's reference.
+        let streamed = SessionSpec::new(
+            7,
+            SourceSpec::Streamed {
+                initial: model.home(),
+                inbox_capacity: 4,
+            },
+            ChannelSpec::Ideal,
+            RecoverySpec::Baseline,
+        );
+        let donor = Session::open(&streamed, &model).snapshot().unwrap();
+        assert!(donor.reference.is_some());
+        assert!(Session::restore(&donor, &model).is_ok());
+        let expect_invalid = |bad: &crate::snapshot::SessionSnapshot, needle: &str| {
+            let err = restore_err(bad, &model);
+            assert!(
+                matches!(&err, RestoreError::Invalid(r) if r.contains(needle)),
+                "expected '{needle}', got {err}"
+            );
+        };
+        let driver_mutants: [fn(&mut DriverState); 5] = [
+            |s| s.last_command[2] = f64::NAN,
+            |s| s.t = f64::INFINITY,
+            |s| s.pids[1].integral = f64::NEG_INFINITY,
+            |s| s.pids[4].integral = f64::NAN,
+            |s| s.pids[0].prev_error = Some(f64::NAN),
+        ];
+        for mutate in driver_mutants {
+            let mut bad = snap.clone();
+            mutate(&mut bad.executed);
+            expect_invalid(&bad, "non-finite executed driver state");
+            let mut bad = donor.clone();
+            mutate(bad.reference.as_mut().unwrap());
+            expect_invalid(&bad, "non-finite reference driver state");
+        }
+        for (acc_sq_mm, worst_mm, needle) in [
+            (f64::NAN, 0.0, "non-finite"),
+            (f64::INFINITY, 0.0, "non-finite"),
+            (0.0, f64::NAN, "non-finite"),
+            (-1.0, 0.0, "negative"),
+            (0.0, -0.5, "negative"),
+        ] {
+            let mut bad = snap.clone();
+            (bad.acc_sq_mm, bad.worst_mm) = (acc_sq_mm, worst_mm);
+            expect_invalid(&bad, needle);
+        }
+        let mut bad = snap.clone();
+        bad.driver.gains.ki = f64::NAN;
+        expect_invalid(&bad, "non-finite PID gains");
+        // A NaN arrival time would never come due.
+        let mut bad = snap.clone();
+        bad.pending_late.push((f64::NAN, 0, model.home()));
+        expect_invalid(&bad, "non-finite pending late command");
 
         snap.executed.joints.pop();
         let err = restore_err(&snap, &model);

@@ -1092,14 +1092,15 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Rejects non-finite commands. Delivered, one would become the
+/// Rejects non-finite values. A delivered command would become the
 /// engine's newest history row, and the next miss's step clamp would
-/// panic on its NaN bound.
+/// panic on its NaN bound; a driver's held command, clock or PID term
+/// would spread through `Pid::step` into the joints.
 pub(crate) fn require_finite<'a>(
-    what: &str,
-    mut commands: impl Iterator<Item = &'a Vec<f64>>,
+    what: impl std::fmt::Display,
+    values: impl IntoIterator<Item = &'a f64>,
 ) -> Result<(), RestoreError> {
-    if commands.any(|c| c.iter().any(|q| !q.is_finite())) {
+    if values.into_iter().any(|q| !q.is_finite()) {
         return Err(RestoreError::Invalid(format!("non-finite {what}")));
     }
     Ok(())

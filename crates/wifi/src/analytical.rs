@@ -228,17 +228,7 @@ impl DcfModel {
             effective_contenders: n_eff,
         }
     }
-}
 
-impl DcfSolution {
-    /// `a_j` conditioned on delivery (the hyperexponential phase weights).
-    pub fn delivery_weights(&self) -> Vec<f64> {
-        let mass: f64 = self.attempt_probs.iter().sum();
-        self.attempt_probs.iter().map(|a| a / mass).collect()
-    }
-}
-
-impl DcfModel {
     /// Normalised saturation throughput `S ∈ [0, 1]` — Bianchi's classic
     /// metric: the fraction of channel time carrying successful payload
     /// bits, `S = Ps·E[payload] / E[slot]`, evaluated at the model's
@@ -367,13 +357,6 @@ mod tests {
         assert!((s.effective_contenders - 10.0).abs() < 1e-6);
         // Saturated 10-station 802.11: collision probability notably > 0.
         assert!(s.p > 0.1 && s.p < 0.6, "p = {}", s.p);
-    }
-
-    #[test]
-    fn delivery_weights_normalised() {
-        let s = model(15, 0.025, 50).solve();
-        let sum: f64 = s.delivery_weights().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
     }
 
     /// Appendix, Lemma 1 / Corollary 1: with interference the delay is

@@ -11,8 +11,9 @@
 //! The queue is simulated directly (single server, FIFO, deterministic
 //! arrivals) rather than through [`foreco_des::Network`] because each
 //! command's *phase* decides its fate (delivered vs RTX-lost), which a
-//! generic network node does not expose; the `foreco-des` engine is used
-//! to cross-validate the delays in this module's tests.
+//! generic network node does not expose. The `foreco-des` engine is this
+//! link's D/HEXP/1 test oracle and nothing more: `matches_generic_des_engine`
+//! feeds a `Network` node the same phases and compares mean sojourns.
 
 use crate::{DcfModel, DcfSolution, Interference, Params};
 use rand::rngs::StdRng;

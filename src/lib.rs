@@ -21,7 +21,6 @@
 //! | [`robot`] | `foreco-robot` | Niryo-One-like arm, DH kinematics, PID driver loop |
 //! | [`teleop`] | `foreco-teleop` | pick-and-place operators and datasets |
 //! | [`wifi`] | `foreco-wifi` | 802.11 DCF analytical model + interferer + link sim |
-//! | [`des`] | `foreco-des` | discrete-event simulation engine (mini-CIW) |
 //! | [`nn`] | `foreco-nn` | LSTM/seq2seq substrate with Adam and BPTT |
 //! | [`linalg`] | `foreco-linalg` | matrices, Cholesky/QR, OLS, statistics |
 //!
@@ -317,7 +316,6 @@
 //! ```
 
 pub use foreco_core as recovery;
-pub use foreco_des as des;
 pub use foreco_forecast as forecast;
 pub use foreco_linalg as linalg;
 pub use foreco_net as net;

@@ -175,10 +175,15 @@ impl RobotDriver {
             self.model.clamp_into(cmd, &mut self.last_command);
         }
         let dt = self.cfg.period;
-        for i in 0..self.joints.len() {
-            let v = self.pids[i].step(self.last_command[i], self.joints[i], dt);
-            let q = self.joints[i] + v * dt;
-            self.joints[i] = self.model.limits[i].clamp(q);
+        let joints = self
+            .pids
+            .iter_mut()
+            .zip(&self.last_command)
+            .zip(self.joints.iter_mut())
+            .zip(&self.model.limits);
+        for (((pid, &target), q), limit) in joints {
+            let v = pid.step(target, *q, dt);
+            *q = limit.clamp(*q + v * dt);
         }
         self.t += dt;
         let position_mm = self.model.chain.forward_mm(&self.joints);

@@ -4,6 +4,43 @@
 //! `Rot_z(θ_i) · Trans_z(d_i) · Trans_x(a_i) · Rot_x(α_i)` with
 //! `θ_i = q_i + θ_offset_i` for revolute joints. Four `f64`s per link and
 //! a 3×3-plus-translation transform — no general 4×4 matrix stack needed.
+//!
+//! [`DhChain::forward`] returns the bits of the straightforward body
+//! (every full link transform composed onto the identity) but does
+//! only the arithmetic that can change one. Four rewrites:
+//!
+//! 1. **Trig first.** Every needed `sin_cos` runs before the first
+//!    compose, into a fixed-size stack array, so the compose chain is
+//!    not spilled around the libm calls.
+//! 2. **First link.** Its transform is its DH matrix, with `0.0 + x` on
+//!    the translation: all the identity multiply does to it. Rotation
+//!    sums also skip the leading `0.0 +` of the straightforward body.
+//! 3. **Exact-zero products dropped.** Per link: the DH `[2][0]` entry
+//!    (always `0.0`); for a planar twist (`sin α == 0.0`,
+//!    `cos α == 1.0`) the `sin α` terms and the `× 1.0`; the `a·cos θ`,
+//!    `a·sin θ` translation terms when `a == 0.0`; the `d` term when
+//!    `d == 0.0`.
+//! 4. **Tool link.** When its `a == 0.0` its angle cannot move the tool
+//!    point: no `sin_cos`, only the `r[i][2]·d` term.
+//!
+//! Why this is exact, for finite angles and twists:
+//!
+//! - The translation starts as `0.0 + x` and then only has terms added,
+//!   so no partial translation sum is `-0.0` (in round-to-nearest a sum
+//!   is `-0.0` only when both operands are).
+//! - Adding a `±0.0` term to a sum that is not `-0.0` leaves its bits
+//!   unchanged, so neither a dropped zero product nor the sign of a
+//!   kept one can move a translation bit.
+//! - A rotation entry equals the straightforward one up to the sign of
+//!   a zero, which is all the skipped `0.0 +` and the dropped terms can
+//!   change, and rotation entries reach the result only as factors of
+//!   such translation terms.
+//! - `x · 1.0 == x`, and `sin_cos` is pure.
+//!
+//! A non-finite angle or twist turns the dropped products into NaN, and
+//! the identity multiply spreads a non-finite first-link `a` or `d` to
+//! every axis, so such inputs, and chains of fewer than 2 or more than
+//! 8 links, run the straightforward body instead.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -20,6 +57,11 @@ pub struct DhLink {
     pub theta_offset: f64,
 }
 
+/// Slots of [`DhChain::forward`]'s stack trig array: chains of 2 to this
+/// many links take the rewritten path. The tool link's trig stays out
+/// of the array: it is computed only when it moves the tool point.
+const TRIG_SLOTS: usize = 8;
+
 /// Rigid transform: rotation matrix (row-major 3×3) plus translation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Transform {
@@ -35,11 +77,9 @@ impl Transform {
         }
     }
 
-    /// The link transform at joint angle `q`, given the link's cached
-    /// twist `(sin α, cos α)`.
-    fn dh(link: &DhLink, (sa, ca): (f64, f64), q: f64) -> Self {
-        let th = q + link.theta_offset;
-        let (st, ct) = th.sin_cos();
+    /// The link transform for the joint's `(sin θ, cos θ)`, given the
+    /// link's cached twist `(sin α, cos α)`.
+    fn dh(link: &DhLink, (sa, ca): (f64, f64), (st, ct): (f64, f64)) -> Self {
         Self {
             r: [
                 [ct, -st * ca, st * sa],
@@ -48,6 +88,52 @@ impl Transform {
             ],
             t: [link.a * ct, link.a * st, link.d],
         }
+    }
+
+    /// `self.compose(&dh(link, ..))` without the products that are
+    /// exactly `±0.0` (the DH `[2][0]` entry, a planar twist's `sin α`
+    /// terms, a zero `a` or `d`), a planar twist's `× 1.0` or the
+    /// rotation's leading `0.0 +`. For finite `self.r` and trig, the
+    /// translation keeps its bits as long as `self.t` holds no `-0.0`,
+    /// and the rotation can differ only in the sign of a zero (see the
+    /// module doc).
+    fn compose_dh(&self, link: &DhLink, (sa, ca): (f64, f64), (st, ct): (f64, f64)) -> Transform {
+        let mut r = [[0.0; 3]; 3];
+        let planar = sa == 0.0 && ca == 1.0;
+        for (out, a) in r.iter_mut().zip(&self.r) {
+            out[0] = a[0] * ct + a[1] * st;
+            if planar {
+                out[1] = a[0] * -st + a[1] * ct;
+                out[2] = a[2];
+            } else {
+                out[1] = a[0] * (-st * ca) + a[1] * (ct * ca) + a[2] * sa;
+                out[2] = a[0] * (st * sa) + a[1] * (-ct * sa) + a[2] * ca;
+            }
+        }
+        Transform {
+            r,
+            t: self.translate_dh(link, || (st, ct)),
+        }
+    }
+
+    /// The translation of `self.compose(&dh(link, ..))` without the
+    /// `a` terms when `a == 0.0` or the `d` term when `d == 0.0`; the
+    /// joint's `(sin θ, cos θ)` is asked for only when `a != 0.0`.
+    fn translate_dh(&self, link: &DhLink, trig: impl FnOnce() -> (f64, f64)) -> [f64; 3] {
+        let mut t = self.t;
+        if link.a != 0.0 {
+            let (st, ct) = trig();
+            let (x, y) = (link.a * ct, link.a * st);
+            for (ti, a) in t.iter_mut().zip(&self.r) {
+                *ti = *ti + a[0] * x + a[1] * y;
+            }
+        }
+        if link.d != 0.0 {
+            for (ti, a) in t.iter_mut().zip(&self.r) {
+                *ti += a[2] * link.d;
+            }
+        }
+        t
     }
 
     fn compose(&self, other: &Transform) -> Transform {
@@ -113,9 +199,13 @@ impl DhChain {
     /// End-effector position (metres) for joint angles `q`.
     ///
     /// Bit-identical to composing every full link transform onto the
-    /// identity: the leading `identity().compose(..)` stays (its
-    /// `0.0 + x` turns a `-0.0` into `+0.0`), and only the last link's
-    /// rotation block, which the result never reads, is skipped.
+    /// identity, by the four rewrites of the module doc: trig first into
+    /// a stack array, the first link without the identity multiply,
+    /// products that are exactly `±0.0` dropped, and no trig for a tool
+    /// link with `a == 0.0`. No partial translation sum is `-0.0`, so a
+    /// dropped `±0.0` term could not have changed it. A non-finite angle,
+    /// twist or first-link `a`/`d`, or a chain of fewer than 2 or more
+    /// than 8 links, takes the straightforward body instead.
     ///
     /// # Panics
     /// Panics if `q.len() != dof()`.
@@ -125,9 +215,46 @@ impl DhChain {
             .links
             .split_last()
             .expect("DhChain::new rejects an empty chain");
+        if init.is_empty() || self.links.len() > TRIG_SLOTS {
+            return self.forward_composed(q);
+        }
+        let mut trig = [(0.0, 0.0); TRIG_SLOTS];
+        let mut finite = true;
+        for ((slot, link), &qi) in trig.iter_mut().zip(init).zip(q) {
+            let th = qi + link.theta_offset;
+            finite &= th.is_finite() & link.alpha.is_finite();
+            *slot = th.sin_cos();
+        }
+        // The identity multiply spreads a non-finite first translation
+        // to every axis (`0.0 · ∞` is NaN), which `0.0 + x` would not.
+        finite &= init[0].a.is_finite() & init[0].d.is_finite();
+        let tool_th = q[init.len()] + last.theta_offset;
+        if !(finite && tool_th.is_finite()) {
+            return self.forward_composed(q);
+        }
+        let mut acc = Transform::dh(&init[0], self.twist[0], trig[0]);
+        acc.t = acc.t.map(|x| 0.0 + x);
+        for ((link, &twist), &angle) in init[1..].iter().zip(&self.twist[1..]).zip(&trig[1..]) {
+            acc = acc.compose_dh(link, twist, angle);
+        }
+        acc.translate_dh(last, || tool_th.sin_cos())
+    }
+
+    /// The straightforward body [`DhChain::forward`] reproduces: every
+    /// link's transform composed onto the identity, only the last
+    /// link's unread rotation skipped. It serves the inputs the rewrites
+    /// do not cover: non-finite angles or twists (whose dropped terms
+    /// would be NaN), a non-finite first-link `a` or `d`, and chains
+    /// outside the trig array's range.
+    fn forward_composed(&self, q: &[f64]) -> [f64; 3] {
+        let (last, init) = self
+            .links
+            .split_last()
+            .expect("DhChain::new rejects an empty chain");
         let mut acc = Transform::identity();
         for ((link, &twist), &qi) in init.iter().zip(&self.twist).zip(q) {
-            acc = acc.compose(&Transform::dh(link, twist, qi));
+            let angle = (qi + link.theta_offset).sin_cos();
+            acc = acc.compose(&Transform::dh(link, twist, angle));
         }
         let (st, ct) = (q[init.len()] + last.theta_offset).sin_cos();
         acc.translate(&[last.a * ct, last.a * st, last.d])

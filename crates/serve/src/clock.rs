@@ -105,14 +105,39 @@ impl Pacer {
         }
     }
 
-    /// Re-anchors the pacer at the current instant. Call when resuming
-    /// from an idle stretch: without this, a real-time pacer whose
-    /// epoch is long past would skip sleeping for thousands of passes
-    /// to "catch up" to wall time — an unpaced burst of spurious
-    /// deadline misses for any live session.
+    /// Re-anchors the pacer at the current instant, so its first slot
+    /// boundary is one period from now. [`Pacer::next_slot`] calls it to
+    /// drop a backlog: without it, a real-time pacer whose epoch is long
+    /// past would skip sleeping for thousands of passes to "catch up" to
+    /// wall time — an unpaced burst of spurious deadline misses for any
+    /// live session. A shard waking from a block re-anchors through
+    /// [`Pacer::wake`] instead, which keeps the slot phase.
     pub fn resync(&mut self) {
         self.epoch = Instant::now();
         self.ticks = 0;
+    }
+
+    /// Counts the slot boundaries that passed while a shard slept on its
+    /// control channel, and re-anchors at the last of them, so the next
+    /// pass is held to the same 50 Hz grid and a wake inside a slot
+    /// forfeits nothing. The pending boundary is the next tick's slot,
+    /// or one period after the anchor when no tick ran since it. Always
+    /// 0, without reading the clock, unpaced.
+    pub fn wake(&mut self) -> u64 {
+        if self.pacing != Pacing::RealTime {
+            return 0;
+        }
+        let elapsed = Instant::now().saturating_duration_since(self.epoch);
+        let last = elapsed
+            .as_nanos()
+            .checked_div(self.period.as_nanos())
+            .unwrap_or(0) as u64;
+        let slots = (last + 1).saturating_sub(self.ticks.max(1));
+        if slots > 0 {
+            self.epoch += self.period.mul_f64(last as f64);
+            self.ticks = 0;
+        }
+        slots
     }
 
     /// Records one completed tick and returns the wall instant of the
@@ -228,6 +253,43 @@ mod tests {
             tick_complete(&mut p);
         }
         assert!(start.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn unpaced_pacer_credits_no_slots() {
+        let mut p = Pacer::new(Pacing::Unpaced, 0.001);
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(p.wake(), 0);
+    }
+
+    #[test]
+    fn realtime_pacer_credits_the_slots_slept_through() {
+        // Load makes a wake late, never early: the first-slot figure is
+        // asserted only when the wake provably came inside that slot.
+        let start = Instant::now();
+        let mut p = Pacer::new(Pacing::RealTime, 0.2);
+        std::thread::sleep(Duration::from_millis(50));
+        let early = p.wake();
+        if start.elapsed() < Duration::from_millis(200) {
+            assert_eq!(early, 0, "a wake inside the first slot credits 0");
+        }
+        std::thread::sleep(Duration::from_millis(400));
+        let credited = early + p.wake();
+        assert!(credited >= 2, "450 ms credited {credited} slots");
+    }
+
+    #[test]
+    fn sub_period_wakes_keep_the_slot_phase() {
+        // Control traffic faster than the period wakes a parked shard
+        // inside every slot; a wake that credits nothing keeps the
+        // anchor, so the boundaries still arrive.
+        let mut p = Pacer::new(Pacing::RealTime, 0.2);
+        let mut credited = 0;
+        for _ in 0..5 {
+            std::thread::sleep(Duration::from_millis(50));
+            credited += p.wake();
+        }
+        assert!(credited >= 1, "250 ms of 50 ms wakes credited nothing");
     }
 
     #[test]

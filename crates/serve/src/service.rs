@@ -1626,6 +1626,72 @@ mod tests {
     }
 
     #[test]
+    fn realtime_shard_sleeps_while_its_fleet_is_parked() {
+        // A real-time shard with nothing runnable blocks like any other:
+        // no pass, no wakeup while the fleet sleeps. The slots it slept
+        // through still reach the parked sessions as backlog when they
+        // wake, so each closes at least that many ticks past its donor.
+        // Load can lengthen the sleep, never shorten it: lower bounds.
+        use crate::clock::TICK_PERIOD;
+        use std::time::{Duration, Instant};
+
+        const FLEET: u64 = 4;
+        let parked = parked_donor();
+        let service = Service::spawn(ServiceConfig {
+            shards: 1,
+            pacing: Pacing::RealTime,
+            ..Default::default()
+        });
+        let handle = service.handle();
+        for id in 0..FLEET {
+            handle
+                .adopt(SessionSnapshot {
+                    id,
+                    ..parked.clone()
+                })
+                .unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let before = loop {
+            let load = handle.shard_loads().remove(0);
+            if load.sessions == FLEET && load.parked == FLEET {
+                break load;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the fleet never parked: {load:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let asleep = Instant::now();
+        std::thread::sleep(Duration::from_millis(200));
+        let after = handle.shard_loads().remove(0);
+        assert_eq!(
+            (after.passes, after.wakeups),
+            (before.passes, before.wakeups),
+            "a parked real-time shard ran passes while asleep"
+        );
+        let slept = asleep.elapsed();
+        let slots = (slept.as_secs_f64() / TICK_PERIOD) as u64;
+        for id in 0..FLEET {
+            handle.close(id).unwrap();
+        }
+        let mut completed = 0;
+        while completed < FLEET {
+            if let Some(SessionEvent::Completed { id, report }) = service.next_event() {
+                assert!(
+                    report.ticks >= parked.tick + slots,
+                    "session {id} closed at tick {} after {slept:?} asleep from tick {}",
+                    report.ticks,
+                    parked.tick
+                );
+                completed += 1;
+            }
+        }
+        service.join();
+    }
+
+    #[test]
     fn idle_fleet_wakeups_track_the_hot_set_not_the_fleet() {
         // The event scheduler's scaling claim as a count: with most of
         // a parked fleet silent, each pass advances at most the hot

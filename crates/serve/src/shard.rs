@@ -25,11 +25,13 @@
 //! targeted control command; every wake goes through `Runtime::poke`,
 //! which replays the session's skipped passes exactly with
 //! `Session::catch_up`, so parking is observationally invisible
-//! (property-tested against the eager scheduler). When the whole shard
-//! is parked, the worker blocks on its control channel and the parked
-//! sessions' virtual time suspends with it — under real-time pacing it
-//! instead keeps 50 Hz slots flowing via a timed receive, so idle spans
-//! still track wall time.
+//! (property-tested against the eager scheduler). A shard with nothing
+//! runnable blocks on its control channel, whatever its pacing and
+//! scheduler, and runs no pass until a command arrives. Unpaced, the
+//! parked sessions' virtual time suspends with it; a real-time shard
+//! credits the 50 Hz slot boundaries it slept through to its pass
+//! counter when it wakes ([`Pacer::wake`]), so the parked sessions'
+//! backlog still tracks wall time at no cost while asleep.
 //!
 //! [`Scheduler::Eager`] preserves the original flat sweep (every session
 //! every pass) and is the ground truth the event-driven mode is tested
@@ -54,10 +56,11 @@
 //! loss event of the kind the recovery engine exists to absorb.
 //!
 //! Control flow per loop iteration: retry parked migration hand-offs,
-//! drain the control inbox (blocking when quiescent; on a real-time
-//! shard, waiting on it until the next slot, so commands are handled as
-//! they arrive instead of after a sleep), advance the run queue, publish
-//! telemetry, ask the pacer for the next slot.
+//! drain the control inbox (blocking when nothing is runnable; with
+//! live work on a real-time shard, waiting on it until the next slot, so
+//! commands are handled as they arrive instead of after a sleep),
+//! advance the run queue, publish telemetry, ask the pacer for the next
+//! slot.
 //!
 //! # Checkpoints
 //!
@@ -77,7 +80,7 @@ use foreco_robot::ArmModel;
 use foreco_store::Storage;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -633,91 +636,51 @@ impl ShardWorker {
         };
         let mut pacer = Pacer::new(pacing, TICK_PERIOD);
         let mut shutdown = false;
-        let mut idle = true;
-        // Wall deadline of the current 50 Hz slot while a real-time
-        // shard is fully parked. Fixed when the wait begins and kept
-        // across interleaved control commands — restarting the period
-        // per command would let sub-period control traffic stall the
-        // parked sessions' virtual time indefinitely.
-        let mut slot_deadline: Option<Instant> = None;
         // Wall instant of the next pass while a real-time shard has live
         // work, set by the pacer after each pass. The shard waits for it
         // on its control channel, handling commands as they arrive
         // without moving the slot.
-        let mut next_pass: Option<Instant> = None;
+        let mut due: Option<Instant> = None;
         'run: loop {
             rt.retry_transfers();
             // Drain control; block when quiescent (nothing runnable, no
             // parked hand-off), wait on it until the next slot when paced.
-            let mut slot_elapsed = false;
             loop {
                 let quiescent =
                     rt.runnable.is_empty() && rt.pending_transfers.is_empty() && !shutdown;
                 let command = if quiescent {
-                    idle = true;
-                    next_pass = None;
                     // Control-only work (adoptions, parks on arrival)
                     // runs no pass: surface it before blocking. Every
                     // gauge move comes with a counter delta.
                     if rt.scratch.has_deltas() {
                         rt.publish();
                     }
-                    if pacing == Pacing::RealTime && scheduler.event_driven() {
-                        // Keep 50 Hz slots flowing while fully parked so
-                        // idle spans track wall time; traffic interrupts
-                        // the wait mid-slot but never extends the slot.
-                        let deadline = *slot_deadline.get_or_insert_with(|| {
-                            Instant::now() + Duration::from_secs_f64(TICK_PERIOD)
-                        });
-                        match wait_for_slot(&control, deadline) {
-                            SlotWait::Command(c) => c,
-                            SlotWait::Due => {
-                                slot_deadline = None;
-                                slot_elapsed = true;
-                                break;
-                            }
-                            SlotWait::Disconnected => break 'run,
-                        }
-                    } else {
-                        match control.recv() {
-                            Ok(c) => c,
-                            Err(_) => break 'run, // all handles dropped
-                        }
-                    }
-                } else if let Some(due) = next_pass {
-                    match wait_for_slot(&control, due) {
-                        SlotWait::Command(c) => c,
+                    // Cannot fail while the loop runs: `rt.peers` holds
+                    // this shard's own sender. A shard leaves on
+                    // `Shutdown`; this is the one other exit.
+                    let Ok(command) = control.recv() else {
+                        break 'run;
+                    };
+                    // The slots slept through pass for the parked
+                    // sessions too: `poke` replays them as backlog. A
+                    // wake runs its first pass at once.
+                    rt.pass += pacer.wake();
+                    due = None;
+                    command
+                } else if let Some(slot) = due {
+                    let Some(command) = wait_for_slot(&control, slot) else {
                         // Drain what queued meanwhile, then run.
-                        SlotWait::Due => {
-                            next_pass = None;
-                            continue;
-                        }
-                        // Finish the slot, so draining passes stay paced;
-                        // the drain then sees the disconnect.
-                        SlotWait::Disconnected => {
-                            std::thread::sleep(due.saturating_duration_since(Instant::now()));
-                            next_pass = None;
-                            continue;
-                        }
-                    }
+                        due = None;
+                        continue;
+                    };
+                    command
                 } else {
-                    match control.try_recv() {
-                        Ok(c) => c,
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            shutdown = true;
-                            break;
-                        }
-                    }
+                    let Ok(command) = control.try_recv() else {
+                        break;
+                    };
+                    command
                 };
                 shutdown |= rt.handle(command);
-            }
-            if slot_elapsed {
-                // The timed receive consumed this wall slot; run the
-                // pass without pacing again.
-                rt.run_pass();
-                rt.publish();
-                continue;
             }
             if shutdown {
                 if rt.sessions.is_empty() && rt.pending_transfers.is_empty() {
@@ -748,17 +711,9 @@ impl ShardWorker {
                 rt.publish();
                 continue;
             }
-            if idle {
-                // Coming back from an idle stretch: re-anchor real-time
-                // pacing so the first live tick is not a catch-up burst.
-                pacer.resync();
-                idle = false;
-            }
-            // Live work resumes: the pacer owns slot timing from here.
-            slot_deadline = None;
             rt.run_pass();
             rt.publish();
-            next_pass = pacer.next_slot();
+            due = pacer.next_slot();
         }
         // Commands drained on the way out (the last migrations, the
         // shutdown's syncs) still reach the counters.
@@ -771,29 +726,16 @@ impl ShardWorker {
     }
 }
 
-/// How a wait on the control channel for a slot ended.
-enum SlotWait {
-    /// A command arrived before the slot.
-    Command(SessionCommand),
-    /// The slot has come.
-    Due,
-    /// Every handle is gone.
-    Disconnected,
-}
-
-/// Waits on `control` until `due`, returning early with the first
-/// command. A slot already due is reported without reading the channel,
-/// so a stream of commands cannot hold it open.
-fn wait_for_slot(control: &Receiver<SessionCommand>, due: Instant) -> SlotWait {
+/// Waits on `control` until `due` and returns the first command to
+/// arrive, or `None` once the slot has come. A slot already due is
+/// reported without reading the channel, so a stream of commands cannot
+/// hold it open.
+fn wait_for_slot(control: &Receiver<SessionCommand>, due: Instant) -> Option<SessionCommand> {
     let now = Instant::now();
     if now >= due {
-        return SlotWait::Due;
+        return None;
     }
-    match control.recv_timeout(due - now) {
-        Ok(command) => SlotWait::Command(command),
-        Err(RecvTimeoutError::Timeout) => SlotWait::Due,
-        Err(RecvTimeoutError::Disconnected) => SlotWait::Disconnected,
-    }
+    control.recv_timeout(due - now).ok()
 }
 
 /// Deterministic session→shard placement: SplitMix64 finalizer over the

@@ -155,8 +155,17 @@
 //! operator.replay(&trace.commands, 0, &ClientConfig::default()).unwrap();
 //! operator.close().unwrap();
 //!
-//! let batch = watcher.poll_events(subscription, 64).unwrap();
-//! assert!(batch.events.iter().any(|e| matches!(e, FleetEvent::Completed { id: 1, .. })));
+//! // The report is queued before `close` returns, but a starved gated
+//! // session narrates every park ahead of it: drain until it shows.
+//! let mut completed = false;
+//! loop {
+//!     let batch = watcher.poll_events(subscription, 64).unwrap();
+//!     completed |= batch.events.iter().any(|e| matches!(e, FleetEvent::Completed { id: 1, .. }));
+//!     if completed || batch.events.is_empty() {
+//!         break;
+//!     }
+//! }
+//! assert!(completed);
 //! let metrics = watcher.metrics().unwrap();
 //! assert!(metrics.contains("# TYPE foreco_ticks_total counter"));
 //! watcher.unsubscribe(subscription).unwrap();

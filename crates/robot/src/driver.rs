@@ -158,16 +158,16 @@ impl RobotDriver {
         &self.last_command
     }
 
-    /// Advances one control period.
-    ///
-    /// `command` = `Some(target joints)` when a command (real or forecast)
-    /// arrived in time, `None` on a miss (the driver repeats the last one).
-    /// Returns the recorded sample.
+    /// Advances one control period's state only: the held command, the
+    /// PIDs, the joints and the clock, exactly as [`RobotDriver::tick`]
+    /// does, but no forward kinematics and no sample (nothing joins the
+    /// trail). A reference that needs positions only from some tick on
+    /// steps through the rows before it.
     ///
     /// # Panics
     /// Panics on joint-count mismatch.
-    pub fn tick(&mut self, command: Option<&[f64]>) -> &Sample {
-        let fresh = command.is_some();
+    #[inline]
+    pub fn step(&mut self, command: Option<&[f64]>) {
         if let Some(cmd) = command {
             assert_eq!(cmd.len(), self.model.dof(), "tick: joint count mismatch");
             // Commands outside the joint limits are clamped in place, as
@@ -186,6 +186,20 @@ impl RobotDriver {
             *q = limit.clamp(*q + v * dt);
         }
         self.t += dt;
+    }
+
+    /// Advances one control period: [`RobotDriver::step`], then the
+    /// end-effector position of the new joints.
+    ///
+    /// `command` = `Some(target joints)` when a command (real or forecast)
+    /// arrived in time, `None` on a miss (the driver repeats the last one).
+    /// Returns the recorded sample.
+    ///
+    /// # Panics
+    /// Panics on joint-count mismatch.
+    pub fn tick(&mut self, command: Option<&[f64]>) -> &Sample {
+        let fresh = command.is_some();
+        self.step(command);
         let position_mm = self.model.chain.forward_mm(&self.joints);
         let distance_mm =
             (position_mm[0].powi(2) + position_mm[1].powi(2) + position_mm[2].powi(2)).sqrt();
@@ -482,6 +496,69 @@ mod tests {
         let mut next = state.joints.clone();
         next[0] += 0.04;
         assert_eq!(eager.tick(Some(&next)), skipped.tick(Some(&next)));
+    }
+
+    /// Every state bit a tick reads or writes: joints, held command,
+    /// clock and each PID's terms.
+    fn state_bits(d: &RobotDriver) -> Vec<u64> {
+        let s = d.export_state();
+        let pids = s
+            .pids
+            .iter()
+            .flat_map(|p| [Some(p.integral), p.prev_error])
+            .map(|term| term.map_or(u64::MAX, f64::to_bits));
+        let values = s.joints.iter().chain(&s.last_command).chain([&s.t]);
+        values.map(|x| x.to_bits()).chain(pids).collect()
+    }
+
+    /// A sample's numbers as bits.
+    fn sample_bits(s: &Sample) -> Vec<u64> {
+        let values = s.joints.iter().chain(&s.position_mm);
+        values
+            .chain([&s.t, &s.distance_mm])
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// `k` state-only steps then ticks land where ticking every row
+    /// does, bit for bit: joints, held command, PID state, clock and
+    /// every later sample, with recording on and off. Rows cross the
+    /// joint limits (clamped) and include misses.
+    #[test]
+    fn state_only_steps_then_ticks_match_ticking_every_row() {
+        let home = driver().joints().to_vec();
+        let rows: Vec<Option<Vec<f64>>> = (0..120)
+            .map(|i| {
+                let mut row = home.clone();
+                row[0] += 0.05 * i as f64;
+                row[2] -= 0.3 * (i as f64 * 0.1).sin();
+                (i % 7 != 3).then_some(row)
+            })
+            .collect();
+        for record in [true, false] {
+            for k in [0, 1, 40, 119, 120] {
+                let (mut ticked, mut stepped) = (driver(), driver());
+                ticked.set_recording(record);
+                stepped.set_recording(record);
+                for row in &rows[..k] {
+                    ticked.tick(row.as_deref());
+                    stepped.step(row.as_deref());
+                }
+                assert_eq!(stepped.trajectory().len(), 0, "a step records nothing");
+                assert_eq!(
+                    state_bits(&ticked),
+                    state_bits(&stepped),
+                    "k = {k}, recording {record}"
+                );
+                for row in &rows[k..] {
+                    let want = ticked.tick(row.as_deref()).clone();
+                    let got = stepped.tick(row.as_deref()).clone();
+                    assert_eq!(sample_bits(&want), sample_bits(&got), "k = {k}");
+                    assert_eq!(want.fresh_command, got.fresh_command);
+                }
+                assert_eq!(state_bits(&ticked), state_bits(&stepped), "k = {k}");
+            }
+        }
     }
 
     /// Recovery transient: freeze the command stream mid-motion, then

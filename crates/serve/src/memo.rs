@@ -13,8 +13,8 @@
 //! as long as a session uses it, and it is the only cache of any of them:
 //!
 //! - sessions hold the strong `Arc`s and the memo only `Weak`s, pruned on
-//!   insert, so nothing stays resident after the last session that uses
-//!   it drops;
+//!   insert, so no result outlives the last session that uses it (the
+//!   block a dead `Weak` names is freed at that prune);
 //! - a DCF solution is keyed by the configuration's raw words — the bytes
 //!   a snapshot frame writes for it — so `-0.0` and `+0.0` are different
 //!   configurations;
@@ -25,6 +25,16 @@
 //!   trace shares one key. The entry keeps a `Weak` of the script, so the
 //!   address cannot be reused while the key names it, and no row is ever
 //!   hashed;
+//! - a trajectory starts at a row: the positions after that row and every
+//!   later one (an open asks for row 0, a restore for its tick). The rows
+//!   before it only advance the building driver's state, with no forward
+//!   kinematics: FK never feeds back into that state, so the positions
+//!   are a full build's tail bit for bit. A lookup hits only when
+//!   the live entry starts at or before the requested row. A miss while a
+//!   live entry starts later builds from row 0 and replaces the entry,
+//!   so a script costs at most two builds per shard while any of its
+//!   sessions lives. Sessions hold the positions behind one `Arc`, so a
+//!   tick reads its reference through one pointer;
 //! - a model is keyed by the restored state's exact canonical bytes,
 //!   encoded into one reusable buffer and never normalised (`-0.0` and
 //!   `+0.0` weights are different models). The entry holds the store id
@@ -37,7 +47,8 @@
 //! A memo belongs to one shard's runtime: no lock, no process-global
 //! state. Entries that open or restore a session outside a shard run with
 //! a throwaway one. The memo counts what it computes, so the shard can
-//! publish its `link_solves`, `reference_builds` and `model_builds` rows.
+//! publish its `link_solves`, `reference_builds`, `reference_rows` and
+//! `model_builds` rows.
 
 use crate::snapshot::put_link;
 use foreco_forecast::{Forecaster, ForecasterState};
@@ -46,19 +57,20 @@ use foreco_wifi::{DcfSolution, LinkConfig, WirelessLink};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-/// A shared reference trajectory: positions in tick order.
+/// A shared reference trajectory: the positions after its first row and
+/// every later one, in tick order.
 pub(crate) type Points = Arc<[[f64; 3]]>;
 
 /// Trajectory key: script address, arm-model bits, driver-config bits.
 type TrajectoryKey = (usize, Vec<u64>, [u64; 4]);
 
-/// A memoised trajectory, alive while some session holds its pin.
+/// A memoised trajectory, alive while some session holds its points.
 struct TrajectoryEntry {
     /// Keeps the script's address from being reused while keyed.
     _script: Weak<Vec<Vec<f64>>>,
-    /// The sessions' pin. A `Weak` of the pin, not of the points, so a
-    /// dead entry keeps no trajectory-sized allocation resident.
-    pin: Weak<Points>,
+    /// The row the positions start at.
+    first: usize,
+    points: Weak<[[f64; 3]]>,
 }
 
 /// A memoised model resolve, alive while some session holds the model.
@@ -77,6 +89,8 @@ pub(crate) struct MemoCounts {
     pub(crate) link_solves: u64,
     /// Trajectory builds.
     pub(crate) reference_builds: u64,
+    /// Reference positions those builds computed by forward kinematics.
+    pub(crate) reference_rows: u64,
     /// Forecaster builds to resolve a restored model.
     pub(crate) model_builds: u64,
 }
@@ -112,35 +126,49 @@ impl ShardMemo {
     }
 
     /// The reference trajectory of `script` under the arm and driver
-    /// whose bits are given, built here by `build` unless a live session
-    /// already holds it. Holding the returned pin keeps it shared.
+    /// whose bits are given, from row `from` or an earlier one, with the
+    /// row it starts at. Shared from a live session that holds one
+    /// starting no later than `from`; built here by `build` otherwise,
+    /// from `from` when no live session holds one and from row 0 when
+    /// the live one starts later. Holding the returned points keeps
+    /// them shared.
     ///
-    /// `build` may refuse the rows; then nothing is memoised. A pin
-    /// handed out from the memo skips `build` altogether, so rows that
+    /// `build(rows, first)` returns the positions after `rows[first..]`;
+    /// it may refuse the rows, and then nothing is memoised. Points
+    /// handed out from the memo skip `build` altogether, so rows that
     /// `build` checks are checked once per shard, not once per session.
     pub(crate) fn trajectory<E>(
         &mut self,
         script: &Arc<Vec<Vec<f64>>>,
         model_bits: Vec<u64>,
         config_bits: [u64; 4],
-        build: impl FnOnce(&[Vec<f64>]) -> Result<Vec<[f64; 3]>, E>,
-    ) -> Result<Arc<Points>, E> {
+        from: usize,
+        build: impl FnOnce(&[Vec<f64>], usize) -> Result<Vec<[f64; 3]>, E>,
+    ) -> Result<(usize, Points), E> {
         let key = (Arc::as_ptr(script) as usize, model_bits, config_bits);
-        if let Some(pin) = self.trajectories.get(&key).and_then(|e| e.pin.upgrade()) {
-            return Ok(pin);
-        }
-        let pin = Arc::new(Points::from(build(script)?));
+        let live = self.trajectories.get(&key).and_then(|entry| {
+            let points = entry.points.upgrade()?;
+            Some((entry.first, points))
+        });
+        let first = match live {
+            Some((first, points)) if first <= from => return Ok((first, points)),
+            Some(_) => 0,
+            None => from,
+        };
+        let points = Points::from(build(script, first)?);
         self.counts.reference_builds += 1;
+        self.counts.reference_rows += points.len() as u64;
         self.trajectories
-            .retain(|_, entry| entry.pin.strong_count() > 0);
+            .retain(|_, entry| entry.points.strong_count() > 0);
         self.trajectories.insert(
             key,
             TrajectoryEntry {
                 _script: Arc::downgrade(script),
-                pin: Arc::downgrade(&pin),
+                first,
+                points: Arc::downgrade(&points),
             },
         );
-        Ok(pin)
+        Ok((first, points))
     }
 
     /// A claim on the stored model `state` describes. Unless a live

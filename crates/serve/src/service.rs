@@ -2555,6 +2555,143 @@ mod tests {
         assert_eq!(storage.stats().resident_bytes(), 0);
     }
 
+    /// Count gate (CI store job): a restored part's reference starts at
+    /// its tick. The rows it already played only advance the building
+    /// driver's state; the `reference_rows` telemetry row counts the
+    /// positions computed by forward kinematics. Parts on one trace at
+    /// one tick share one build, an open while they live builds once
+    /// more from row 0, and parts adopted in descending tick order cost
+    /// at most two builds (the second from row 0). Every report equals
+    /// its standalone twin's. Counts, never a clock.
+    #[test]
+    fn adopted_parts_build_reference_positions_from_their_tick() {
+        use crate::archive::FleetArchive;
+        use crate::session::{Advance, Session, SessionReport};
+
+        const PARTS: u64 = 16;
+        let run_out = |mut session: Session| loop {
+            if let Advance::Completed(report) = session.advance() {
+                break *report;
+            }
+        };
+        let model = niryo_one();
+        let storage = Storage::new();
+        let rows = Dataset::record(Skill::Inexperienced, 1, 0.02, 99)
+            .head(100)
+            .commands;
+        let n = rows.len() as u64;
+        let trace = storage.insert_trace(&rows);
+        let spec = |id: u64| {
+            SessionSpec::new(
+                id,
+                SourceSpec::Stored(trace.clone()),
+                ChannelSpec::ControlledLoss {
+                    burst_len: 4,
+                    burst_prob: 0.05,
+                    seed: id,
+                },
+                RecoverySpec::Baseline,
+            )
+        };
+        // One by-reference part per `(id, tick)`, each from its own
+        // donor, and its standalone `restore_stored` twin's report.
+        let archive_at = |ticks: Vec<(u64, u64)>| {
+            let mut twins = HashMap::new();
+            let parts = ticks
+                .into_iter()
+                .map(|(id, tick)| {
+                    let mut donor = Session::open(&spec(id), &model);
+                    while donor.tick() < tick {
+                        donor.advance();
+                    }
+                    let part = donor.snapshot_for_fleet().expect("fleet part");
+                    let twin =
+                        Session::restore_stored(&part.0, &model, trace.clone()).expect("restores");
+                    twins.insert(id, run_out(twin));
+                    part
+                })
+                .collect();
+            (FleetArchive::build(parts), twins)
+        };
+        // Real-time pacing keeps every part alive until the last command
+        // has landed.
+        let service = Service::spawn(ServiceConfig {
+            shards: 1,
+            pacing: Pacing::RealTime,
+            ..Default::default()
+        });
+        let handle = service.handle();
+        let mut done = 0;
+        // Adopts `archive`, then opens `open` (if any) on the same trace
+        // while the parts live, runs everything out against its twin and
+        // returns the (builds, rows) this round added.
+        let mut round = |archive: FleetArchive,
+                         mut twins: HashMap<SessionId, SessionReport>,
+                         open: Option<SessionSpec>| {
+            let before = handle.shard_loads().remove(0);
+            let parts = handle.adopt_fleet(archive, &storage).expect("adopt fleet");
+            if let Some(spec) = open {
+                twins.insert(spec.id, run_out(Session::open(&spec, &model)));
+                handle.open(spec).expect("open");
+            }
+            let mut completed = 0;
+            while completed < twins.len() {
+                match service.next_event().expect("service alive") {
+                    SessionEvent::Restored { .. } | SessionEvent::Opened { .. } => {}
+                    SessionEvent::Completed { id, report } => {
+                        completed += 1;
+                        let twin = &twins[&id];
+                        assert_eq!(&report, twin, "session {id}");
+                        assert_eq!(report.rmse_mm.to_bits(), twin.rmse_mm.to_bits());
+                        assert_eq!(
+                            report.max_deviation_mm.to_bits(),
+                            twin.max_deviation_mm.to_bits()
+                        );
+                    }
+                    other => panic!("unexpected event {other:?}"),
+                }
+            }
+            assert_eq!(parts as u64, PARTS);
+            done += completed as u64;
+            // The shard publishes after each pass: wait for the last one.
+            let after = loop {
+                let load = handle.shard_loads().remove(0);
+                if load.completed == done {
+                    break load;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            (
+                after.reference_builds - before.reference_builds,
+                after.reference_rows - before.reference_rows,
+            )
+        };
+
+        let k = n - 30;
+        let at_k = || archive_at((0..PARTS).map(|id| (id, k)).collect());
+        let (archive, twins) = at_k();
+        assert_eq!(
+            round(archive, twins, None),
+            (1, n - k),
+            "{PARTS} parts at tick {k} of {n} rows"
+        );
+        let (archive, twins) = at_k();
+        assert_eq!(
+            round(archive, twins, Some(spec(PARTS))),
+            (2, (n - k) + n),
+            "the open costs one more build, of all {n} rows"
+        );
+        let descending = (0..PARTS).map(|i| (PARTS + 1 + i, n - 20 - i)).collect();
+        let (archive, twins) = archive_at(descending);
+        assert_eq!(
+            round(archive, twins, None),
+            (2, 20 + n),
+            "descending ticks: the first part's tick, then row 0"
+        );
+        service.join();
+        assert_eq!(storage.stats().traces.claims, 1, "only the test's own");
+    }
+
     /// Count gate (CI store job): jammed sessions on one link
     /// configuration — scripted, streamed, and a streamed part adopted
     /// from an archive — cost one DCF solve on their shard, and the

@@ -18,11 +18,14 @@
 //!   delivered to the reference whatever its fate — so it is computed
 //!   once and shared by every session on that script and arm through
 //!   the shard's memo, keyed by the identity of the script's `Arc` (for
-//!   a stored trace, the `Arc` its store owns). A streamed or gated
-//!   session has no script to precompute from, so it ticks a live
-//!   reference driver. The two forms produce the same positions bit for
-//!   bit, because the trajectory *is* a live driver's output, computed
-//!   once;
+//!   a stored trace, the `Arc` its store owns). A trajectory starts at
+//!   a row: an open reads it from row 0, a restore from its tick on, so
+//!   a restored session's build runs the rows it already played through
+//!   the driver's state only, with no forward kinematics, and indexes
+//!   the positions from that row. A streamed or gated session has no
+//!   script to precompute from, so it ticks a live reference driver. The
+//!   two forms produce the same positions bit for bit, because the
+//!   trajectory *is* a live driver's output, computed once;
 //! - task-space error accumulates incrementally (same summation order
 //!   as `trajectory_rmse_mm`) instead of over stored trajectories, and
 //!   the drivers run with trail recording off — a session is O(1) in
@@ -223,15 +226,18 @@ struct Script {
     /// store and names them in an archive part. `None` for any other
     /// script.
     trace: Option<TraceHandle>,
-    /// The reference position after each row, in tick order, pinned
-    /// through the shard memo.
-    trajectory: Arc<Points>,
+    /// The row `trajectory` starts at: the one the session opened or
+    /// restored at, or an earlier one another session shares.
+    first: usize,
+    /// The reference position after each row from `first` on, in tick
+    /// order, shared through the shard memo.
+    trajectory: Points,
 }
 
 impl Script {
-    /// `commands` with their trajectory on `model` under `cfg`, shared
-    /// through `memo`. A stored trace's rows come with `trace`, its claim
-    /// on them.
+    /// `commands` with their trajectory on `model` under `cfg` from row
+    /// `from` (or an earlier one), shared through `memo`. A stored
+    /// trace's rows come with `trace`, its claim on them.
     ///
     /// `check` vets the rows before a trajectory is built from them. When
     /// the memo already holds one, a session on this shard runs the very
@@ -240,6 +246,7 @@ impl Script {
     fn new<E>(
         commands: Arc<Vec<Vec<f64>>>,
         trace: Option<TraceHandle>,
+        from: usize,
         model: &ArmModel,
         cfg: DriverConfig,
         memo: &mut ShardMemo,
@@ -248,14 +255,20 @@ impl Script {
         debug_assert!(trace
             .as_ref()
             .is_none_or(|trace| Arc::ptr_eq(trace.commands(), &commands)));
-        let trajectory =
-            memo.trajectory(&commands, model_bits(model), config_bits(&cfg), |rows| {
+        let (first, trajectory) = memo.trajectory(
+            &commands,
+            model_bits(model),
+            config_bits(&cfg),
+            from,
+            |rows, first| {
                 check(rows)?;
-                Ok(reference_trajectory(rows, model, cfg))
-            })?;
+                Ok(reference_trajectory(rows, first, model, cfg))
+            },
+        )?;
         Ok(Self {
             commands,
             trace,
+            first,
             trajectory,
         })
     }
@@ -324,15 +337,28 @@ fn untrailed_driver(model: &ArmModel, cfg: DriverConfig, start: &[f64]) -> Robot
 }
 
 /// The positions a driver on `model` under `cfg` reaches when fed each
-/// of `rows` in turn: a scripted session's reference trajectory. The
-/// rows must already be validated against the arm.
+/// of `rows[first..]` in turn, after stepping through the rows before
+/// them without forward kinematics: a scripted session's reference
+/// trajectory from row `first`. The rows must already be validated
+/// against the arm.
 ///
 /// # Panics
-/// On an empty script: a session starts from its first row.
-fn reference_trajectory(rows: &[Vec<f64>], model: &ArmModel, cfg: DriverConfig) -> Vec<[f64; 3]> {
+/// On an empty script (a session starts from its first row), or when
+/// `first` lies past the script's end.
+fn reference_trajectory(
+    rows: &[Vec<f64>],
+    first: usize,
+    model: &ArmModel,
+    cfg: DriverConfig,
+) -> Vec<[f64; 3]> {
     assert!(!rows.is_empty(), "session: no commands");
+    let (played, ahead) = rows.split_at(first);
     let mut driver = untrailed_driver(model, cfg, &model.clamp(&rows[0]));
-    rows.iter()
+    for row in played {
+        driver.step(Some(row));
+    }
+    ahead
+        .iter()
         .map(|row| driver.tick(Some(row)).position_mm)
         .collect()
 }
@@ -408,6 +434,7 @@ impl Session {
                 let Ok(script) = Script::new(
                     Arc::clone(commands),
                     None,
+                    0,
                     model,
                     spec.driver,
                     memo,
@@ -420,6 +447,7 @@ impl Session {
                 let Ok(script) = Script::new(
                     commands,
                     Some(handle.clone()),
+                    0,
                     model,
                     spec.driver,
                     memo,
@@ -580,7 +608,8 @@ impl Session {
                         return Advance::Completed(Box::new(self.report()));
                     }
                     let command = Cow::Borrowed(commands[i].as_slice());
-                    (Some(command), fates.next(i as u64), script.trajectory[i])
+                    let ref_pos = script.trajectory[i - script.first];
+                    (Some(command), fates.next(i as u64), ref_pos)
                 }
                 Source::Streamed {
                     inbox,
@@ -942,15 +971,18 @@ impl Session {
     ///
     /// A streamed or gated frame restores its live reference driver from
     /// the frame's reference state. A scripted frame re-derives its
-    /// reference trajectory from the script: an inline script computes
-    /// its own copy here (its rows are the frame's fresh copy, which no
-    /// other session shares); a by-reference one keys it by its trace's
-    /// rows, so on a shard it shares the copy of every session on that
-    /// trace ([`Session::restore_stored`] alone builds its own). Reference state on a scripted
-    /// frame (every v1–v3 frame carries it, as do v4/v5 frames written
-    /// by sessions that ticked a live driver over a script) is validated
-    /// against `model`, then dropped: the trajectory is that driver's
-    /// output.
+    /// reference trajectory from the script, from the frame's tick on
+    /// (the rows before it only step the building driver's state): an
+    /// inline script computes its own copy here (its rows are the
+    /// frame's fresh copy, which no other session shares); a
+    /// by-reference one keys it by its trace's rows, so on a shard it
+    /// shares the copy of every session on that trace that starts no
+    /// later ([`Session::restore_stored`] alone builds its own). A tick
+    /// past the script is rejected before anything is built. Reference
+    /// state on a scripted frame (every v1–v3 frame carries it, as do
+    /// v4/v5 frames written by sessions that ticked a live driver over a
+    /// script) is validated against `model`, then dropped: the
+    /// trajectory is that driver's output.
     ///
     /// A [`SourceState::ScriptedRef`] snapshot (an archive entry) is
     /// rejected here — the script is not in the snapshot; claim it from
@@ -1089,12 +1121,16 @@ impl Session {
         };
         let source = match snap.source {
             SourceState::Scripted { commands, fates } => {
-                let rows = commands.len();
-                let script =
-                    Script::new(Arc::new(commands), None, model, snap.driver, memo, |rows| {
-                        validate_rows(rows, model)
-                    })?;
-                validate_progress(rows, fates.len(), snap.tick)?;
+                let from = validate_progress(commands.len(), fates.len(), snap.tick)?;
+                let script = Script::new(
+                    Arc::new(commands),
+                    None,
+                    from,
+                    model,
+                    snap.driver,
+                    memo,
+                    |rows| validate_rows(rows, model),
+                )?;
                 Source::Scripted {
                     script,
                     fates: ScriptFates::from_slots(&fates, snap.tick),
@@ -1119,16 +1155,17 @@ impl Session {
                 }
                 let commands = handle.commands().len();
                 let fates = ScriptFates::restore(&fates, commands, snap.tick)?;
+                // The runs cover the script: one fate per command.
+                let from = validate_progress(commands, commands, snap.tick)?;
                 let script = Script::new(
                     Arc::clone(handle.commands()),
                     Some(handle),
+                    from,
                     model,
                     snap.driver,
                     memo,
                     |rows| validate_rows(rows, model),
                 )?;
-                // The runs cover the script: one fate per command.
-                validate_progress(commands, commands, snap.tick)?;
                 Source::Scripted {
                     script,
                     fates,
@@ -1236,19 +1273,21 @@ fn validate_rows(commands: &[Vec<f64>], model: &ArmModel) -> Result<(), RestoreE
 }
 
 /// Checks a restored scripted part against its script's length: one
-/// fate per command and a tick within the script. Runs for every part.
-fn validate_progress(commands: usize, fates: usize, tick: u64) -> Result<(), RestoreError> {
+/// fate per command and a tick within the script. Runs for every part,
+/// before its trajectory is looked up, and returns the row the
+/// trajectory must start by: the tick.
+fn validate_progress(commands: usize, fates: usize, tick: u64) -> Result<usize, RestoreError> {
     if fates != commands {
         return Err(RestoreError::Invalid(format!(
             "{fates} fates for {commands} commands"
         )));
     }
-    if tick as usize > commands {
-        return Err(RestoreError::Invalid(format!(
+    match usize::try_from(tick) {
+        Ok(row) if row <= commands => Ok(row),
+        _ => Err(RestoreError::Invalid(format!(
             "tick {tick} beyond the {commands}-command script"
-        )));
+        ))),
     }
-    Ok(())
 }
 
 /// Pre-checks a driver state against the target arm so restore returns
@@ -2179,7 +2218,7 @@ mod tests {
         let Source::Scripted { script, .. } = &session.source else {
             panic!("a scripted session reads a trajectory");
         };
-        script.trajectory[session.tick() as usize - 1]
+        script.trajectory[session.tick() as usize - 1 - script.first]
     }
 
     /// Advances every session to `until` (or completion), ticking the
@@ -2343,6 +2382,7 @@ mod tests {
         let model = niryo_one();
         let store = Storage::new();
         let trace = store.insert_trace(&Dataset::record(Skill::Experienced, 1, 0.02, 5).commands);
+        let rows = trace.commands().len() as u64;
         let mut memo = ShardMemo::default();
         let mut open = |model: &ArmModel, driver: DriverConfig| {
             let mut spec = SessionSpec::new(
@@ -2371,11 +2411,99 @@ mod tests {
             memo.take_counts(),
             MemoCounts {
                 reference_builds: 4,
+                reference_rows: 4 * rows,
                 ..MemoCounts::default()
             },
             "five opens, four (arm, driver) inputs: `again` reuses `base`'s"
         );
         drop((base, pos_kd, neg_kd, slow, again));
+    }
+
+    /// Runs a session to completion.
+    fn run_out(session: &mut Session) -> SessionReport {
+        loop {
+            if let Advance::Completed(report) = session.advance() {
+                return *report;
+            }
+        }
+    }
+
+    /// By-reference and inline parts restored at tick 0, n − 1 and n of
+    /// an n-row script build their reference from that tick (n − tick
+    /// positions each) and run out bit-identically to their donor: at n
+    /// the first advance completes with the donor's report. A part past
+    /// the end is a typed error raised before any build.
+    #[test]
+    fn restore_at_the_script_edges_builds_the_reference_from_its_tick() {
+        use crate::memo::MemoCounts;
+        let model = niryo_one();
+        let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 77).head(80);
+        let n = test.len() as u64;
+        let store = Storage::new();
+        let spec = replay_spec(1, SourceSpec::stored(&store, &test), &trained_var());
+        let SourceSpec::Stored(trace) = &spec.source else {
+            unreachable!("a stored spec");
+        };
+        let mut donor = Session::open(&spec, &model);
+        let mut frames = Vec::new();
+        for tick in [0, n - 1, n] {
+            while donor.tick() < tick {
+                donor.advance();
+            }
+            let (part, _) = donor.snapshot_for_fleet().expect("fleet part");
+            frames.push((part, donor.snapshot().expect("inline frame")));
+        }
+        let want = run_out(&mut donor);
+        let same = |got: &SessionReport, tick: u64| {
+            assert_eq!(got, &want, "from tick {tick}");
+            assert_eq!(got.rmse_mm.to_bits(), want.rmse_mm.to_bits());
+            assert_eq!(
+                got.max_deviation_mm.to_bits(),
+                want.max_deviation_mm.to_bits()
+            );
+        };
+
+        for (part, inline) in &frames {
+            let tick = part.tick;
+            let mut memo = ShardMemo::default();
+            let by_ref =
+                Session::restore_with(part.clone(), &model, Some(trace.clone()), None, &mut memo)
+                    .expect("by-reference part restores");
+            let private = Session::restore_with(inline.clone(), &model, None, None, &mut memo)
+                .expect("inline frame restores");
+            assert_eq!(
+                memo.take_counts(),
+                MemoCounts {
+                    reference_builds: 2,
+                    reference_rows: 2 * (n - tick),
+                    ..MemoCounts::default()
+                },
+                "tick {tick}: the trace's rows and the frame's own copy"
+            );
+            for mut session in [by_ref, private] {
+                if tick == n {
+                    match session.advance() {
+                        Advance::Completed(report) => same(&report, tick),
+                        other => panic!("a part at the end ticked: {other:?}"),
+                    }
+                } else {
+                    same(&run_out(&mut session), tick);
+                }
+            }
+        }
+
+        let (part, inline) = frames.pop().expect("the part at the end");
+        for (mut frame, claim) in [(part, Some(trace.clone())), (inline, None)] {
+            frame.tick = n + 1;
+            let mut memo = ShardMemo::default();
+            let err = Session::restore_with(frame, &model, claim, None, &mut memo)
+                .expect_err("a tick past the script");
+            assert!(
+                matches!(&err, RestoreError::Invalid(r) if r.contains("beyond the")),
+                "{err}"
+            );
+            assert_eq!(memo.take_counts(), MemoCounts::default(), "nothing built");
+        }
     }
 
     /// A fate as comparable bits: `Late(-0.0)` and `Late(0.0)` differ.

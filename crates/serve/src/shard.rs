@@ -253,6 +253,7 @@ impl Runtime {
         let counts = self.memo.take_counts();
         self.scratch.link_solves += counts.link_solves;
         self.scratch.reference_builds += counts.reference_builds;
+        self.scratch.reference_rows += counts.reference_rows;
         self.scratch.model_builds += counts.model_builds;
     }
 

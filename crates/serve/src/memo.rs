@@ -1,6 +1,6 @@
 //! One shard's memo of what sessions derive from shared inputs alone.
 //!
-//! Three things a session computes at open or restore are pure functions
+//! Three things a session acquires at open or restore are pure functions
 //! of data a whole fleet shares. A jammed link's DCF solution depends only
 //! on its [`LinkConfig`] (the seed only seeds the sampler), a scripted
 //! session's perfect-channel reference trajectory only on the script, the
@@ -31,10 +31,16 @@
 //!   kinematics: FK never feeds back into that state, so the positions
 //!   are a full build's tail bit for bit. A lookup hits only when
 //!   the live entry starts at or before the requested row. A miss while a
-//!   live entry starts later builds from row 0 and replaces the entry,
-//!   so a script costs at most two builds per shard while any of its
-//!   sessions lives. Sessions hold the positions behind one `Arc`, so a
-//!   tick reads its reference through one pointer;
+//!   live entry starts later makes an entry from row 0 and replaces the
+//!   old one, so a script costs at most two builds per shard while any of
+//!   its sessions lives;
+//! - a trajectory is built by the first tick that reads it, not by the
+//!   open or restore that makes its entry: a [`Reference`] holds what the
+//!   build needs (rows, start row, arm, driver configuration) and fills
+//!   its positions once, behind a `OnceLock`, so a restored fleet is
+//!   ready before its trajectories are computed. Sessions on other shards
+//!   that hold the same entry (after a migration) read the one block the
+//!   first reader filled;
 //! - a model is keyed by the restored state's exact canonical bytes,
 //!   encoded into one reusable buffer and never normalised (`-0.0` and
 //!   `+0.0` weights are different models). The entry holds the store id
@@ -48,29 +54,63 @@
 //! state. Entries that open or restore a session outside a shard run with
 //! a throwaway one. The memo counts what it computes, so the shard can
 //! publish its `link_solves`, `reference_builds`, `reference_rows` and
-//! `model_builds` rows.
+//! `model_builds` rows; a trajectory is counted, with the rows it
+//! covers, when its entry is made, never on the tick that fills it.
 
+use crate::session::reference_trajectory;
 use crate::snapshot::put_link;
 use foreco_forecast::{Forecaster, ForecasterState};
+use foreco_robot::{ArmModel, DriverConfig};
 use foreco_store::{ModelHandle, ObjectId, Storage};
 use foreco_wifi::{DcfSolution, LinkConfig, WirelessLink};
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
-/// A shared reference trajectory: the positions after its first row and
-/// every later one, in tick order.
-pub(crate) type Points = Arc<[[f64; 3]]>;
+/// A shared reference trajectory: the positions a driver reaches after
+/// each row of a script from its first row on, built the first time a
+/// tick reads one.
+pub(crate) struct Reference {
+    rows: Arc<Vec<Vec<f64>>>,
+    /// The row the positions start at.
+    first: usize,
+    model: ArmModel,
+    cfg: DriverConfig,
+    positions: OnceLock<Box<[[f64; 3]]>>,
+}
+
+impl Reference {
+    /// The reference position after `row`, which must be the first row
+    /// or a later one. The first read builds every position (one
+    /// allocation); later reads are one acquire load and a branch.
+    #[inline]
+    pub(crate) fn at(&self, row: usize) -> [f64; 3] {
+        let positions = self.positions.get_or_init(|| {
+            reference_trajectory(&self.rows, self.first, &self.model, self.cfg).into_boxed_slice()
+        });
+        positions[row - self.first]
+    }
+
+    /// The row the positions start at.
+    #[cfg(test)]
+    pub(crate) fn first(&self) -> usize {
+        self.first
+    }
+
+    /// The positions, if a read has built them.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> Option<&[[f64; 3]]> {
+        self.positions.get().map(|positions| &positions[..])
+    }
+}
 
 /// Trajectory key: script address, arm-model bits, driver-config bits.
 type TrajectoryKey = (usize, Vec<u64>, [u64; 4]);
 
-/// A memoised trajectory, alive while some session holds its points.
+/// A memoised trajectory, alive while some session holds its reference.
 struct TrajectoryEntry {
     /// Keeps the script's address from being reused while keyed.
     _script: Weak<Vec<Vec<f64>>>,
-    /// The row the positions start at.
-    first: usize,
-    points: Weak<[[f64; 3]]>,
+    reference: Weak<Reference>,
 }
 
 /// A memoised model resolve, alive while some session holds the model.
@@ -87,9 +127,9 @@ struct ModelEntry {
 pub(crate) struct MemoCounts {
     /// DCF solves.
     pub(crate) link_solves: u64,
-    /// Trajectory builds.
+    /// Trajectory entries made, each built by its first read.
     pub(crate) reference_builds: u64,
-    /// Reference positions those builds computed by forward kinematics.
+    /// Reference positions those entries cover.
     pub(crate) reference_rows: u64,
     /// Forecaster builds to resolve a restored model.
     pub(crate) model_builds: u64,
@@ -125,50 +165,56 @@ impl ShardMemo {
         solution
     }
 
-    /// The reference trajectory of `script` under the arm and driver
-    /// whose bits are given, from row `from` or an earlier one, with the
-    /// row it starts at. Shared from a live session that holds one
-    /// starting no later than `from`; built here by `build` otherwise,
+    /// The reference trajectory of `script` on `model` under `cfg`, from
+    /// row `from` or an earlier one. Shared from a live session that
+    /// holds one starting no later than `from`; made here otherwise,
     /// from `from` when no live session holds one and from row 0 when
-    /// the live one starts later. Holding the returned points keeps
-    /// them shared.
+    /// the live one starts later. Holding the returned reference keeps
+    /// it shared; its first read builds the positions.
     ///
-    /// `build(rows, first)` returns the positions after `rows[first..]`;
-    /// it may refuse the rows, and then nothing is memoised. Points
-    /// handed out from the memo skip `build` altogether, so rows that
-    /// `build` checks are checked once per shard, not once per session.
+    /// `check` vets the rows before an entry is made from them; when it
+    /// refuses them, nothing is memoised. A reference handed out from
+    /// the memo skips `check`, so rows are checked once per shard, not
+    /// once per session.
     pub(crate) fn trajectory<E>(
         &mut self,
         script: &Arc<Vec<Vec<f64>>>,
-        model_bits: Vec<u64>,
-        config_bits: [u64; 4],
+        model: &ArmModel,
+        cfg: DriverConfig,
         from: usize,
-        build: impl FnOnce(&[Vec<f64>], usize) -> Result<Vec<[f64; 3]>, E>,
-    ) -> Result<(usize, Points), E> {
-        let key = (Arc::as_ptr(script) as usize, model_bits, config_bits);
-        let live = self.trajectories.get(&key).and_then(|entry| {
-            let points = entry.points.upgrade()?;
-            Some((entry.first, points))
-        });
-        let first = match live {
-            Some((first, points)) if first <= from => return Ok((first, points)),
+        check: impl FnOnce(&[Vec<f64>]) -> Result<(), E>,
+    ) -> Result<Arc<Reference>, E> {
+        let key = (
+            Arc::as_ptr(script) as usize,
+            model_bits(model),
+            config_bits(&cfg),
+        );
+        let live = self.trajectories.get(&key);
+        let first = match live.and_then(|entry| entry.reference.upgrade()) {
+            Some(reference) if reference.first <= from => return Ok(reference),
             Some(_) => 0,
             None => from,
         };
-        let points = Points::from(build(script, first)?);
+        check(script)?;
+        let reference = Arc::new(Reference {
+            rows: Arc::clone(script),
+            first,
+            model: model.clone(),
+            cfg,
+            positions: OnceLock::new(),
+        });
         self.counts.reference_builds += 1;
-        self.counts.reference_rows += points.len() as u64;
+        self.counts.reference_rows += (script.len() - first) as u64;
         self.trajectories
-            .retain(|_, entry| entry.points.strong_count() > 0);
+            .retain(|_, entry| entry.reference.strong_count() > 0);
         self.trajectories.insert(
             key,
             TrajectoryEntry {
                 _script: Arc::downgrade(script),
-                first,
-                points: Arc::downgrade(&points),
+                reference: Arc::downgrade(&reference),
             },
         );
-        Ok((first, points))
+        Ok(reference)
     }
 
     /// A claim on the stored model `state` describes. Unless a live
@@ -217,4 +263,25 @@ impl ShardMemo {
     pub(crate) fn take_counts(&mut self) -> MemoCounts {
         std::mem::take(&mut self.counts)
     }
+}
+
+/// The arm model's content as raw bit words — every number a driver
+/// tick reads from it — for the trajectory key (never normalised:
+/// `-0.0` and `+0.0` are different arms).
+fn model_bits(model: &ArmModel) -> Vec<u64> {
+    let limits = model
+        .limits
+        .iter()
+        .flat_map(|l| [l.min, l.max, l.max_velocity]);
+    let links = model
+        .chain
+        .links()
+        .iter()
+        .flat_map(|l| [l.a, l.alpha, l.d, l.theta_offset]);
+    limits.chain(links).map(f64::to_bits).collect()
+}
+
+/// The driver configuration as raw bit words (see [`model_bits`]).
+fn config_bits(cfg: &DriverConfig) -> [u64; 4] {
+    [cfg.period, cfg.gains.kp, cfg.gains.ki, cfg.gains.kd].map(f64::to_bits)
 }

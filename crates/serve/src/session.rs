@@ -13,16 +13,18 @@
 //! - the reference (perfect-channel) trajectory is read in lockstep
 //!   with the executed driver instead of in a separate pass, and each
 //!   source owns its one form of it. A scripted session reads it by
-//!   tick index from a precomputed trajectory: it is a pure function of
+//!   tick index from a shared trajectory: it is a pure function of
 //!   (script, arm model, driver config) — a scripted command is
 //!   delivered to the reference whatever its fate — so it is computed
 //!   once and shared by every session on that script and arm through
 //!   the shard's memo, keyed by the identity of the script's `Arc` (for
-//!   a stored trace, the `Arc` its store owns). A trajectory starts at
-//!   a row: an open reads it from row 0, a restore from its tick on, so
-//!   a restored session's build runs the rows it already played through
-//!   the driver's state only, with no forward kinematics, and indexes
-//!   the positions from that row. A streamed or gated session has no
+//!   a stored trace, the `Arc` its store owns). Open and restore only
+//!   make or share the memo entry; the first tick that reads it
+//!   computes the positions. A trajectory starts at a row: an open
+//!   reads it from row 0, a restore from its tick on, so a restored
+//!   session's build runs the rows it already played through the
+//!   driver's state only, with no forward kinematics, and indexes the
+//!   positions from that row. A streamed or gated session has no
 //!   script to precompute from, so it ticks a live reference driver. The
 //!   two forms produce the same positions bit for bit, because the
 //!   trajectory *is* a live driver's output, computed once;
@@ -38,7 +40,7 @@
 use crate::archive::FleetSnapshotPart;
 use crate::clock::VirtualClock;
 use crate::inbox::{BoundedInbox, GatedInbox, GatedSlot, Offer};
-use crate::memo::{Points, ShardMemo};
+use crate::memo::{Reference, ShardMemo};
 use crate::snapshot::{
     check_fate_coverage, compress_fates, expand_fates, merge_runs, require_finite, FateRun,
     RestoreError, SessionSnapshot, SnapshotError, SourceState, SNAPSHOT_VERSION,
@@ -217,7 +219,8 @@ impl ScriptFates {
 
 /// A scripted session's rows and their reference trajectory, held
 /// resident for the session's lifetime: acquired at open or restore,
-/// never on the tick path.
+/// never on the tick path (the first tick fills the shared trajectory's
+/// positions unless another session already has).
 struct Script {
     /// The rows: a replayed script's `Arc`, or the one a stored trace's
     /// store owns.
@@ -226,12 +229,10 @@ struct Script {
     /// store and names them in an archive part. `None` for any other
     /// script.
     trace: Option<TraceHandle>,
-    /// The row `trajectory` starts at: the one the session opened or
-    /// restored at, or an earlier one another session shares.
-    first: usize,
-    /// The reference position after each row from `first` on, in tick
-    /// order, shared through the shard memo.
-    trajectory: Points,
+    /// The reference position after each row from the one the session
+    /// opened or restored at (or an earlier one another session shares),
+    /// shared through the shard memo.
+    trajectory: Arc<Reference>,
 }
 
 impl Script {
@@ -239,10 +240,15 @@ impl Script {
     /// `from` (or an earlier one), shared through `memo`. A stored
     /// trace's rows come with `trace`, its claim on them.
     ///
-    /// `check` vets the rows before a trajectory is built from them. When
-    /// the memo already holds one, a session on this shard runs the very
-    /// same rows (same `Arc`, same arm and driver bits), so `check` does
-    /// not run again.
+    /// `check` vets the rows before a trajectory entry is made from
+    /// them. When the memo already holds one, a session on this shard
+    /// runs the very same rows (same `Arc`, same arm and driver bits),
+    /// so `check` does not run again. Nothing is built here, and every
+    /// precondition of the build holds by now: the rows pass `check` (or
+    /// their spec's owner vouches for them), the caller bounds `from` by
+    /// the script, and the driver config passes the checks the executed
+    /// driver on the same arm and config needs (`RobotDriver::new` at
+    /// open, restore's own period and gain checks).
     fn new<E>(
         commands: Arc<Vec<Vec<f64>>>,
         trace: Option<TraceHandle>,
@@ -255,20 +261,10 @@ impl Script {
         debug_assert!(trace
             .as_ref()
             .is_none_or(|trace| Arc::ptr_eq(trace.commands(), &commands)));
-        let (first, trajectory) = memo.trajectory(
-            &commands,
-            model_bits(model),
-            config_bits(&cfg),
-            from,
-            |rows, first| {
-                check(rows)?;
-                Ok(reference_trajectory(rows, first, model, cfg))
-            },
-        )?;
+        let trajectory = memo.trajectory(&commands, model, cfg, from, check)?;
         Ok(Self {
             commands,
             trace,
-            first,
             trajectory,
         })
     }
@@ -345,7 +341,7 @@ fn untrailed_driver(model: &ArmModel, cfg: DriverConfig, start: &[f64]) -> Robot
 /// # Panics
 /// On an empty script (a session starts from its first row), or when
 /// `first` lies past the script's end.
-fn reference_trajectory(
+pub(crate) fn reference_trajectory(
     rows: &[Vec<f64>],
     first: usize,
     model: &ArmModel,
@@ -361,27 +357,6 @@ fn reference_trajectory(
         .iter()
         .map(|row| driver.tick(Some(row)).position_mm)
         .collect()
-}
-
-/// The arm model's content as raw bit words — every number a driver
-/// tick reads from it — for the memo's trajectory key (never
-/// normalised: `-0.0` and `+0.0` are different arms).
-fn model_bits(model: &ArmModel) -> Vec<u64> {
-    let limits = model
-        .limits
-        .iter()
-        .flat_map(|l| [l.min, l.max, l.max_velocity]);
-    let links = model
-        .chain
-        .links()
-        .iter()
-        .flat_map(|l| [l.a, l.alpha, l.d, l.theta_offset]);
-    limits.chain(links).map(f64::to_bits).collect()
-}
-
-/// The driver configuration as raw bit words (see [`model_bits`]).
-fn config_bits(cfg: &DriverConfig) -> [u64; 4] {
-    [cfg.period, cfg.gains.kp, cfg.gains.ki, cfg.gains.kd].map(f64::to_bits)
 }
 
 /// A hosted recovery loop (see module docs). `Send`: a migration moves
@@ -588,8 +563,10 @@ impl Session {
     /// shared reference trajectory ticks one). The remaining
     /// allocator traffic is bounded and off the steady path: inbox
     /// hand-offs (owned at offer time), a fate-chunk refill every
-    /// `FATE_CHUNK` streamed deliveries, and §VII-C pending-late
-    /// bookkeeping.
+    /// `FATE_CHUNK` streamed deliveries, §VII-C pending-late
+    /// bookkeeping, and the first read of a script's trajectory on a
+    /// shard, which builds its positions (one allocation per script
+    /// and shard; every later read is an acquire load and a branch).
     pub fn advance(&mut self) -> Advance {
         // What does this tick deliver? `None` = deadline miss. Scripted
         // sessions borrow the command; live sources hand over the owned
@@ -608,7 +585,7 @@ impl Session {
                         return Advance::Completed(Box::new(self.report()));
                     }
                     let command = Cow::Borrowed(commands[i].as_slice());
-                    let ref_pos = script.trajectory[i - script.first];
+                    let ref_pos = script.trajectory.at(i);
                     (Some(command), fates.next(i as u64), ref_pos)
                 }
                 Source::Streamed {
@@ -973,16 +950,19 @@ impl Session {
     /// the frame's reference state. A scripted frame re-derives its
     /// reference trajectory from the script, from the frame's tick on
     /// (the rows before it only step the building driver's state): an
-    /// inline script computes its own copy here (its rows are the
-    /// frame's fresh copy, which no other session shares); a
-    /// by-reference one keys it by its trace's rows, so on a shard it
-    /// shares the copy of every session on that trace that starts no
-    /// later ([`Session::restore_stored`] alone builds its own). A tick
-    /// past the script is rejected before anything is built. Reference
-    /// state on a scripted frame (every v1–v3 frame carries it, as do
-    /// v4/v5 frames written by sessions that ticked a live driver over a
-    /// script) is validated against `model`, then dropped: the
-    /// trajectory is that driver's output.
+    /// inline script makes its own here (its rows are the frame's fresh
+    /// copy, which no other session shares); a by-reference one keys it
+    /// by its trace's rows, so on a shard it shares the one of every
+    /// session on that trace that starts no later
+    /// ([`Session::restore_stored`] alone makes its own). Restore only
+    /// validates and makes or shares that trajectory: its positions are
+    /// computed by the first [`Session::advance`] that reads them, so a
+    /// part restored at the script's end completes without computing
+    /// any. A tick past the script is rejected before anything is made.
+    /// Reference state on a scripted frame (every v1–v3 frame carries
+    /// it, as do v4/v5 frames written by sessions that ticked a live
+    /// driver over a script) is validated against `model`, then dropped:
+    /// the trajectory is that driver's output.
     ///
     /// A [`SourceState::ScriptedRef`] snapshot (an archive entry) is
     /// rejected here — the script is not in the snapshot; claim it from
@@ -1251,11 +1231,11 @@ fn trusted(_: &[Vec<f64>]) -> Result<(), Infallible> {
     Ok(())
 }
 
-/// Vets a restored script's rows before a trajectory is built from them
-/// (the driver asserts on their shape): non-empty, one value per joint,
-/// all finite. Shared by the inline `Scripted` and by-reference
-/// `ScriptedRef` decode paths, and run only when the shard's memo holds
-/// no trajectory for the rows yet.
+/// Vets a restored script's rows before a trajectory entry is made from
+/// them (the driver its first read builds with asserts on their shape):
+/// non-empty, one value per joint, all finite. Shared by the inline
+/// `Scripted` and by-reference `ScriptedRef` decode paths, and run only
+/// when the shard's memo holds no trajectory for the rows yet.
 fn validate_rows(commands: &[Vec<f64>], model: &ArmModel) -> Result<(), RestoreError> {
     if commands.is_empty() {
         return Err(RestoreError::Invalid(
@@ -2212,13 +2192,20 @@ mod tests {
         )
     }
 
-    /// The trajectory position a scripted session's last tick scored
-    /// against.
-    fn reference_pos(session: &Session) -> [f64; 3] {
+    /// A scripted session's shared trajectory.
+    fn trajectory(session: &Session) -> &Arc<Reference> {
         let Source::Scripted { script, .. } = &session.source else {
             panic!("a scripted session reads a trajectory");
         };
-        script.trajectory[session.tick() as usize - 1 - script.first]
+        &script.trajectory
+    }
+
+    /// The trajectory position a scripted session's last tick scored
+    /// against, which that tick has built.
+    fn reference_pos(session: &Session) -> [f64; 3] {
+        let reference = trajectory(session);
+        let positions = reference.built().expect("a tick builds the positions");
+        positions[session.tick() as usize - 1 - reference.first()]
     }
 
     /// Advances every session to `until` (or completion), ticking the
@@ -2504,6 +2491,155 @@ mod tests {
             );
             assert_eq!(memo.take_counts(), MemoCounts::default(), "nothing built");
         }
+    }
+
+    /// Positions as comparable bits.
+    fn position_bits(positions: &[[f64; 3]]) -> Vec<[u64; 3]> {
+        positions.iter().map(|p| p.map(f64::to_bits)).collect()
+    }
+
+    /// Open and every restore make a trajectory and build none of it:
+    /// the first advance builds the positions an eager
+    /// `reference_trajectory` from the session's row computes, bit for
+    /// bit, and a part restored at the script's end completes without
+    /// building any.
+    #[test]
+    fn lazy_reference_is_built_by_the_first_advance() {
+        let model = niryo_one();
+        let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 77).head(120);
+        let n = test.len() as u64;
+        let store = Storage::new();
+        let spec = replay_spec(1, SourceSpec::stored(&store, &test), &trained_var());
+        let SourceSpec::Stored(trace) = &spec.source else {
+            unreachable!("a stored spec");
+        };
+        let rows = trace.commands();
+        let eager = |first: u64| {
+            position_bits(&reference_trajectory(
+                rows,
+                first as usize,
+                &model,
+                spec.driver,
+            ))
+        };
+        // One advance fills the session's trajectory from `from`.
+        let first_read = |session: &mut Session, from: u64| {
+            assert!(trajectory(session).built().is_none(), "tick {from}: built");
+            assert_eq!(trajectory(session).first(), from as usize);
+            assert!(matches!(session.advance(), Advance::Ticked(_)));
+            let built = trajectory(session).built().expect("the advance builds");
+            assert_eq!(position_bits(built), eager(from), "from tick {from}");
+        };
+
+        let mut donor = Session::open(&spec, &model);
+        first_read(&mut donor, 0);
+        let mut memo = ShardMemo::default();
+        for tick in [40, n - 1] {
+            while donor.tick() < tick {
+                donor.advance();
+            }
+            let (part, _) = donor.snapshot_for_fleet().expect("fleet part");
+            let inline = donor.snapshot().expect("inline frame");
+            let mut by_ref =
+                Session::restore_with(part, &model, Some(trace.clone()), None, &mut memo)
+                    .expect("by-reference part restores");
+            first_read(&mut by_ref, tick);
+            let mut private = Session::restore_with(inline, &model, None, None, &mut memo)
+                .expect("inline frame restores");
+            first_read(&mut private, tick);
+        }
+
+        run_out(&mut donor);
+        let (part, _) = donor.snapshot_for_fleet().expect("fleet part");
+        assert_eq!(part.tick, n);
+        let mut last = Session::restore_with(part, &model, Some(trace.clone()), None, &mut memo)
+            .expect("a part at the end restores");
+        assert!(matches!(last.advance(), Advance::Completed(_)));
+        assert!(
+            trajectory(&last).built().is_none(),
+            "nothing read, nothing built"
+        );
+    }
+
+    /// Two sessions on one shard's trajectory, neither ticked, run out on
+    /// two threads at once: the first read on either builds the one
+    /// positions block both read, and each reports exactly what its
+    /// standalone twin (with a trajectory of its own) reports.
+    #[test]
+    fn lazy_reference_race_builds_one_block() {
+        let model = niryo_one();
+        let var = trained_var();
+        let test = Dataset::record(Skill::Inexperienced, 1, 0.02, 77).head(400);
+        let store = Storage::new();
+        let specs: Vec<SessionSpec> = (0..2)
+            .map(|id| replay_spec(id, SourceSpec::stored(&store, &test), &var))
+            .map(|mut spec| {
+                spec.channel = ChannelSpec::ControlledLoss {
+                    burst_len: 6,
+                    burst_prob: 0.02,
+                    seed: 31 + spec.id,
+                };
+                spec
+            })
+            .collect();
+        let twins: Vec<SessionReport> = specs
+            .iter()
+            .map(|spec| run_out(&mut Session::open(spec, &model)))
+            .collect();
+
+        let mut memo = ShardMemo::default();
+        let sessions: Vec<Session> = specs
+            .iter()
+            .map(|spec| Session::open_with(spec, &model, &mut memo))
+            .collect();
+        assert!(Arc::ptr_eq(
+            trajectory(&sessions[0]),
+            trajectory(&sessions[1])
+        ));
+        assert!(trajectory(&sessions[0]).built().is_none());
+        let start = std::sync::Barrier::new(2);
+        let ran: Vec<(Session, SessionReport)> = std::thread::scope(|scope| {
+            let runners: Vec<_> = sessions
+                .into_iter()
+                .map(|mut session| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        let report = run_out(&mut session);
+                        (session, report)
+                    })
+                })
+                .collect();
+            runners
+                .into_iter()
+                .map(|runner| runner.join().expect("a runner"))
+                .collect()
+        });
+
+        for ((_, report), twin) in ran.iter().zip(&twins) {
+            assert_eq!(report, twin);
+            assert_eq!(report.rmse_mm.to_bits(), twin.rmse_mm.to_bits());
+            assert_eq!(
+                report.max_deviation_mm.to_bits(),
+                twin.max_deviation_mm.to_bits()
+            );
+        }
+        assert_ne!(twins[0], twins[1], "the two channels differ");
+        let (a, b) = (trajectory(&ran[0].0), trajectory(&ran[1].0));
+        assert!(Arc::ptr_eq(a, b), "one trajectory, so one positions block");
+        let built = a.built().expect("both runs read it");
+        let SourceSpec::Stored(trace) = &specs[0].source else {
+            unreachable!("a stored spec");
+        };
+        assert_eq!(
+            position_bits(built),
+            position_bits(&reference_trajectory(
+                trace.commands(),
+                0,
+                &model,
+                specs[0].driver
+            ))
+        );
     }
 
     /// A fate as comparable bits: `Late(-0.0)` and `Late(0.0)` differ.

@@ -199,9 +199,9 @@ shard_metrics! {
     link_solves: Counter, "foreco_link_solves_total",
         "DCF link solves at open or restore (one per live link configuration).";
     reference_builds: Counter, "foreco_reference_builds_total",
-        "Reference trajectories built at open or restore (one per live script and arm per shard).";
+        "Reference trajectories made at open or restore (one per live script and arm per shard), counted when made; the first tick that reads one computes it.";
     reference_rows: Counter, "foreco_reference_rows_total",
-        "Reference positions computed by forward kinematics in those builds (a restore's build starts at its tick).";
+        "Reference positions those trajectories cover, counted when made (a restore's starts at its tick).";
     model_builds: Counter, "foreco_model_builds_total",
         "Forecaster states built at restore to resolve a stored model (one per live model per shard).";
 }
